@@ -31,6 +31,8 @@ import configparser
 import os
 import sys
 
+from .errors import ConfigError
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
@@ -50,10 +52,6 @@ _SCHEMA = {
 _FLOAT_FMT = "%.17g"
 
 
-class _ConfigProblem(Exception):
-    pass
-
-
 def _fmt(x):
     if isinstance(x, float):
         return _FLOAT_FMT % x
@@ -70,57 +68,85 @@ def _parse_pi(text):
     return float(text)
 
 
+def _parse_dt(text):
+    return "auto" if text.strip() == "auto" else float(text)
+
+
+def _check_ranges(out):
+    """Run the value checks of the objects the subcommands build, so a bad
+    value exits 2 with its key named instead of failing mid-run."""
+    from .elliptic import TOL_RANGE, RadialGrid
+    from .evolution import EvolutionConfig
+    from .spectral import TorusGrid
+
+    try:
+        TorusGrid(out["n_theta"], out["n_z"], out["z_period"])
+        RadialGrid(out["n_rho"])
+        EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
+                        filter_eps=out["filter_eps"],
+                        record_every=out["record_every"], cfl=out["cfl"])
+    except ValueError as exc:
+        raise ConfigError(f"bad value: {exc}") from exc
+    for key, name in (("R", "r"), ("sigma", "sigma")):
+        if not out[key] > 0:
+            raise ConfigError(f"bad value for '{name}': must be positive")
+    lo, hi = TOL_RANGE
+    if not lo <= out["elliptic_tol"] <= hi:
+        raise ConfigError(f"bad value for 'elliptic_tol': "
+                          f"{out['elliptic_tol']:g} outside [{lo:g}, {hi:g}]")
+
+
 def load_config(path):
     """Parse and validate a run configuration; unknown keys are rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
-        raise _ConfigProblem(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     cfg = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise _ConfigProblem(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}]")
         allowed = _SCHEMA[section]
         for key in parser[section]:
             if allowed is not None and key not in allowed:
-                raise _ConfigProblem(
+                raise ConfigError(
                     f"unknown key '{key}' in section [{section}]")
             if section == "ic" and not (key == "modes" or key.startswith("mode")):
-                raise _ConfigProblem(f"unknown key '{key}' in section [ic]")
+                raise ConfigError(f"unknown key '{key}' in section [ic]")
         cfg[section] = dict(parser[section])
 
-    def need(section, key, cast=float):
-        if section not in cfg or key not in cfg[section]:
-            raise _ConfigProblem(f"missing required key '{key}' "
-                                 f"in section [{section}]")
+    def value(section, key, cast=float, default=None):
+        raw = cfg.get(section, {}).get(key, default)
+        if raw is None:
+            raise ConfigError(f"missing required key '{key}' "
+                              f"in section [{section}]")
         try:
-            return cast(cfg[section][key])
+            return cast(raw)
         except ValueError as exc:
-            raise _ConfigProblem(f"bad value for '{key}': {exc}") from exc
+            raise ConfigError(f"bad value for '{key}': {exc}") from exc
 
     out = {
-        "n_theta": need("grid", "n_theta", int),
-        "n_z": need("grid", "n_z", int),
-        "n_rho": need("grid", "n_rho", int),
-        "z_period": _parse_pi(cfg.get("grid", {}).get("z_period", "2pi")),
-        "R": need("physics", "r"),
-        "sigma": need("physics", "sigma"),
+        "n_theta": value("grid", "n_theta", int),
+        "n_z": value("grid", "n_z", int),
+        "n_rho": value("grid", "n_rho", int),
+        "z_period": value("grid", "z_period", _parse_pi, "2pi"),
+        "R": value("physics", "r"),
+        "sigma": value("physics", "sigma"),
         "modes": [],
-        "dt": cfg.get("evolution", {}).get("dt", "auto"),
-        "t_final": float(cfg.get("evolution", {}).get("t_final", 1.0)),
-        "filter_eps": float(cfg.get("evolution", {}).get("filter_eps", 0.0)),
-        "record_every": int(cfg.get("evolution", {}).get("record_every", 1)),
-        "elliptic_tol": float(cfg.get("evolution", {}).get("elliptic_tol", 1e-11)),
-        "cfl": float(cfg.get("evolution", {}).get("cfl", 0.5)),
+        "dt": value("evolution", "dt", _parse_dt, "auto"),
+        "t_final": value("evolution", "t_final", float, "1.0"),
+        "filter_eps": value("evolution", "filter_eps", float, "0.0"),
+        "record_every": value("evolution", "record_every", int, "1"),
+        "elliptic_tol": value("evolution", "elliptic_tol", float, "1e-11"),
+        "cfl": value("evolution", "cfl", float, "0.5"),
         "prefix": cfg.get("output", {}).get("prefix", "run"),
         "dispersion_modes": cfg.get("dispersion", {}).get("modes", ""),
         "fault": cfg.get("verify", {}).get("fault") or None,
         "heavy": cfg.get("verify", {}).get("heavy", "true").lower()
         not in ("false", "0", "no"),
-        "structure_states": int(cfg.get("verify", {}).get("structure_states", 100)),
+        "structure_states": value("verify", "structure_states", int, "100"),
     }
-    if out["dt"] != "auto":
-        out["dt"] = float(out["dt"])
+    _check_ranges(out)
     for key, raw in sorted(cfg.get("ic", {}).items()):
         for chunk in raw.split(";"):
             chunk = chunk.strip()
@@ -128,15 +154,18 @@ def load_config(path):
                 continue
             parts = chunk.split()
             if len(parts) != 5:
-                raise _ConfigProblem(
+                raise ConfigError(
                     f"mode '{key}' must read 'amplitude m k target phase', "
                     f"got {chunk!r}")
             amp, m, k, target, phase = parts
             if target not in ("eta", "psi"):
-                raise _ConfigProblem(
+                raise ConfigError(
                     f"mode '{key}': target must be eta or psi, got {target!r}")
-            out["modes"].append(
-                (float(amp), int(m), float(k), target, float(phase)))
+            try:
+                out["modes"].append(
+                    (float(amp), int(m), float(k), target, float(phase)))
+            except ValueError as exc:
+                raise ConfigError(f"bad value in mode '{key}': {exc}") from exc
     return out
 
 
@@ -259,7 +288,7 @@ def cmd_verify(cfg, out_dir, seed, quiet):
     with open(path, "w") as fh:
         for c in checks:
             fh.write(c.record() + "\n")
-    failed = [c for c in checks if not c.passed and not c.informational]
+    failed = [c for c in checks if not c.passed]
     if not quiet:
         for c in checks:
             print(c.line())
@@ -332,7 +361,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except _ConfigProblem as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -345,7 +374,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(cfg, args.out, args.seed, args.quiet)
-    except _ConfigProblem as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -56,6 +56,7 @@ from .spectral import (
     TorusField,
     TorusGrid,
     dealiased_product,
+    derivative_multipliers,
     integrate_product,
     nonlinear_eval,
     spectral_derivative,
@@ -134,28 +135,6 @@ class RadialGrid:
     def D(self):
         return self._built[2]
 
-    def interpolate(self, values, targets):
-        """Barycentric interpolation of nodal data to arbitrary points."""
-        x = self.nodes
-        w = self._built[3]
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
-        num = np.zeros((len(targets),) + np.shape(values)[1:])
-        den = np.zeros(len(targets))
-        exact = {}
-        for i, t in enumerate(targets):
-            d = t - x
-            hit = np.nonzero(d == 0.0)[0]
-            if hit.size:
-                exact[i] = hit[0]
-                continue
-            r = w / d
-            num[i] = np.tensordot(r, values, axes=(0, 0))
-            den[i] = r.sum()
-        out = num / den.reshape((-1,) + (1,) * (num.ndim - 1))
-        for i, j in exact.items():
-            out[i] = values[j]
-        return out
-
 
 @lru_cache(maxsize=8)
 def _build_radial(n_rho):
@@ -164,16 +143,19 @@ def _build_radial(n_rho):
     order = np.argsort(rho)        # ascending; boundary rho = 1 ends up last
     rho = rho[order]
     w = (wx / 2.0)[order]
-    bary = _barycentric_weights(rho)
-    D = _differentiation_matrix(rho, bary)
-    for a in (rho, w, D, bary):
+    D = _differentiation_matrix(rho, _barycentric_weights(rho))
+    for a in (rho, w, D):
         a.setflags(write=False)
-    return rho, w, D, bary
+    return rho, w, D
 
 
 # ---------------------------------------------------------------------------
-# strong-form coefficients (used for diagnostics and by the symbol calculus)
+# strong-form coefficients (reference for PotentialField.strong_residual)
 # ---------------------------------------------------------------------------
+# symbols.factorization_symbols writes the same alpha, beta, gamma pointwise
+# at one rho with plain spectral w-derivatives; this copy dealiases the
+# quotients in gamma and samples every radial node.  Sharing one body would
+# make it branch on its caller and would move the identity residuals.
 
 @dataclass(frozen=True)
 class MappedCoefficients:
@@ -259,7 +241,7 @@ class PotentialField:
         dphi = np.tensordot(D, phi, axes=(1, 0))
         d2phi = np.tensordot(D @ D, phi, axes=(1, 0))
         grid = self.grid
-        mt, mz = _w_multipliers(grid)
+        mt, mz = derivative_multipliers(grid)
         dth_dphi = _apply_w(dphi, mt)
         dz_dphi = _apply_w(dphi, mz)
         d2th = _apply_w(phi, mt * mt)
@@ -322,15 +304,6 @@ class TraceBundle:
 # solver
 # ---------------------------------------------------------------------------
 
-def _w_multipliers(grid: TorusGrid):
-    """First-derivative multipliers in theta and z with Nyquist zeroed."""
-    mt = 1j * grid.xi_theta[:, None] * np.ones((1, grid.n_z))
-    mz = 1j * np.ones((grid.n_theta, 1)) * grid.xi_z[None, :]
-    mt[grid.n_theta // 2, :] = 0.0
-    mz[:, grid.n_z // 2] = 0.0
-    return mt, mz
-
-
 def _apply_w(stack, mult):
     """Apply a (theta,z) Fourier multiplier to each rho-layer of a stack."""
     c = np.fft.fft2(stack, axes=(1, 2))
@@ -351,10 +324,10 @@ class DtnSolver:
         self.grid = grid
         self.radial = RadialGrid(n_rho)
         self.n_rho = n_rho
-        self._mt, self._mz = _w_multipliers(grid)
+        mt, mz = derivative_multipliers(grid)
         nzr = grid.n_z // 2 + 1
-        self._rmt = self._mt[:, :nzr].copy()
-        self._rmz = self._mz[:, :nzr].copy()
+        self._rmt = mt[:, :nzr].copy()
+        self._rmz = mz[:, :nzr].copy()
         m_eff = grid.xi_theta.copy()
         m_eff[grid.n_theta // 2] = 0.0
         k_eff = grid.xi_z.copy()
@@ -533,8 +506,8 @@ class DtnSolver:
         V_theta = pt - dealiased_product(B, gbt)
         V_z = pz - dealiased_product(B, gbz)
         G = nonlinear_eval(lambda f, e: f / e, flux, eta)
-        G_trace = B - dealiased_product(V_theta, gbt) - dealiased_product(V_z, gbz)
         v_dot = dealiased_product(V_theta, gbt) + dealiased_product(V_z, gbz)
+        G_trace = B - v_dot
         N = dealiased_product(B, v_dot) + 0.5 * (
             dealiased_product(V_theta, V_theta)
             + dealiased_product(V_z, V_z)
@@ -558,12 +531,6 @@ class DtnSolver:
 @lru_cache(maxsize=8)
 def default_solver(grid: TorusGrid, n_rho=48) -> DtnSolver:
     return DtnSolver(grid, n_rho)
-
-
-def dirichlet_neumann(eta: TorusField, psi: TorusField, n_rho=48,
-                      tol=TOL_DEFAULT) -> TraceBundle:
-    """Convenience wrapper around a cached solver."""
-    return default_solver(eta.grid, n_rho).trace_bundle(eta, psi, tol)
 
 
 # ---------------------------------------------------------------------------

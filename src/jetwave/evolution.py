@@ -184,20 +184,21 @@ class EvolutionConfig:
     cfl: float = CFL_DEFAULT
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if self.filter_eps < 0:
+        if not self.filter_eps >= 0:
             raise ValueError("filter_eps must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        if self.dt != "auto" and not float(self.dt) > 0:
+            raise ValueError("dt must be positive")
+        if not self.cfl > 0:
+            raise ValueError("cfl must be positive")
 
     def resolve_dt(self, grid, sigma, eta_bar):
         if self.dt == "auto":
             return auto_dt(grid, sigma, eta_bar, self.cfl)
-        dt = float(self.dt)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        return dt
+        return float(self.dt)
 
 
 @dataclass(frozen=True)

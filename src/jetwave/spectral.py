@@ -158,10 +158,6 @@ class TorusField:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_values(cls, grid, values):
-        return cls(grid, values)
-
-    @classmethod
     def from_coefficients(cls, grid, coefficients):
         values = inverse_transform(grid, coefficients)
         return cls(grid, values)
@@ -232,10 +228,6 @@ class TorusField:
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
 
-    # -- calculus ----------------------------------------------------------
-    def derivative(self, direction, order=1):
-        return spectral_derivative(self, direction, order)
-
     # -- reductions --------------------------------------------------------
     def mean(self):
         return float(self.values.mean())
@@ -289,6 +281,19 @@ def spectral_derivative(f: TorusField, direction, order=1):
     if order % 2 == 1:
         mult[nyq] = 0.0
     return TorusField.from_coefficients(grid, f.coefficients * mult)
+
+
+@lru_cache(maxsize=16)
+def derivative_multipliers(grid: TorusGrid):
+    """Full-grid first-derivative multipliers (i xi_theta, i xi_z), Nyquist
+    zeroed; cached per grid and read-only."""
+    mt = 1j * grid.xi_theta[:, None] * np.ones((1, grid.n_z))
+    mz = 1j * np.ones((grid.n_theta, 1)) * grid.xi_z[None, :]
+    mt[grid.n_theta // 2, :] = 0.0
+    mz[:, grid.n_z // 2] = 0.0
+    mt.setflags(write=False)
+    mz.setflags(write=False)
+    return mt, mz
 
 
 # ---------------------------------------------------------------------------

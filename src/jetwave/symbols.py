@@ -10,12 +10,13 @@ Available constructions:
 * principal Dirichlet-to-Neumann symbol
       lambda1 = sqrt(xi_t^2/eta^2 + xi_z^2
                      + (xi_t eta_z/eta - xi_z eta_theta/eta)^2)
-  and its subprincipal part lambda0 = (l^2/eta) A0 at rho = 1, assembled from
-  the radial factorization symbols
+  and its subprincipal part lambda0 = (l^2/eta) A0, with A0 read from the
+  radial factorization of the pulled-back Laplacian at rho = 1
 
       A1 = (S - i b.xi)/(2 alpha),   a1 = (S + i b.xi)/(2 alpha),
       S  = sqrt(4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (b.xi)^2),
       A0 = -(A1 gamma/alpha + d_rho A1 + grad_xi a1 . D_w A1) / (A1 + a1),
+      a0 = -(-a1 gamma/alpha + d_rho A1 + grad_xi a1 . D_w A1) / (A1 + a1),
 
   with the rho-derivative of A1 differentiated by hand (no numerical
   rho-differencing) and D_w = -i d_w spectral;
@@ -50,7 +51,7 @@ from .geometry import (
     curvature_G,
     curvature_G_uv,
 )
-from .spectral import TorusField, TorusGrid
+from .spectral import TorusField, TorusGrid, derivative_multipliers
 
 _XI_CHUNK = 64
 
@@ -58,14 +59,6 @@ _XI_CHUNK = 64
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _w_mults(grid: TorusGrid):
-    mt = 1j * grid.xi_theta[:, None] * np.ones((1, grid.n_z))
-    mz = 1j * np.ones((grid.n_theta, 1)) * grid.xi_z[None, :]
-    mt[grid.n_theta // 2, :] = 0.0
-    mz[:, grid.n_z // 2] = 0.0
-    return mt, mz
-
 
 def w_derivatives(arr, grid: TorusGrid):
     """(d_theta, d_z) of a (complex) grid array, spectral, Nyquist-zeroed.
@@ -78,7 +71,7 @@ def w_derivatives(arr, grid: TorusGrid):
     if arr.shape[-2:] != shape:
         arr = np.broadcast_to(arr, arr.shape[:-2] + shape) \
             if arr.ndim >= 2 else np.broadcast_to(arr, shape)
-    mt, mz = _w_mults(grid)
+    mt, mz = derivative_multipliers(grid)
     c = np.fft.fft2(arr, axes=(-2, -1))
     return (
         np.fft.ifft2(c * mt, axes=(-2, -1)),
@@ -171,12 +164,6 @@ class HomogeneousSymbol:
             return np.zeros((self.grid.n_theta, self.grid.n_z), dtype=complex)
         return self.subprincipal(_as_xi(xi_t), _as_xi(xi_z))
 
-    def xi_grad_principal(self, xi_t, xi_z):
-        return xi_gradient(
-            lambda a, b: self.principal(_as_xi(a), _as_xi(b)),
-            xi_t, xi_z, self.dxi_mode, self.grid.dz_lattice,
-        )
-
     # -- invariants ---------------------------------------------------------
     def homogeneity_residual(self, t=2.0, n_samples=12):
         """max |a^(m)(t xi) - t^m a^(m)(xi)| / |xi|^m on |xi| = 1 rays."""
@@ -216,52 +203,15 @@ def _surface_data(eta: TorusField):
     if eta.min() <= 0.0:
         raise DomainViolationError("eta must be strictly positive")
     eta = eta.drop_nyquist()
-    grid = eta.grid
+    return (eta.grid,) + _profiles(eta)
+
+
+def _profiles(eta: TorusField):
+    """e, eta_theta, eta_z and l^2 = 1 + (eta_theta/eta)^2 + eta_z^2 of a
+    Nyquist-free surface, without projecting it again."""
     e = eta.values
-    et = np.real(w_derivatives(e, grid)[0])
-    ez = np.real(w_derivatives(e, grid)[1])
-    l2 = 1.0 + (et / e) ** 2 + ez ** 2
-    return grid, e, et, ez, l2
-
-
-def _radial_symbol_pack(e, et, ez, grid):
-    """Closures for alpha, beta.xi, S, A1, a1 and the hand rho-derivative of
-    A1, all evaluated at rho = 1 (xi passed already shaped for broadcast)."""
-    alpha1 = (1.0 + (et / e) ** 2 + ez ** 2) / e ** 2
-
-    def b_dot(xt, xz):
-        return -2.0 * et * xt / e ** 3 - 2.0 * ez * xz / e
-
-    def T(xt, xz):
-        return xt ** 2 / e ** 2 + xz ** 2
-
-    def S(xt, xz):
-        disc = 4.0 * alpha1 * T(xt, xz) - b_dot(xt, xz) ** 2
-        return np.sqrt(disc)
-
-    def A1(xt, xz):
-        return (S(xt, xz) - 1j * b_dot(xt, xz)) / (2.0 * alpha1)
-
-    def a1(xt, xz):
-        return (S(xt, xz) + 1j * b_dot(xt, xz)) / (2.0 * alpha1)
-
-    def dA1(xt, xz):
-        # hand-differentiated rho-dependence of alpha, beta, T at rho = 1
-        dT = -2.0 * xt ** 2 / e ** 2
-        dalpha = 2.0 * ez ** 2 / e ** 2
-        dB = 2.0 * et * xt / e ** 3 - 2.0 * ez * xz / e
-        s = S(xt, xz)
-        b = b_dot(xt, xz)
-        dS = (4.0 * dalpha * T(xt, xz) + 4.0 * alpha1 * dT - 2.0 * b * dB) / (2.0 * s)
-        return (dS - 1j * dB) / (2.0 * alpha1) - (s - 1j * b) * dalpha / (
-            2.0 * alpha1 ** 2
-        )
-
-    # gamma at rho = 1 with spectral w-derivatives of eta/e^2 combinations
-    q_t = np.real(w_derivatives(et / e ** 2, grid)[0])
-    q_z = np.real(w_derivatives(ez / e ** 2, grid)[1])
-    gamma1 = -q_t / e - e * q_z + 1.0 / e ** 2
-    return alpha1, gamma1, b_dot, S, A1, a1, dA1
+    et, ez = (np.real(d) for d in w_derivatives(e, eta.grid))
+    return e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +221,17 @@ def _radial_symbol_pack(e, et, ez, grid):
 def lambda_symbol(eta: TorusField, dxi_mode="analytic") -> HomogeneousSymbol:
     """lambda = lambda^(1) + lambda^(0), symbol of the DtN operator.
 
-    Requesting xi = 0 is rejected by the ellipticity of the closed form
-    (sqrt(0) is harmless but the subprincipal part divides by S).
+    lambda^(0) = (l^2/eta) A^(0) with A^(0) the subprincipal factor of the
+    radial factorization at rho = 1.  Requesting xi = 0 is rejected by the
+    ellipticity of the closed form (sqrt(0) is harmless but the
+    subprincipal part divides by S).
     """
     grid, e, et, ez, l2 = _surface_data(eta)
-    alpha1, gamma1, b_dot, S, A1, a1, dA1 = _radial_symbol_pack(e, et, ez, grid)
+    A0 = _factorization(grid, e, et, ez, 1.0, dxi_mode)[0].subprincipal
 
     def lam1(xt, xz):
         return np.sqrt(
             xt ** 2 / e ** 2 + xz ** 2 + (xt * ez / e - xz * et / e) ** 2
-        )
-
-    def A0(xt, xz):
-        ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
-        dth, dz = w_derivatives(A1(xt, xz), grid)
-        dot = ga * (-1j * dth) + gb * (-1j * dz)
-        return -(A1(xt, xz) * gamma1 / alpha1 + dA1(xt, xz) + dot) / (
-            A1(xt, xz) + a1(xt, xz)
         )
 
     def lam0(xt, xz):
@@ -303,6 +247,11 @@ def factorization_symbols(eta: TorusField, rho=1.0, dxi_mode="analytic"):
     verified positive on a lattice sample before the root is taken.
     """
     grid, e, et, ez, _ = _surface_data(eta)
+    return _factorization(grid, e, et, ez, rho, dxi_mode)
+
+
+def _factorization(grid, e, et, ez, rho, dxi_mode):
+    """factorization_symbols from already derived surface profiles."""
     r = float(rho)
     if not 0.0 < r <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -339,6 +288,7 @@ def factorization_symbols(eta: TorusField, rho=1.0, dxi_mode="analytic"):
     gamma = -q_t / (r * e) - r * e * q_z + 1.0 / (r * e ** 2)
 
     def dA1(xt, xz):
+        # hand-differentiated rho-dependence of alpha, beta.xi and T
         dT = -2.0 * xt ** 2 / (r ** 3 * e ** 2)
         dalpha = 2.0 * r * ez ** 2 / e ** 2
         dB = 2.0 * et * xt / (r ** 2 * e ** 3) - 2.0 * ez * xz / e
@@ -349,24 +299,22 @@ def factorization_symbols(eta: TorusField, rho=1.0, dxi_mode="analytic"):
             2.0 * alpha ** 2
         )
 
-    def A0(xt, xz):
-        ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
-        dth, dz = w_derivatives(A1(xt, xz), grid)
-        dot = ga * (-1j * dth) + gb * (-1j * dz)
-        return -(A1(xt, xz) * gamma / alpha + dA1(xt, xz) + dot) / (
-            A1(xt, xz) + a1(xt, xz)
-        )
+    def subprincipal(big):
+        # A^(0) and a^(0) differ only in their leading term, A1 resp. -a1
+        def sub(xt, xz):
+            A, a = A1(xt, xz), a1(xt, xz)
+            ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
+            dth, dz = w_derivatives(A, grid)
+            dot = ga * (-1j * dth) + gb * (-1j * dz)
+            lead = A if big else -a
+            return -(lead * gamma / alpha + dA1(xt, xz) + dot) / (A + a)
 
-    def a0(xt, xz):
-        ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
-        dth, dz = w_derivatives(A1(xt, xz), grid)
-        dot = ga * (-1j * dth) + gb * (-1j * dz)
-        return -(-a1(xt, xz) * gamma / alpha + dA1(xt, xz) + dot) / (
-            A1(xt, xz) + a1(xt, xz)
-        )
+        return sub
 
-    big_A = HomogeneousSymbol(grid, 1.0, A1, A0, dxi_mode, name="A")
-    small_a = HomogeneousSymbol(grid, 1.0, a1, a0, dxi_mode, name="a_fact")
+    big_A = HomogeneousSymbol(grid, 1.0, A1, subprincipal(True), dxi_mode,
+                              name="A")
+    small_a = HomogeneousSymbol(grid, 1.0, a1, subprincipal(False), dxi_mode,
+                                name="a_fact")
     return big_A, small_a, alpha, gamma
 
 
@@ -386,9 +334,8 @@ def mu_symbol(eta: TorusField, R, dxi_mode="analytic") -> HomogeneousSymbol:
 
     fu, fv = curvature_F_uv(e, et, ez, R)
     (gu_tt, gu_tz, gu_zz), (gv_tt, gv_tz, gv_zz) = curvature_G_uv(e, et, ez)
-    e_tt = np.real(w_derivatives(np.real(w_derivatives(e, grid)[0]), grid)[0])
-    e_tz = np.real(w_derivatives(np.real(w_derivatives(e, grid)[0]), grid)[1])
-    e_zz = np.real(w_derivatives(np.real(w_derivatives(e, grid)[1]), grid)[1])
+    e_tt, e_tz = (np.real(d) for d in w_derivatives(et, grid))
+    e_zz = np.real(w_derivatives(ez, grid)[1])
     cu = fu + e_tt * gu_tt + 2.0 * e_tz * gu_tz + e_zz * gu_zz
     cv = fv + e_tt * gv_tt + 2.0 * e_tz * gv_tz + e_zz * gv_zz
 
@@ -424,7 +371,8 @@ def symmetrizer_symbols(eta: TorusField, sigma, R, dxi_mode="analytic"):
     eta = eta.drop_nyquist()
     lam = lambda_symbol(eta, dxi_mode)
     mu = mu_symbol(eta, float(R), dxi_mode)
-    return _symmetrizer_from(eta, float(sigma), float(R), dxi_mode, lam, mu)
+    e, _, _, l2 = _profiles(eta)
+    return _symmetrizer_from(eta.grid, e, l2, float(sigma), dxi_mode, lam, mu)
 
 
 def _ones_like_xi(xt, xz):
@@ -601,9 +549,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     """
     eta = eta.drop_nyquist()
     grid = eta.grid
-    e = eta.values
-    et = np.real(w_derivatives(e, grid)[0])
-    ez = np.real(w_derivatives(e, grid)[1])
+    e, et, ez, l2 = _profiles(eta)
 
     lam = lambda_symbol(eta, dxi_mode)
     if fault == "lambda0_sign":
@@ -615,7 +561,8 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
         raise ValueError(f"unknown fault hook {fault!r}")
     mu = mu_symbol(eta, R, dxi_mode)
     mu2_alt = mu2_from_curvature_coefficients(eta)
-    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(eta, sigma, R, dxi_mode, lam, mu)
+    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
+                                                       dxi_mode, lam, mu)
     lam_inv = parametrix(lam)
     j_eps = mollifier_symbol(gamma_sym, 0.5)
 
@@ -655,25 +602,21 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     dlog_t = et / e
     dlog_z = ez / e
 
-    def im_lambda0_residual(a, b):
-        gt, gz = xi_gradient(lam.principal, a, b, dxi_mode, grid.dz_lattice)
-        div = w_derivatives(gt, grid)[0] + w_derivatives(gz, grid)[1]
-        rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
-                                           + dlog_z * np.real(gz))
-        return np.imag(lam.subprincipal(a, b)) - rhs
+    def im_sub_residual(sym):
+        """Im sym^(m-1) + (1/2)(div_w + d_w log eta .) Re d_xi sym^(m)."""
+        def residual(a, b):
+            gt, gz = xi_gradient(sym.principal, a, b, dxi_mode, grid.dz_lattice)
+            div = w_derivatives(gt, grid)[0] + w_derivatives(gz, grid)[1]
+            rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
+                                               + dlog_z * np.real(gz))
+            return np.imag(sym.subprincipal(a, b)) - rhs
+
+        return residual
 
     checks.append(IdentityCheck(
-        "im_lambda0", _chunked_max(im_lambda0_residual, xt, xz), 1e-8))
-
-    def im_mu1_residual(a, b):
-        gt, gz = xi_gradient(mu.principal, a, b, dxi_mode, grid.dz_lattice)
-        div = w_derivatives(gt, grid)[0] + w_derivatives(gz, grid)[1]
-        rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
-                                           + dlog_z * np.real(gz))
-        return np.imag(mu.subprincipal(a, b)) - rhs
-
+        "im_lambda0", _chunked_max(im_sub_residual(lam), xt, xz), 1e-8))
     checks.append(IdentityCheck(
-        "im_mu1", _chunked_max(im_mu1_residual, xt, xz), 1e-8))
+        "im_mu1", _chunked_max(im_sub_residual(mu), xt, xz), 1e-8))
     checks.append(IdentityCheck(
         "re_mu1",
         _chunked_max(lambda a, b: np.real(mu.subprincipal(a, b)), xt, xz),
@@ -683,18 +626,14 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     # the q^(0) transport equation
     q0 = np.real(q_sym.principal(0.0, 1.0))
     q0_t, q0_z = (np.real(d) for d in w_derivatives(q0, grid))
+    bracket_lm = poisson_bracket(lam, mu).principal
 
     def prod_ml(a, b):
         return mu.principal(a, b) * lam.principal(a, b)
 
     def q0_equation_residual(a, b):
-        glt, glz = xi_gradient(lam.principal, a, b, dxi_mode, grid.dz_lattice)
-        gmt, gmz = xi_gradient(mu.principal, a, b, dxi_mode, grid.dz_lattice)
-        lwt, lwz = w_derivatives(lam.principal(a, b), grid)
-        mwt, mwz = w_derivatives(mu.principal(a, b), grid)
-        bracket_lm = glt * mwt + glz * mwz - lwt * gmt - lwz * gmz
         gpt, gpz = xi_gradient(prod_ml, a, b, dxi_mode, grid.dz_lattice)
-        lhs = 0.5 * q0 * (bracket_lm - (dlog_t * gpt + dlog_z * gpz))
+        lhs = 0.5 * q0 * (bracket_lm(a, b) - (dlog_t * gpt + dlog_z * gpz))
         rhs = -(gpt * q0_t + gpz * q0_z)
         return lhs - rhs
 
@@ -741,14 +680,9 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     return checks
 
 
-def _symmetrizer_from(eta, sigma, R, dxi_mode, lam, mu):
-    """symmetrizer_symbols but reusing prebuilt lambda/mu (fault-aware)."""
-    grid = eta.grid
-    e = eta.values
-    et = np.real(w_derivatives(e, grid)[0])
-    ez = np.real(w_derivatives(e, grid)[1])
-    l2 = 1.0 + (et / e) ** 2 + ez ** 2
-
+def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu):
+    """symmetrizer_symbols from surface profiles and prebuilt lambda/mu
+    (fault-aware)."""
     a_prof = (1.0 / np.sqrt(2.0)) * l2 ** (-0.75)
     a_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: a_prof * _ones_like_xi(xt, xz),

@@ -58,18 +58,16 @@ class CheckResult:
     threshold: float
     passed: bool
     note: str = ""
-    informational: bool = False
 
     def line(self):
-        tag = "PASS" if self.passed else ("INFO" if self.informational else "FAIL")
+        tag = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.note}]" if self.note else ""
         return (f"{tag} {self.name}: value {self.value:.6e} "
                 f"threshold {self.threshold:.1e}{extra}")
 
     def record(self):
         return (f"check.{self.name}={self.value:.17g} "
-                f"threshold={self.threshold:.17g} pass={int(self.passed)} "
-                f"informational={int(self.informational)}")
+                f"threshold={self.threshold:.17g} pass={int(self.passed)}")
 
 
 def _below(name, value, threshold, note=""):
@@ -97,13 +95,6 @@ def _ens(grid):
     over seeds sits two orders under the tightest threshold at desk scale).
     """
     return 3, 0.05, 3.0
-
-
-def _random_state(grid, rng, R, sigma, amp_eta, amp_psi, kmax=3):
-    eta = TorusField.constant(grid, R) + band_limited_random(
-        grid, rng, kmax=kmax, max_norm=amp_eta * R)
-    psi = band_limited_random(grid, rng, kmax=kmax, max_norm=amp_psi)
-    return SurfaceState(eta, psi, R, sigma)
 
 
 # ---------------------------------------------------------------------------

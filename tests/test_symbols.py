@@ -48,7 +48,8 @@ class TestLambdaSymbol:
 
     def test_principal_consistency_with_factorization(self, grid32):
         """(l^2/eta) Re A^(1) at rho = 1 reproduces the closed-form
-        lambda^(1) (the imaginary parts cancel against the beta correction)."""
+        lambda^(1) (the imaginary parts cancel against the beta correction),
+        and lambda^(0) is exactly (l^2/eta) A^(0)."""
         eta = _deformed(grid32)
         lam = lambda_symbol(eta)
         big_A, _, _, _ = factorization_symbols(eta, 1.0)
@@ -60,6 +61,8 @@ class TestLambdaSymbol:
             diff = (l2 / e) * np.real(big_A.principal_at(m, k)) \
                 - lam.principal_at(m, k)
             assert np.abs(diff).max() < 1e-12
+            assert np.array_equal(lam.sub_at(m, k),
+                                  (l2 / e) * big_A.sub_at(m, k))
 
     def test_homogeneity_and_reality(self, grid32):
         lam = lambda_symbol(_deformed(grid32))
