@@ -10,69 +10,46 @@ The package is organized around one module per subsystem:
 * ``symbols``   -- closed-form symbol calculus and the identity report
 * ``evolution`` -- time integration, conservation tracking, dispersion
 * ``cli``       -- configuration-driven command line entry points
+
+The names below are loaded on first access (PEP 562), so importing the
+package, or ``jetwave.cli``, loads no numeric module: the command line caps
+the thread pools (JETWAVE_THREADS) before numpy starts them.  Each access
+resolves the name from its submodule again, so a name rebound there (by a
+tracer, say) is what the package hands out.
 """
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainViolationError,
-    EllipticityError,
-    JetwaveError,
-)
-from .spectral import (
-    TAU,
-    DyadicDecomposition,
-    TorusField,
-    TorusGrid,
-    band_limited_random,
-    dealiased_product,
-    dyadic_block,
-    forward_transform,
-    integrate_product,
-    inverse_transform,
-    low_pass,
-    nonlinear_eval,
-    spectral_derivative,
-)
-from .geometry import (
-    SurfaceState,
-    enclosed_volume,
-    mean_curvature,
-    metric_factor,
-    modified_gradient,
-    potential_energy,
-)
-from .elliptic import (
-    DtnSolver,
-    MappedCoefficients,
-    PotentialField,
-    TraceBundle,
-    build_coefficients,
-    hamiltonian_variations,
-    shape_derivative,
-)
-from .paradiff import apply_paradiff, bony_remainder, good_unknown, paraproduct
-from .symbols import (
-    HomogeneousSymbol,
-    adjoint_symbol,
-    lambda_symbol,
-    mollifier_symbol,
-    mu_symbol,
-    parametrix,
-    poisson_bracket,
-    sharp_compose,
-    symbol_identity_report,
-    symmetrizer_symbols,
-)
-from .evolution import (
-    EvolutionConfig,
-    Trajectory,
-    bessel_dtn_eigenvalue,
-    linearized_growth_rate,
-    rhs,
-    simulate,
-    step_rk4,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "errors": ("ConfigError", "ConvergenceError", "DomainViolationError",
+               "EllipticityError", "JetwaveError"),
+    "spectral": ("TAU", "DyadicDecomposition", "TorusField", "TorusGrid",
+                 "band_limited_random", "dealiased_product", "dyadic_block",
+                 "forward_transform", "integrate_product", "inverse_transform",
+                 "low_pass", "nonlinear_eval", "spectral_derivative"),
+    "geometry": ("SurfaceState", "enclosed_volume", "mean_curvature",
+                 "metric_factor", "modified_gradient", "potential_energy"),
+    "elliptic": ("DtnSolver", "MappedCoefficients", "PotentialField",
+                 "TraceBundle", "build_coefficients", "hamiltonian_variations",
+                 "shape_derivative"),
+    "paradiff": ("apply_paradiff", "bony_remainder", "good_unknown",
+                 "paraproduct"),
+    "symbols": ("HomogeneousSymbol", "adjoint_symbol", "lambda_symbol",
+                "mollifier_symbol", "mu_symbol", "parametrix",
+                "poisson_bracket", "sharp_compose", "symbol_identity_report",
+                "symmetrizer_symbols"),
+    "evolution": ("EvolutionConfig", "Trajectory", "bessel_dtn_eigenvalue",
+                  "linearized_growth_rate", "rhs", "simulate", "step_rk4"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

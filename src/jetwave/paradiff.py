@@ -13,17 +13,20 @@ Quantization of an (w, xi)-dependent symbol follows the same recipe
 frequency by frequency:
 
     T_a u(w) = sum_xi [ sum_{j>=2} phi(xi/2^j) (S_{j-2} a)(w, xi) ]
-               e^{i w.xi} u_hat(xi),
+               e^{i w.xi} u_hat(xi).
 
-accumulated by direct summation over the lattice -- cost
-O(N_lattice * N_grid), accepted at desk scale and preferred over per-block
-transform batching because it commits no extra approximation.  The sum is
-evaluated on a 3/2 zero-padded grid and truncated, so the output is
-dealiased exactly like every other product in the package; blocks beyond the
-dealiased band are dropped, the discrete analogue of working with
-band-limited fields.  The j-sum starts at j = 2, so low frequencies of the
-acted-on field are invisible: T_a (S_1 u) = 0 exactly and constants may be
-added to the second argument freely.
+The symbol is sampled on stacked chunks of the active frequencies, and each
+smoothed spectrum s_xi(zeta) u_hat(xi) is added at offset zeta + xi directly
+in coefficient space, in a box of width 2N per axis that holds every such
+sum exactly.  This is the dealiased result, exactly: on the 3/2 zero-padded
+grid of width M = 3N/2 the sums |zeta + xi| <= N - 1 would alias only by
+multiples of M, and every alias of a kept frequency k in [-N/2, N/2] lies
+outside (-N, N).  The real part is taken as c(k) <- (c(k) + conj c(-k))/2,
+which for the coarse Nyquist row reads its +N/2 partner from the box.
+Blocks beyond the dealiased band are dropped, the discrete analogue of
+working with band-limited fields.  The j-sum starts at j = 2, so low
+frequencies of the acted-on field are invisible: T_a (S_1 u) = 0 exactly
+and constants may be added to the second argument freely.
 
 The lattice iteration order is fixed, so results are bit-reproducible.
 """
@@ -36,11 +39,9 @@ from .spectral import (
     TorusField,
     dealiased_product,
     decomposition,
-    pad_coefficients,
-    truncate_coefficients,
 )
 
-_CHUNK = 256
+_CHUNK = 64     # frequencies per stacked symbol sample
 
 
 def paraproduct(a: TorusField, b: TorusField) -> TorusField:
@@ -70,16 +71,17 @@ def good_unknown(eta: TorusField, psi: TorusField, B: TorusField) -> TorusField:
 def apply_paradiff(symbol, u: TorusField) -> TorusField:
     """Apply the paradifferential operator of an (w, xi) symbol to u.
 
-    ``symbol`` is anything with a ``total(xi_theta, xi_z)`` method returning
-    the (n_theta, n_z) complex sample of a(., xi) on the grid (see
-    symbols.HomogeneousSymbol), or a bare callable with that signature.  For
+    ``symbol`` is anything with a ``total(xi_theta, xi_z)`` method that takes
+    stacked 1-d frequency arrays and returns the (n, n_theta, n_z) complex
+    samples of a(., xi) on the grid (see symbols.HomogeneousSymbol), or a
+    bare callable returning the (n_theta, n_z) sample at one frequency.  For
     real operators the samples must satisfy a(w, -xi) = conj(a(w, xi)); the
     accumulated sum is then real and its real part is returned.
     """
     grid = u.grid
-    sample = symbol.total if hasattr(symbol, "total") else symbol
+    sample = symbol.total if hasattr(symbol, "total") else _stacked(symbol)
     dec = decomposition(grid)
-    fine = grid.padded(1.5)
+    nt, nz = grid.n_theta, grid.n_z
     xt, xz = grid.xi_mesh()
     uhat = u.coefficients
     nyq = grid.nyquist_mask()
@@ -96,41 +98,37 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     if n_active == 0:
         return TorusField.zeros(grid)
 
-    tt, zz = fine.mesh()
-    tt = tt.ravel()
-    zz = zz.ravel()
-    acc = np.zeros(tt.size, dtype=complex)
-
     order = np.argsort(np.ravel_multi_index(active, uhat.shape))
     idx_t = active[0][order]
     idx_z = active[1][order]
+
+    # signed lattice indices, and the box holding every sum zeta + xi
+    kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)
+    kz = np.fft.fftfreq(nz, 1.0 / nz).astype(int)
+    bt, bz = 2 * nt, 2 * nz
+    acc = np.zeros(bt * bz, dtype=complex)
 
     for start in range(0, n_active, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n_active))
         its, izs = idx_t[sl], idx_z[sl]
         n = its.size
-        samples = np.empty((n, grid.n_theta, grid.n_z), dtype=complex)
-        for i in range(n):
-            samples[i] = sample(float(xt[its[i], izs[i]]), float(xz[its[i], izs[i]]))
-        shat = np.fft.fft2(samples, axes=(1, 2)) / (grid.n_theta * grid.n_z)
+        samples = np.broadcast_to(sample(xt[its, izs], xz[its, izs]), (n, nt, nz))
+        shat = np.fft.fft2(samples, axes=(1, 2)) / (nt * nz)
         # per-frequency smoothing multiplier: sum_j phi(xi/2^j) chi(zeta/2^(j-2))
-        mult = np.einsum("jn,jtz->ntz", block_w[:, its, izs], low_w, optimize=True)
-        shat *= mult
-        padded = np.stack(
-            [pad_coefficients(grid, shat[i], fine) for i in range(n)]
-        )
-        vals = np.fft.ifft2(padded, axes=(1, 2)) * (fine.n_theta * fine.n_z)
-        phases = np.exp(
-            1j * (np.outer(xt[its, izs], tt) + np.outer(xz[its, izs], zz))
-        )
-        acc += np.einsum(
-            "np,np,n->p",
-            vals.reshape(n, -1),
-            phases,
-            uhat[its, izs],
-            optimize=True,
-        )
+        shat *= np.einsum("jn,jtz->ntz", block_w[:, its, izs], low_w, optimize=True)
+        shat *= uhat[its, izs][:, None, None]
+        row = (kt[its][:, None, None] + kt[None, :, None]) % bt
+        col = (kz[izs][:, None, None] + kz[None, None, :]) % bz
+        at = (row * bz + col).ravel()
+        acc += np.bincount(at, shat.real.ravel(), bt * bz)
+        acc += 1j * np.bincount(at, shat.imag.ravel(), bt * bz)
 
-    vals = acc.real.reshape(fine.n_theta, fine.n_z)
-    c = np.fft.fft2(vals) / (fine.n_theta * fine.n_z)
-    return TorusField.from_coefficients(grid, truncate_coefficients(fine, c, grid))
+    acc = acc.reshape(bt, bz)
+    c = 0.5 * (acc[np.ix_(kt % bt, kz % bz)]
+               + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
+    return TorusField.from_coefficients(grid, c)
+
+
+def _stacked(fn):
+    """Stacked sampler from a callable taking one frequency at a time."""
+    return lambda xts, xzs: np.stack([fn(float(a), float(b)) for a, b in zip(xts, xzs)])

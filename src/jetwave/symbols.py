@@ -39,9 +39,16 @@ its thresholds.  "lattice" uses central differences with one lattice step,
 the torus convention; it carries an O(|xi|^-2) truncation error that
 dominates every subprincipal identity, so the report documents much looser
 residuals in that mode.
+
+Within one symbol_identity_report, every closure evaluation and xi-gradient
+is computed once per xi chunk and shared by all identities on that chunk.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import functools
 
 import numpy as np
 
@@ -53,12 +60,60 @@ from .geometry import (
 )
 from .spectral import TorusField, TorusGrid, derivative_multipliers
 
-_XI_CHUNK = 64
+_XI_CHUNK = 32
+
+# Evaluations shared within the current xi chunk of an identity report; None
+# (nothing shared) outside one.  A context variable, so concurrent reports
+# on other threads never see each other's entries.
+_SHARED = contextvars.ContextVar("jetwave_shared_evaluations", default=None)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _sharing():
+    """Share evaluations made inside the block; drop them on exit."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _key(arg):
+    if callable(arg):
+        return arg
+    a = np.asarray(arg)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _evaluate(fn, *args):
+    """fn(*args), computed once per sharing scope.
+
+    Arguments are keyed by value (functions by identity), so the same xi
+    reached by different routes -- e.g. the complex-step points of several
+    xi-gradients -- hits one entry.  Shared results are made read-only.
+    """
+    memo = _SHARED.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn,) + tuple(_key(a) for a in args)
+    if key not in memo:
+        out = fn(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.setflags(write=False)
+        memo[key] = out
+    return memo[key]
+
+
+def _shared(fn):
+    """A symbol closure whose evaluations are shared (see _evaluate)."""
+    if fn is None or getattr(fn, "func", None) is _evaluate:
+        return fn
+    return functools.partial(_evaluate, fn)
+
 
 def w_derivatives(arr, grid: TorusGrid):
     """(d_theta, d_z) of a (complex) grid array, spectral, Nyquist-zeroed.
@@ -86,6 +141,10 @@ def xi_gradient(fn, xi_t, xi_z, mode="analytic", dz=1.0):
     ~1e-11 for holomorphic closures.  mode "lattice": central real
     differences with one lattice step per direction.
     """
+    return _evaluate(_xi_gradient, fn, xi_t, xi_z, mode, dz)
+
+
+def _xi_gradient(fn, xi_t, xi_z, mode, dz):
     xi_t = np.asarray(xi_t, dtype=float)
     xi_z = np.asarray(xi_z, dtype=float)
     if mode == "analytic":
@@ -145,8 +204,8 @@ class HomogeneousSymbol:
                  dxi_mode="analytic", name=""):
         self.grid = grid
         self.degree = float(degree)
-        self.principal = principal
-        self.subprincipal = subprincipal
+        self.principal = _shared(principal)
+        self.subprincipal = _shared(subprincipal)
         self.dxi_mode = dxi_mode
         self.name = name
 
@@ -168,12 +227,9 @@ class HomogeneousSymbol:
     def homogeneity_residual(self, t=2.0, n_samples=12):
         """max |a^(m)(t xi) - t^m a^(m)(xi)| / |xi|^m on |xi| = 1 rays."""
         ang = np.linspace(0.0, np.pi, n_samples, endpoint=False) + 0.2
-        res = 0.0
-        for a in ang:
-            p1 = self.principal_at(np.cos(a), np.sin(a))
-            p2 = self.principal_at(t * np.cos(a), t * np.sin(a))
-            res = max(res, float(np.abs(p2 - t ** self.degree * p1).max()))
-        return res
+        p1 = self.principal_at(np.cos(ang), np.sin(ang))
+        p2 = self.principal_at(t * np.cos(ang), t * np.sin(ang))
+        return float(np.abs(p2 - t ** self.degree * p1).max())
 
     def reality_residual(self):
         """max |a(w, -xi) - conj a(w, xi)| over a lattice sample."""
@@ -186,10 +242,7 @@ class HomogeneousSymbol:
     def ellipticity_margin(self, n_samples=16):
         """min over |xi| = 1 of Re a^(m); positive for elliptic symbols."""
         ang = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False) + 0.13
-        lo = np.inf
-        for a in ang:
-            lo = min(lo, float(np.real(self.principal_at(np.cos(a), np.sin(a))).min()))
-        return lo
+        return float(np.real(self.principal_at(np.cos(ang), np.sin(ang))).min())
 
     def is_elliptic(self):
         return self.ellipticity_margin() > 0.0
@@ -277,23 +330,29 @@ def _factorization(grid, e, et, ez, rho, dxi_mode):
     def S(xt, xz):
         return np.sqrt(disc(xt, xz))
 
+    # A1 and a1 from S and beta.xi
+    def A1_of(s, b):
+        return (s - 1j * b) / (2.0 * alpha)
+
+    def a1_of(s, b):
+        return (s + 1j * b) / (2.0 * alpha)
+
     def A1(xt, xz):
-        return (S(xt, xz) - 1j * b_dot(xt, xz)) / (2.0 * alpha)
+        return A1_of(S(xt, xz), b_dot(xt, xz))
 
     def a1(xt, xz):
-        return (S(xt, xz) + 1j * b_dot(xt, xz)) / (2.0 * alpha)
+        return a1_of(S(xt, xz), b_dot(xt, xz))
 
     q_t = np.real(w_derivatives(et / e ** 2, grid)[0])
     q_z = np.real(w_derivatives(ez / e ** 2, grid)[1])
     gamma = -q_t / (r * e) - r * e * q_z + 1.0 / (r * e ** 2)
 
-    def dA1(xt, xz):
-        # hand-differentiated rho-dependence of alpha, beta.xi and T
+    def dA1(xt, xz, s, b):
+        # hand-differentiated rho-dependence of alpha, beta.xi and T, at
+        # s = S and b = beta.xi
         dT = -2.0 * xt ** 2 / (r ** 3 * e ** 2)
         dalpha = 2.0 * r * ez ** 2 / e ** 2
         dB = 2.0 * et * xt / (r ** 2 * e ** 3) - 2.0 * ez * xz / e
-        s = S(xt, xz)
-        b = b_dot(xt, xz)
         dS = (4.0 * dalpha * T(xt, xz) + 4.0 * alpha * dT - 2.0 * b * dB) / (2.0 * s)
         return (dS - 1j * dB) / (2.0 * alpha) - (s - 1j * b) * dalpha / (
             2.0 * alpha ** 2
@@ -302,12 +361,13 @@ def _factorization(grid, e, et, ez, rho, dxi_mode):
     def subprincipal(big):
         # A^(0) and a^(0) differ only in their leading term, A1 resp. -a1
         def sub(xt, xz):
-            A, a = A1(xt, xz), a1(xt, xz)
+            s, b = S(xt, xz), b_dot(xt, xz)
+            A, a = A1_of(s, b), a1_of(s, b)
             ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
             dth, dz = w_derivatives(A, grid)
             dot = ga * (-1j * dth) + gb * (-1j * dz)
             lead = A if big else -a
-            return -(lead * gamma / alpha + dA1(xt, xz) + dot) / (A + a)
+            return -(lead * gamma / alpha + dA1(xt, xz, s, b) + dot) / (A + a)
 
         return sub
 
@@ -372,7 +432,8 @@ def symmetrizer_symbols(eta: TorusField, sigma, R, dxi_mode="analytic"):
     lam = lambda_symbol(eta, dxi_mode)
     mu = mu_symbol(eta, float(R), dxi_mode)
     e, _, _, l2 = _profiles(eta)
-    return _symmetrizer_from(eta.grid, e, l2, float(sigma), dxi_mode, lam, mu)
+    return _symmetrizer_from(eta.grid, e, l2, float(sigma), dxi_mode, lam, mu,
+                             parametrix(lam))
 
 
 def _ones_like_xi(xt, xz):
@@ -524,14 +585,25 @@ class IdentityCheck:
                 f"threshold={self.threshold:.17g} pass={int(self.passed)}")
 
 
-def _chunked_max(fn, xt, xz):
-    """max over the lattice of |fn| evaluated in vectorized xi chunks."""
-    out = 0.0
+def _lattice_checks(identities, xt, xz):
+    """IdentityChecks from name -> (threshold, residual closures); each
+    residual is the max of |fn| over the lattice and over that name's fns.
+
+    The lattice is taken one xi chunk at a time and every closure is
+    evaluated on it in one sharing scope, so evaluations common to several
+    identities are computed once per chunk.  The max is exact, so neither
+    the chunking nor the order changes a bit of the result.
+    """
+    res = dict.fromkeys(identities, 0.0)
     for start in range(0, len(xt), _XI_CHUNK):
         sl = slice(start, start + _XI_CHUNK)
-        vals = fn(_as_xi(xt[sl]), _as_xi(xz[sl]))
-        out = max(out, float(np.abs(vals).max()))
-    return out
+        a, b = _as_xi(xt[sl]), _as_xi(xz[sl])
+        with _sharing():
+            for name, (_, fns) in identities.items():
+                for fn in fns:
+                    res[name] = max(res[name], float(np.abs(fn(a, b)).max()))
+    return [IdentityCheck(name, res[name], threshold)
+            for name, (threshold, _) in identities.items()]
 
 
 def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
@@ -561,42 +633,26 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
         raise ValueError(f"unknown fault hook {fault!r}")
     mu = mu_symbol(eta, R, dxi_mode)
     mu2_alt = mu2_from_curvature_coefficients(eta)
-    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
-                                                       dxi_mode, lam, mu)
     lam_inv = parametrix(lam)
+    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
+                                                       dxi_mode, lam, mu, lam_inv)
     j_eps = mollifier_symbol(gamma_sym, 0.5)
 
     xt, xz = lattice_points(grid)
-    checks = []
+    lattice = {}    # name -> (threshold, residual closures)
 
     # algebraic identities among principal parts
-    checks.append(IdentityCheck(
-        "mu2_eq_a2_lambda1_sq",
-        _chunked_max(lambda a, b: mu.principal(a, b)
-                     - a_sym.principal(a, b) ** 2 * lam.principal(a, b) ** 2,
-                     xt, xz),
-        1e-10,
-    ))
-    checks.append(IdentityCheck(
-        "mu2_two_paths",
-        _chunked_max(lambda a, b: mu.principal(a, b) - mu2_alt.principal(a, b),
-                     xt, xz),
-        1e-10,
-    ))
-    checks.append(IdentityCheck(
-        "p_times_lambda_eq_gamma_q",
-        _chunked_max(lambda a, b: p_sym.principal(a, b) * lam.principal(a, b)
-                     - gamma_sym.principal(a, b) * q_sym.principal(a, b),
-                     xt, xz),
-        1e-10,
-    ))
-    checks.append(IdentityCheck(
-        "q_sigma_mu2_eq_gamma_p",
-        _chunked_max(lambda a, b: q_sym.principal(a, b) * sigma * mu.principal(a, b)
-                     - gamma_sym.principal(a, b) * p_sym.principal(a, b),
-                     xt, xz),
-        1e-10,
-    ))
+    lattice["mu2_eq_a2_lambda1_sq"] = (1e-10, [
+        lambda a, b: mu.principal(a, b)
+        - a_sym.principal(a, b) ** 2 * lam.principal(a, b) ** 2])
+    lattice["mu2_two_paths"] = (1e-10, [
+        lambda a, b: mu.principal(a, b) - mu2_alt.principal(a, b)])
+    lattice["p_times_lambda_eq_gamma_q"] = (1e-10, [
+        lambda a, b: p_sym.principal(a, b) * lam.principal(a, b)
+        - gamma_sym.principal(a, b) * q_sym.principal(a, b)])
+    lattice["q_sigma_mu2_eq_gamma_p"] = (1e-10, [
+        lambda a, b: q_sym.principal(a, b) * sigma * mu.principal(a, b)
+        - gamma_sym.principal(a, b) * p_sym.principal(a, b)])
 
     # subprincipal imaginary parts
     dlog_t = et / e
@@ -613,15 +669,9 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
 
         return residual
 
-    checks.append(IdentityCheck(
-        "im_lambda0", _chunked_max(im_sub_residual(lam), xt, xz), 1e-8))
-    checks.append(IdentityCheck(
-        "im_mu1", _chunked_max(im_sub_residual(mu), xt, xz), 1e-8))
-    checks.append(IdentityCheck(
-        "re_mu1",
-        _chunked_max(lambda a, b: np.real(mu.subprincipal(a, b)), xt, xz),
-        1e-12,
-    ))
+    lattice["im_lambda0"] = (1e-8, [im_sub_residual(lam)])
+    lattice["im_mu1"] = (1e-8, [im_sub_residual(mu)])
+    lattice["re_mu1"] = (1e-12, [lambda a, b: np.real(mu.subprincipal(a, b))])
 
     # the q^(0) transport equation
     q0 = np.real(q_sym.principal(0.0, 1.0))
@@ -637,35 +687,33 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
         rhs = -(gpt * q0_t + gpz * q0_z)
         return lhs - rhs
 
-    checks.append(IdentityCheck(
-        "q0_equation", _chunked_max(q0_equation_residual, xt, xz), 1e-8))
+    lattice["q0_equation"] = (1e-8, [q0_equation_residual])
 
     # parametrix: lambda # ~lambda = ~lambda # lambda = 1
     comp1 = sharp_compose(lam, lam_inv)
     comp2 = sharp_compose(lam_inv, lam)
-    res = max(
-        _chunked_max(lambda a, b: comp1.principal(a, b) - 1.0, xt, xz),
-        _chunked_max(comp1.subprincipal, xt, xz),
-        _chunked_max(lambda a, b: comp2.principal(a, b) - 1.0, xt, xz),
-        _chunked_max(comp2.subprincipal, xt, xz),
-    )
-    checks.append(IdentityCheck("lambda_parametrix", res, 1e-9))
+    lattice["lambda_parametrix"] = (1e-9, [
+        lambda a, b: comp1.principal(a, b) - 1.0, comp1.subprincipal,
+        lambda a, b: comp2.principal(a, b) - 1.0, comp2.subprincipal])
 
     # mollifier commutes with gamma at principal level
-    pb = poisson_bracket(gamma_sym, j_eps)
-    checks.append(IdentityCheck(
-        "poisson_gamma_mollifier", _chunked_max(pb.principal, xt, xz), 1e-9))
+    lattice["poisson_gamma_mollifier"] = (
+        1e-9, [poisson_bracket(gamma_sym, j_eps).principal])
+    checks = _lattice_checks(lattice, xt, xz)
 
     # structural invariants
-    res = max(s.homogeneity_residual()
-              for s in (lam, mu, gamma_sym, q_sym, p_sym))
-    checks.append(IdentityCheck("homogeneity", res, 1e-12))
-    margin = min(s.ellipticity_margin()
-                 for s in (lam, mu, gamma_sym, q_sym, p_sym))
-    checks.append(IdentityCheck("ellipticity_margin", -margin, 0.0))
-    checks.append(IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10))
+    syms = (lam, mu, gamma_sym, q_sym, p_sym)
+    with _sharing():
+        checks += [
+            IdentityCheck("homogeneity",
+                          max(s.homogeneity_residual() for s in syms), 1e-12),
+            IdentityCheck("ellipticity_margin",
+                          -min(s.ellipticity_margin() for s in syms), 0.0),
+            IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10),
+        ]
 
     # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
+    factorization = {}
     for rho in (1.0, 0.7):
         big_A, small_a, alpha, _ = factorization_symbols(eta, rho, dxi_mode)
 
@@ -673,16 +721,14 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
             target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
             return al * s.principal(a, b) * A.principal(a, b) - target
 
-        checks.append(IdentityCheck(
-            f"factorization_rho_{rho:g}".replace(".", "_"),
-            _chunked_max(fact_residual, xt, xz), 1e-10))
-
-    return checks
+        factorization[f"factorization_rho_{rho:g}".replace(".", "_")] = (
+            1e-10, [fact_residual])
+    return checks + _lattice_checks(factorization, xt, xz)
 
 
-def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu):
-    """symmetrizer_symbols from surface profiles and prebuilt lambda/mu
-    (fault-aware)."""
+def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu, lam_inv):
+    """symmetrizer_symbols from surface profiles and prebuilt lambda, mu and
+    parametrix(lambda) (fault-aware)."""
     a_prof = (1.0 / np.sqrt(2.0)) * l2 ** (-0.75)
     a_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: a_prof * _ones_like_xi(xt, xz),
@@ -709,6 +755,6 @@ def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu):
         grid, 0.0, lambda xt, xz: q_prof * _ones_like_xi(xt, xz),
         None, dxi_mode, name="q",
     )
-    p_sym = sharp_compose(sharp_compose(gamma_sym, q_sym), parametrix(lam))
+    p_sym = sharp_compose(sharp_compose(gamma_sym, q_sym), lam_inv)
     p_sym.name = "p"
     return a_sym, gamma_sym, q_sym, p_sym

@@ -6,7 +6,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-import jetwave  # noqa: F401  (loads every layer module the tracer rebinds)
+import numpy as np
+
+# the layer modules the tracer rebinds (the package itself loads them lazily)
+from jetwave import elliptic, evolution, geometry, paradiff, spectral, symbols  # noqa: F401
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +30,20 @@ def test_every_per_layer_metric_is_produced():
         produced = tracer.metrics(1.0, 1.0)
     missing = [m["name"] for m in bench["per_layer"] if m["name"] not in produced]
     assert not missing, f"per-layer metrics no longer produced: {missing}"
+
+
+def test_traced_reports_repeat_counts(grid16):
+    """The traced benchmark fails unless two passes give identical counts;
+    evaluations shared inside one identity report must not carry over."""
+    spans = _load_spans()
+    th, zz = grid16.mesh()
+    counts = []
+    for _ in range(2):
+        # a fresh field: a field caches its own coefficients once computed
+        eta = spectral.TorusField(grid16, 1.0 + 0.1 * np.cos(th) * np.cos(zz))
+        tracer = spans.Tracer()
+        with tracer.installed():
+            symbols.symbol_identity_report(eta, 1.0, 1.0)
+        counts.append(tracer.counts())
+    assert counts[0]["calls"]["symbols.symbol_identity_report"] == 1
+    assert counts[0] == counts[1]

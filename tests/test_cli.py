@@ -235,3 +235,15 @@ class TestEntryPoint:
             env={**os.environ, "JETWAVE_THREADS": "1"})
         assert proc.returncode == EXIT_CONFIG
         assert "sigma" in proc.stderr
+
+    def test_entry_point_import_loads_no_numpy(self):
+        """main() applies JETWAVE_THREADS before numpy starts its thread
+        pools only if importing the entry point leaves numpy unloaded."""
+        code = ("import sys, jetwave.cli\n"
+                "print('numpy' in sys.modules)\n"
+                "from jetwave import TorusGrid, lambda_symbol\n"
+                "print(TorusGrid(8, 8).n_theta, lambda_symbol.__name__)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "8", "lambda_symbol"]

@@ -11,12 +11,15 @@ from jetwave.paradiff import (
     paraproduct,
 )
 from jetwave.spectral import (
+    TAU,
     TorusField,
     TorusGrid,
     band_limited_random,
     dealiased_product,
     decomposition,
     low_pass,
+    pad_coefficients,
+    truncate_coefficients,
 )
 from jetwave.symbols import lambda_symbol
 
@@ -149,6 +152,66 @@ class TestApplyParadiff:
         lam = lambda_symbol(TorusField.constant(grid32, 1.0))
         u = low_pass(band_limited_random(grid32, rng, kmax=10), 1)
         assert apply_paradiff(lam, u).max_norm() < 1e-14
+
+
+def _dense_paradiff(sample, u):
+    """Reference quantization: sample the symbol one frequency at a time and
+    sum sum_xi s_xi(w) e^{i w.xi} u_hat(xi) on the 3/2-padded grid through a
+    dense phase matrix, then take the real part and truncate."""
+    grid = u.grid
+    dec = decomposition(grid)
+    fine = grid.padded(1.5)
+    xt, xz = grid.xi_mesh()
+    uhat = u.coefficients
+    js = range(2, dec.jmax + 1)
+    block_w = np.stack([dec.block_multiplier(j) for j in js])
+    low_w = np.stack([dec.lowpass_multiplier(j - 2) for j in js])
+    active = np.argwhere((block_w.sum(axis=0) != 0.0) & (uhat != 0.0)
+                         & ~grid.nyquist_mask())
+    tt, zz = (m.ravel() for m in fine.mesh())
+    acc = np.zeros(tt.size, dtype=complex)
+    for it, iz in active:
+        s = np.fft.fft2(sample(float(xt[it, iz]), float(xz[it, iz])))
+        s *= np.einsum("j,jtz->tz", block_w[:, it, iz], low_w) / s.size
+        vals = np.fft.ifft2(pad_coefficients(grid, s, fine)) * tt.size
+        phase = np.exp(1j * (xt[it, iz] * tt + xz[it, iz] * zz))
+        acc += vals.ravel() * phase * uhat[it, iz]
+    c = np.fft.fft2(acc.real.reshape(fine.n_theta, fine.n_z)) / tt.size
+    return TorusField.from_coefficients(grid, truncate_coefficients(fine, c, grid))
+
+
+class TestCoefficientSpaceSum:
+    """apply_paradiff against the dense padded-grid sum it replaces."""
+
+    @staticmethod
+    def _surface(grid, kind):
+        th, zz = grid.mesh()
+        if kind == "random":
+            return TorusField.constant(grid, 1.0) + band_limited_random(
+                grid, np.random.default_rng(11), kmax=3, decay=3.0,
+                max_norm=0.05)
+        th0, z0 = (0.0, 0.0) if kind == "reference" else (1.3, TAU - 2.2)
+        return TorusField(grid, 1.0 + 0.1 * np.cos(th - th0) * np.cos(zz - z0))
+
+    @pytest.mark.parametrize("kind", ["reference", "translate", "random"])
+    def test_lambda(self, grid32, rng, kind):
+        lam = lambda_symbol(self._surface(grid32, kind))
+        # every resolved frequency, so sums reach the coarse Nyquist row
+        u = band_limited_random(grid32, rng, kmax=23, decay=1.0)
+        ref = _dense_paradiff(lam.total, u)
+        assert (apply_paradiff(lam, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
+
+    def test_bare_callable(self, grid32, rng):
+        """A callable that only takes one frequency at a time."""
+        a = band_limited_random(grid32, rng, kmax=5)
+        u = band_limited_random(grid32, rng, kmax=23, decay=1.0)
+
+        def sample(xt, xz):
+            return (1.0 + a.values) * np.full((32, 32), np.hypot(xt, 2.0 * xz),
+                                              dtype=complex)
+
+        ref = _dense_paradiff(sample, u)
+        assert (apply_paradiff(sample, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
 
 
 class TestGoodUnknown:

@@ -1,10 +1,13 @@
 """Closed-form symbols, the sharp algebra, parametrix, mollifier, report."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from jetwave.errors import EllipticityError
-from jetwave.spectral import TorusField
+from jetwave.spectral import TorusField, band_limited_random
 from jetwave.symbols import (
     HomogeneousSymbol,
     adjoint_symbol,
@@ -253,3 +256,100 @@ class TestReport:
         assert checks["im_lambda0"].residual > 1e-8  # genuinely FD-limited
         # identities whose xi-derivatives cancel by construction stay exact
         assert checks["mu2_two_paths"].residual < 1e-10
+
+
+# Residuals of the report on _deformed(grid32), as float.hex, recorded before
+# the report shared evaluations between identities (x86-64, numpy 2.x).
+_PINNED = {
+    "analytic": {
+        "mu2_eq_a2_lambda1_sq": "0x1.c000000000000p-43",
+        "mu2_two_paths": "0x1.8000000000000p-43",
+        "p_times_lambda_eq_gamma_q": "0x1.0000000000000p-46",
+        "q_sigma_mu2_eq_gamma_p": "0x1.0000000000000p-43",
+        "im_lambda0": "0x1.9fdec00000000p-39",
+        "im_mu1": "0x1.7d40000000000p-44",
+        "re_mu1": "0x0.0p+0",
+        "q0_equation": "0x1.74d50000064d8p-32",
+        "lambda_parametrix": "0x1.5ff9a00000d17p-37",
+        "poisson_gamma_mollifier": "0x1.a724e000002eep-37",
+        "homogeneity": "0x1.0000000000000p-51",
+        "ellipticity_margin": "-0x1.a8a23f757b69ep-2",
+        "lambda_reality": "0x1.00031ffb1e0f4p-49",
+        "factorization_rho_1": "0x1.40020747085d5p-42",
+        "factorization_rho_0_7": "0x1.400017785c8bap-41",
+    },
+    "lattice": {
+        "mu2_eq_a2_lambda1_sq": "0x1.c000000000000p-43",
+        "mu2_two_paths": "0x1.8000000000000p-43",
+        "p_times_lambda_eq_gamma_q": "0x1.0000000000000p-46",
+        "q_sigma_mu2_eq_gamma_p": "0x1.0000000000000p-43",
+        "im_lambda0": "0x1.58a853ce87448p-7",
+        "im_mu1": "0x1.cc61ef71222f4p-6",
+        "re_mu1": "0x0.0p+0",
+        "q0_equation": "0x1.161ad1f9f2938p-5",
+        "lambda_parametrix": "0x1.99b9133089e10p-5",
+        "poisson_gamma_mollifier": "0x1.d3154d54e7e7cp-7",
+        "homogeneity": "0x1.0000000000000p-51",
+        "ellipticity_margin": "-0x1.a8a23f757b69ep-2",
+        "lambda_reality": "0x1.0001fffe00040p-49",
+        "factorization_rho_1": "0x1.40020747085d5p-42",
+        "factorization_rho_0_7": "0x1.400017785c8bap-41",
+    },
+}
+# the lambda0_sign fault moves only the Im-lambda0 identity
+_PINNED["fault"] = dict(_PINNED["analytic"], im_lambda0="0x1.bde9ff8804867p-4")
+
+
+def _hex_report(*args, **kwargs):
+    return {c.name: c.residual.hex()
+            for c in symbol_identity_report(*args, **kwargs)}
+
+
+class TestReportPinned:
+    """Every residual, bit for bit, in both xi-derivative modes."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "lattice"])
+    def test_modes(self, grid32, mode):
+        got = _hex_report(_deformed(grid32), SIGMA, R, dxi_mode=mode)
+        assert got == _PINNED[mode]
+
+    def test_fault(self, grid32):
+        got = _hex_report(_deformed(grid32), SIGMA, R, fault="lambda0_sign")
+        assert got == _PINNED["fault"]
+
+
+class TestReportIsPure:
+    """Evaluations shared inside one report never leak into another."""
+
+    @staticmethod
+    def _other(grid, seed=5):
+        return TorusField.constant(grid, R) + band_limited_random(
+            grid, np.random.default_rng(seed), kmax=3, decay=3.0,
+            max_norm=0.05)
+
+    def test_repeat_and_after_other_surface(self, grid16):
+        first = _hex_report(_deformed(grid16), SIGMA, R)
+        assert _hex_report(_deformed(grid16), SIGMA, R) == first
+        _hex_report(self._other(grid16), SIGMA, R)
+        assert _hex_report(_deformed(grid16), SIGMA, R) == first
+
+    def test_concurrent_threads(self, grid16):
+        surfaces = [_deformed(grid16), self._other(grid16)]
+        expect = [_hex_report(eta, SIGMA, R) for eta in surfaces]
+        got = [None] * 4
+
+        def work(i):
+            got[i] = _hex_report(surfaces[i % 2], SIGMA, R)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expect[i % 2] for i in range(4)]
