@@ -29,8 +29,10 @@ discrete operator eta*G(eta) is exactly self-adjoint and the kinetic energy
 is exactly nonnegative -- independently of resolution.
 
 The linear system is solved by conjugate gradients preconditioned with the
-same energy form frozen at the mean radius, which decouples into dense SPD
-systems per Fourier mode.
+same energy form frozen on the cylinder of the mean radius.  That form
+decouples per Fourier mode, and its radial mass term is diagonal, so one
+eigenbasis per angular mode, built with the solver, inverts it at any mean
+radius; a solve reads the solver and never writes it.
 
 The conormal flux eta*G(eta)psi is extracted variationally (boundary rows of
 the discrete operator), which is the discretization of the duality pairing
@@ -267,7 +269,6 @@ class TraceBundle:
     consistency diagnostic.  flux = eta * G(eta) psi.
     """
 
-    d_rho_phi: TorusField
     B: TorusField
     V_theta: TorusField
     V_z: TorusField
@@ -313,11 +314,10 @@ def _apply_w(stack, mult):
 class DtnSolver:
     """Dirichlet-to-Neumann solver on a fixed torus grid.
 
-    Holds the radial discretization and a preconditioner built from the
-    energy form frozen at the mean radius; the preconditioner is rebuilt
-    automatically when the mean radius drifts by more than 2%.
-    Instances are safe for concurrent read-only use once constructed; a
-    solve mutates only local state plus the cached preconditioner.
+    Holds the radial discretization and the preconditioner's per-angular-mode
+    eigenbasis, all read-only after construction.  A solve depends only on
+    its inputs, so instances give bitwise the same results whatever was
+    solved before and are safe for concurrent use.
     """
 
     def __init__(self, grid: TorusGrid, n_rho=48):
@@ -328,56 +328,50 @@ class DtnSolver:
         nzr = grid.n_z // 2 + 1
         self._rmt = mt[:, :nzr].copy()
         self._rmz = mz[:, :nzr].copy()
+        # The energy form frozen at eta = eta_bar restricted to the interior
+        # nodes, cw (D^T W rho D + m^2 W / rho + eta_bar^2 k^2 W rho), equals
+        # cw h^-1 (C_m + eta_bar^2 k^2) h^-1 with h = (w rho)^(-1/2) and
+        # C_m = h (D^T W rho D) h + m^2 / rho^2 = Q diag(lam) Q^T.
+        ni = n_rho - 1
+        rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
+        h = 1.0 / np.sqrt(w[:ni] * rho[:ni])
+        a0 = (D.T @ ((w * rho)[:, None] * D))[:ni, :ni]
         m_eff = grid.xi_theta.copy()
         m_eff[grid.n_theta // 2] = 0.0
-        k_eff = grid.xi_z.copy()
-        k_eff[grid.n_z // 2] = 0.0
-        m2 = (m_eff ** 2)[:, None] * np.ones((1, grid.n_z))
-        k2 = np.ones((grid.n_theta, 1)) * (k_eff ** 2)[None, :]
-        pairs = np.stack([m2.ravel(), k2.ravel()], axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        self._class_values = uniq
-        self._class_index = inverse.reshape(grid.n_theta, grid.n_z)
-        rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
-        self._A0 = D.T @ np.diag(w * rho) @ D
-        self._A1 = np.diag(w / rho)
-        self._B = np.diag(w * rho)
-        self._precond = None  # (eta_bar, gathered inverse stack)
+        k_eff = grid.xi_z[:nzr].copy()
+        k_eff[-1] = 0.0
+        c = (h[:, None] * a0 * h[None, :])[None] \
+            + (m_eff ** 2)[:, None, None] * np.diag(1.0 / rho[:ni] ** 2)[None]
+        lam, q = np.linalg.eigh(c)
+        self._h = h[:, None, None]
+        self._lam = lam[:, :, None]          # (n_theta, ni, 1)
+        self._k2 = k_eff ** 2                # (nzr,)
+        self._Q = q
+        for a in (self._rmt, self._rmz, self._h, self._lam, self._k2, self._Q):
+            a.setflags(write=False)
+        # glibc unmaps freed blocks above its mmap threshold and trims free
+        # heap above twice that, so every temporary stack of a solve would be
+        # page-faulted in afresh; it raises both thresholds to the largest
+        # block freed (if under 32 MB).  Freeing one untouched block of 16
+        # stacks keeps a solve's temporaries on the heap and commits no memory.
+        np.empty(min(16 * n_rho * grid.n_theta * grid.n_z * 8, 30 << 20), np.uint8)
 
     # -- preconditioner ----------------------------------------------------
-    def _ensure_precond(self, eta_bar):
-        if self._precond is not None:
-            cached_bar = self._precond[0]
-            if abs(eta_bar - cached_bar) <= 0.02 * cached_bar:
-                return
-        ni = self.n_rho - 1
-        cw = self.grid.cell_area
-        mats = np.empty((len(self._class_values), ni, ni))
-        for idx, (m2, k2) in enumerate(self._class_values):
-            M = cw * (self._A0 + m2 * self._A1 + (eta_bar ** 2) * k2 * self._B)
-            mats[idx] = M[:ni, :ni]
-        scale = 1.0 / np.sqrt(np.einsum("cii->ci", mats))
-        mats *= scale[:, :, None] * scale[:, None, :]
-        invs = np.linalg.inv(mats)
-        invs *= scale[:, :, None] * scale[:, None, :]
-        nzr = self.grid.n_z // 2 + 1
-        idx = self._class_index[:, :nzr].ravel()
-        gathered = invs[idx]                 # (n_theta*nzr, ni, ni)
-        self._precond = (eta_bar, np.ascontiguousarray(gathered))
+    def _precond_weights(self, eta_bar):
+        """(n_theta, ni, nzr) inverse eigenvalues of the form frozen at eta_bar."""
+        return 1.0 / (self.grid.cell_area * (self._lam + eta_bar ** 2 * self._k2))
 
-    def _apply_precond(self, r):
+    def _apply_precond(self, r, weights):
         """Per-mode frozen-coefficient solve of an interior residual stack."""
-        gathered = self._precond[1]          # (n_theta*nzr, ni, ni)
         ni = r.shape[0]
         nt, nz = self.grid.n_theta, self.grid.n_z
-        c = _sfft.rfft2(r, axes=(1, 2))
-        flat = c.reshape(ni, -1)
-        stacked = np.empty((flat.shape[1], ni, 2))
-        stacked[:, :, 0] = flat.real.T
-        stacked[:, :, 1] = flat.imag.T
-        z = np.matmul(gathered, stacked)     # (n_theta*nzr, ni, 2)
-        zc = (z[:, :, 0] + 1j * z[:, :, 1]).T.reshape(c.shape)
-        return _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz))
+        c = _sfft.rfft2(self._h * r, axes=(1, 2))          # (ni, nt, nzr)
+        pairs = c.view(np.float64).transpose(1, 0, 2)       # (nt, ni, 2 nzr)
+        y = np.matmul(self._Q.transpose(0, 2, 1), pairs)
+        y = y.reshape(nt, ni, -1, 2) * weights[..., None]
+        z = np.matmul(self._Q, y.reshape(nt, ni, -1)).transpose(1, 0, 2)
+        zc = np.ascontiguousarray(z).view(np.complex128)
+        return self._h * _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz))
 
     # -- variable-coefficient energy operator -------------------------------
     def _coefficients(self, eta: TorusField):
@@ -440,7 +434,7 @@ class DtnSolver:
         eta = eta.drop_nyquist()
         psi = psi.drop_nyquist()
         co = self._coefficients(eta)
-        self._ensure_precond(eta.mean())
+        weights = self._precond_weights(eta.mean())
 
         lift = np.broadcast_to(psi.values, (self.n_rho,) + psi.values.shape).copy()
         b_full = -self._apply_K(lift, co)
@@ -455,7 +449,7 @@ class DtnSolver:
 
         x = np.zeros_like(b)
         r = b.copy()
-        z = self._apply_precond(r)
+        z = self._apply_precond(r, weights)
         p = z.copy()
         rz = float(np.sum(r * z))
         res = 1.0
@@ -468,7 +462,7 @@ class DtnSolver:
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             if res < tol:
                 break
-            z = self._apply_precond(r)
+            z = self._apply_precond(r, weights)
             rz_new = float(np.sum(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -515,7 +509,7 @@ class DtnSolver:
         )
         ek = self.energy(pot.values, co)
         return TraceBundle(
-            d_rho_phi=d_rho, B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
+            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
             G_trace=G_trace, flux=flux, kinetic_energy=ek,
             iterations=pot.iterations, residual=pot.residual,
         )

@@ -88,13 +88,11 @@ def _desk(grid):
     return TorusGrid(max(grid.n_theta, 32), max(grid.n_z, 32), grid.z_period)
 
 
-def _ens(grid):
-    """Random smooth surface ensemble for the pointwise identity checks:
-    (kmax, amplitude factor, spectral decay).  Calibrated so the identity
-    thresholds certify the algebra rather than grid truncation (worst case
-    over seeds sits two orders under the tightest threshold at desk scale).
-    """
-    return 3, 0.05, 3.0
+# Random smooth surface ensemble for the pointwise identity checks:
+# (kmax, amplitude factor, spectral decay).  Calibrated so the identity
+# thresholds certify the algebra rather than grid truncation (worst case
+# over seeds sits two orders under the tightest threshold at desk scale).
+_ENSEMBLE = (3, 0.05, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def check_trace_identities(grid, n_rho, seed, R=1.0, tol=1e-12):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
-    kmax, amp, decay = _ens(grid)
+    kmax, amp, decay = _ENSEMBLE
     eta = TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
     psi = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=0.3)
@@ -285,7 +283,7 @@ def check_shape_derivative(grid, n_rho, seed, R=1.0, tol=1e-12):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
-    kmax, amp, decay = _ens(grid)
+    kmax, amp, decay = _ENSEMBLE
     eta = TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=0.08 * R)
     psi = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=0.3)
@@ -312,7 +310,7 @@ def check_cancellation(grid, n_rho, seed, R=1.0, tol=1e-12):
     band over the clean bands (the top band sits at truncation level and is
     excluded).  Needs enough dyadic bands, so it always runs at desk scale
     regardless of the config grid."""
-    grid = TorusGrid(max(grid.n_theta, 32), max(grid.n_z, 32), grid.z_period)
+    grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, max(n_rho, 24))
     eta = TorusField.constant(grid, R) + band_limited_random(
@@ -364,7 +362,7 @@ def check_hamiltonian_variations(grid, n_rho, seed, R=1.0, sigma=1.0,
 def check_curvature(grid, seed, R=1.0):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
-    kmax, amp, decay = _ens(grid)
+    kmax, amp, decay = _ENSEMBLE
     worst = 0.0
     for _ in range(5):
         eta = TorusField.constant(grid, R) + band_limited_random(

@@ -1,5 +1,5 @@
-"""Shared fixtures: grids and solvers are session-scoped because building a
-solver's preconditioner is the expensive part of most tests."""
+"""Shared fixtures: grids and solvers are session-scoped; a solver keeps no
+state between solves, so every test can share one."""
 
 import numpy as np
 import pytest

@@ -47,3 +47,26 @@ def test_traced_reports_repeat_counts(grid16):
         counts.append(tracer.counts())
     assert counts[0]["calls"]["symbols.symbol_identity_report"] == 1
     assert counts[0] == counts[1]
+
+
+def test_traced_dtn_repeat_counts(grid16):
+    """Two traced passes over requests at mean radii 1.0, 1.05, 1.0 on one
+    shared solver give identical counts, and no solve builds a
+    preconditioner: the solver keeps no state between requests."""
+    spans = _load_spans()
+    solver = elliptic.DtnSolver(grid16, 32)
+    th, zz = grid16.mesh()
+    counts = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        with tracer.installed():
+            for R in (1.0, 1.05, 1.0):
+                # fresh fields: a field caches its own coefficients
+                eta = spectral.TorusField(
+                    grid16, R * (1.0 + 0.1 * np.cos(th) * np.cos(zz)))
+                psi = spectral.TorusField(grid16, 0.3 * np.sin(2 * th + zz))
+                solver.trace_bundle(eta, psi)
+        counts.append(tracer.counts())
+    assert counts[0]["calls"]["elliptic.trace_bundle"] == 3
+    assert counts[0]["precond_builds"] == 0
+    assert counts[0] == counts[1]

@@ -1,5 +1,8 @@
 """Mapped Laplace solve, DtN operator, trace quantities, shape derivative."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -135,6 +138,82 @@ class TestSolve:
         with pytest.raises(ConvergenceError) as err:
             solver.solve(eta, psi, tol=1e-12, max_iter=2)
         assert err.value.residual is not None
+
+
+class TestPreconditioner:
+    """The per-mode eigenbasis inverts the energy form frozen at the mean
+    radius, as the dense per-mode matrix does."""
+
+    @staticmethod
+    def _dense(solver, eta_bar, m, k):
+        rho, w, D = solver.radial.nodes, solver.radial.weights, solver.radial.D
+        A0 = D.T @ np.diag(w * rho) @ D
+        A1 = np.diag(w / rho)
+        B = np.diag(w * rho)
+        M = solver.grid.cell_area * (A0 + m ** 2 * A1 + eta_bar ** 2 * k ** 2 * B)
+        ni = solver.n_rho - 1
+        return M[:ni, :ni]
+
+    # (m, k) on the grid and the (m, k) of the frozen form: Nyquist
+    # frequencies are treated as zero
+    @pytest.mark.parametrize("mode,frozen", [
+        ((0, 0), (0, 0)), ((3, 2), (3, 2)), ((16, 2), (0, 2)), ((3, 16), (3, 0)),
+    ], ids=["zero", "3-2", "nyquist_row", "nyquist_column"])
+    @pytest.mark.parametrize("eta_bar", [0.9, 1.0, 1.1])
+    def test_matches_dense_solve(self, grid32, solver32, mode, frozen, eta_bar):
+        th, zz = grid32.mesh()
+        ni = solver32.n_rho - 1
+        profile = np.random.default_rng(3).standard_normal(ni)
+        wave = np.cos(mode[0] * th + mode[1] * zz)
+        r = profile[:, None, None] * wave
+        got = solver32._apply_precond(r, solver32._precond_weights(eta_bar))
+        ref = np.linalg.solve(self._dense(solver32, eta_bar, *frozen), profile)
+        want = ref[:, None, None] * wave
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestSolverIsPure:
+    """A solve reads the solver and never writes it: the same (eta, psi)
+    gives bitwise the same bundle whatever was solved before, on any
+    thread."""
+
+    @staticmethod
+    def _values(bundle):
+        return [bundle.B.values, bundle.V_theta.values, bundle.V_z.values,
+                bundle.N.values, bundle.G.values, bundle.flux.values,
+                bundle.kinetic_energy]
+
+    @classmethod
+    def _same(cls, a, b):
+        return all(np.array_equal(x, y) for x, y in zip(cls._values(a), cls._values(b)))
+
+    def test_history_and_threads(self, grid32):
+        rng = np.random.default_rng(17)
+        eta = smooth_surface(grid32, rng, R, amp=0.1)
+        psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
+        inputs = [(eta, psi), (1.015 * eta, psi)]
+        fresh = DtnSolver(grid32, 48).trace_bundle(eta, psi)
+        solver = DtnSolver(grid32, 48)
+        other = solver.trace_bundle(*inputs[1])
+        assert self._same(solver.trace_bundle(eta, psi), fresh)
+
+        got = [None] * 4
+
+        def work(i):
+            got[i] = solver.trace_bundle(*inputs[i % 2])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(self._same(got[i], (fresh, other)[i % 2]) for i in range(4))
 
 
 class TestDtn:
