@@ -13,7 +13,9 @@ dtn         solve one Dirichlet-to-Neumann problem and dump the boundary
 
 Flags: --config PATH (required), --out DIR (default ./out), --seed UINT
 (default 0), --quiet.  Exit codes: 0 success, 2 configuration error,
-3 verification failure, 4 pinch-off abort.
+3 verification failure, 4 pinch-off abort, 5 solver failure (an elliptic
+solve did not converge or a symbol lost ellipticity; the simulate manifest
+names the cause and the last valid t).
 
 Configuration is flat INI-style key=value text with sections
 grid/physics/ic/evolution/output (plus optional dispersion/verify).
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_PINCH = 4
+EXIT_SOLVER = 5
 
 _SCHEMA = {
     "grid": {"n_theta", "n_z", "n_rho", "z_period"},
@@ -220,9 +223,12 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
                 "max_eta", "mean_psi", "elliptic_iters"],
                rows)
     manifest = os.path.join(out_dir, cfg["prefix"] + "_manifest.txt")
+    t_last = traj.times[-1] if traj.times else state.t
+    cause = [("cause", traj.cause)] if traj.cause else []
     _write_manifest(manifest, [
         ("command", "simulate"),
         ("status", traj.status),
+        *cause,
         ("seed", seed),
         ("n_theta", cfg["n_theta"]),
         ("n_z", cfg["n_z"]),
@@ -232,15 +238,18 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         ("sigma", cfg["sigma"]),
         ("dt", traj.dt),
         ("t_final_requested", cfg["t_final"]),
-        ("t_last_valid", traj.times[-1]),
+        ("t_last_valid", t_last),
         ("snapshots", len(traj.times)),
         ("series", series),
     ])
     if not quiet:
         print(f"wrote {series}")
         print(f"wrote {manifest}")
-        print(f"status: {traj.status}, last valid t = {_fmt(traj.times[-1])}")
-    return EXIT_PINCH if traj.status == "pinch_off" else EXIT_OK
+        print(f"status: {traj.status}, last valid t = {_fmt(t_last)}")
+    if traj.cause:
+        print(f"solver failure: {traj.cause}", file=sys.stderr)
+    return {"pinch_off": EXIT_PINCH, "solver_failure": EXIT_SOLVER}.get(
+        traj.status, EXIT_OK)
 
 
 def _default_dispersion_modes(cfg):

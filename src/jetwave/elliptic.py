@@ -32,7 +32,19 @@ The linear system is solved by conjugate gradients preconditioned with the
 same energy form frozen on the cylinder of the mean radius.  That form
 decouples per Fourier mode, and its radial mass term is diagonal, so one
 eigenbasis per angular mode, built with the solver, inverts it at any mean
-radius; a solve reads the solver and never writes it.
+radius; a solve reads the solver and never writes it.  A caller that has a
+nearby potential (the time stepper has one from the previous stage) passes
+it as an explicit starting guess; the stopping test stays relative to the
+cold right-hand side, so a warm solve meets the same accuracy target.
+
+One CG iteration costs seven (theta, z) transforms of an n_rho-layer stack:
+the preconditioner's forward and inverse transform, the inverse transforms
+of the two tangential gradients (the search direction's half-spectrum is
+updated alongside it, since the radial scaling of the preconditioner
+commutes with the transform), and the forward transforms of the two
+tangential fluxes, whose spectra are summed before a single inverse
+transform.  Radial derivatives are small matrix products per theta row, run
+on the calling thread (see ``_along_rho``).
 
 The conormal flux eta*G(eta)psi is extracted variationally (boundary rows of
 the discrete operator), which is the discretization of the duality pairing
@@ -53,7 +65,7 @@ import scipy.fft as _sfft
 from numpy.polynomial import legendre as npleg
 
 from .errors import ConvergenceError, DomainViolationError
-from .geometry import SurfaceState, grad_bar_eta, mean_curvature, potential_energy
+from .geometry import grad_bar_eta, mean_curvature, potential_energy
 from .spectral import (
     TorusField,
     TorusGrid,
@@ -201,10 +213,15 @@ def build_coefficients(eta: TorusField, rho_nodes) -> MappedCoefficients:
 # ---------------------------------------------------------------------------
 
 class PotentialField:
-    """Potential on the mapped cylinder: nodal in rho, grid in (theta, z)."""
+    """Potential on the mapped cylinder: nodal in rho, grid in (theta, z).
+
+    eta is the (Nyquist-projected) radius the potential was solved on;
+    ``_co`` holds that solve's energy-form coefficients for the boundary
+    quantities derived from it.
+    """
 
     def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual):
+                 iterations, residual, eta=None, co=None):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
         self.radial = radial
@@ -212,6 +229,8 @@ class PotentialField:
         self.values = values
         self.iterations = int(iterations)
         self.residual = float(residual)
+        self.eta = eta
+        self._co = co
 
     def trace(self) -> TorusField:
         """phi at rho = 1 (equals the Dirichlet data exactly)."""
@@ -219,7 +238,7 @@ class PotentialField:
 
     def rho_derivative_at_surface(self) -> TorusField:
         return TorusField(
-            self.grid, np.tensordot(self.radial.D[-1], self.values, axes=(0, 0))
+            self.grid, _along_rho(self.radial.D[-1], self.values)
         )
 
     def modal_profile(self, m, n):
@@ -266,7 +285,9 @@ class TraceBundle:
 
     G is the variational Dirichlet-to-Neumann value (flux / eta), G_trace the
     algebraic combination B - V . grad_bar eta; their agreement is a solver
-    consistency diagnostic.  flux = eta * G(eta) psi.
+    consistency diagnostic.  flux = eta * G(eta) psi.  potential is the
+    read-only nodal potential stack of the solve, a starting guess for the
+    next solve at a nearby state.
     """
 
     B: TorusField
@@ -279,6 +300,7 @@ class TraceBundle:
     kinetic_energy: float
     iterations: int
     residual: float
+    potential: np.ndarray
 
     def gradient_identity_residual(self, psi: TorusField, eta: TorusField):
         """max-norm of grad_bar psi - V - B grad_bar eta (both components)."""
@@ -309,6 +331,25 @@ def _apply_w(stack, mult):
     """Apply a (theta,z) Fourier multiplier to each rho-layer of a stack."""
     c = np.fft.fft2(stack, axes=(1, 2))
     return np.fft.ifft2(c * mult, axes=(1, 2)).real
+
+
+def _along_rho(M, stack):
+    """Contract a radial matrix (a, n_rho), or a row (n_rho,), with the rho
+    axis of a (n_rho, n_theta, n_z) stack, one theta row at a time.
+
+    One product over the whole stack is large enough for OpenBLAS to split
+    across its thread pool, and on a loaded machine every such product waits
+    for a descheduled worker (on 2 vCPUs shared with one busy process, the
+    32 x 32 time flow took twice as long, and varied).  OpenBLAS keeps a
+    product under about 2.6e5 multiply-adds on the calling thread; a row
+    costs a * n_rho * n_z (7.4e4 at n_rho 48, n_z 32).
+    """
+    rows = stack.transpose(1, 0, 2)
+    if M.ndim == 1:
+        return np.matmul(M, rows)
+    out = np.empty((M.shape[0],) + stack.shape[1:])
+    np.matmul(M, rows, out=out.transpose(1, 0, 2))
+    return out
 
 
 class DtnSolver:
@@ -362,7 +403,8 @@ class DtnSolver:
         return 1.0 / (self.grid.cell_area * (self._lam + eta_bar ** 2 * self._k2))
 
     def _apply_precond(self, r, weights):
-        """Per-mode frozen-coefficient solve of an interior residual stack."""
+        """Per-mode frozen-coefficient solve of an interior residual stack;
+        returns the result and its rfft2 half-spectrum."""
         ni = r.shape[0]
         nt, nz = self.grid.n_theta, self.grid.n_z
         c = _sfft.rfft2(self._h * r, axes=(1, 2))          # (ni, nt, nzr)
@@ -371,7 +413,7 @@ class DtnSolver:
         y = y.reshape(nt, ni, -1, 2) * weights[..., None]
         z = np.matmul(self._Q, y.reshape(nt, ni, -1)).transpose(1, 0, 2)
         zc = np.ascontiguousarray(z).view(np.complex128)
-        return self._h * _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz))
+        return self._h * _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz)), self._h * zc
 
     # -- variable-coefficient energy operator -------------------------------
     def _coefficients(self, eta: TorusField):
@@ -386,11 +428,14 @@ class DtnSolver:
         mu = (self.radial.weights[:, None, None] * rho) * e ** 2 * self.grid.cell_area
         return c1, c2, c3, c4, mu
 
-    def _strains(self, phi, co):
+    def _strains(self, phi, co, ph=None):
+        """(e1, e2, e3) of a stack; ph is its rfft2 half-spectrum, if known
+        (one layer of it for a stack constant in rho)."""
         c1, c2, c3, c4, _ = co
         nt, nz = self.grid.n_theta, self.grid.n_z
-        dphi = np.tensordot(self.radial.D, phi, axes=(1, 0))
-        ph = _sfft.rfft2(phi, axes=(1, 2))
+        dphi = _along_rho(self.radial.D, phi)
+        if ph is None:
+            ph = _sfft.rfft2(phi, axes=(1, 2))
         grads = _sfft.irfft2(
             np.stack([ph * self._rmt, ph * self._rmz]), axes=(2, 3), s=(nt, nz)
         )
@@ -399,97 +444,132 @@ class DtnSolver:
         e3 = grads[1] + c4 * dphi
         return e1, e2, e3
 
-    def _apply_K(self, phi, co):
-        """Full symmetric energy operator on a (n_rho, n_theta, n_z) stack."""
+    @staticmethod
+    def _fluxes(strains, co):
+        """Radial, theta and z energy fluxes of a strain triple."""
         c1, c2, c3, c4, mu = co
-        e1, e2, e3 = self._strains(phi, co)
+        e1, e2, e3 = strains
         g2 = mu * e2
         g3 = mu * e3
+        return c1 * (mu * e1) + c3 * g2 + c4 * g3, c2 * g2, g3
+
+    def _w_divergence(self, f_theta, f_z):
+        """d_theta f_theta + d_z f_z layer by layer (minus the adjoint of the
+        tangential gradient): the two spectra are summed before one inverse
+        transform."""
         nt, nz = self.grid.n_theta, self.grid.n_z
-        out = np.tensordot(
-            self.radial.D.T, c1 * (mu * e1) + c3 * g2 + c4 * g3, axes=(1, 0)
-        )
-        pair = _sfft.rfft2(np.stack([c2 * g2, g3]), axes=(2, 3))
-        adj = _sfft.irfft2(
-            np.stack([pair[0] * self._rmt, pair[1] * self._rmz]),
-            axes=(2, 3), s=(nt, nz),
-        )
-        out -= adj[0] + adj[1]
+        pair = _sfft.rfft2(np.stack([f_theta, f_z]), axes=(-2, -1))
+        return _sfft.irfft2(pair[0] * self._rmt + pair[1] * self._rmz,
+                            axes=(-2, -1), s=(nt, nz))
+
+    def _apply_K(self, phi, co, ph=None):
+        """Full symmetric energy operator on a (n_rho, n_theta, n_z) stack."""
+        f_rho, f_theta, f_z = self._fluxes(self._strains(phi, co, ph), co)
+        out = _along_rho(self.radial.D.T, f_rho)
+        out -= self._w_divergence(f_theta, f_z)
         return out
+
+    @staticmethod
+    def _strain_energy(strains, co):
+        e1, e2, e3 = strains
+        return 0.5 * float(np.sum(co[4] * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
 
     def energy(self, phi, co):
         """Dirichlet energy 1/2 * a(phi, phi); nonnegative by construction."""
-        mu = co[4]
-        e1, e2, e3 = self._strains(phi, co)
-        return 0.5 * float(np.sum(mu * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
+        return self._strain_energy(self._strains(phi, co), co)
 
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
-              max_iter=MAX_ITER_DEFAULT) -> PotentialField:
-        """Solve the mapped Laplace problem with trace psi on rho = 1."""
+              max_iter=MAX_ITER_DEFAULT, guess=None) -> PotentialField:
+        """Solve the mapped Laplace problem with trace psi on rho = 1.
+
+        guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
+        stack that CG starts from; its rho = 1 row is ignored.  The stopping
+        test is relative to the cold right-hand side either way.
+        """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
         if eta.min() <= 0.0:
             raise DomainViolationError("eta must be strictly positive")
+        shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float)
+            if guess.shape != shape:
+                raise ValueError(f"guess must be a potential stack of shape "
+                                 f"{shape}, got {guess.shape}")
         eta = eta.drop_nyquist()
         psi = psi.drop_nyquist()
         co = self._coefficients(eta)
         weights = self._precond_weights(eta.mean())
 
-        lift = np.broadcast_to(psi.values, (self.n_rho,) + psi.values.shape).copy()
-        b_full = -self._apply_K(lift, co)
-        b = b_full[:-1]
+        # the lift is constant in rho: its tangential gradients are one
+        # layer's, which the strains broadcast over the stack
+        lift = np.broadcast_to(psi.values, shape).copy()
+        b = -self._apply_K(lift, co, _sfft.rfft2(psi.values)[None])[:-1]
         bnorm = float(np.sqrt(np.sum(b ** 2)))
         if bnorm == 0.0:
-            return PotentialField(self.radial, self.grid, lift, 0, 0.0)
+            return PotentialField(self.radial, self.grid, lift, 0, 0.0, eta, co)
 
-        def K_int(u_int):
-            u = np.concatenate([u_int, np.zeros((1,) + u_int.shape[1:])], axis=0)
-            return self._apply_K(u, co)[:-1]
+        def K_int(u_int, uh_int=None):
+            """K on an interior stack (and its half-spectrum, if known)."""
+            u = np.concatenate([u_int, np.zeros((1,) + u_int.shape[1:])])
+            if uh_int is not None:
+                pad = np.zeros((1,) + uh_int.shape[1:], complex)
+                uh_int = np.concatenate([uh_int, pad])
+            return self._apply_K(u, co, uh_int)[:-1]
 
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = self._apply_precond(r, weights)
-        p = z.copy()
-        rz = float(np.sum(r * z))
-        res = 1.0
+        if guess is None:
+            x = np.zeros_like(b)
+            r = b.copy()
+        else:
+            x = guess[:-1] - psi.values
+            r = b - K_int(x)
+        res = float(np.sqrt(np.sum(r ** 2))) / bnorm
         its = 0
-        for its in range(1, max_iter + 1):
-            q = K_int(p)
+        while res >= tol:
+            if its == max_iter:
+                raise ConvergenceError(
+                    f"elliptic solve failed to reach tol {tol:g} in {max_iter} "
+                    f"iterations (residual {res:.3e})",
+                    residual=res,
+                    iterations=max_iter,
+                )
+            z, zh = self._apply_precond(r, weights)
+            rz_new = float(np.sum(r * z))
+            if its:
+                beta = rz_new / rz
+                p = z + beta * p
+                ph = zh + beta * ph
+            else:
+                p, ph = z, zh
+            rz = rz_new
+            q = K_int(p, ph)
             alpha = rz / float(np.sum(p * q))
             x += alpha * p
             r -= alpha * q
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
-            if res < tol:
-                break
-            z = self._apply_precond(r, weights)
-            rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        else:
-            raise ConvergenceError(
-                f"elliptic solve failed to reach tol {tol:g} in {max_iter} "
-                f"iterations (residual {res:.3e})",
-                residual=res,
-                iterations=max_iter,
-            )
+            its += 1
         phi = lift
         phi[:-1] += x
-        return PotentialField(self.radial, self.grid, phi, its, res)
+        return PotentialField(self.radial, self.grid, phi, its, res, eta, co)
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
-                     max_iter=MAX_ITER_DEFAULT) -> TraceBundle:
-        """One elliptic solve and every boundary quantity derived from it."""
-        eta = eta.drop_nyquist()
-        psi = psi.drop_nyquist()
-        pot = self.solve(eta, psi, tol, max_iter)
-        co = self._coefficients(eta)
+                     max_iter=MAX_ITER_DEFAULT, guess=None) -> TraceBundle:
+        """One elliptic solve (from guess, if given) and every boundary
+        quantity derived from it."""
+        pot = self.solve(eta, psi, tol, max_iter, guess)
+        eta, co = pot.eta, pot._co
         grid = self.grid
 
-        flux_vals = self._apply_K(pot.values, co)[-1] / grid.cell_area
+        # flux (the rho = 1 row of the energy operator) and kinetic energy
+        # from one strain pass
+        strains = self._strains(pot.values, co)
+        f_rho, f_theta, f_z = self._fluxes(strains, co)
+        flux_vals = (_along_rho(self.radial.D[:, -1], f_rho)
+                     - self._w_divergence(f_theta[-1], f_z[-1])) / grid.cell_area
         flux = TorusField(grid, flux_vals)
-        d_rho = TorusField(grid, np.tensordot(self.radial.D[-1], pot.values, axes=(0, 0)))
+        d_rho = TorusField(grid, _along_rho(self.radial.D[-1], pot.values))
 
         B = nonlinear_eval(lambda d, e: d / e, d_rho, eta)
         gbt, gbz = grad_bar_eta(eta)
@@ -507,19 +587,19 @@ class DtnSolver:
             + dealiased_product(V_z, V_z)
             - dealiased_product(B, B)
         )
-        ek = self.energy(pot.values, co)
         return TraceBundle(
             B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
-            G_trace=G_trace, flux=flux, kinetic_energy=ek,
+            G_trace=G_trace, flux=flux,
+            kinetic_energy=self._strain_energy(strains, co),
             iterations=pot.iterations, residual=pot.residual,
+            potential=pot.values,
         )
 
-    def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT):
+    def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
+                       guess=None):
         """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy."""
-        eta = eta.drop_nyquist()
-        psi = psi.drop_nyquist()
-        pot = self.solve(eta, psi, tol)
-        return self.energy(pot.values, self._coefficients(eta))
+        pot = self.solve(eta, psi, tol, guess=guess)
+        return self.energy(pot.values, pot._co)
 
 
 @lru_cache(maxsize=8)
@@ -564,15 +644,6 @@ def fd_shape_derivative(eta, psi, delta_eta, eps, solver=None, tol=1e-12):
     plus = solver.trace_bundle(eta + eps * delta_eta, psi, tol).G
     minus = solver.trace_bundle(eta - eps * delta_eta, psi, tol).G
     return (1.0 / (2.0 * eps)) * (plus - minus)
-
-
-def hamiltonian(state: SurfaceState, solver: DtnSolver = None, tol=TOL_DEFAULT):
-    """(E_k, E_p, H_total) of a surface state."""
-    if solver is None:
-        solver = default_solver(state.grid)
-    ek = solver.kinetic_energy(state.eta, state.psi, tol)
-    ep = potential_energy(state.eta, state.R, state.sigma)
-    return ek, ep, ek + ep
 
 
 def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,

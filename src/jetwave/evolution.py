@@ -24,12 +24,13 @@ the trajectory records which.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import iv, ivp
 
-from .elliptic import DtnSolver, default_solver, hamiltonian
-from .errors import DomainViolationError
+from .elliptic import DtnSolver, default_solver
+from .errors import ConvergenceError, DomainViolationError, EllipticityError
 from .geometry import (
     SurfaceState,
     enclosed_volume,
@@ -113,15 +114,16 @@ def measure_dispersion(grid, R, sigma, modes, n_rho=32, eps=1e-6, tol=1e-12):
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def rhs(state: SurfaceState, solver: DtnSolver = None, tol=1e-11):
-    """(eta_t, psi_t) of the jet system at a state."""
+def rhs(state: SurfaceState, solver: DtnSolver = None, tol=1e-11, guess=None):
+    """(eta_t, psi_t, bundle) of the jet system at a state; the elliptic
+    solve starts from guess (a nodal potential stack), if given."""
     if solver is None:
         solver = default_solver(state.grid)
-    bundle = solver.trace_bundle(state.eta, state.psi, tol)
+    bundle = solver.trace_bundle(state.eta, state.psi, tol, guess=guess)
     eta_t = bundle.G
     H = mean_curvature(state.eta)
     psi_t = -1.0 * state.sigma * (H - 1.0 / (2.0 * state.R)) - bundle.N
-    return eta_t, psi_t, bundle.iterations
+    return eta_t, psi_t, bundle
 
 
 def _filter_multiplier(grid, eta_bar, sigma, eps):
@@ -137,30 +139,55 @@ def apply_filter(f: TorusField, eta_bar, sigma, eps):
     return TorusField.from_coefficients(f.grid, f.coefficients * mult)
 
 
+class Rk4Step(NamedTuple):
+    """One RK4 step: the new state, the nodal potentials of its first and
+    last stage solves (the next step's starting guesses) and the CG
+    iterations of its four stage solves."""
+
+    state: SurfaceState
+    phi1: np.ndarray
+    phi4: np.ndarray
+    iterations: int
+
+
 def step_rk4(state: SurfaceState, dt, filter_eps=0.0,
-             solver: DtnSolver = None, tol=1e-11):
+             solver: DtnSolver = None, tol=1e-11, *, k1=None,
+             previous: Rk4Step = None) -> Rk4Step:
     """One classical fourth-order step; the filter (if any) acts once at the
-    end on both fields."""
+    end on both fields.
+
+    k1 is ``rhs(state)`` if the caller already has it.  Each stage solve
+    starts from earlier potentials: k2 from phi1, k3 from phi2 and k4 from
+    2 phi3 - phi1.  Given the step before, k1 starts from its phi4 and k2
+    from phi1 + (phi4 - phi1)/2 of that step.  The guesses change only where
+    CG starts, not its stopping test.
+    """
     if solver is None:
         solver = default_solver(state.grid)
 
-    def f(eta, psi):
-        s = state.with_fields(eta=eta, psi=psi)
-        de, dp, _ = rhs(s, solver, tol)
-        return de, dp
+    def f(eta, psi, guess):
+        return rhs(state.with_fields(eta=eta, psi=psi), solver, tol, guess)
 
     e0, p0 = state.eta, state.psi
-    k1e, k1p = f(e0, p0)
-    k2e, k2p = f(e0 + (dt / 2) * k1e, p0 + (dt / 2) * k1p)
-    k3e, k3p = f(e0 + (dt / 2) * k2e, p0 + (dt / 2) * k2p)
-    k4e, k4p = f(e0 + dt * k3e, p0 + dt * k3p)
+    if k1 is None:
+        k1 = f(e0, p0, None if previous is None else previous.phi4)
+    k1e, k1p, b1 = k1
+    phi1 = b1.potential
+    guess2 = phi1
+    if previous is not None:
+        guess2 = phi1 + 0.5 * (previous.phi4 - previous.phi1)
+    k2e, k2p, b2 = f(e0 + (dt / 2) * k1e, p0 + (dt / 2) * k1p, guess2)
+    k3e, k3p, b3 = f(e0 + (dt / 2) * k2e, p0 + (dt / 2) * k2p, b2.potential)
+    k4e, k4p, b4 = f(e0 + dt * k3e, p0 + dt * k3p, 2.0 * b3.potential - phi1)
     eta1 = e0 + (dt / 6) * (k1e + 2 * k2e + 2 * k3e + k4e)
     psi1 = p0 + (dt / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
     if filter_eps > 0.0:
         eta_bar = eta1.mean()
         eta1 = apply_filter(eta1, eta_bar, state.sigma, filter_eps)
         psi1 = apply_filter(psi1, eta_bar, state.sigma, filter_eps)
-    return state.with_fields(eta=eta1, psi=psi1, t=state.t + dt)
+    return Rk4Step(state.with_fields(eta=eta1, psi=psi1, t=state.t + dt),
+                   phi1, b4.potential,
+                   sum(b.iterations for b in (b1, b2, b3, b4)))
 
 
 def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
@@ -214,10 +241,10 @@ class EnergyReport:
     elliptic_iterations: int
 
     @staticmethod
-    def of(state: SurfaceState, solver, tol, iterations=0):
-        ek, ep, h = hamiltonian(state, solver, tol)
+    def of(state: SurfaceState, kinetic, iterations=0):
+        ep = potential_energy(state.eta, state.R, state.sigma)
         return EnergyReport(
-            t=state.t, kinetic=ek, potential=ep, total=h,
+            t=state.t, kinetic=kinetic, potential=ep, total=kinetic + ep,
             volume=enclosed_volume(state.eta), mean_psi=state.psi.mean(),
             min_eta=state.eta.min(), max_eta=state.eta.max(),
             elliptic_iterations=iterations,
@@ -226,12 +253,17 @@ class EnergyReport:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots of a simulation, strictly increasing in time."""
+    """Recorded snapshots of a simulation, strictly increasing in time.
+
+    status is "completed", "pinch_off" or "solver_failure"; cause names the
+    error of a solver failure.
+    """
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     status: str = "completed"
+    cause: str = ""
     dt: float = 0.0
 
     def record(self, state, report):
@@ -253,33 +285,59 @@ class Trajectory:
 def simulate(state0: SurfaceState, config: EvolutionConfig,
              solver: DtnSolver = None) -> Trajectory:
     """Advance to t_final, recording energy reports; a pinch-off abort
-    (min eta < 1e-3 R) is a normal terminal outcome carrying diagnostics."""
+    (min eta < 1e-3 R) is a normal terminal outcome carrying diagnostics.
+
+    A recorded state takes E_k from the k1 solve of the step that leaves it,
+    so only the final state is solved for its energy alone; each report's
+    elliptic_iterations sums the CG iterations of the stage solves since the
+    report before.  A ConvergenceError or EllipticityError ends the run with
+    status "solver_failure" and its message as cause; the records stop at
+    the last state whose report was made.
+    """
     if solver is None:
         solver = default_solver(state0.grid)
     dt = config.resolve_dt(state0.grid, state0.sigma, state0.eta.mean())
     traj = Trajectory(dt=dt)
-    state = state0
+    try:
+        _advance(traj, state0, dt, config, solver)
+    except DomainViolationError:
+        traj.status = "pinch_off"
+    except (ConvergenceError, EllipticityError) as exc:
+        traj.status = "solver_failure"
+        traj.cause = f"{type(exc).__name__}: {exc}"
+    return traj
+
+
+def _advance(traj, state, dt, config, solver):
+    """The stepping loop of `simulate`; records into traj."""
     tol = config.tol_elliptic
-    traj.record(state, EnergyReport.of(state, solver, tol))
+    k1 = rhs(state, solver, tol)
+    traj.record(state, EnergyReport.of(state, k1[2].kinetic_energy))
     n_steps = int(np.ceil(config.t_final / dt - 1e-12))
     t_end = state.t + config.t_final
-    for step in range(1, n_steps + 1):
+    step = None
+    iterations = 0
+    for n in range(1, n_steps + 1):
         if state.eta.min() < PINCH_FRACTION * state.R:
             traj.status = "pinch_off"
-            return traj
-        step_dt = min(dt, t_end - state.t)
-        try:
-            state = step_rk4(state, step_dt, config.filter_eps, solver, tol)
-        except DomainViolationError:
-            traj.status = "pinch_off"
-            return traj
-        if state.eta.min() < PINCH_FRACTION * state.R:
-            traj.status = "pinch_off"
-            traj.record(state.with_fields(), EnergyReport.of(state, solver, tol))
-            return traj
-        if step % config.record_every == 0 or step == n_steps:
-            traj.record(state, EnergyReport.of(state, solver, tol))
-    return traj
+            return
+        step = step_rk4(state, min(dt, t_end - state.t), config.filter_eps,
+                        solver, tol, k1=k1, previous=step)
+        state = step.state
+        iterations += step.iterations
+        pinched = state.eta.min() < PINCH_FRACTION * state.R
+        if pinched or n == n_steps:
+            ek = solver.kinetic_energy(state.eta, state.psi, tol,
+                                       guess=step.phi4)
+            traj.record(state, EnergyReport.of(state, ek, iterations))
+            if pinched:
+                traj.status = "pinch_off"
+            return
+        k1 = rhs(state, solver, tol, step.phi4)
+        if n % config.record_every == 0:
+            traj.record(state, EnergyReport.of(state, k1[2].kinetic_energy,
+                                               iterations))
+            iterations = 0
 
 
 # ---------------------------------------------------------------------------

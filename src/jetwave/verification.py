@@ -32,6 +32,7 @@ from .evolution import (
     simulate,
     step_rk4,
 )
+from .errors import JetwaveError
 from .geometry import grad_bar_eta, mean_curvature
 from .paradiff import apply_paradiff, bony_remainder, good_unknown, paraproduct
 from .spectral import (
@@ -78,6 +79,15 @@ def _below(name, value, threshold, note=""):
 def _above(name, value, threshold, note=""):
     return CheckResult(name, float(value), float(threshold),
                        float(value) >= float(threshold), note)
+
+
+def _run(state, cfg, solver):
+    """simulate for a check: a solver failure raises, as it does in a
+    direct solve, so no check measures a truncated trajectory."""
+    traj = simulate(state, cfg, solver)
+    if traj.status == "solver_failure":
+        raise JetwaveError(traj.cause)
+    return traj
 
 
 def _desk(grid):
@@ -453,7 +463,7 @@ def check_conservation(R=1.0, sigma=1.0, n_rho=48):
     solver = DtnSolver(grid, n_rho)
     cfg = EvolutionConfig(dt="auto", t_final=1.0, record_every=20,
                           tol_elliptic=1e-11)
-    traj = simulate(state, cfg, solver)
+    traj = _run(state, cfg, solver)
     h = np.array([r.total for r in traj.reports])
     v = np.array([r.volume for r in traj.reports])
     h_drift = float(np.abs(h - h[0]).max() / max(abs(h[0]), sigma))
@@ -476,7 +486,7 @@ def check_rk4(seed, R=1.0, sigma=1.0):
     for nsteps in (8, 16, 32):
         s = state
         for _ in range(nsteps):
-            s = step_rk4(s, T / nsteps, 0.0, solver, 1e-12)
+            s = step_rk4(s, T / nsteps, 0.0, solver, 1e-12).state
         finals.append(s)
     d1 = max((finals[0].eta - finals[1].eta).max_norm(),
              (finals[0].psi - finals[1].psi).max_norm())
@@ -485,8 +495,8 @@ def check_rk4(seed, R=1.0, sigma=1.0):
     order = float(np.log2(d1 / d2))
     shifted = state.with_fields(eta=state.eta.shift(0, grid.n_z // 2),
                                 psi=state.psi.shift(0, grid.n_z // 2))
-    a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12)
-    b = step_rk4(state, 0.02, 0.0, solver, 1e-12)
+    a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12).state
+    b = step_rk4(state, 0.02, 0.0, solver, 1e-12).state
     equi = max((a.eta - b.eta.shift(0, grid.n_z // 2)).max_norm(),
                (a.psi - b.psi.shift(0, grid.n_z // 2)).max_norm())
     return [
@@ -510,7 +520,7 @@ def check_plateau_growth(R=1.0, sigma=2.0):
     solver = DtnSolver(grid, 24)
     cfg = EvolutionConfig(dt="auto", t_final=10.0, record_every=5,
                           tol_elliptic=1e-12)
-    traj = simulate(state, cfg, solver)
+    traj = _run(state, cfg, solver)
     measured = fit_growth_rate(traj.times, traj.mode_amplitude(0, 1))
     rel = abs(measured - rate) / rate
     return [_below("plateau.growth_rate", rel, 0.01,
@@ -528,7 +538,7 @@ def check_plateau_oscillation(R=1.0, sigma=2.0):
     solver = DtnSolver(grid, 24)
     cfg = EvolutionConfig(dt="auto", t_final=4.0, record_every=1,
                           tol_elliptic=1e-12)
-    traj = simulate(state, cfg, solver)
+    traj = _run(state, cfg, solver)
     vals = [2.0 * s.eta.coefficient(2, 0).real for s in traj.states]
     omega_meas = fit_oscillation_frequency(traj.times, vals)
     rel = abs(omega_meas ** 2 - omega2) / omega2

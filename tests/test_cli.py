@@ -13,11 +13,13 @@ from jetwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PINCH,
+    EXIT_SOLVER,
     EXIT_VERIFY,
     load_config,
     main,
 )
-from jetwave.errors import ConfigError
+from jetwave.elliptic import DtnSolver
+from jetwave.errors import ConfigError, EllipticityError
 
 BASE = """
 [grid]
@@ -28,6 +30,15 @@ n_rho = 24
 [physics]
 r = 1.0
 sigma = 1.0
+"""
+
+PERTURBED = """
+[ic]
+mode.1 = 1e-2 2 1 eta 0.0
+mode.2 = 5e-3 0 1 psi 0.3
+
+[evolution]
+t_final = 0.05
 """
 
 
@@ -96,10 +107,24 @@ class TestExitCodes:
         series = (tmp_path / "run_series.csv").read_text().splitlines()
         assert series[0] == ("t,E_k,E_p,H_total,volume,min_eta,max_eta,"
                              "mean_psi,elliptic_iters")
-        # equilibrium: all-zero-drift time series
+        # equilibrium: all-zero-drift time series, and no CG iteration
         for line in series[1:]:
             cells = line.split(",")
             assert float(cells[1]) == 0.0 and float(cells[3]) == 0.0
+            assert int(cells[8]) == 0
+
+    def test_elliptic_iters_counted(self, tmp_path):
+        """Each row after the first sums the CG iterations of the stage
+        solves since the row before."""
+        path = write(tmp_path, BASE + PERTURBED + "record_every = 2\n")
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "run_series.csv").read_text().splitlines()[1:]
+        iters = [int(line.split(",")[8]) for line in rows]
+        assert len(iters) > 2 and iters[0] == 0
+        # at least one iteration per stage solve, four stages per step
+        assert all(n >= 8 for n in iters[1:])
 
     def test_pinch_off_exit_4(self, tmp_path):
         path = write(tmp_path, BASE + """
@@ -116,6 +141,49 @@ t_final = 0.5
         manifest = (tmp_path / "run_manifest.txt").read_text()
         assert "status=pinch_off" in manifest
         assert "t_last_valid=" in manifest
+
+    @staticmethod
+    def _fail_solves_after(monkeypatch, n_ok, fail):
+        """Let the first n_ok elliptic solves run normally, then fail."""
+        solve = DtnSolver.solve
+        calls = []
+
+        def limited(self, eta, psi, tol=1e-11, max_iter=200, guess=None):
+            calls.append(None)
+            if len(calls) > n_ok:
+                return fail(solve, self, eta, psi, tol, guess)
+            return solve(self, eta, psi, tol, max_iter, guess)
+
+        monkeypatch.setattr(DtnSolver, "solve", limited)
+
+    def _check_failure(self, tmp_path, capsys, error):
+        path = write(tmp_path, BASE + PERTURBED)
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_SOLVER
+        assert error in capsys.readouterr().err
+        manifest = dict(line.split("=", 1) for line in
+                        (tmp_path / "run_manifest.txt").read_text().splitlines())
+        assert manifest["status"] == "solver_failure"
+        assert manifest["cause"].startswith(error + ":")
+        rows = (tmp_path / "run_series.csv").read_text().splitlines()[1:]
+        # solves 1-5: k1 at t = 0, k2-k4 of step 1, k1 at t = dt (recorded)
+        assert len(rows) == 2
+        assert float(manifest["t_last_valid"]) == float(manifest["dt"])
+        assert float(rows[-1].split(",")[0]) == float(manifest["dt"])
+
+    def test_convergence_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        self._fail_solves_after(
+            monkeypatch, 5,
+            lambda solve, *args: solve(*args[:4], max_iter=1, guess=args[4]))
+        self._check_failure(tmp_path, capsys, "ConvergenceError")
+
+    def test_ellipticity_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        def fail(*_):
+            raise EllipticityError("forced: symbol not elliptic")
+
+        self._fail_solves_after(monkeypatch, 5, fail)
+        self._check_failure(tmp_path, capsys, "EllipticityError")
 
     def test_verify_fault_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"

@@ -10,6 +10,7 @@ from scipy.special import iv
 from conftest import smooth_surface
 from jetwave.elliptic import (
     DtnSolver,
+    _along_rho,
     RadialGrid,
     build_coefficients,
     fd_shape_derivative,
@@ -17,7 +18,8 @@ from jetwave.elliptic import (
     shape_derivative,
 )
 from jetwave.errors import ConvergenceError, DomainViolationError
-from jetwave.evolution import bessel_dtn_eigenvalue
+from jetwave.evolution import EvolutionConfig, bessel_dtn_eigenvalue, simulate
+from jetwave.geometry import SurfaceState
 from jetwave.spectral import (
     TorusField,
     TorusGrid,
@@ -46,6 +48,17 @@ class TestRadialGrid:
         f = rad.nodes ** 5
         df = rad.D @ f
         assert np.abs(df - 5 * rad.nodes ** 4).max() < 1e-9
+
+    def test_along_rho_matches_tensordot(self):
+        """The per-theta-row radial contraction equals one contraction over
+        the whole stack, for a matrix, its transpose, a row and a column."""
+        D = RadialGrid(16).D
+        stack = np.random.default_rng(3).standard_normal((16, 8, 12))
+        for M in (D, D.T, D[-1], D[:, -1]):
+            ref = np.tensordot(M, stack, axes=(M.ndim - 1, 0))
+            got = _along_rho(M, stack)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMappedCoefficients:
@@ -140,6 +153,66 @@ class TestSolve:
         assert err.value.residual is not None
 
 
+class TestWarmStart:
+    """An explicit starting guess moves only where CG starts: the stopping
+    test stays relative to the cold right-hand side."""
+
+    @staticmethod
+    def _inputs(grid, rng):
+        eta = smooth_surface(grid, rng, R, amp=0.1)
+        psi = band_limited_random(grid, rng, kmax=4, max_norm=0.3)
+        return eta, psi
+
+    def test_exact_guess_converges_at_once(self, grid32, solver32, rng):
+        eta, psi = self._inputs(grid32, rng)
+        cold = solver32.solve(eta, psi, 1e-11)
+        warm = solver32.solve(eta, psi, 1e-11, guess=cold.values)
+        assert cold.iterations > 1
+        assert warm.iterations <= 1
+        assert warm.residual < 1e-11
+
+    def test_warm_matches_cold(self, grid32, solver32, rng):
+        eta, psi = self._inputs(grid32, rng)
+        near = solver32.solve(1.01 * eta, psi, 1e-11).values
+        cold = solver32.trace_bundle(eta, psi, 1e-13)
+        warm = solver32.trace_bundle(eta, psi, 1e-13, guess=near)
+        assert warm.iterations < cold.iterations
+        rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
+        assert rel <= 1e-12
+        assert abs(warm.kinetic_energy - cold.kinetic_energy) \
+            <= 1e-12 * cold.kinetic_energy
+
+    def test_guess_row_at_surface_ignored(self, grid32, solver32, rng):
+        eta, psi = self._inputs(grid32, rng)
+        guess = solver32.solve(1.01 * eta, psi, 1e-11).values.copy()
+        a = solver32.solve(eta, psi, 1e-11, guess=guess)
+        guess[-1] = 7.0
+        b = solver32.solve(eta, psi, 1e-11, guess=guess)
+        assert np.array_equal(a.values, b.values)
+
+    def test_wrong_shape_named(self, grid16, solver16, solver32, rng):
+        eta, psi = self._inputs(grid16, rng)
+        other = solver32.solve(TorusField.constant(solver32.grid, R),
+                               TorusField.zeros(solver32.grid)).values
+        with pytest.raises(ValueError, match=r"\(32, 16, 16\)"):
+            solver16.solve(eta, psi, guess=other)
+        with pytest.raises(ValueError, match="shape"):
+            solver16.trace_bundle(eta, psi, guess=np.zeros((31, 16, 16)))
+
+    def test_lean_flux_and_energy(self, grid32, solver32, rng):
+        """The bundle's flux and E_k come from one strain pass; they match
+        the full operator's rho = 1 row and energy()."""
+        eta, psi = self._inputs(grid32, rng)
+        bundle = solver32.trace_bundle(eta, psi, 1e-12)
+        pot = solver32.solve(eta, psi, 1e-12)
+        assert np.array_equal(bundle.potential, pot.values)
+        full = solver32._apply_K(pot.values, pot._co)[-1] / grid32.cell_area
+        assert np.abs(bundle.flux.values - full).max() \
+            <= 1e-13 * np.abs(full).max()
+        assert bundle.kinetic_energy == solver32.energy(pot.values, pot._co)
+        assert not bundle.potential.flags.writeable
+
+
 class TestPreconditioner:
     """The per-mode eigenbasis inverts the energy form frozen at the mean
     radius, as the dense per-mode matrix does."""
@@ -166,10 +239,13 @@ class TestPreconditioner:
         profile = np.random.default_rng(3).standard_normal(ni)
         wave = np.cos(mode[0] * th + mode[1] * zz)
         r = profile[:, None, None] * wave
-        got = solver32._apply_precond(r, solver32._precond_weights(eta_bar))
+        got, got_hat = solver32._apply_precond(r, solver32._precond_weights(eta_bar))
         ref = np.linalg.solve(self._dense(solver32, eta_bar, *frozen), profile)
         want = ref[:, None, None] * wave
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # the half-spectrum CG carries for the search direction
+        spectrum = np.fft.rfft2(got, axes=(1, 2))
+        assert np.abs(got_hat - spectrum).max() <= 1e-12 * np.abs(spectrum).max()
 
 
 class TestSolverIsPure:
@@ -214,6 +290,24 @@ class TestSolverIsPure:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(self._same(got[i], (fresh, other)[i % 2]) for i in range(4))
+
+    def test_simulate_after_unrelated_solves(self, grid16):
+        """Warm starts pass potentials as arguments only: a trajectory is
+        bitwise the same on a fresh solver and after unrelated solves."""
+        rng = np.random.default_rng(5)
+        eta = smooth_surface(grid16, rng, R, amp=0.05)
+        psi = band_limited_random(grid16, rng, kmax=3, max_norm=0.05)
+        state = SurfaceState(eta, psi, R, 1.0)
+        cfg = EvolutionConfig(dt="auto", t_final=0.05, record_every=2)
+        ref = simulate(state, cfg, DtnSolver(grid16, 24))
+        solver = DtnSolver(grid16, 24)
+        solver.trace_bundle(1.02 * eta, 2.0 * psi)
+        solver.solve(eta, psi, guess=solver.solve(1.05 * eta, psi).values)
+        got = simulate(state, cfg, solver)
+        assert got.times == ref.times and got.reports == ref.reports
+        for a, b in zip(got.states, ref.states):
+            assert np.array_equal(a.eta.values, b.eta.values)
+            assert np.array_equal(a.psi.values, b.psi.values)
 
 
 class TestDtn:

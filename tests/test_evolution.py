@@ -102,7 +102,7 @@ class TestRhs:
 
 class TestStepping:
     def test_equilibrium_fixed_point(self, grid, solver):
-        s1 = step_rk4(_cyl(grid), 0.05, 0.0, solver, 1e-12)
+        s1 = step_rk4(_cyl(grid), 0.05, 0.0, solver, 1e-12).state
         assert (s1.eta - R).max_norm() < 1e-14
         assert s1.psi.max_norm() < 1e-14
 
@@ -116,7 +116,7 @@ class TestStepping:
         for n in (8, 16, 32):
             s = state
             for _ in range(n):
-                s = step_rk4(s, T / n, 0.0, solver, 1e-12)
+                s = step_rk4(s, T / n, 0.0, solver, 1e-12).state
             finals.append(s)
         d1 = (finals[0].eta - finals[1].eta).max_norm()
         d2 = (finals[1].eta - finals[2].eta).max_norm()
@@ -130,8 +130,8 @@ class TestStepping:
         sh = grid.n_z // 2
         shifted = state.with_fields(eta=state.eta.shift(0, sh),
                                     psi=state.psi.shift(0, sh))
-        a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12)
-        b = step_rk4(state, 0.02, 0.0, solver, 1e-12)
+        a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12).state
+        b = step_rk4(state, 0.02, 0.0, solver, 1e-12).state
         assert (a.eta - b.eta.shift(0, sh)).max_norm() < 1e-11
         assert (a.psi - b.psi.shift(0, sh)).max_norm() < 1e-11
 
@@ -141,9 +141,9 @@ class TestStepping:
             + TorusField.from_modes(grid, [(0.04, 2, 0, 0.0)]),
             psi=TorusField.from_modes(grid, [(0.04, 2, 0, 0.0)]))
         dt = 0.02
-        fwd = step_rk4(state, dt, 0.0, solver, 1e-12)
+        fwd = step_rk4(state, dt, 0.0, solver, 1e-12).state
         back = step_rk4(fwd.with_fields(psi=-1.0 * fwd.psi), dt, 0.0,
-                        solver, 1e-12)
+                        solver, 1e-12).state
         assert (back.eta - state.eta).max_norm() < 10 * dt ** 5
         assert (back.psi + state.psi).max_norm() < 10 * dt ** 5
 
