@@ -47,7 +47,7 @@ print(f"<psi1, eta G psi2> = {s21:+.12e}   (symmetric to "
 print(f"kinetic energy = {b1.kinetic_energy:.6f}  (exactly nonnegative)")
 bc = solver.trace_bundle(eta, TorusField.constant(grid, 5.0), 1e-12)
 print(f"G(eta) applied to a constant: max |G| = {bc.G.max_norm():.2e}")
+res = b1.identity_residuals(psi1, eta)
 print(f"trace identity grad_bar psi = V + B grad_bar eta: residual "
-      f"{b1.gradient_identity_residual(psi1, eta):.2e}")
-print(f"redundant B formula residual: "
-      f"{b1.b_formula_residual(psi1, eta):.2e}")
+      f"{res['gradient_identity']:.2e}")
+print(f"redundant B formula residual: {res['b_formula']:.2e}")

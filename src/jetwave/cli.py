@@ -99,6 +99,27 @@ def _check_ranges(out):
                           f"{out['elliptic_tol']:g} outside [{lo:g}, {hi:g}]")
 
 
+def _dispersion_modes(raw, out):
+    """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or the
+    default set if it is empty; m must be an integer and k lie on the axial
+    lattice of the configured grid."""
+    from .spectral import TorusField, TorusGrid
+
+    if not raw.strip():
+        return [(0, 1.0), (0, 2.0), (1, 1.0), (2, 0.0), (3, 0.0), (4, 0.0)]
+    try:
+        modes = []
+        for chunk in filter(None, (c.strip() for c in raw.split(";"))):
+            m, k = chunk.split()
+            modes.append((int(m), float(k)))
+        grid = TorusGrid(out["n_theta"], out["n_z"], out["z_period"])
+        TorusField.from_modes(grid, [(0.0, m, k, 0.0) for m, k in modes])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'modes' ({raw.strip()!r}): "
+                          f"{exc}") from exc
+    return modes
+
+
 def load_config(path):
     """Parse and validate a run configuration; unknown keys are rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -143,13 +164,14 @@ def load_config(path):
         "elliptic_tol": value("evolution", "elliptic_tol", float, "1e-11"),
         "cfl": value("evolution", "cfl", float, "0.5"),
         "prefix": cfg.get("output", {}).get("prefix", "run"),
-        "dispersion_modes": cfg.get("dispersion", {}).get("modes", ""),
         "fault": cfg.get("verify", {}).get("fault") or None,
         "heavy": cfg.get("verify", {}).get("heavy", "true").lower()
         not in ("false", "0", "no"),
         "structure_states": value("verify", "structure_states", int, "100"),
     }
     _check_ranges(out)
+    out["dispersion_modes"] = _dispersion_modes(
+        cfg.get("dispersion", {}).get("modes", ""), out)
     for key, raw in sorted(cfg.get("ic", {}).items()):
         for chunk in raw.split(";"):
             chunk = chunk.strip()
@@ -252,28 +274,14 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         traj.status, EXIT_OK)
 
 
-def _default_dispersion_modes(cfg):
-    raw = cfg["dispersion_modes"].strip()
-    if raw:
-        modes = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            m, k = chunk.split()
-            modes.append((int(m), float(k)))
-        return modes
-    return [(0, 1.0), (0, 2.0), (1, 1.0), (2, 0.0), (3, 0.0), (4, 0.0)]
-
-
 def cmd_dispersion(cfg, out_dir, seed, quiet):
     from .evolution import measure_dispersion
     from .spectral import TorusGrid
 
     grid = TorusGrid(cfg["n_theta"], cfg["n_z"], cfg["z_period"])
-    modes = _default_dispersion_modes(cfg)
-    rows = measure_dispersion(grid, cfg["R"], cfg["sigma"], modes,
-                              n_rho=cfg["n_rho"], tol=cfg["elliptic_tol"])
+    rows = measure_dispersion(grid, cfg["R"], cfg["sigma"],
+                              cfg["dispersion_modes"], n_rho=cfg["n_rho"],
+                              tol=cfg["elliptic_tol"])
     path = os.path.join(out_dir, cfg["prefix"] + "_dispersion.csv")
     _write_csv(path, ["m", "k", "omega2_analytic", "omega2_measured",
                       "rel_error"], rows)
@@ -332,11 +340,8 @@ def cmd_dtn(cfg, out_dir, seed, quiet):
         ("iterations", bundle.iterations),
         ("solver_residual", bundle.residual),
         ("kinetic_energy", bundle.kinetic_energy),
-        ("gradient_identity_residual",
-         bundle.gradient_identity_residual(state.psi, state.eta)),
-        ("b_formula_residual",
-         bundle.b_formula_residual(state.psi, state.eta)),
-        ("g_consistency_residual", (bundle.G - bundle.G_trace).max_norm()),
+        *((name + "_residual", value) for name, value in
+          bundle.identity_residuals(state.psi, state.eta).items()),
         ("fields", path),
     ])
     if not quiet:

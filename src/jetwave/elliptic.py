@@ -236,11 +236,6 @@ class PotentialField:
         """phi at rho = 1 (equals the Dirichlet data exactly)."""
         return TorusField(self.grid, self.values[-1])
 
-    def rho_derivative_at_surface(self) -> TorusField:
-        return TorusField(
-            self.grid, _along_rho(self.radial.D[-1], self.values)
-        )
-
     def modal_profile(self, m, n):
         """Radial profile of the (m, n)-th Fourier mode (integer indices)."""
         c = np.fft.fft2(self.values, axes=(1, 2)) / (self.grid.n_theta * self.grid.n_z)
@@ -283,11 +278,10 @@ class PotentialField:
 class TraceBundle:
     """Boundary quantities derived from one elliptic solve.
 
-    G is the variational Dirichlet-to-Neumann value (flux / eta), G_trace the
-    algebraic combination B - V . grad_bar eta; their agreement is a solver
-    consistency diagnostic.  flux = eta * G(eta) psi.  potential is the
-    read-only nodal potential stack of the solve, a starting guess for the
-    next solve at a nearby state.
+    G is the variational Dirichlet-to-Neumann value (flux / eta);
+    flux = eta * G(eta) psi.  potential is the read-only nodal potential
+    stack of the solve, a starting guess for the next solve at a nearby
+    state.
     """
 
     B: TorusField
@@ -295,32 +289,37 @@ class TraceBundle:
     V_z: TorusField
     N: TorusField
     G: TorusField
-    G_trace: TorusField
     flux: TorusField
     kinetic_energy: float
     iterations: int
     residual: float
     potential: np.ndarray
 
-    def gradient_identity_residual(self, psi: TorusField, eta: TorusField):
-        """max-norm of grad_bar psi - V - B grad_bar eta (both components)."""
+    def identity_residuals(self, psi: TorusField, eta: TorusField):
+        """Max-norm residuals of the trace identities at the solve's data:
+
+        gradient_identity  grad_bar psi - V - B grad_bar eta (both components)
+        b_formula          B - (G + grad_bar psi . grad_bar eta)
+                               / (1 + |grad_bar eta|^2)
+        g_consistency      G - (B - V . grad_bar eta), the variational value
+                           against the trace algebra
+        """
         gbt, gbz = grad_bar_eta(eta)
         pt = nonlinear_eval(lambda a, e: a / e, spectral_derivative(psi, "theta"), eta)
         pz = spectral_derivative(psi, "z")
         r1 = pt - self.V_theta - dealiased_product(self.B, gbt)
         r2 = pz - self.V_z - dealiased_product(self.B, gbz)
-        return max(r1.max_norm(), r2.max_norm())
-
-    def b_formula_residual(self, psi: TorusField, eta: TorusField):
-        """max-norm of B - (G + grad_bar psi . grad_bar eta)/(1 + |grad_bar eta|^2)."""
-        gbt, gbz = grad_bar_eta(eta)
-        pt = nonlinear_eval(lambda a, e: a / e, spectral_derivative(psi, "theta"), eta)
-        pz = spectral_derivative(psi, "z")
         num = self.G + dealiased_product(pt, gbt) + dealiased_product(pz, gbz)
         recon = nonlinear_eval(
             lambda n, a, b: n / (1.0 + a ** 2 + b ** 2), num, gbt, gbz
         )
-        return (self.B - recon).max_norm()
+        v_dot = (dealiased_product(self.V_theta, gbt)
+                 + dealiased_product(self.V_z, gbz))
+        return {
+            "gradient_identity": max(r1.max_norm(), r2.max_norm()),
+            "b_formula": (self.B - recon).max_norm(),
+            "g_consistency": (self.G - (self.B - v_dot)).max_norm(),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +580,13 @@ class DtnSolver:
         V_z = pz - dealiased_product(B, gbz)
         G = nonlinear_eval(lambda f, e: f / e, flux, eta)
         v_dot = dealiased_product(V_theta, gbt) + dealiased_product(V_z, gbz)
-        G_trace = B - v_dot
         N = dealiased_product(B, v_dot) + 0.5 * (
             dealiased_product(V_theta, V_theta)
             + dealiased_product(V_z, V_z)
             - dealiased_product(B, B)
         )
         return TraceBundle(
-            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
-            G_trace=G_trace, flux=flux,
+            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=flux,
             kinetic_energy=self._strain_energy(strains, co),
             iterations=pot.iterations, residual=pot.residual,
             potential=pot.values,

@@ -329,20 +329,20 @@ def pad_values(f: TorusField, fine: TorusGrid):
     return inverse_transform(fine, c)
 
 
-def nonlinear_eval(fn, *fields, factor=1.5):
+def nonlinear_eval(fn, *fields):
     """Evaluate a pointwise function of several fields on a padded grid.
 
-    The inputs are spectrally interpolated onto a grid refined by `factor`,
+    The inputs are spectrally interpolated onto the grid refined by 3/2,
     fn is applied pointwise there, and the result is truncated back.  For a
-    product of two fields with 3/2 padding this is exact dealiasing; for
-    general nonlinearities (quotients, roots) it removes the dominant
-    aliasing contributions.
+    product of two fields this is exact dealiasing; for general
+    nonlinearities (quotients, roots) it removes the dominant aliasing
+    contributions.
     """
     grid = fields[0].grid
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("fields live on different grids")
-    fine = grid.padded(factor)
+    fine = grid.padded()
     vals = [pad_values(f, fine) for f in fields]
     out = fn(*vals)
     c = np.fft.fft2(out) / (fine.n_theta * fine.n_z)

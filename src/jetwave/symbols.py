@@ -32,13 +32,9 @@ Available constructions:
 
 xi-derivatives
 --------------
-Two quadratures are provided.  "analytic" (default) differentiates the
-closures by a small complex step, which is exact to ~1e-11 for these
-holomorphic closed forms and is what the identity report needs to resolve
-its thresholds.  "lattice" uses central differences with one lattice step,
-the torus convention; it carries an O(|xi|^-2) truncation error that
-dominates every subprincipal identity, so the report documents much looser
-residuals in that mode.
+Every xi-derivative differentiates the closures by a small complex step,
+which is exact to ~1e-11 for these holomorphic closed forms and is what the
+identity report needs to resolve its thresholds.
 
 Within one symbol_identity_report, every closure evaluation and xi-gradient
 is computed once per xi chunk and shared by all identities on that chunk.
@@ -134,42 +130,19 @@ def w_derivatives(arr, grid: TorusGrid):
     )
 
 
-def xi_gradient(fn, xi_t, xi_z, mode="analytic", dz=1.0):
-    """Gradient in xi of a symbol closure.
-
-    mode "analytic": central complex step h ~ 1e-5 max(1, |xi|); exact to
-    ~1e-11 for holomorphic closures.  mode "lattice": central real
-    differences with one lattice step per direction.
-    """
-    return _evaluate(_xi_gradient, fn, xi_t, xi_z, mode, dz)
+def xi_gradient(fn, xi_t, xi_z):
+    """Gradient in xi of a symbol closure, by central complex step
+    h ~ 1e-5 max(1, |xi|); exact to ~1e-11 for holomorphic closures."""
+    return _evaluate(_xi_gradient, fn, xi_t, xi_z)
 
 
-def _xi_gradient(fn, xi_t, xi_z, mode, dz):
+def _xi_gradient(fn, xi_t, xi_z):
     xi_t = np.asarray(xi_t, dtype=float)
     xi_z = np.asarray(xi_z, dtype=float)
-    if mode == "analytic":
-        h = 1e-5 * np.maximum(1.0, np.sqrt(xi_t ** 2 + xi_z ** 2))
-        gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) / (2j * h)
-        gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) / (2j * h)
-        return gt, gz
-    if mode == "lattice":
-        # several subprincipal symbols are singular at xi = 0; fall back to
-        # one-sided differences where the central stencil would hit it
-        def _diff(step_t, step_z, h):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                plus = fn(xi_t + step_t, xi_z + step_z)
-                minus = fn(xi_t - step_t, xi_z - step_z)
-                central = (plus - minus) / (2.0 * h)
-                hit_m = np.asarray((xi_t - step_t == 0.0) & (xi_z - step_z == 0.0))
-                hit_p = np.asarray((xi_t + step_t == 0.0) & (xi_z + step_z == 0.0))
-                if np.any(hit_m) or np.any(hit_p):
-                    mid = fn(xi_t, xi_z)
-                    central = np.where(hit_m, (plus - mid) / h, central)
-                    central = np.where(hit_p, (mid - minus) / h, central)
-            return central
-
-        return _diff(1.0, 0.0, 1.0), _diff(0.0, dz, dz)
-    raise ValueError(f"unknown xi-derivative mode {mode!r}")
+    h = 1e-5 * np.maximum(1.0, np.sqrt(xi_t ** 2 + xi_z ** 2))
+    gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) / (2j * h)
+    gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) / (2j * h)
+    return gt, gz
 
 
 def _as_xi(x):
@@ -178,12 +151,11 @@ def _as_xi(x):
     return a.reshape(a.shape + (1, 1)) if a.ndim else a
 
 
-def lattice_points(grid: TorusGrid, exclude_zero=True):
-    """Flat arrays (xi_t, xi_z) of the Nyquist-free frequency lattice."""
+def lattice_points(grid: TorusGrid):
+    """Flat arrays (xi_t, xi_z) of the Nyquist-free frequency lattice
+    without xi = 0."""
     xt, xz = grid.xi_mesh()
-    keep = ~grid.nyquist_mask()
-    if exclude_zero:
-        keep &= (xt != 0) | (xz != 0)
+    keep = ~grid.nyquist_mask() & ((xt != 0) | (xz != 0))
     return xt[keep], xz[keep]
 
 
@@ -200,13 +172,11 @@ class HomogeneousSymbol:
     samples satisfy a(w, -xi) = conj(a(w, xi)).
     """
 
-    def __init__(self, grid, degree, principal, subprincipal=None,
-                 dxi_mode="analytic", name=""):
+    def __init__(self, grid, degree, principal, subprincipal=None, name=""):
         self.grid = grid
         self.degree = float(degree)
         self.principal = _shared(principal)
         self.subprincipal = _shared(subprincipal)
-        self.dxi_mode = dxi_mode
         self.name = name
 
     def total(self, xi_t, xi_z):
@@ -271,7 +241,7 @@ def _profiles(eta: TorusField):
 # Dirichlet-to-Neumann symbol
 # ---------------------------------------------------------------------------
 
-def lambda_symbol(eta: TorusField, dxi_mode="analytic") -> HomogeneousSymbol:
+def lambda_symbol(eta: TorusField) -> HomogeneousSymbol:
     """lambda = lambda^(1) + lambda^(0), symbol of the DtN operator.
 
     lambda^(0) = (l^2/eta) A^(0) with A^(0) the subprincipal factor of the
@@ -280,7 +250,7 @@ def lambda_symbol(eta: TorusField, dxi_mode="analytic") -> HomogeneousSymbol:
     subprincipal part divides by S).
     """
     grid, e, et, ez, l2 = _surface_data(eta)
-    A0 = _factorization(grid, e, et, ez, 1.0, dxi_mode)[0].subprincipal
+    A0 = _factorization(grid, e, et, ez, 1.0)[0].subprincipal
 
     def lam1(xt, xz):
         return np.sqrt(
@@ -290,20 +260,20 @@ def lambda_symbol(eta: TorusField, dxi_mode="analytic") -> HomogeneousSymbol:
     def lam0(xt, xz):
         return (l2 / e) * A0(xt, xz)
 
-    return HomogeneousSymbol(grid, 1.0, lam1, lam0, dxi_mode, name="lambda")
+    return HomogeneousSymbol(grid, 1.0, lam1, lam0, name="lambda")
 
 
-def factorization_symbols(eta: TorusField, rho=1.0, dxi_mode="analytic"):
+def factorization_symbols(eta: TorusField, rho=1.0):
     """A^(1), a^(1), A^(0), a^(0) of the radial factorization at a given rho.
 
     The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
     verified positive on a lattice sample before the root is taken.
     """
     grid, e, et, ez, _ = _surface_data(eta)
-    return _factorization(grid, e, et, ez, rho, dxi_mode)
+    return _factorization(grid, e, et, ez, rho)
 
 
-def _factorization(grid, e, et, ez, rho, dxi_mode):
+def _factorization(grid, e, et, ez, rho):
     """factorization_symbols from already derived surface profiles."""
     r = float(rho)
     if not 0.0 < r <= 1.0:
@@ -363,7 +333,7 @@ def _factorization(grid, e, et, ez, rho, dxi_mode):
         def sub(xt, xz):
             s, b = S(xt, xz), b_dot(xt, xz)
             A, a = A1_of(s, b), a1_of(s, b)
-            ga, gb = xi_gradient(a1, xt, xz, dxi_mode, grid.dz_lattice)
+            ga, gb = xi_gradient(a1, xt, xz)
             dth, dz = w_derivatives(A, grid)
             dot = ga * (-1j * dth) + gb * (-1j * dz)
             lead = A if big else -a
@@ -371,9 +341,8 @@ def _factorization(grid, e, et, ez, rho, dxi_mode):
 
         return sub
 
-    big_A = HomogeneousSymbol(grid, 1.0, A1, subprincipal(True), dxi_mode,
-                              name="A")
-    small_a = HomogeneousSymbol(grid, 1.0, a1, subprincipal(False), dxi_mode,
+    big_A = HomogeneousSymbol(grid, 1.0, A1, subprincipal(True), name="A")
+    small_a = HomogeneousSymbol(grid, 1.0, a1, subprincipal(False),
                                 name="a_fact")
     return big_A, small_a, alpha, gamma
 
@@ -382,7 +351,7 @@ def _factorization(grid, e, et, ez, rho, dxi_mode):
 # curvature symbol
 # ---------------------------------------------------------------------------
 
-def mu_symbol(eta: TorusField, R, dxi_mode="analytic") -> HomogeneousSymbol:
+def mu_symbol(eta: TorusField, R) -> HomogeneousSymbol:
     """mu = mu^(2) + mu^(1), symbol of the linearized mean curvature."""
     grid, e, et, ez, l2 = _surface_data(eta)
     l3 = l2 ** 1.5
@@ -402,7 +371,7 @@ def mu_symbol(eta: TorusField, R, dxi_mode="analytic") -> HomogeneousSymbol:
     def mu1(xt, xz):
         return 1j * (cu * xt + cv * xz)
 
-    return HomogeneousSymbol(grid, 2.0, mu2, mu1, dxi_mode, name="mu")
+    return HomogeneousSymbol(grid, 2.0, mu2, mu1, name="mu")
 
 
 def mu2_from_curvature_coefficients(eta: TorusField):
@@ -420,7 +389,7 @@ def mu2_from_curvature_coefficients(eta: TorusField):
 # symmetrizer and mollifier
 # ---------------------------------------------------------------------------
 
-def symmetrizer_symbols(eta: TorusField, sigma, R, dxi_mode="analytic"):
+def symmetrizer_symbols(eta: TorusField, sigma, R):
     """(a, gamma, q, p) of the symmetrizer.
 
     a and q are xi-independent profiles; gamma carries the dispersive 3/2
@@ -429,10 +398,10 @@ def symmetrizer_symbols(eta: TorusField, sigma, R, dxi_mode="analytic"):
     automatically equals gamma^(3/2) q^(0) / lambda^(1).
     """
     eta = eta.drop_nyquist()
-    lam = lambda_symbol(eta, dxi_mode)
-    mu = mu_symbol(eta, float(R), dxi_mode)
+    lam = lambda_symbol(eta)
+    mu = mu_symbol(eta, float(R))
     e, _, _, l2 = _profiles(eta)
-    return _symmetrizer_from(eta.grid, e, l2, float(sigma), dxi_mode, lam, mu,
+    return _symmetrizer_from(eta.grid, e, l2, float(sigma), lam, mu,
                              parametrix(lam))
 
 
@@ -451,12 +420,12 @@ def mollifier_symbol(gamma_sym: HomogeneousSymbol, eps) -> HomogeneousSymbol:
         return np.exp(-eps * gamma_sym.principal(xt, xz))
 
     def jm1(xt, xz):
-        gt, gz = xi_gradient(j0, xt, xz, gamma_sym.dxi_mode, grid.dz_lattice)
+        gt, gz = xi_gradient(j0, xt, xz)
         dth = w_derivatives(gt, grid)[0]
         dz = w_derivatives(gz, grid)[1]
         return -0.5j * (dth + dz)
 
-    return HomogeneousSymbol(grid, 0.0, j0, jm1, gamma_sym.dxi_mode, name="j_eps")
+    return HomogeneousSymbol(grid, 0.0, j0, jm1, name="j_eps")
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +438,12 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
     if a.grid != b.grid:
         raise ValueError("symbols live on different grids")
     grid = a.grid
-    mode = a.dxi_mode
 
     def principal(xt, xz):
         return a.principal(xt, xz) * b.principal(xt, xz)
 
     def sub(xt, xz):
-        ga, gb = xi_gradient(a.principal, xt, xz, mode, grid.dz_lattice)
+        ga, gb = xi_gradient(a.principal, xt, xz)
         dth, dz = w_derivatives(b.principal(xt, xz), grid)
         out = ga * (-1j * dth) + gb * (-1j * dz)
         if b.subprincipal is not None:
@@ -484,7 +452,7 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
             out = out + a.subprincipal(xt, xz) * b.principal(xt, xz)
         return out
 
-    return HomogeneousSymbol(grid, a.degree + b.degree, principal, sub, mode,
+    return HomogeneousSymbol(grid, a.degree + b.degree, principal, sub,
                              name=f"({a.name}#{b.name})")
 
 
@@ -495,13 +463,12 @@ def adjoint_symbol(a: HomogeneousSymbol) -> HomogeneousSymbol:
     reflection) so it remains differentiable by complex step.
     """
     grid = a.grid
-    mode = a.dxi_mode
 
     def principal(xt, xz):
         return np.conj(a.principal(np.conj(xt), np.conj(xz)))
 
     def sub(xt, xz):
-        gt, gz = xi_gradient(principal, xt, xz, mode, grid.dz_lattice)
+        gt, gz = xi_gradient(principal, xt, xz)
         dth = w_derivatives(gt, grid)[0]
         dz = w_derivatives(gz, grid)[1]
         out = -1j * (dth + dz)
@@ -509,7 +476,7 @@ def adjoint_symbol(a: HomogeneousSymbol) -> HomogeneousSymbol:
             out = out + np.conj(a.subprincipal(np.conj(xt), np.conj(xz)))
         return out
 
-    return HomogeneousSymbol(grid, a.degree, principal, sub, mode,
+    return HomogeneousSymbol(grid, a.degree, principal, sub,
                              name=f"{a.name}*")
 
 
@@ -518,17 +485,16 @@ def poisson_bracket(a: HomogeneousSymbol, b: HomogeneousSymbol):
     if a.grid != b.grid:
         raise ValueError("symbols live on different grids")
     grid = a.grid
-    mode = a.dxi_mode
 
     def bracket(xt, xz):
-        gat, gaz = xi_gradient(a.principal, xt, xz, mode, grid.dz_lattice)
-        gbt, gbz = xi_gradient(b.principal, xt, xz, mode, grid.dz_lattice)
+        gat, gaz = xi_gradient(a.principal, xt, xz)
+        gbt, gbz = xi_gradient(b.principal, xt, xz)
         awt, awz = w_derivatives(a.principal(xt, xz), grid)
         bwt, bwz = w_derivatives(b.principal(xt, xz), grid)
         return gat * bwt + gaz * bwz - awt * gbt - awz * gbz
 
     return HomogeneousSymbol(grid, a.degree + b.degree - 1.0, bracket, None,
-                             mode, name=f"{{{a.name},{b.name}}}")
+                             name=f"{{{a.name},{b.name}}}")
 
 
 def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
@@ -544,13 +510,12 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
             f"(min Re principal on |xi|=1 is {margin:.3e})"
         )
     grid = a.grid
-    mode = a.dxi_mode
 
     def inv_principal(xt, xz):
         return 1.0 / a.principal(xt, xz)
 
     def sub(xt, xz):
-        ga, gb = xi_gradient(a.principal, xt, xz, mode, grid.dz_lattice)
+        ga, gb = xi_gradient(a.principal, xt, xz)
         dth, dz = w_derivatives(inv_principal(xt, xz), grid)
         dot = ga * (-1j * dth) + gb * (-1j * dz)
         out = dot
@@ -558,7 +523,7 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
             out = out + a.subprincipal(xt, xz) * inv_principal(xt, xz)
         return -out / a.principal(xt, xz)
 
-    return HomogeneousSymbol(grid, -a.degree, inv_principal, sub, mode,
+    return HomogeneousSymbol(grid, -a.degree, inv_principal, sub,
                              name=f"~{a.name}")
 
 
@@ -606,15 +571,13 @@ def _lattice_checks(identities, xt, xz):
             for name, (threshold, _) in identities.items()]
 
 
-def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
-                           fault=None):
+def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
     """Numerically certify every symbol-level identity.
 
     Returns a list of IdentityCheck records (one per identity) with max
-    pointwise residuals over the resolved Nyquist-free lattice.  The stated
-    thresholds assume the analytic xi-derivative mode; with lattice
-    differences the subprincipal identities inherit the O(|xi|^-2)
-    finite-difference truncation error and are reported, not certified.
+    pointwise residuals over the resolved Nyquist-free lattice.  The
+    thresholds of the subprincipal identities rest on the complex-step
+    xi-derivative being exact to ~1e-11.
 
     `fault` is a test hook: "lambda0_sign" flips the sign of the
     subprincipal DtN symbol, which must trip the Im-lambda0 identity.
@@ -623,19 +586,19 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     grid = eta.grid
     e, et, ez, l2 = _profiles(eta)
 
-    lam = lambda_symbol(eta, dxi_mode)
+    lam = lambda_symbol(eta)
     if fault == "lambda0_sign":
         sub = lam.subprincipal
         lam = HomogeneousSymbol(grid, 1.0, lam.principal,
-                                lambda xt, xz: -sub(xt, xz), dxi_mode,
+                                lambda xt, xz: -sub(xt, xz),
                                 name="lambda(faulted)")
     elif fault is not None:
         raise ValueError(f"unknown fault hook {fault!r}")
-    mu = mu_symbol(eta, R, dxi_mode)
+    mu = mu_symbol(eta, R)
     mu2_alt = mu2_from_curvature_coefficients(eta)
     lam_inv = parametrix(lam)
     a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
-                                                       dxi_mode, lam, mu, lam_inv)
+                                                       lam, mu, lam_inv)
     j_eps = mollifier_symbol(gamma_sym, 0.5)
 
     xt, xz = lattice_points(grid)
@@ -661,7 +624,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     def im_sub_residual(sym):
         """Im sym^(m-1) + (1/2)(div_w + d_w log eta .) Re d_xi sym^(m)."""
         def residual(a, b):
-            gt, gz = xi_gradient(sym.principal, a, b, dxi_mode, grid.dz_lattice)
+            gt, gz = xi_gradient(sym.principal, a, b)
             div = w_derivatives(gt, grid)[0] + w_derivatives(gz, grid)[1]
             rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
                                                + dlog_z * np.real(gz))
@@ -682,7 +645,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
         return mu.principal(a, b) * lam.principal(a, b)
 
     def q0_equation_residual(a, b):
-        gpt, gpz = xi_gradient(prod_ml, a, b, dxi_mode, grid.dz_lattice)
+        gpt, gpz = xi_gradient(prod_ml, a, b)
         lhs = 0.5 * q0 * (bracket_lm(a, b) - (dlog_t * gpt + dlog_z * gpz))
         rhs = -(gpt * q0_t + gpz * q0_z)
         return lhs - rhs
@@ -715,7 +678,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
     factorization = {}
     for rho in (1.0, 0.7):
-        big_A, small_a, alpha, _ = factorization_symbols(eta, rho, dxi_mode)
+        big_A, small_a, alpha, _ = factorization_symbols(eta, rho)
 
         def fact_residual(a, b, rho=rho, A=big_A, s=small_a, al=alpha):
             target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
@@ -726,20 +689,20 @@ def symbol_identity_report(eta: TorusField, sigma, R, dxi_mode="analytic",
     return checks + _lattice_checks(factorization, xt, xz)
 
 
-def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu, lam_inv):
+def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
     """symmetrizer_symbols from surface profiles and prebuilt lambda, mu and
     parametrix(lambda) (fault-aware)."""
     a_prof = (1.0 / np.sqrt(2.0)) * l2 ** (-0.75)
     a_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: a_prof * _ones_like_xi(xt, xz),
-        None, dxi_mode, name="a",
+        None, name="a",
     )
 
     def gamma32(xt, xz):
         return np.sqrt(sigma * mu.principal(xt, xz) * lam.principal(xt, xz))
 
     def gamma12(xt, xz):
-        gt, gz = xi_gradient(gamma32, xt, xz, dxi_mode, grid.dz_lattice)
+        gt, gz = xi_gradient(gamma32, xt, xz)
         dth = w_derivatives(gt, grid)[0]
         dz = w_derivatives(gz, grid)[1]
         im = -0.5 * np.real(dth + dz)
@@ -748,12 +711,11 @@ def _symmetrizer_from(grid, e, l2, sigma, dxi_mode, lam, mu, lam_inv):
         ) / (2.0 * np.real(gamma32(xt, xz)))
         return re + 1j * im
 
-    gamma_sym = HomogeneousSymbol(grid, 1.5, gamma32, gamma12, dxi_mode,
-                                  name="gamma")
+    gamma_sym = HomogeneousSymbol(grid, 1.5, gamma32, gamma12, name="gamma")
     q_prof = 2.0 ** (1.0 / 6.0) * np.sqrt(e) * l2 ** 0.25
     q_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: q_prof * _ones_like_xi(xt, xz),
-        None, dxi_mode, name="q",
+        None, name="q",
     )
     p_sym = sharp_compose(sharp_compose(gamma_sym, q_sym), lam_inv)
     p_sym.name = "p"

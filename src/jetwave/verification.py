@@ -157,46 +157,40 @@ def check_bony(grid, seed):
     ]
 
 
-def check_dtn_bessel(grid, n_rho, R=1.0, tol=1e-12):
-    """Criterion: relative error vs the Bessel oracle below 1e-8 for all
-    resolved 1 <= |(m,k)| <= 8 (k on the axial lattice)."""
+def _bessel_worst(grid, n_rho, R, modes, tol):
+    """Worst relative error of G(R) cos(m theta + k z) against the Bessel
+    oracle over the (m, k) in modes, on the cylinder of radius R."""
     solver = DtnSolver(grid, n_rho)
     eta = TorusField.constant(grid, R)
     th, zz = grid.mesh()
     worst = 0.0
-    dz = grid.dz_lattice
-    ks = [dz * n for n in range(0, int(np.floor(8.0 / dz)) + 1)]
-    for m in range(0, 9):
-        for k in ks:
-            r = np.hypot(m, k)
-            if r < 1.0 or r > 8.0 or m > grid.n_theta // 2 - 1:
-                continue
-            if k / dz > grid.n_z // 2 - 1:
-                continue
-            psi = TorusField(grid, np.cos(m * th + k * zz))
-            bundle = solver.trace_bundle(eta, psi, tol)
-            lam = bessel_dtn_eigenvalue(m, k, R)
-            err = float(np.abs(bundle.G.values - lam * psi.values).max() / abs(lam))
-            worst = max(worst, err)
-    return [_below("dtn.bessel_accuracy", worst, 1e-8,
-                   note=f"n_rho={n_rho}")]
-
-
-def bessel_error_at(grid, n_rho, R=1.0, tol=1e-13):
-    """Worst Bessel-oracle error over a fixed mode set at one resolution."""
-    solver = DtnSolver(grid, n_rho)
-    eta = TorusField.constant(grid, R)
-    th, zz = grid.mesh()
-    worst = 0.0
-    for m, k in ((0, 8), (8, 0), (5, 5), (1, 2), (3, 7)):
-        if m > grid.n_theta // 2 - 1 or k > grid.n_z // 2 - 1:
-            continue
+    for m, k in modes:
         psi = TorusField(grid, np.cos(m * th + k * zz))
         bundle = solver.trace_bundle(eta, psi, tol)
         lam = bessel_dtn_eigenvalue(m, k, R)
         worst = max(worst, float(np.abs(bundle.G.values - lam * psi.values).max()
                                  / abs(lam)))
     return worst
+
+
+def check_dtn_bessel(grid, n_rho, R=1.0, tol=1e-12):
+    """Criterion: relative error vs the Bessel oracle below 1e-8 for all
+    resolved 1 <= |(m,k)| <= 8 (k on the axial lattice)."""
+    dz = grid.dz_lattice
+    ks = [dz * n for n in range(0, int(np.floor(8.0 / dz)) + 1)]
+    modes = [(m, k) for m in range(0, 9) for k in ks
+             if 1.0 <= np.hypot(m, k) <= 8.0 and m <= grid.n_theta // 2 - 1
+             and k / dz <= grid.n_z // 2 - 1]
+    return [_below("dtn.bessel_accuracy",
+                   _bessel_worst(grid, n_rho, R, modes, tol), 1e-8,
+                   note=f"n_rho={n_rho}")]
+
+
+def bessel_error_at(grid, n_rho, R=1.0, tol=1e-13):
+    """Worst Bessel-oracle error over a fixed mode set at one resolution."""
+    modes = [(m, k) for m, k in ((0, 8), (8, 0), (5, 5), (1, 2), (3, 7))
+             if m <= grid.n_theta // 2 - 1 and k <= grid.n_z // 2 - 1]
+    return _bessel_worst(grid, n_rho, R, modes, tol)
 
 
 # Criterion 1b (error drops >= 1e3 as n_rho doubles 24 -> 48) is measured at
@@ -270,6 +264,11 @@ def check_dtn_structure(grid, n_rho, seed, R=1.0, sigma=1.0, n_states=100,
     ]
 
 
+# battery thresholds of TraceBundle.identity_residuals
+TRACE_THRESHOLDS = {"gradient_identity": 1e-10, "b_formula": 1e-9,
+                    "g_consistency": 1e-9}
+
+
 def check_trace_identities(grid, n_rho, seed, R=1.0, tol=1e-12):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
@@ -279,14 +278,8 @@ def check_trace_identities(grid, n_rho, seed, R=1.0, tol=1e-12):
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
     psi = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=0.3)
     bundle = solver.trace_bundle(eta, psi, tol)
-    return [
-        _below("trace.gradient_identity",
-               bundle.gradient_identity_residual(psi, eta), 1e-10),
-        _below("trace.b_formula",
-               bundle.b_formula_residual(psi, eta), 1e-9),
-        _below("trace.g_consistency",
-               (bundle.G - bundle.G_trace).max_norm(), 1e-9),
-    ]
+    return [_below("trace." + name, value, TRACE_THRESHOLDS[name])
+            for name, value in bundle.identity_residuals(psi, eta).items()]
 
 
 def check_shape_derivative(grid, n_rho, seed, R=1.0, tol=1e-12):

@@ -264,6 +264,15 @@ class TestDispersionCommand:
             assert rel < 1e-8
             assert a > 0.0  # k = 0 scans of m >= 2 and axial kR > 1: stable
 
+    @pytest.mark.parametrize("modes", ["1 2 3", "1 0.3", "1.5 2"])
+    def test_bad_modes_exit_2(self, tmp_path, capsys, modes):
+        """Three fields, k off the axial lattice, non-integer m."""
+        path = write(tmp_path, BASE + f"\n[dispersion]\nmodes = {modes}\n")
+        code = main(["dispersion", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'modes'" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

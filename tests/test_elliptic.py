@@ -26,6 +26,7 @@ from jetwave.spectral import (
     band_limited_random,
     integrate_product,
 )
+from jetwave.verification import TRACE_THRESHOLDS
 
 R = 1.0
 
@@ -368,9 +369,10 @@ class TestDtn:
         eta = smooth_surface(grid32, rng, R, amp=0.05)
         psi = band_limited_random(grid32, rng, kmax=3, decay=3.0, max_norm=0.3)
         b = solver32.trace_bundle(eta, psi, 1e-12)
-        assert b.gradient_identity_residual(psi, eta) < 1e-10
-        assert b.b_formula_residual(psi, eta) < 1e-9
-        assert (b.G - b.G_trace).max_norm() < 1e-9
+        res = b.identity_residuals(psi, eta)
+        assert list(res) == ["gradient_identity", "b_formula", "g_consistency"]
+        for name, value in res.items():
+            assert value < TRACE_THRESHOLDS[name], name
 
     def test_spectral_convergence_pre_floor(self, grid32):
         """Bessel error decays faster than any fixed power over the

@@ -21,6 +21,7 @@ from jetwave.symbols import (
     symbol_identity_report,
     symmetrizer_symbols,
     w_derivatives,
+    xi_gradient,
 )
 
 R = 1.0
@@ -66,6 +67,19 @@ class TestLambdaSymbol:
             assert np.abs(diff).max() < 1e-12
             assert np.array_equal(lam.sub_at(m, k),
                                   (l2 / e) * big_A.sub_at(m, k))
+
+    @pytest.mark.parametrize("xi", [(0.3, 0.4), (0.6, -0.1), (3.0, -2.0),
+                                    (11.0, 4.0)])
+    def test_xi_gradient_cylinder_closed_form(self, grid16, xi):
+        """The complex-step xi-gradient of lambda^(1) on a cylinder of
+        radius Rc against d_xi sqrt(xi_t^2/Rc^2 + xi_z^2), also at |xi| < 1."""
+        Rc = 1.3
+        xt, xz = xi
+        lam1 = np.sqrt(xt ** 2 / Rc ** 2 + xz ** 2)
+        lam = lambda_symbol(TorusField.constant(grid16, Rc))
+        gt, gz = xi_gradient(lam.principal, xt, xz)
+        assert np.abs(gt - xt / (Rc ** 2 * lam1)).max() <= 1e-10
+        assert np.abs(gz - xz / lam1).max() <= 1e-10
 
     def test_homogeneity_and_reality(self, grid32):
         lam = lambda_symbol(_deformed(grid32))
@@ -246,17 +260,6 @@ class TestReport:
             _deformed(grid32), SIGMA, R, fault="lambda0_sign")}
         assert not checks["im_lambda0"].passed
 
-    def test_lattice_mode_documented_accuracy(self, grid16):
-        """With unit-step lattice differences the subprincipal identities
-        inherit the O(|xi|^-2) truncation error of the quadrature; they are
-        reported at the percent scale rather than certified at 1e-8."""
-        checks = {c.name: c for c in symbol_identity_report(
-            _deformed(grid16), SIGMA, R, dxi_mode="lattice")}
-        assert checks["im_lambda0"].residual < 5e-2
-        assert checks["im_lambda0"].residual > 1e-8  # genuinely FD-limited
-        # identities whose xi-derivatives cancel by construction stay exact
-        assert checks["mu2_two_paths"].residual < 1e-10
-
 
 # Residuals of the report on _deformed(grid32), as float.hex, recorded before
 # the report shared evaluations between identities (x86-64, numpy 2.x).
@@ -278,23 +281,6 @@ _PINNED = {
         "factorization_rho_1": "0x1.40020747085d5p-42",
         "factorization_rho_0_7": "0x1.400017785c8bap-41",
     },
-    "lattice": {
-        "mu2_eq_a2_lambda1_sq": "0x1.c000000000000p-43",
-        "mu2_two_paths": "0x1.8000000000000p-43",
-        "p_times_lambda_eq_gamma_q": "0x1.0000000000000p-46",
-        "q_sigma_mu2_eq_gamma_p": "0x1.0000000000000p-43",
-        "im_lambda0": "0x1.58a853ce87448p-7",
-        "im_mu1": "0x1.cc61ef71222f4p-6",
-        "re_mu1": "0x0.0p+0",
-        "q0_equation": "0x1.161ad1f9f2938p-5",
-        "lambda_parametrix": "0x1.99b9133089e10p-5",
-        "poisson_gamma_mollifier": "0x1.d3154d54e7e7cp-7",
-        "homogeneity": "0x1.0000000000000p-51",
-        "ellipticity_margin": "-0x1.a8a23f757b69ep-2",
-        "lambda_reality": "0x1.0001fffe00040p-49",
-        "factorization_rho_1": "0x1.40020747085d5p-42",
-        "factorization_rho_0_7": "0x1.400017785c8bap-41",
-    },
 }
 # the lambda0_sign fault moves only the Im-lambda0 identity
 _PINNED["fault"] = dict(_PINNED["analytic"], im_lambda0="0x1.bde9ff8804867p-4")
@@ -306,12 +292,11 @@ def _hex_report(*args, **kwargs):
 
 
 class TestReportPinned:
-    """Every residual, bit for bit, in both xi-derivative modes."""
+    """Every residual, bit for bit."""
 
-    @pytest.mark.parametrize("mode", ["analytic", "lattice"])
-    def test_modes(self, grid32, mode):
-        got = _hex_report(_deformed(grid32), SIGMA, R, dxi_mode=mode)
-        assert got == _PINNED[mode]
+    def test_analytic(self, grid32):
+        got = _hex_report(_deformed(grid32), SIGMA, R)
+        assert got == _PINNED["analytic"]
 
     def test_fault(self, grid32):
         got = _hex_report(_deformed(grid32), SIGMA, R, fault="lambda0_sign")
