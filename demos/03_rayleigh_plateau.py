@@ -29,9 +29,9 @@ R, sigma = 1.0, 2.0
 
 print("== dispersion about the cylinder (FD Jacobian vs closed form) ==")
 grid = TorusGrid(16, 16)
-rows = measure_dispersion(grid, R, sigma,
+rows = measure_dispersion(DtnSolver(grid, 32), R, sigma,
                           [(0, 1.0), (0, 2.0), (1, 1.0), (2, 0.0), (3, 0.0)],
-                          n_rho=32, tol=1e-12)
+                          1e-12)
 print("  m    k     omega^2 analytic   omega^2 measured    rel err")
 for m, k, a, b, rel in rows:
     print(f"  {m}  {k:4.1f}   {a:16.10f}   {b:16.10f}   {rel:.1e}")

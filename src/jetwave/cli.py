@@ -14,8 +14,8 @@ dtn         solve one Dirichlet-to-Neumann problem and dump the boundary
 Flags: --config PATH (required), --out DIR (default ./out), --seed UINT
 (default 0), --quiet.  Exit codes: 0 success, 2 configuration error,
 3 verification failure, 4 pinch-off abort, 5 solver failure (an elliptic
-solve did not converge or a symbol lost ellipticity; the simulate manifest
-names the cause and the last valid t).
+solve did not converge or a symbol lost ellipticity, in any subcommand; the
+manifest names the cause, and the simulate manifest the last valid t).
 
 Configuration is flat INI-style key=value text with sections
 grid/physics/ic/evolution/output (plus optional dispersion/verify).
@@ -33,7 +33,7 @@ import configparser
 import os
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError, EllipticityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,15 +75,20 @@ def _parse_dt(text):
     return "auto" if text.strip() == "auto" else float(text)
 
 
+def _grid(cfg):
+    from .spectral import TorusGrid
+
+    return TorusGrid(cfg["n_theta"], cfg["n_z"], cfg["z_period"])
+
+
 def _check_ranges(out):
     """Run the value checks of the objects the subcommands build, so a bad
     value exits 2 with its key named instead of failing mid-run."""
     from .elliptic import TOL_RANGE, RadialGrid
     from .evolution import EvolutionConfig
-    from .spectral import TorusGrid
 
     try:
-        TorusGrid(out["n_theta"], out["n_z"], out["z_period"])
+        _grid(out)
         RadialGrid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
                         filter_eps=out["filter_eps"],
@@ -99,21 +104,27 @@ def _check_ranges(out):
                           f"{out['elliptic_tol']:g} outside [{lo:g}, {hi:g}]")
 
 
-def _dispersion_modes(raw, out):
-    """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or the
-    default set if it is empty; m must be an integer and k lie on the axial
-    lattice of the configured grid."""
-    from .spectral import TorusField, TorusGrid
+def _check_lattice(out, ks):
+    """Raise ValueError unless every axial wavenumber in ks lies on the
+    axial lattice of the configured grid (TorusField.from_modes's rule)."""
+    from .spectral import TorusField
 
+    TorusField.from_modes(_grid(out), [(0.0, 0, k, 0.0) for k in ks])
+
+
+def _dispersion_modes(raw, out):
+    """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or, if
+    it is empty, a default set with k = dz and 2 dz on the axial lattice
+    (dz = 2 pi/z_period); m must be an integer and k lie on the lattice."""
     if not raw.strip():
-        return [(0, 1.0), (0, 2.0), (1, 1.0), (2, 0.0), (3, 0.0), (4, 0.0)]
+        dz = _grid(out).dz_lattice
+        return [(0, dz), (0, 2.0 * dz), (1, dz), (2, 0.0), (3, 0.0), (4, 0.0)]
     try:
         modes = []
         for chunk in filter(None, (c.strip() for c in raw.split(";"))):
             m, k = chunk.split()
             modes.append((int(m), float(k)))
-        grid = TorusGrid(out["n_theta"], out["n_z"], out["z_period"])
-        TorusField.from_modes(grid, [(0.0, m, k, 0.0) for m, k in modes])
+        _check_lattice(out, [k for _, k in modes])
     except ValueError as exc:
         raise ConfigError(f"bad value for 'modes' ({raw.strip()!r}): "
                           f"{exc}") from exc
@@ -189,6 +200,7 @@ def load_config(path):
             try:
                 out["modes"].append(
                     (float(amp), int(m), float(k), target, float(phase)))
+                _check_lattice(out, [float(k)])
             except ValueError as exc:
                 raise ConfigError(f"bad value in mode '{key}': {exc}") from exc
     return out
@@ -196,14 +208,19 @@ def load_config(path):
 
 def _build_state(cfg):
     from .geometry import SurfaceState
-    from .spectral import TorusField, TorusGrid
+    from .spectral import TorusField
 
-    grid = TorusGrid(cfg["n_theta"], cfg["n_z"], cfg["z_period"])
+    grid = _grid(cfg)
     eta_modes = [(a, m, k, p) for a, m, k, t, p in cfg["modes"] if t == "eta"]
     psi_modes = [(a, m, k, p) for a, m, k, t, p in cfg["modes"] if t == "psi"]
     eta = TorusField.constant(grid, cfg["R"]) + TorusField.from_modes(grid, eta_modes)
     psi = TorusField.from_modes(grid, psi_modes)
     return SurfaceState(eta, psi, cfg["R"], cfg["sigma"])
+
+
+def _cause(exc):
+    """How a manifest names a solver failure: 'ErrorType: message'."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _write_manifest(path, entries):
@@ -246,7 +263,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
                rows)
     manifest = os.path.join(out_dir, cfg["prefix"] + "_manifest.txt")
     t_last = traj.times[-1] if traj.times else state.t
-    cause = [("cause", traj.cause)] if traj.cause else []
+    cause = [("cause", _cause(traj.error))] if traj.error else []
     _write_manifest(manifest, [
         ("command", "simulate"),
         ("status", traj.status),
@@ -268,20 +285,19 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         print(f"wrote {series}")
         print(f"wrote {manifest}")
         print(f"status: {traj.status}, last valid t = {_fmt(t_last)}")
-    if traj.cause:
-        print(f"solver failure: {traj.cause}", file=sys.stderr)
+    if traj.error:
+        print(f"solver failure: {_cause(traj.error)}", file=sys.stderr)
     return {"pinch_off": EXIT_PINCH, "solver_failure": EXIT_SOLVER}.get(
         traj.status, EXIT_OK)
 
 
 def cmd_dispersion(cfg, out_dir, seed, quiet):
+    from .elliptic import DtnSolver
     from .evolution import measure_dispersion
-    from .spectral import TorusGrid
 
-    grid = TorusGrid(cfg["n_theta"], cfg["n_z"], cfg["z_period"])
-    rows = measure_dispersion(grid, cfg["R"], cfg["sigma"],
-                              cfg["dispersion_modes"], n_rho=cfg["n_rho"],
-                              tol=cfg["elliptic_tol"])
+    rows = measure_dispersion(DtnSolver(_grid(cfg), cfg["n_rho"]), cfg["R"],
+                              cfg["sigma"], cfg["dispersion_modes"],
+                              cfg["elliptic_tol"])
     path = os.path.join(out_dir, cfg["prefix"] + "_dispersion.csv")
     _write_csv(path, ["m", "k", "omega2_analytic", "omega2_measured",
                       "rel_error"], rows)
@@ -294,11 +310,9 @@ def cmd_dispersion(cfg, out_dir, seed, quiet):
 
 
 def cmd_verify(cfg, out_dir, seed, quiet):
-    from .spectral import TorusGrid
     from .verification import run_battery
 
-    grid = TorusGrid(cfg["n_theta"], cfg["n_z"], cfg["z_period"])
-    checks = run_battery(grid, cfg["n_rho"], seed, cfg["R"], cfg["sigma"],
+    checks = run_battery(_grid(cfg), cfg["n_rho"], seed, cfg["R"], cfg["sigma"],
                          fault=cfg["fault"], heavy=cfg["heavy"],
                          n_structure_states=cfg["structure_states"])
     path = os.path.join(out_dir, cfg["prefix"] + "_verify.txt")
@@ -391,6 +405,14 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ConvergenceError, EllipticityError) as exc:
+        # simulate records its own failure; the other subcommands end here
+        print(f"solver failure: {_cause(exc)}", file=sys.stderr)
+        manifest = f"{cfg['prefix']}_{args.command}_manifest.txt"
+        _write_manifest(os.path.join(args.out, manifest), [
+            ("command", args.command), ("status", "solver_failure"),
+            ("cause", _cause(exc)), ("seed", args.seed)])
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

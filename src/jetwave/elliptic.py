@@ -53,6 +53,9 @@ the discrete operator), which is the discretization of the duality pairing
 
 note the eta-weight on the left, required for consistency with the kinetic
 energy  E_k = 1/2 * integral psi (eta G(eta) psi).
+
+Every function that solves takes the caller's DtnSolver and elliptic
+tolerance; the module keeps no solver of its own.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class PotentialField:
     """
 
     def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual, eta=None, co=None):
+                 iterations, residual, eta, co):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
         self.radial = radial
@@ -599,17 +602,12 @@ class DtnSolver:
         return self.energy(pot.values, pot._co)
 
 
-@lru_cache(maxsize=8)
-def default_solver(grid: TorusGrid, n_rho=48) -> DtnSolver:
-    return DtnSolver(grid, n_rho)
-
-
 # ---------------------------------------------------------------------------
 # shape derivative and Hamiltonian variations
 # ---------------------------------------------------------------------------
 
 def shape_derivative(eta: TorusField, psi: TorusField, delta_eta: TorusField,
-                     solver: DtnSolver = None, tol=1e-12) -> TorusField:
+                     solver: DtnSolver, tol) -> TorusField:
     """Derivative of G(eta)psi with respect to eta in direction delta_eta:
 
         -G(eta)(B delta_eta) - d_theta((V_theta/eta) delta_eta)
@@ -618,8 +616,6 @@ def shape_derivative(eta: TorusField, psi: TorusField, delta_eta: TorusField,
     Requires two elliptic solves (one for psi, one for the Dirichlet data
     B * delta_eta).
     """
-    if solver is None:
-        solver = default_solver(eta.grid)
     bundle = solver.trace_bundle(eta, psi, tol)
     data = dealiased_product(bundle.B, delta_eta)
     second = solver.trace_bundle(eta, data, tol)
@@ -634,18 +630,15 @@ def shape_derivative(eta: TorusField, psi: TorusField, delta_eta: TorusField,
     )
 
 
-def fd_shape_derivative(eta, psi, delta_eta, eps, solver=None, tol=1e-12):
+def fd_shape_derivative(eta, psi, delta_eta, eps, solver: DtnSolver, tol):
     """Central finite difference [G(eta+eps d) - G(eta-eps d)] / (2 eps)."""
-    if solver is None:
-        solver = default_solver(eta.grid)
     plus = solver.trace_bundle(eta + eps * delta_eta, psi, tol).G
     minus = solver.trace_bundle(eta - eps * delta_eta, psi, tol).G
     return (1.0 / (2.0 * eps)) * (plus - minus)
 
 
 def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
-                           solver: DtnSolver = None, tol=1e-12,
-                           eps_scale=1e-4):
+                           solver: DtnSolver, tol):
     """Both variational identities of the Hamiltonian formulation.
 
     Returns (fd_p, analytic_p, fd_eta, analytic_eta) where the FD entries are
@@ -657,8 +650,6 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
         analytic_eta = integral (-psi G(eta) psi
                                  + eta (sigma (H - 1/(2R)) + N)) . delta_eta.
     """
-    if solver is None:
-        solver = default_solver(eta.grid)
     eta = eta.drop_nyquist()
     psi = psi.drop_nyquist()
     delta_p = delta_p.drop_nyquist()
@@ -670,11 +661,11 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
         ek = solver.kinetic_energy(eta_f, psi_f, tol)
         return ek + potential_energy(eta_f, R, sigma)
 
-    eps_p = eps_scale * max(p.max_norm(), 1.0) / max(delta_p.max_norm(), 1e-30)
+    eps_p = 1e-4 * max(p.max_norm(), 1.0) / max(delta_p.max_norm(), 1e-30)
     fd_p = (total_energy(eta, p + eps_p * delta_p)
             - total_energy(eta, p - eps_p * delta_p)) / (2.0 * eps_p)
 
-    eps_e = eps_scale * eta.max_norm() / max(delta_eta.max_norm(), 1e-30)
+    eps_e = 1e-4 * eta.max_norm() / max(delta_eta.max_norm(), 1e-30)
     fd_eta = (total_energy(eta + eps_e * delta_eta, p)
               - total_energy(eta - eps_e * delta_eta, p)) / (2.0 * eps_e)
 

@@ -19,6 +19,9 @@ applied once per step to both fields when eps > 0.
 Simulation stops normally at t_final or terminally when min(eta) drops below
 1e-3 R (pinch-off: the cylinder-graph model leaves its domain of validity);
 the trajectory records which.
+
+Every function that solves takes the caller's DtnSolver and elliptic
+tolerance; the module keeps no solver of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import iv, ivp
 
-from .elliptic import DtnSolver, default_solver
+from .elliptic import DtnSolver
 from .errors import ConvergenceError, DomainViolationError, EllipticityError
 from .geometry import (
     SurfaceState,
@@ -77,13 +80,14 @@ def linearized_growth_rate(R, sigma, m, k):
     return complex(np.sqrt(complex(omega_sq)))
 
 
-def measure_dispersion(grid, R, sigma, modes, n_rho=32, eps=1e-6, tol=1e-12):
+def measure_dispersion(solver: DtnSolver, R, sigma, modes, tol):
     """omega^2 measured by central finite-difference Jacobian action of the
     right-hand side about the equilibrium, one row per (m, k).
 
     Returns rows (m, k, omega2_analytic, omega2_measured, rel_error).
     """
-    solver = default_solver(grid, n_rho)
+    grid = solver.grid
+    eps = 1e-6
     rows = []
     for m, k in modes:
         v = TorusField.from_modes(grid, [(1.0, m, k, 0.0)])
@@ -114,11 +118,9 @@ def measure_dispersion(grid, R, sigma, modes, n_rho=32, eps=1e-6, tol=1e-12):
 # right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def rhs(state: SurfaceState, solver: DtnSolver = None, tol=1e-11, guess=None):
+def rhs(state: SurfaceState, solver: DtnSolver, tol, guess=None):
     """(eta_t, psi_t, bundle) of the jet system at a state; the elliptic
     solve starts from guess (a nodal potential stack), if given."""
-    if solver is None:
-        solver = default_solver(state.grid)
     bundle = solver.trace_bundle(state.eta, state.psi, tol, guess=guess)
     eta_t = bundle.G
     H = mean_curvature(state.eta)
@@ -150,9 +152,8 @@ class Rk4Step(NamedTuple):
     iterations: int
 
 
-def step_rk4(state: SurfaceState, dt, filter_eps=0.0,
-             solver: DtnSolver = None, tol=1e-11, *, k1=None,
-             previous: Rk4Step = None) -> Rk4Step:
+def step_rk4(state: SurfaceState, dt, filter_eps, solver: DtnSolver, tol, *,
+             k1=None, previous: Rk4Step = None) -> Rk4Step:
     """One classical fourth-order step; the filter (if any) acts once at the
     end on both fields.
 
@@ -162,8 +163,6 @@ def step_rk4(state: SurfaceState, dt, filter_eps=0.0,
     from phi1 + (phi4 - phi1)/2 of that step.  The guesses change only where
     CG starts, not its stopping test.
     """
-    if solver is None:
-        solver = default_solver(state.grid)
 
     def f(eta, psi, guess):
         return rhs(state.with_fields(eta=eta, psi=psi), solver, tol, guess)
@@ -255,15 +254,15 @@ class EnergyReport:
 class Trajectory:
     """Recorded snapshots of a simulation, strictly increasing in time.
 
-    status is "completed", "pinch_off" or "solver_failure"; cause names the
-    error of a solver failure.
+    status is "completed", "pinch_off" or "solver_failure"; error is the
+    ConvergenceError or EllipticityError that ended a solver failure.
     """
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     status: str = "completed"
-    cause: str = ""
+    error: Exception | None = None
     dt: float = 0.0
 
     def record(self, state, report):
@@ -283,7 +282,7 @@ class Trajectory:
 
 
 def simulate(state0: SurfaceState, config: EvolutionConfig,
-             solver: DtnSolver = None) -> Trajectory:
+             solver: DtnSolver) -> Trajectory:
     """Advance to t_final, recording energy reports; a pinch-off abort
     (min eta < 1e-3 R) is a normal terminal outcome carrying diagnostics.
 
@@ -291,11 +290,9 @@ def simulate(state0: SurfaceState, config: EvolutionConfig,
     so only the final state is solved for its energy alone; each report's
     elliptic_iterations sums the CG iterations of the stage solves since the
     report before.  A ConvergenceError or EllipticityError ends the run with
-    status "solver_failure" and its message as cause; the records stop at
+    status "solver_failure" and is kept as its error; the records stop at
     the last state whose report was made.
     """
-    if solver is None:
-        solver = default_solver(state0.grid)
     dt = config.resolve_dt(state0.grid, state0.sigma, state0.eta.mean())
     traj = Trajectory(dt=dt)
     try:
@@ -304,7 +301,7 @@ def simulate(state0: SurfaceState, config: EvolutionConfig,
         traj.status = "pinch_off"
     except (ConvergenceError, EllipticityError) as exc:
         traj.status = "solver_failure"
-        traj.cause = f"{type(exc).__name__}: {exc}"
+        traj.error = exc
     return traj
 
 

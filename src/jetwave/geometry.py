@@ -76,10 +76,6 @@ class SurfaceState:
     def grid(self):
         return self.eta.grid
 
-    def momentum(self):
-        """p = eta * psi, the density-weighted potential trace."""
-        return dealiased_product(self.eta, self.psi)
-
     def with_fields(self, eta=None, psi=None, t=None):
         return replace(
             self,

@@ -143,7 +143,7 @@ class TorusField:
 
     __slots__ = ("grid", "values", "_coefficients")
 
-    def __init__(self, grid: TorusGrid, values, _coefficients=None):
+    def __init__(self, grid: TorusGrid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_theta, grid.n_z):
             raise ValueError("field shape does not match grid")
@@ -151,7 +151,7 @@ class TorusField:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_coefficients", _coefficients)
+        object.__setattr__(self, "_coefficients", None)
 
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
@@ -266,11 +266,11 @@ def spectral_derivative(f: TorusField, direction, order=1):
     if order < 1 or order > 4:
         raise ValueError("derivative order must be between 1 and 4")
     grid = f.grid
-    if direction in ("theta", 0):
+    if direction == "theta":
         xi = grid.xi_theta[:, None]
         nyq = np.zeros((grid.n_theta, grid.n_z), dtype=bool)
         nyq[grid.n_theta // 2, :] = True
-    elif direction in ("z", 1):
+    elif direction == "z":
         xi = grid.xi_z[None, :]
         nyq = np.zeros((grid.n_theta, grid.n_z), dtype=bool)
         nyq[:, grid.n_z // 2] = True

@@ -132,14 +132,16 @@ def w_derivatives(arr, grid: TorusGrid):
 
 def xi_gradient(fn, xi_t, xi_z):
     """Gradient in xi of a symbol closure, by central complex step
-    h ~ 1e-5 max(1, |xi|); exact to ~1e-11 for holomorphic closures."""
+    h = 1e-5 |xi| (1e-5 at xi = 0); exact to ~1e-11 for holomorphic
+    closures, at small |xi| too."""
     return _evaluate(_xi_gradient, fn, xi_t, xi_z)
 
 
 def _xi_gradient(fn, xi_t, xi_z):
     xi_t = np.asarray(xi_t, dtype=float)
     xi_z = np.asarray(xi_z, dtype=float)
-    h = 1e-5 * np.maximum(1.0, np.sqrt(xi_t ** 2 + xi_z ** 2))
+    r = np.sqrt(xi_t ** 2 + xi_z ** 2)
+    h = 1e-5 * np.where(r == 0.0, 1.0, r)
     gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) / (2j * h)
     gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) / (2j * h)
     return gt, gz
@@ -188,18 +190,13 @@ class HomogeneousSymbol:
     def principal_at(self, xi_t, xi_z):
         return self.principal(_as_xi(xi_t), _as_xi(xi_z))
 
-    def sub_at(self, xi_t, xi_z):
-        if self.subprincipal is None:
-            return np.zeros((self.grid.n_theta, self.grid.n_z), dtype=complex)
-        return self.subprincipal(_as_xi(xi_t), _as_xi(xi_z))
-
     # -- invariants ---------------------------------------------------------
-    def homogeneity_residual(self, t=2.0, n_samples=12):
-        """max |a^(m)(t xi) - t^m a^(m)(xi)| / |xi|^m on |xi| = 1 rays."""
-        ang = np.linspace(0.0, np.pi, n_samples, endpoint=False) + 0.2
+    def homogeneity_residual(self):
+        """max |a^(m)(2 xi) - 2^m a^(m)(xi)| over 12 rays of |xi| = 1."""
+        ang = np.linspace(0.0, np.pi, 12, endpoint=False) + 0.2
         p1 = self.principal_at(np.cos(ang), np.sin(ang))
-        p2 = self.principal_at(t * np.cos(ang), t * np.sin(ang))
-        return float(np.abs(p2 - t ** self.degree * p1).max())
+        p2 = self.principal_at(2.0 * np.cos(ang), 2.0 * np.sin(ang))
+        return float(np.abs(p2 - 2.0 ** self.degree * p1).max())
 
     def reality_residual(self):
         """max |a(w, -xi) - conj a(w, xi)| over a lattice sample."""
@@ -209,13 +206,10 @@ class HomogeneousSymbol:
         minus = self.total(-xt[take], -xz[take])
         return float(np.abs(minus - np.conj(plus)).max())
 
-    def ellipticity_margin(self, n_samples=16):
-        """min over |xi| = 1 of Re a^(m); positive for elliptic symbols."""
-        ang = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False) + 0.13
+    def ellipticity_margin(self):
+        """min Re a^(m) at 16 points of |xi| = 1; positive if elliptic."""
+        ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False) + 0.13
         return float(np.real(self.principal_at(np.cos(ang), np.sin(ang))).min())
-
-    def is_elliptic(self):
-        return self.ellipticity_margin() > 0.0
 
 
 # ---------------------------------------------------------------------------

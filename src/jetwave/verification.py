@@ -32,7 +32,6 @@ from .evolution import (
     simulate,
     step_rk4,
 )
-from .errors import JetwaveError
 from .geometry import grad_bar_eta, mean_curvature
 from .paradiff import apply_paradiff, bony_remainder, good_unknown, paraproduct
 from .spectral import (
@@ -82,11 +81,11 @@ def _above(name, value, threshold, note=""):
 
 
 def _run(state, cfg, solver):
-    """simulate for a check: a solver failure raises, as it does in a
-    direct solve, so no check measures a truncated trajectory."""
+    """simulate for a check: a solver failure raises its error, as a direct
+    solve does, so no check measures a truncated trajectory."""
     traj = simulate(state, cfg, solver)
-    if traj.status == "solver_failure":
-        raise JetwaveError(traj.cause)
+    if traj.error is not None:
+        raise traj.error
     return traj
 
 
@@ -173,7 +172,7 @@ def _bessel_worst(grid, n_rho, R, modes, tol):
     return worst
 
 
-def check_dtn_bessel(grid, n_rho, R=1.0, tol=1e-12):
+def check_dtn_bessel(grid, n_rho, R=1.0):
     """Criterion: relative error vs the Bessel oracle below 1e-8 for all
     resolved 1 <= |(m,k)| <= 8 (k on the axial lattice)."""
     dz = grid.dz_lattice
@@ -182,15 +181,15 @@ def check_dtn_bessel(grid, n_rho, R=1.0, tol=1e-12):
              if 1.0 <= np.hypot(m, k) <= 8.0 and m <= grid.n_theta // 2 - 1
              and k / dz <= grid.n_z // 2 - 1]
     return [_below("dtn.bessel_accuracy",
-                   _bessel_worst(grid, n_rho, R, modes, tol), 1e-8,
+                   _bessel_worst(grid, n_rho, R, modes, 1e-12), 1e-8,
                    note=f"n_rho={n_rho}")]
 
 
-def bessel_error_at(grid, n_rho, R=1.0, tol=1e-13):
+def bessel_error_at(grid, n_rho, R=1.0):
     """Worst Bessel-oracle error over a fixed mode set at one resolution."""
     modes = [(m, k) for m, k in ((0, 8), (8, 0), (5, 5), (1, 2), (3, 7))
              if m <= grid.n_theta // 2 - 1 and k <= grid.n_z // 2 - 1]
-    return _bessel_worst(grid, n_rho, R, modes, tol)
+    return _bessel_worst(grid, n_rho, R, modes, 1e-13)
 
 
 # Criterion 1b (error drops >= 1e3 as n_rho doubles 24 -> 48) is measured at
@@ -231,8 +230,7 @@ def check_dtn_convergence(grid, R=1.0):
     ]
 
 
-def check_dtn_structure(grid, n_rho, seed, R=1.0, sigma=1.0, n_states=100,
-                        tol=1e-11):
+def check_dtn_structure(grid, n_rho, seed, R=1.0, n_states=100):
     """Self-adjointness, positivity, and G(eta)1 = 0 on a seeded ensemble
     with ||eta - R||_inf <= 0.2 R."""
     rng = np.random.default_rng(seed)
@@ -246,15 +244,15 @@ def check_dtn_structure(grid, n_rho, seed, R=1.0, sigma=1.0, n_states=100,
             grid, rng, kmax=4, max_norm=amp * R)
         psi1 = band_limited_random(grid, rng, kmax=5, max_norm=0.3)
         psi2 = band_limited_random(grid, rng, kmax=5, max_norm=0.3)
-        b1 = solver.trace_bundle(eta, psi1, tol)
-        b2 = solver.trace_bundle(eta, psi2, tol)
+        b1 = solver.trace_bundle(eta, psi1, 1e-11)
+        b2 = solver.trace_bundle(eta, psi2, 1e-11)
         s12 = integrate_product(b1.flux, psi2)
         s21 = integrate_product(b2.flux, psi1)
         scale = 0.5 * (b1.flux.l2_norm() * psi2.l2_norm()
                        + b2.flux.l2_norm() * psi1.l2_norm())
         asym_worst = max(asym_worst, abs(s12 - s21) / scale)
         ek_min = min(ek_min, b1.kinetic_energy, b2.kinetic_energy)
-        bc = solver.trace_bundle(eta, TorusField.constant(grid, 1.7), tol)
+        bc = solver.trace_bundle(eta, TorusField.constant(grid, 1.7), 1e-11)
         gconst_worst = max(gconst_worst, bc.G.max_norm())
     return [
         _below("dtn.symmetry", asym_worst, 1e-8,
@@ -269,7 +267,7 @@ TRACE_THRESHOLDS = {"gradient_identity": 1e-10, "b_formula": 1e-9,
                     "g_consistency": 1e-9}
 
 
-def check_trace_identities(grid, n_rho, seed, R=1.0, tol=1e-12):
+def check_trace_identities(grid, n_rho, seed, R=1.0):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
@@ -277,12 +275,12 @@ def check_trace_identities(grid, n_rho, seed, R=1.0, tol=1e-12):
     eta = TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
     psi = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=0.3)
-    bundle = solver.trace_bundle(eta, psi, tol)
+    bundle = solver.trace_bundle(eta, psi, 1e-12)
     return [_below("trace." + name, value, TRACE_THRESHOLDS[name])
             for name, value in bundle.identity_residuals(psi, eta).items()]
 
 
-def check_shape_derivative(grid, n_rho, seed, R=1.0, tol=1e-12):
+def check_shape_derivative(grid, n_rho, seed, R=1.0):
     grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
@@ -291,8 +289,8 @@ def check_shape_derivative(grid, n_rho, seed, R=1.0, tol=1e-12):
         grid, rng, kmax=kmax, decay=decay, max_norm=0.08 * R)
     psi = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=0.3)
     delta = band_limited_random(grid, rng, kmax=kmax, decay=decay, max_norm=4.0)
-    analytic = shape_derivative(eta, psi, delta, solver, tol)
-    fds = [fd_shape_derivative(eta, psi, delta, eps, solver, tol)
+    analytic = shape_derivative(eta, psi, delta, solver, 1e-12)
+    fds = [fd_shape_derivative(eta, psi, delta, eps, solver, 1e-12)
            for eps in (1e-3, 1e-4, 1e-5)]
     rel = (analytic - fds[1]).l2_norm() / analytic.l2_norm()
     d1 = (fds[0] - fds[1]).l2_norm()
@@ -306,7 +304,7 @@ def check_shape_derivative(grid, n_rho, seed, R=1.0, tol=1e-12):
     ]
 
 
-def check_cancellation(grid, n_rho, seed, R=1.0, tol=1e-12):
+def check_cancellation(grid, n_rho, seed, R=1.0):
     """delta_eta = 1: the combination G(eta)B + div_bar V decays one dyadic
     order faster than its summands.  Measured as the per-band suppression
     ratio ||Delta_j combo|| / ||Delta_j G(eta)B|| shrinking by >= 2^0.5 per
@@ -319,8 +317,8 @@ def check_cancellation(grid, n_rho, seed, R=1.0, tol=1e-12):
     eta = TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=3, max_norm=0.1 * R)
     psi = band_limited_random(grid, rng, kmax=3, max_norm=0.3)
-    bundle = solver.trace_bundle(eta, psi, tol)
-    gb = solver.trace_bundle(eta, bundle.B, tol).G
+    bundle = solver.trace_bundle(eta, psi, 1e-12)
+    gb = solver.trace_bundle(eta, bundle.B, 1e-12).G
     div_v = nonlinear_eval(
         lambda a, e: a / e,
         spectral_derivative(bundle.V_theta, "theta"), eta,
@@ -340,7 +338,7 @@ def check_cancellation(grid, n_rho, seed, R=1.0, tol=1e-12):
 
 
 def check_hamiltonian_variations(grid, n_rho, seed, R=1.0, sigma=1.0,
-                                 n_states=20, tol=1e-12):
+                                 n_states=20):
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
     worst_p = worst_eta = 0.0
@@ -351,7 +349,7 @@ def check_hamiltonian_variations(grid, n_rho, seed, R=1.0, sigma=1.0,
         dp = band_limited_random(grid, rng, kmax=3, max_norm=1.0)
         de = band_limited_random(grid, rng, kmax=3, max_norm=1.0)
         fd_p, an_p, fd_e, an_e = hamiltonian_variations(
-            eta, psi, dp, de, R, sigma, solver, tol)
+            eta, psi, dp, de, R, sigma, solver, 1e-12)
         worst_p = max(worst_p, abs(fd_p - an_p) / max(abs(an_p), 1e-12))
         worst_eta = max(worst_eta, abs(fd_e - an_e) / max(abs(an_e), 1e-12))
     return [
@@ -418,7 +416,7 @@ def check_symbol_vs_bessel(grid, R=1.0):
                    note="per-shell max error, 4 <= |xi| <= 14")]
 
 
-def check_paralinearization(grid, n_rho, seed, R=1.0, tol=1e-12):
+def check_paralinearization(grid, n_rho, seed, R=1.0):
     """Relative L2 size of f1 = G psi - T_lambda U + T_V . grad_bar eta on
     the documented small-amplitude, high-frequency family."""
     rng = np.random.default_rng(seed)
@@ -436,7 +434,7 @@ def check_paralinearization(grid, n_rho, seed, R=1.0, tol=1e-12):
     psi = TorusField.from_coefficients(grid, c)
     psi = psi * (0.3 / psi.max_norm())
 
-    bundle = solver.trace_bundle(eta, psi, tol)
+    bundle = solver.trace_bundle(eta, psi, 1e-12)
     U = good_unknown(eta, psi, bundle.B)
     lam = lambda_symbol(eta)
     gbt, gbz = grad_bar_eta(eta)
@@ -498,9 +496,10 @@ def check_rk4(seed, R=1.0, sigma=1.0):
     ]
 
 
-def check_plateau_growth(R=1.0, sigma=2.0):
+def check_plateau_growth():
     """m = 0, kR = 0.5 on the long torus: measured growth rate vs the
     closed form, seeded on the unstable eigenvector at amplitude 1e-6."""
+    R, sigma = 1.0, 2.0
     grid = TorusGrid(8, 8, z_period=2 * TAU)
     k = 0.5
     rate = linearized_growth_rate(R, sigma, 0, k).imag
@@ -520,9 +519,10 @@ def check_plateau_growth(R=1.0, sigma=2.0):
                    note=f"measured {measured:.6f} vs {rate:.6f}")]
 
 
-def check_plateau_oscillation(R=1.0, sigma=2.0):
+def check_plateau_oscillation():
     """m = 2, k = 0: measured oscillation frequency vs
     omega^2 = sigma m (m^2 - 1)/(2 R^3)."""
+    R, sigma = 1.0, 2.0
     grid = TorusGrid(16, 8)
     omega2 = sigma * 2 * (4 - 1) / (2 * R ** 3)
     eta0 = TorusField.constant(grid, R) + TorusField.from_modes(
@@ -543,19 +543,17 @@ def check_plateau_oscillation(R=1.0, sigma=2.0):
 # battery
 # ---------------------------------------------------------------------------
 
-def run_battery(grid=None, n_rho=48, seed=0, R=1.0, sigma=1.0, fault=None,
+def run_battery(grid, n_rho=48, seed=0, R=1.0, sigma=1.0, fault=None,
                 heavy=True, n_structure_states=100):
     """Run every check; heavy=False skips the long time-integration runs
     (used by quick smoke configurations)."""
-    if grid is None:
-        grid = TorusGrid(32, 32)
     checks = []
     checks += check_transforms(grid, seed)
     checks += check_dyadic(grid, seed + 1)
     checks += check_bony(grid, seed + 2)
     checks += check_curvature(grid, seed + 3, R)
     checks += check_dtn_bessel(grid, n_rho, R)
-    checks += check_dtn_structure(grid, n_rho, seed + 4, R, sigma,
+    checks += check_dtn_structure(grid, n_rho, seed + 4, R,
                                   n_states=n_structure_states)
     checks += check_trace_identities(grid, n_rho, seed + 5, R)
     checks += check_shape_derivative(grid, n_rho, seed + 6, R)

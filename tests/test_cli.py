@@ -19,7 +19,8 @@ from jetwave.cli import (
     main,
 )
 from jetwave.elliptic import DtnSolver
-from jetwave.errors import ConfigError, EllipticityError
+from jetwave.errors import ConfigError, ConvergenceError, EllipticityError
+from jetwave.verification import check_plateau_oscillation
 
 BASE = """
 [grid]
@@ -185,6 +186,41 @@ t_final = 0.5
         self._fail_solves_after(monkeypatch, 5, fail)
         self._check_failure(tmp_path, capsys, "EllipticityError")
 
+    @pytest.mark.parametrize("command", ["dtn", "dispersion", "verify"])
+    def test_solver_failure_exit_5_names_cause(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        def fail(*_):
+            raise EllipticityError("forced: symbol not elliptic")
+
+        self._fail_solves_after(monkeypatch, 0, fail)
+        path = write(tmp_path, BASE + PERTURBED + "\n[verify]\nheavy = false\n")
+        code = main([command, "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_SOLVER
+        assert "EllipticityError" in capsys.readouterr().err
+        manifest = dict(line.split("=", 1) for line in (
+            tmp_path / f"run_{command}_manifest.txt").read_text().splitlines())
+        assert manifest["command"] == command
+        assert manifest["status"] == "solver_failure"
+        assert manifest["cause"] == "EllipticityError: forced: symbol not elliptic"
+
+    def test_check_simulate_failure_raises_its_error(self, monkeypatch):
+        """A solver failure inside a battery simulation surfaces as the
+        error itself, which verify turns into exit 5."""
+        self._fail_solves_after(
+            monkeypatch, 0,
+            lambda solve, *args: solve(*args[:4], max_iter=1, guess=args[4]))
+        with pytest.raises(ConvergenceError):
+            check_plateau_oscillation()
+
+    @pytest.mark.parametrize("command", ["simulate", "dtn"])
+    def test_ic_mode_off_lattice_exit_2(self, tmp_path, capsys, command):
+        path = write(tmp_path, BASE + "[ic]\nmode.1 = 1e-3 0 0.3 eta 0.0\n")
+        code = main([command, "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'mode.1'" in capsys.readouterr().err
+
     def test_verify_fault_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"
                                       "structure_states = 2\n"
@@ -263,6 +299,19 @@ class TestDispersionCommand:
             m, k, a, b, rel = (float(x) for x in line.split(","))
             assert rel < 1e-8
             assert a > 0.0  # k = 0 scans of m >= 2 and axial kR > 1: stable
+
+    def test_default_modes_on_the_axial_lattice(self, tmp_path):
+        """Without a [dispersion] section the modes take k = dz and 2 dz,
+        dz = 2 pi/z_period, on any torus."""
+        path = write(tmp_path, BASE.replace("n_rho = 24",
+                                            "n_rho = 24\nz_period = 3"))
+        code = main(["dispersion", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "run_dispersion.csv").read_text().splitlines()[1:]
+        dz = 2 * np.pi / 3
+        assert [float(line.split(",")[1]) for line in rows] == pytest.approx(
+            [dz, 2 * dz, dz, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("modes", ["1 2 3", "1 0.3", "1.5 2"])
     def test_bad_modes_exit_2(self, tmp_path, capsys, modes):

@@ -105,6 +105,16 @@ class TestSolve:
         assert pot.iterations <= 1
         assert np.abs(pot.strong_residual(eta)).max() < 1e-10
 
+    def test_strong_residual_on_a_deformed_jet(self, grid32, rng):
+        """The collocated strong form vanishes on a solve with a deformed
+        surface and a nonconstant trace, where every coefficient of the
+        mapped Laplacian enters (on the cylinder with a constant trace every
+        term is zero whatever the coefficients)."""
+        eta = smooth_surface(grid32, rng, R, amp=0.05)
+        psi = band_limited_random(grid32, rng, kmax=3, max_norm=0.3)
+        pot = DtnSolver(grid32, 24).solve(eta, psi, tol=1e-12)
+        assert np.abs(pot.strong_residual(eta)).max() < 1e-9
+
     def test_harmonic_power_profile(self, grid32, solver32):
         """eta = R, psi = cos(m theta): the potential is (rho)^m cos(m theta)
         in the mapped radial variable."""

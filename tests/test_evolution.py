@@ -197,9 +197,9 @@ class TestSimulate:
 
 
 class TestDispersion:
-    def test_measured_matches_analytic(self, grid):
-        rows = measure_dispersion(grid, R, SIGMA, [(2, 0.0), (0, 2.0)],
-                                  n_rho=32, tol=1e-12)
+    def test_measured_matches_analytic(self, solver):
+        rows = measure_dispersion(solver, R, SIGMA, [(2, 0.0), (0, 2.0)],
+                                  1e-12)
         for _, _, _, _, rel in rows:
             assert rel < 1e-8
 
@@ -207,16 +207,14 @@ class TestDispersion:
         """m = 0 scan over k in {0.25, 0.5, 0.75}/R: all omega^2 < 0 (the
         quarter wavenumber needs the 8*pi-long torus)."""
         grid = TorusGrid(8, 16, z_period=4 * TAU)
-        rows = measure_dispersion(grid, R, SIGMA,
-                                  [(0, 0.25), (0, 0.5), (0, 0.75)],
-                                  n_rho=24, tol=1e-12)
+        rows = measure_dispersion(DtnSolver(grid, 24), R, SIGMA,
+                                  [(0, 0.25), (0, 0.5), (0, 0.75)], 1e-12)
         for _, _, analytic, measured, rel in rows:
             assert analytic < 0.0 and measured < 0.0
             assert rel < 1e-8
 
-    def test_marginal_mode_measures_zero(self, grid):
-        rows = measure_dispersion(grid, R, SIGMA, [(0, 1.0 / R)], n_rho=32,
-                                  tol=1e-12)
+    def test_marginal_mode_measures_zero(self, solver):
+        rows = measure_dispersion(solver, R, SIGMA, [(0, 1.0 / R)], 1e-12)
         _, _, analytic, measured, _ = rows[0]
         assert analytic == 0.0
         assert abs(measured) < 1e-8 * SIGMA / R ** 3

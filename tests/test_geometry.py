@@ -150,13 +150,6 @@ class TestSurfaceState:
             SurfaceState(TorusField.constant(grid32, 1e-9 * R),
                          TorusField.zeros(grid32), R, SIGMA)
 
-    def test_momentum(self, grid32, rng):
-        state = SurfaceState(smooth_surface(grid32, rng, R),
-                             smooth_surface(grid32, rng, 0.0, amp=1.0) + 0.3,
-                             R, SIGMA)
-        p = state.momentum()
-        assert np.abs(p.values - state.eta.values * state.psi.values).max() < 1e-10
-
     def test_nyquist_projected(self, grid16):
         c = np.zeros((16, 16), dtype=complex)
         c[8, 0] = 1e-3
