@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-simulate    advance a configured initial state, writing a run manifest and a
+simulate    advance a configured initial state, writing a run manifest (with
+            the worst relative CG residual of its solves) and a
             time-series table (t, E_k, E_p, H_total, volume, min_eta,
             max_eta, mean_psi, elliptic_iters)
 dispersion  tabulate analytic vs measured linearized frequencies about the
@@ -112,19 +113,36 @@ def _check_lattice(out, ks):
     TorusField.from_modes(_grid(out), [(0.0, 0, k, 0.0) for k in ks])
 
 
+def _resolved(grid, m, k):
+    """Whether the mode cos(m theta + k z), k on the axial lattice, lies
+    strictly inside the Nyquist band (|m| < n_theta/2, |k|/dz < n_z/2);
+    SurfaceState projects out the rest."""
+    return (abs(m) < grid.n_theta // 2
+            and abs(round(k / grid.dz_lattice)) < grid.n_z // 2)
+
+
 def _dispersion_modes(raw, out):
     """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or, if
-    it is empty, a default set with k = dz and 2 dz on the axial lattice
-    (dz = 2 pi/z_period); m must be an integer and k lie on the lattice."""
+    it is empty, the resolved modes of a default set with k = dz and 2 dz on
+    the axial lattice (dz = 2 pi/z_period); m must be an integer and k lie
+    on the lattice, both inside the Nyquist band."""
+    grid = _grid(out)
     if not raw.strip():
-        dz = _grid(out).dz_lattice
-        return [(0, dz), (0, 2.0 * dz), (1, dz), (2, 0.0), (3, 0.0), (4, 0.0)]
+        dz = grid.dz_lattice
+        default = [(0, dz), (0, 2.0 * dz), (1, dz), (2, 0.0), (3, 0.0), (4, 0.0)]
+        return [(m, k) for m, k in default if _resolved(grid, m, k)]
     try:
         modes = []
         for chunk in filter(None, (c.strip() for c in raw.split(";"))):
             m, k = chunk.split()
             modes.append((int(m), float(k)))
         _check_lattice(out, [k for _, k in modes])
+        for m, k in modes:
+            if not _resolved(grid, m, k):
+                raise ValueError(
+                    f"mode ({m}, {_fmt(k)}) is not resolved on the "
+                    f"{grid.n_theta} x {grid.n_z} grid (needs |m| < "
+                    f"{grid.n_theta // 2} and |k| < {grid.n_z // 2} dz)")
     except ValueError as exc:
         raise ConfigError(f"bad value for 'modes' ({raw.strip()!r}): "
                           f"{exc}") from exc
@@ -279,6 +297,8 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         ("t_final_requested", cfg["t_final"]),
         ("t_last_valid", t_last),
         ("snapshots", len(traj.times)),
+        ("elliptic_residual_max",
+         max((r.elliptic_residual for r in traj.reports), default=0.0)),
         ("series", series),
     ])
     if not quiet:

@@ -35,7 +35,11 @@ eigenbasis per angular mode, built with the solver, inverts it at any mean
 radius; a solve reads the solver and never writes it.  A caller that has a
 nearby potential (the time stepper has one from the previous stage) passes
 it as an explicit starting guess; the stopping test stays relative to the
-cold right-hand side, so a warm solve meets the same accuracy target.
+cold right-hand side, so a warm solve meets the same accuracy target.  A
+warm start applies the operator once, to the guess: the norm of the cold
+right-hand side K(1 (x) psi) comes in closed form from one-layer
+transforms, since the lift is constant in rho and every coefficient of the
+energy form is a radial profile times a (theta, z) layer.
 
 One CG iteration costs seven (theta, z) transforms of an n_rho-layer stack:
 the preconditioner's forward and inverse transform, the inverse transforms
@@ -52,7 +56,11 @@ the discrete operator), which is the discretization of the duality pairing
     integral (eta G(eta) psi) h  =  iint grad phi . grad H  dV;
 
 note the eta-weight on the left, required for consistency with the kinetic
-energy  E_k = 1/2 * integral psi (eta G(eta) psi).
+energy  E_k = 1/2 * integral psi (eta G(eta) psi).  CG already applies the
+full operator, boundary row included, to its start and to every search
+direction, so the solve accumulates that row with the coefficients of its
+iterate and no pass over the potential follows it.  A trace bundle computes
+E_k, a sum of squared strains, only when it is read.
 
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
@@ -60,8 +68,8 @@ tolerance; the module keeps no solver of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _sfft
@@ -219,12 +227,13 @@ class PotentialField:
     """Potential on the mapped cylinder: nodal in rho, grid in (theta, z).
 
     eta is the (Nyquist-projected) radius the potential was solved on;
-    ``_co`` holds that solve's energy-form coefficients for the boundary
-    quantities derived from it.
+    ``_co`` holds that solve's energy-form coefficients.  flux is
+    eta G(eta) psi, the rho = 1 row of the energy operator applied to the
+    potential, over the cell area.
     """
 
     def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual, eta, co):
+                 iterations, residual, eta, co, flux):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
         self.radial = radial
@@ -234,6 +243,7 @@ class PotentialField:
         self.residual = float(residual)
         self.eta = eta
         self._co = co
+        self.flux = flux
 
     def trace(self) -> TorusField:
         """phi at rho = 1 (equals the Dirichlet data exactly)."""
@@ -282,9 +292,12 @@ class TraceBundle:
     """Boundary quantities derived from one elliptic solve.
 
     G is the variational Dirichlet-to-Neumann value (flux / eta);
-    flux = eta * G(eta) psi.  potential is the read-only nodal potential
-    stack of the solve, a starting guess for the next solve at a nearby
-    state.
+    flux = eta * G(eta) psi, the rho = 1 row of the energy operator, which
+    CG accumulates alongside its iterate.  potential is the read-only nodal
+    potential stack of the solve, a starting guess for the next solve at a
+    nearby state, and eta the Nyquist-projected radius it was solved on.
+    kinetic_energy, the Dirichlet energy of potential, is computed on first
+    read (the energy-form coefficients are rebuilt from eta then, not kept).
     """
 
     B: TorusField
@@ -293,10 +306,18 @@ class TraceBundle:
     N: TorusField
     G: TorusField
     flux: TorusField
-    kinetic_energy: float
     iterations: int
     residual: float
     potential: np.ndarray
+    eta: TorusField
+    _solver: "DtnSolver" = field(repr=False, compare=False)
+
+    @cached_property
+    def kinetic_energy(self) -> float:
+        """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy;
+        nonnegative by construction."""
+        return self._solver.energy(self.potential,
+                                   self._solver._coefficients(self.eta))
 
     def identity_residuals(self, psi: TorusField, eta: TorusField):
         """Max-norm residuals of the trace identities at the solve's data:
@@ -471,14 +492,42 @@ class DtnSolver:
         out -= self._w_divergence(f_theta, f_z)
         return out
 
-    @staticmethod
-    def _strain_energy(strains, co):
-        e1, e2, e3 = strains
-        return 0.5 * float(np.sum(co[4] * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
+    def _apply_K_lift(self, psi, co):
+        """``_apply_K`` of the lift 1 (x) psi, equal to roundoff, from
+        one-layer transforms.
+
+        Every coefficient is a radial profile times a (theta, z) layer:
+        c1 = a, c2 = a/rho, c3 = s, c4 = rho t and mu = w rho M, whose layers
+        are the coefficients' rho = 1 rows (mu's divided by its weight).  So
+        are the strains of the lift, with dphi = (D 1) (x) psi; the D 1
+        terms vanish up to roundoff and are kept, as _apply_K keeps them.
+        K(lift) is then a sum of eight radial profiles times layers.
+        """
+        c1, _, c3, c4, mu = co
+        rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
+        nt, nz = self.grid.n_theta, self.grid.n_z
+        a, s, t = c1[0], c3[0], c4[-1]
+        M = mu[-1] / w[-1]
+        d = D.sum(axis=1)
+        P = w * rho
+        g_t, g_z = _sfft.irfft2(_sfft.rfft2(psi) * np.stack([self._rmt, self._rmz]),
+                                s=(nt, nz))
+        l_t, l_z, l_psi = M * (a * g_t), M * g_z, M * psi
+        div = _sfft.irfft2(
+            _sfft.rfft2(np.stack([a * l_t, a * s * l_psi, l_z, t * l_psi]))
+            * np.stack([self._rmt, self._rmt, self._rmz, self._rmz]),
+            s=(nt, nz))
+        profiles = np.stack([D.T @ (P * d), D.T @ (P / rho), D.T @ (P * rho),
+                             D.T @ (P * rho ** 2 * d), -P / rho ** 2,
+                             -P * d / rho, -P, -P * rho * d], axis=1)
+        layers = np.stack([(a * a + s * s) * l_psi, s * l_t, t * l_z,
+                           t * t * l_psi, *div])
+        return _along_rho(profiles, layers)
 
     def energy(self, phi, co):
         """Dirichlet energy 1/2 * a(phi, phi); nonnegative by construction."""
-        return self._strain_energy(self._strains(phi, co), co)
+        e1, e2, e3 = self._strains(phi, co)
+        return 0.5 * float(np.sum(co[4] * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
 
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
@@ -504,28 +553,36 @@ class DtnSolver:
         co = self._coefficients(eta)
         weights = self._precond_weights(eta.mean())
 
-        # the lift is constant in rho: its tangential gradients are one
-        # layer's, which the strains broadcast over the stack
+        # phi = lift + x on the interior rows, the lift constant in rho.  A
+        # cold start takes its residual from K(lift), whose tangential
+        # gradients are one layer's; a warm one from K(lift + x0), and the
+        # cold right-hand side only for its norm, from the closed form.
         lift = np.broadcast_to(psi.values, shape).copy()
-        b = -self._apply_K(lift, co, _sfft.rfft2(psi.values)[None])[:-1]
-        bnorm = float(np.sqrt(np.sum(b ** 2)))
-        if bnorm == 0.0:
-            return PotentialField(self.radial, self.grid, lift, 0, 0.0, eta, co)
-
-        def K_int(u_int, uh_int=None):
-            """K on an interior stack (and its half-spectrum, if known)."""
-            u = np.concatenate([u_int, np.zeros((1,) + u_int.shape[1:])])
-            if uh_int is not None:
-                pad = np.zeros((1,) + uh_int.shape[1:], complex)
-                uh_int = np.concatenate([uh_int, pad])
-            return self._apply_K(u, co, uh_int)[:-1]
-
         if guess is None:
-            x = np.zeros_like(b)
-            r = b.copy()
+            k0 = self._apply_K(lift, co, _sfft.rfft2(psi.values)[None])
+            x = np.zeros_like(k0[:-1])
         else:
+            k0 = self._apply_K_lift(psi.values, co)
             x = guess[:-1] - psi.values
-            r = b - K_int(x)
+        bnorm = float(np.sqrt(np.sum(k0[:-1] ** 2)))
+        if bnorm == 0.0:
+            return PotentialField(self.radial, self.grid, lift, 0, 0.0, eta,
+                                  co, self._flux(k0[-1]))
+        if guess is not None:
+            start = lift.copy()
+            start[:-1] += x
+            k0 = self._apply_K(start, co)
+        r = -k0[:-1]
+        # the rho = 1 row of K(phi), accumulated with the coefficients of x
+        flux = k0[-1].copy()
+
+        def K_zero_trace(u_int, uh_int):
+            """K on an interior stack with zero trace, given its
+            half-spectrum."""
+            u = np.concatenate([u_int, np.zeros((1,) + u_int.shape[1:])])
+            pad = np.zeros((1,) + uh_int.shape[1:], complex)
+            return self._apply_K(u, co, np.concatenate([uh_int, pad]))
+
         res = float(np.sqrt(np.sum(r ** 2))) / bnorm
         its = 0
         while res >= tol:
@@ -545,33 +602,37 @@ class DtnSolver:
             else:
                 p, ph = z, zh
             rz = rz_new
-            q = K_int(p, ph)
+            kp = K_zero_trace(p, ph)
+            q = kp[:-1]
             alpha = rz / float(np.sum(p * q))
             x += alpha * p
             r -= alpha * q
+            flux += alpha * kp[-1]
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             its += 1
         phi = lift
         phi[:-1] += x
-        return PotentialField(self.radial, self.grid, phi, its, res, eta, co)
+        return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
+                              self._flux(flux))
+
+    def _flux(self, row):
+        """eta G(eta) psi from the rho = 1 row of K(phi)."""
+        return TorusField(self.grid, row / self.grid.cell_area)
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
                      max_iter=MAX_ITER_DEFAULT, guess=None) -> TraceBundle:
         """One elliptic solve (from guess, if given) and every boundary
-        quantity derived from it."""
-        pot = self.solve(eta, psi, tol, max_iter, guess)
-        eta, co = pot.eta, pot._co
-        grid = self.grid
+        quantity derived from it.
 
-        # flux (the rho = 1 row of the energy operator) and kinetic energy
-        # from one strain pass
-        strains = self._strains(pot.values, co)
-        f_rho, f_theta, f_z = self._fluxes(strains, co)
-        flux_vals = (_along_rho(self.radial.D[:, -1], f_rho)
-                     - self._w_divergence(f_theta[-1], f_z[-1])) / grid.cell_area
-        flux = TorusField(grid, flux_vals)
-        d_rho = TorusField(grid, _along_rho(self.radial.D[-1], pot.values))
+        The flux is the one the solve accumulated from the operator rows it
+        applied; the trace algebra then pads each field it reads once
+        (B, V and N share their inputs' padded samples), and E_k waits until
+        it is read.
+        """
+        pot = self.solve(eta, psi, tol, max_iter, guess)
+        eta = pot.eta
+        d_rho = TorusField(self.grid, _along_rho(self.radial.D[-1], pot.values))
 
         B = nonlinear_eval(lambda d, e: d / e, d_rho, eta)
         gbt, gbz = grad_bar_eta(eta)
@@ -581,7 +642,7 @@ class DtnSolver:
         pz = spectral_derivative(psi_trace, "z")
         V_theta = pt - dealiased_product(B, gbt)
         V_z = pz - dealiased_product(B, gbz)
-        G = nonlinear_eval(lambda f, e: f / e, flux, eta)
+        G = nonlinear_eval(lambda f, e: f / e, pot.flux, eta)
         v_dot = dealiased_product(V_theta, gbt) + dealiased_product(V_z, gbz)
         N = dealiased_product(B, v_dot) + 0.5 * (
             dealiased_product(V_theta, V_theta)
@@ -589,10 +650,9 @@ class DtnSolver:
             - dealiased_product(B, B)
         )
         return TraceBundle(
-            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=flux,
-            kinetic_energy=self._strain_energy(strains, co),
+            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=pot.flux,
             iterations=pot.iterations, residual=pot.residual,
-            potential=pot.values,
+            potential=pot.values, eta=eta, _solver=self,
         )
 
     def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,

@@ -143,13 +143,15 @@ def apply_filter(f: TorusField, eta_bar, sigma, eps):
 
 class Rk4Step(NamedTuple):
     """One RK4 step: the new state, the nodal potentials of its first and
-    last stage solves (the next step's starting guesses) and the CG
-    iterations of its four stage solves."""
+    last stage solves (the next step's starting guesses), and the CG
+    iterations and worst final relative CG residual of its four stage
+    solves."""
 
     state: SurfaceState
     phi1: np.ndarray
     phi4: np.ndarray
     iterations: int
+    residual: float
 
 
 def step_rk4(state: SurfaceState, dt, filter_eps, solver: DtnSolver, tol, *,
@@ -184,9 +186,11 @@ def step_rk4(state: SurfaceState, dt, filter_eps, solver: DtnSolver, tol, *,
         eta_bar = eta1.mean()
         eta1 = apply_filter(eta1, eta_bar, state.sigma, filter_eps)
         psi1 = apply_filter(psi1, eta_bar, state.sigma, filter_eps)
+    stages = (b1, b2, b3, b4)
     return Rk4Step(state.with_fields(eta=eta1, psi=psi1, t=state.t + dt),
                    phi1, b4.potential,
-                   sum(b.iterations for b in (b1, b2, b3, b4)))
+                   sum(b.iterations for b in stages),
+                   max(b.residual for b in stages))
 
 
 def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
@@ -238,15 +242,16 @@ class EnergyReport:
     min_eta: float
     max_eta: float
     elliptic_iterations: int
+    elliptic_residual: float
 
     @staticmethod
-    def of(state: SurfaceState, kinetic, iterations=0):
+    def of(state: SurfaceState, kinetic, iterations=0, residual=0.0):
         ep = potential_energy(state.eta, state.R, state.sigma)
         return EnergyReport(
             t=state.t, kinetic=kinetic, potential=ep, total=kinetic + ep,
             volume=enclosed_volume(state.eta), mean_psi=state.psi.mean(),
             min_eta=state.eta.min(), max_eta=state.eta.max(),
-            elliptic_iterations=iterations,
+            elliptic_iterations=iterations, elliptic_residual=residual,
         )
 
 
@@ -289,9 +294,10 @@ def simulate(state0: SurfaceState, config: EvolutionConfig,
     A recorded state takes E_k from the k1 solve of the step that leaves it,
     so only the final state is solved for its energy alone; each report's
     elliptic_iterations sums the CG iterations of the stage solves since the
-    report before.  A ConvergenceError or EllipticityError ends the run with
-    status "solver_failure" and is kept as its error; the records stop at
-    the last state whose report was made.
+    report before, and elliptic_residual is the worst final relative CG
+    residual among them (0 on the first report).  A ConvergenceError or
+    EllipticityError ends the run with status "solver_failure" and is kept
+    as its error; the records stop at the last state whose report was made.
     """
     dt = config.resolve_dt(state0.grid, state0.sigma, state0.eta.mean())
     traj = Trajectory(dt=dt)
@@ -313,7 +319,7 @@ def _advance(traj, state, dt, config, solver):
     n_steps = int(np.ceil(config.t_final / dt - 1e-12))
     t_end = state.t + config.t_final
     step = None
-    iterations = 0
+    iterations, residual = 0, 0.0
     for n in range(1, n_steps + 1):
         if state.eta.min() < PINCH_FRACTION * state.R:
             traj.status = "pinch_off"
@@ -322,19 +328,20 @@ def _advance(traj, state, dt, config, solver):
                         solver, tol, k1=k1, previous=step)
         state = step.state
         iterations += step.iterations
+        residual = max(residual, step.residual)
         pinched = state.eta.min() < PINCH_FRACTION * state.R
         if pinched or n == n_steps:
             ek = solver.kinetic_energy(state.eta, state.psi, tol,
                                        guess=step.phi4)
-            traj.record(state, EnergyReport.of(state, ek, iterations))
+            traj.record(state, EnergyReport.of(state, ek, iterations, residual))
             if pinched:
                 traj.status = "pinch_off"
             return
         k1 = rhs(state, solver, tol, step.phi4)
         if n % config.record_every == 0:
             traj.record(state, EnergyReport.of(state, k1[2].kinetic_energy,
-                                               iterations))
-            iterations = 0
+                                               iterations, residual))
+            iterations, residual = 0, 0.0
 
 
 # ---------------------------------------------------------------------------

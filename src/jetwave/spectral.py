@@ -15,6 +15,21 @@ Conventions
   symbol application so real fields stay real.
 * Quadratic products are dealiased by 3/2 zero padding; they are exact
   whenever the result is resolved on the lattice.
+
+Dealiasing runs on real transforms (``scipy.fft.rfft2``/``irfft2``, the
+theta axis full and the z axis halved), and each field keeps its padded
+samples once computed, so a field that enters several products is padded
+once.  The real path keeps the Nyquist convention of the complex embedding
+it replaces, which places the coarse Nyquist row and column at -n/2 and
+keeps the real part:
+
+* padding splits the Nyquist row evenly between the fine rows +-n/2, puts
+  the Nyquist column at +n/2 with half its weight (its conjugate partner
+  carries the other half), and puts the corner in the +n/2 row;
+* truncation averages each fine +-n/2 pair of the Nyquist row and column
+  and takes the corner from the (+n/2, +n/2) entry.
+
+The transform pair, derivatives and integrals stay on complex transforms.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as _sfft
 
 
 TAU = 2.0 * np.pi
@@ -138,10 +154,12 @@ def inverse_transform(grid: TorusGrid, coefficients):
 class TorusField:
     """Real scalar field carried as grid samples plus Fourier coefficients.
 
-    Instances are immutable; all operations return new fields.
+    Instances are immutable; all operations return new fields.  The
+    coefficients and the 3/2-padded samples are computed on first use and
+    kept, read-only.
     """
 
-    __slots__ = ("grid", "values", "_coefficients")
+    __slots__ = ("grid", "values", "_coefficients", "_padded")
 
     def __init__(self, grid: TorusGrid, values):
         values = np.asarray(values, dtype=float)
@@ -152,6 +170,7 @@ class TorusField:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_coefficients", None)
+        object.__setattr__(self, "_padded", None)
 
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
@@ -193,6 +212,16 @@ class TorusField:
             c.setflags(write=False)
             object.__setattr__(self, "_coefficients", c)
         return self._coefficients
+
+    @property
+    def padded_samples(self):
+        """Samples of the Fourier interpolant on ``grid.padded()``, the
+        inputs of a dealiased evaluation."""
+        if self._padded is None:
+            p = _pad_real(self.grid, self.values)
+            p.setflags(write=False)
+            object.__setattr__(self, "_padded", p)
+        return self._padded
 
     def coefficient(self, m, k_index):
         """Single coefficient addressed by integer lattice indices."""
@@ -329,11 +358,40 @@ def pad_values(f: TorusField, fine: TorusGrid):
     return inverse_transform(fine, c)
 
 
+def _pad_real(grid: TorusGrid, values):
+    """Samples on grid.padded() of the interpolant of real grid values."""
+    fine = grid.padded()
+    h, kz = grid.n_theta // 2, grid.n_z // 2
+    c = _sfft.rfft2(values, norm="forward")           # (n_theta, kz + 1)
+    out = np.zeros((fine.n_theta, fine.n_z // 2 + 1), dtype=complex)
+    out[:h, :kz + 1] = c[:h]
+    out[-h:, :kz + 1] = c[h:]                         # row h lands at -h
+    out[:, kz] *= 0.5
+    out[-h, :kz] *= 0.5
+    out[h, :kz] = out[-h, :kz]
+    out[h, kz] = out[-h, kz]
+    out[-h, kz] = 0.0
+    return _sfft.irfft2(out, s=(fine.n_theta, fine.n_z), norm="forward")
+
+
+def _truncate_real(grid: TorusGrid, values):
+    """Grid values of the coarse-lattice part of real samples on
+    grid.padded()."""
+    h, kz = grid.n_theta // 2, grid.n_z // 2
+    c = _sfft.rfft2(values, norm="forward")
+    out = np.empty((grid.n_theta, kz + 1), dtype=complex)
+    out[:h] = c[:h, :kz + 1]
+    out[h + 1:] = c[1 - h:, :kz + 1]
+    out[h, :kz] = 0.5 * (c[h, :kz] + c[-h, :kz])
+    out[h, kz] = c[h, kz]
+    return _sfft.irfft2(out, s=(grid.n_theta, grid.n_z), norm="forward")
+
+
 def nonlinear_eval(fn, *fields):
     """Evaluate a pointwise function of several fields on a padded grid.
 
-    The inputs are spectrally interpolated onto the grid refined by 3/2,
-    fn is applied pointwise there, and the result is truncated back.  For a
+    fn is applied to the inputs' padded samples (their spectral interpolants
+    on the grid refined by 3/2) and the result is truncated back.  For a
     product of two fields this is exact dealiasing; for general
     nonlinearities (quotients, roots) it removes the dominant aliasing
     contributions.
@@ -342,11 +400,8 @@ def nonlinear_eval(fn, *fields):
     for f in fields[1:]:
         if f.grid != grid:
             raise ValueError("fields live on different grids")
-    fine = grid.padded()
-    vals = [pad_values(f, fine) for f in fields]
-    out = fn(*vals)
-    c = np.fft.fft2(out) / (fine.n_theta * fine.n_z)
-    return TorusField.from_coefficients(grid, truncate_coefficients(fine, c, grid))
+    out = fn(*(f.padded_samples for f in fields))
+    return TorusField(grid, _truncate_real(grid, out))
 
 
 def dealiased_product(f: TorusField, g: TorusField):

@@ -70,3 +70,56 @@ def test_traced_dtn_repeat_counts(grid16):
     assert counts[0]["calls"]["elliptic.trace_bundle"] == 3
     assert counts[0]["precond_builds"] == 0
     assert counts[0] == counts[1]
+
+
+def test_traced_warm_bundle_counts(grid16):
+    """The transforms of one warm trace_bundle on 16 x 16 x 32 are those of
+    its CG iterations plus a fixed warm-start cost (one K of the guess and
+    the one-layer transforms of the closed-form K(1 (x) psi)), with no
+    strain pass after the solve; the trace algebra pads each distinct input
+    field once."""
+    spans = _load_spans()
+    n_rho, n = 32, 16
+    solver = elliptic.DtnSolver(grid16, n_rho)
+    th, zz = grid16.mesh()
+
+    def fields():
+        # fresh fields: a field caches its own coefficients and padding
+        return (spectral.TorusField(grid16, 1.0 + 0.1 * np.cos(th) * np.cos(zz)),
+                spectral.TorusField(grid16, 0.3 * np.sin(2 * th + zz)))
+
+    eta, psi = fields()
+    guess = solver.solve(1.02 * eta, psi).values
+    eta, psi = fields()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        solver.trace_bundle(eta, psi, guess=guess)
+    counts = tracer.counts()
+    (its,) = counts["cg_iters_per_solve"]
+    assert its > 0
+
+    layer, half = n * n, n * (n // 2 + 1)          # points of one (theta, z) layer
+    ni = n_rho - 1
+    # _apply_K given the half-spectrum: gradients, flux spectra, divergence
+    k_known = 2 * n_rho * half + 2 * n_rho * layer + n_rho * half
+    per_iteration = ni * layer + ni * half + k_known   # preconditioner + K
+    warm_start = n_rho * layer + k_known               # K of the guess
+    lift = layer + 2 * half + 4 * layer + 4 * half     # closed-form K(lift)
+    assert counts["fft_points"]["elliptic"] == its * per_iteration + warm_start + lift
+
+    # spectral layer: every dealiased evaluation is one real transform pair
+    # at each end, plus one per padded input; the rest are complex
+    # transforms of one coarse layer (derivatives, Nyquist projections)
+    fine = grid16.padded()
+    fine_layer, fine_half = fine.n_theta * fine.n_z, fine.n_theta * (fine.n_z // 2 + 1)
+    evals = counts["calls"]["spectral.nonlinear_eval"]
+    complex_ffts = (counts["calls"]["spectral.forward_transform"]
+                    + counts["calls"]["spectral.inverse_transform"])
+    pads, odd = divmod(counts["fft_calls"]["spectral"] - 2 * evals - complex_ffts, 2)
+    assert odd == 0
+    assert counts["fft_points"]["spectral"] == (
+        pads * (layer + fine_half) + evals * (fine_layer + half)
+        + complex_ffts * layer)
+    # the inputs: d_rho phi, eta, eta_theta, psi_theta, B, grad_bar eta
+    # (two), flux, V_theta, V_z, V . grad_bar eta
+    assert evals == 12 and pads == 11

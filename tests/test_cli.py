@@ -127,6 +127,24 @@ class TestExitCodes:
         # at least one iteration per stage solve, four stages per step
         assert all(n >= 8 for n in iters[1:])
 
+    def test_elliptic_residual_in_manifest(self, tmp_path):
+        """The manifest records the worst relative CG residual of the run's
+        stage solves: under the elliptic tolerance, and 0 at equilibrium,
+        where no solve iterates."""
+        for name, text in (("moving", PERTURBED), ("rest", "")):
+            path = write(tmp_path, BASE + text + "[output]\nprefix = " + name + "\n")
+            code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                         "--quiet"])
+            assert code == EXIT_OK
+            manifest = (tmp_path / f"{name}_manifest.txt").read_text()
+            (line,) = [l for l in manifest.splitlines()
+                       if l.startswith("elliptic_residual_max=")]
+            worst = float(line.split("=")[1])
+            if name == "moving":
+                assert 0.0 < worst < 1e-11
+            else:
+                assert worst == 0.0
+
     def test_pinch_off_exit_4(self, tmp_path):
         path = write(tmp_path, BASE + """
 [ic]
@@ -321,6 +339,30 @@ class TestDispersionCommand:
                      "--quiet"])
         assert code == EXIT_CONFIG
         assert "'modes'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("modes", ["8 0", "0 8", "-8 1", "1 0; 2 -8"])
+    def test_nyquist_modes_exit_2(self, tmp_path, capsys, modes):
+        """A mode on the Nyquist row or column of the 16 x 16 grid is
+        projected out of every state, so it cannot be measured."""
+        path = write(tmp_path, BASE + f"\n[dispersion]\nmodes = {modes}\n")
+        code = main(["dispersion", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'modes'" in capsys.readouterr().err
+
+    def test_default_modes_resolved(self, tmp_path):
+        """On the 8 x 8 grid of rayleigh_plateau.ini the default list drops
+        m = 4, the Nyquist row, which measured omega^2 = 0 (rel_error 1)."""
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "rayleigh_plateau.ini")
+        code = main(["dispersion", "--config", config, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in
+                (tmp_path / "plateau_dispersion.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [0, 0, 1, 2, 3]
+        assert all(float(r[4]) < 1e-6 for r in rows)
 
 
 class TestDeterminism:

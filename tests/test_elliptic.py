@@ -211,8 +211,9 @@ class TestWarmStart:
             solver16.trace_bundle(eta, psi, guess=np.zeros((31, 16, 16)))
 
     def test_lean_flux_and_energy(self, grid32, solver32, rng):
-        """The bundle's flux and E_k come from one strain pass; they match
-        the full operator's rho = 1 row and energy()."""
+        """The bundle's flux, accumulated by CG from the rows of the operator
+        it applies, matches the full operator's rho = 1 row, and E_k, read
+        on demand, equals energy()."""
         eta, psi = self._inputs(grid32, rng)
         bundle = solver32.trace_bundle(eta, psi, 1e-12)
         pot = solver32.solve(eta, psi, 1e-12)
@@ -222,6 +223,57 @@ class TestWarmStart:
             <= 1e-13 * np.abs(full).max()
         assert bundle.kinetic_energy == solver32.energy(pot.values, pot._co)
         assert not bundle.potential.flags.writeable
+
+
+class TestLeanSolve:
+    """A solve does only its own work: a warm start applies K once and takes
+    the norm of the cold right-hand side from the closed-form K(1 (x) psi),
+    the flux is accumulated from the rows of K that CG applies, and E_k is
+    computed when read."""
+
+    SIZES = {16: 32, 32: 48, 64: 48}
+
+    @classmethod
+    def _case(cls, n, rng):
+        grid = TorusGrid(n, n)
+        solver = DtnSolver(grid, cls.SIZES[n])
+        eta = smooth_surface(grid, rng, R, amp=0.1)
+        psi = band_limited_random(grid, rng, kmax=4, max_norm=0.3)
+        return solver, eta.drop_nyquist(), psi.drop_nyquist()
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_closed_form_lift(self, n, rng):
+        solver, eta, psi = self._case(n, rng)
+        co = solver._coefficients(eta)
+        shape = (solver.n_rho, n, n)
+        lift = np.broadcast_to(psi.values, shape).copy()
+        want = solver._apply_K(lift, co)
+        got = solver._apply_K_lift(psi.values, co)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a constant trace: both vanish up to the roundoff of D 1
+        lift = np.full(shape, 2.7)
+        want = solver._apply_K(lift, co)
+        got = solver._apply_K_lift(lift[-1], co)
+        assert np.abs(want).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-13
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_accumulated_flux(self, n, warm, rng):
+        solver, eta, psi = self._case(n, rng)
+        guess = solver.solve(1.01 * eta, psi, 1e-12).values if warm else None
+        pot = solver.solve(eta, psi, 1e-12, guess=guess)
+        assert pot.iterations > 1
+        want = solver._apply_K(pot.values, pot._co)[-1] / solver.grid.cell_area
+        assert np.abs(pot.flux.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_energy_computed_when_read(self, grid32, solver32, rng):
+        eta, psi = TestWarmStart._inputs(grid32, rng)
+        bundle = solver32.trace_bundle(eta, psi, 1e-12)
+        assert "kinetic_energy" not in vars(bundle)
+        pot = solver32.solve(eta, psi, 1e-12)
+        assert bundle.kinetic_energy == solver32.energy(pot.values, pot._co)
+        assert bundle.kinetic_energy is bundle.kinetic_energy
 
 
 class TestPreconditioner:
@@ -301,6 +353,35 @@ class TestSolverIsPure:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(self._same(got[i], (fresh, other)[i % 2]) for i in range(4))
+
+    def test_energy_read_from_threads(self, grid32):
+        """Four threads reading one bundle's E_k at once all get energy()."""
+        rng = np.random.default_rng(17)
+        eta = smooth_surface(grid32, rng, R, amp=0.1)
+        psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
+        solver = DtnSolver(grid32, 48)
+        pot = solver.solve(eta, psi)
+        want = solver.energy(pot.values, pot._co)
+        bundle = solver.trace_bundle(eta, psi)
+        got = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait()
+            got[i] = bundle.kinetic_energy
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(e == want for e in got)
 
     def test_simulate_after_unrelated_solves(self, grid16):
         """Warm starts pass potentials as arguments only: a trajectory is

@@ -169,6 +169,27 @@ class TestSimulate:
         assert traj.status == "completed"
         assert traj.times[-1] == pytest.approx(0.2)
 
+    def test_reports_carry_worst_residual(self, grid, solver):
+        """Each report after the first carries the worst final relative CG
+        residual of the stage solves since the report before."""
+        _, zz = grid.mesh()
+        eta = TorusField(grid, R + 0.01 * np.cos(zz))
+        state = SurfaceState(eta, TorusField(grid, 0.005 * np.sin(zz)), R, SIGMA)
+        cfg = EvolutionConfig(dt="auto", t_final=0.03, record_every=2,
+                              tol_elliptic=1e-11)
+        traj = simulate(state, cfg, solver)
+        assert traj.status == "completed" and len(traj.reports) > 2
+        assert traj.reports[0].elliptic_residual == 0.0
+        assert all(0.0 < r.elliptic_residual < 1e-11 for r in traj.reports[1:])
+        # the report after two steps, replayed
+        first = step_rk4(state, traj.dt, 0.0, solver, 1e-11,
+                         k1=rhs(state, solver, 1e-11))
+        k1 = rhs(first.state, solver, 1e-11, first.phi4)
+        second = step_rk4(first.state, traj.dt, 0.0, solver, 1e-11, k1=k1,
+                          previous=first)
+        assert traj.reports[1].elliptic_residual == max(first.residual,
+                                                        second.residual)
+
     def test_pinch_off_aborts(self, grid, solver):
         """A state already below the pinch threshold terminates immediately
         with the diagnostic status."""

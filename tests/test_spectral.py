@@ -17,7 +17,10 @@ from jetwave.spectral import (
     forward_transform,
     inverse_transform,
     low_pass,
+    nonlinear_eval,
+    pad_coefficients,
     spectral_derivative,
+    truncate_coefficients,
 )
 
 
@@ -145,6 +148,61 @@ class TestDealiasedProduct:
         oracle = self._convolution_oracle(a, b)
         # combined bandwidth 6 <= 7 = N/2 - 1: product fully resolved, exact
         assert np.abs(p.coefficients - oracle).max() < 1e-12
+
+
+def _complex_nonlinear_eval(fn, *fields):
+    """Dealiased evaluation on complex transforms: the coarse spectra are
+    embedded in the padded lattice (Nyquist at -n/2), the real part of the
+    inverse is taken, and the product's spectrum is restricted back."""
+    grid = fields[0].grid
+    fine = grid.padded()
+    vals = [inverse_transform(fine, pad_coefficients(grid, f.coefficients, fine))
+            for f in fields]
+    c = forward_transform(fine, fn(*vals))
+    return TorusField.from_coefficients(grid, truncate_coefficients(fine, c, grid))
+
+
+class TestRealDealiasing:
+    """The real-transform evaluation equals the complex embedding it
+    replaces, Nyquist convention included."""
+
+    GRIDS = [TorusGrid(8, 8, 2 * TAU), TorusGrid(16, 16), TorusGrid(16, 24, 2 * TAU),
+             TorusGrid(24, 16), TorusGrid(32, 32), TorusGrid(64, 32)]
+    FUNCTIONS = {
+        "product": (lambda a, b: a * b, 2),
+        "quotient": (lambda a, b: a / b, 2),
+        "root": (lambda a: np.sqrt(a), 1),
+    }
+
+    @staticmethod
+    def _inputs(grid, nyquist):
+        """Two positive fields; with nyquist, every coefficient is drawn, the
+        Nyquist rows, columns and corner included."""
+        r = np.random.default_rng(grid.n_theta * 100 + grid.n_z)
+        if nyquist:
+            return [TorusField(grid, 2.0 + 0.3 * r.standard_normal(
+                (grid.n_theta, grid.n_z))) for _ in range(2)]
+        return [2.0 + band_limited_random(grid, r, kmax=grid.n_z // 2, decay=1.2,
+                                          max_norm=0.6) for _ in range(2)]
+
+    @pytest.mark.parametrize("nyquist", [True, False], ids=["nyquist", "resolved"])
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.n_theta}x{g.n_z}")
+    def test_matches_complex_path(self, grid, name, nyquist):
+        fn, arity = self.FUNCTIONS[name]
+        fields = self._inputs(grid, nyquist)[:arity]
+        want = _complex_nonlinear_eval(fn, *fields).values
+        got = nonlinear_eval(fn, *fields).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_padded_samples_cached_read_only(self, grid16, rng):
+        f = band_limited_random(grid16, rng, kmax=5)
+        p = f.padded_samples
+        assert p is f.padded_samples and not p.flags.writeable
+        fine = grid16.padded()
+        assert p.shape == (fine.n_theta, fine.n_z)
+        want = inverse_transform(fine, pad_coefficients(grid16, f.coefficients, fine))
+        assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestDyadic:
