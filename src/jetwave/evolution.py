@@ -358,9 +358,16 @@ def fit_growth_rate(times, amplitudes):
 
 def fit_oscillation_frequency(times, values):
     """Frequency of a sampled cosine via the linear prediction identity
-    x_{n+1} + x_{n-1} = 2 cos(omega dt) x_n (uniform sampling assumed)."""
+    x_{n+1} + x_{n-1} = 2 cos(omega dt) x_n, dt = times[1] - times[0].
+
+    The identity needs uniform sampling, so a last sample whose spacing
+    differs from dt beyond roundoff (simulate shortens its last step to land
+    on t_final) is left out of the fit.
+    """
     x = np.asarray(values, dtype=float)
     dt = float(times[1] - times[0])
+    if abs(float(times[-1] - times[-2]) - dt) > 1e-9 * abs(dt):
+        x = x[:-1]
     num = np.sum(x[1:-1] * (x[2:] + x[:-2]))
     den = 2.0 * np.sum(x[1:-1] ** 2)
     c = num / den

@@ -15,7 +15,8 @@ frequency by frequency:
     T_a u(w) = sum_xi [ sum_{j>=2} phi(xi/2^j) (S_{j-2} a)(w, xi) ]
                e^{i w.xi} u_hat(xi).
 
-The symbol is sampled on stacked chunks of the active frequencies, and each
+The symbol is sampled on stacked chunks of the active frequencies, each
+chunk transformed at once (scipy.fft, forward-normalized), and each
 smoothed spectrum s_xi(zeta) u_hat(xi) is added at offset zeta + xi directly
 in coefficient space, in a box of width 2N per axis that holds every such
 sum exactly.  This is the dealiased result, exactly: on the 3/2 zero-padded
@@ -34,6 +35,7 @@ The lattice iteration order is fixed, so results are bit-reproducible.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as _sfft
 
 from .spectral import (
     TorusField,
@@ -113,7 +115,7 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
         its, izs = idx_t[sl], idx_z[sl]
         n = its.size
         samples = np.broadcast_to(sample(xt[its, izs], xz[its, izs]), (n, nt, nz))
-        shat = np.fft.fft2(samples, axes=(1, 2)) / (nt * nz)
+        shat = _sfft.fft2(samples, axes=(1, 2), norm="forward")
         # per-frequency smoothing multiplier: sum_j phi(xi/2^j) chi(zeta/2^(j-2))
         shat *= np.einsum("jn,jtz->ntz", block_w[:, its, izs], low_w, optimize=True)
         shat *= uhat[its, izs][:, None, None]

@@ -38,6 +38,12 @@ identity report needs to resolve its thresholds.
 
 Within one symbol_identity_report, every closure evaluation and xi-gradient
 is computed once per xi chunk and shared by all identities on that chunk.
+
+A factory computes the xi-independent profiles of its closures once
+(1/eta^2, 1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and
+adds on its (n, n_theta, n_z) stack.  w_divergence sums two spectra before
+one inverse transform; the w-transforms run on scipy.fft.  The report
+projects eta once and builds every symbol from its profiles.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import contextvars
 import functools
 
 import numpy as np
+import scipy.fft as _sfft
 
 from .errors import DomainViolationError, EllipticityError
 from .geometry import (
@@ -111,23 +118,37 @@ def _shared(fn):
     return functools.partial(_evaluate, fn)
 
 
+def _on_grid(arr, grid: TorusGrid):
+    """arr, expanded to the grid shape in w if it is constant in w."""
+    arr = np.asarray(arr)
+    shape = (grid.n_theta, grid.n_z)
+    if arr.shape[-2:] != shape:
+        arr = np.broadcast_to(arr, arr.shape[:-2] + shape) \
+            if arr.ndim >= 2 else np.broadcast_to(arr, shape)
+    return arr
+
+
 def w_derivatives(arr, grid: TorusGrid):
     """(d_theta, d_z) of a (complex) grid array, spectral, Nyquist-zeroed.
 
     Broadcasts over leading axes; inputs constant in w (trailing shape not
     matching the grid) are expanded first.
     """
-    arr = np.asarray(arr)
-    shape = (grid.n_theta, grid.n_z)
-    if arr.shape[-2:] != shape:
-        arr = np.broadcast_to(arr, arr.shape[:-2] + shape) \
-            if arr.ndim >= 2 else np.broadcast_to(arr, shape)
     mt, mz = derivative_multipliers(grid)
-    c = np.fft.fft2(arr, axes=(-2, -1))
+    c = _sfft.fft2(_on_grid(arr, grid), axes=(-2, -1))
     return (
-        np.fft.ifft2(c * mt, axes=(-2, -1)),
-        np.fft.ifft2(c * mz, axes=(-2, -1)),
+        _sfft.ifft2(c * mt, axes=(-2, -1)),
+        _sfft.ifft2(c * mz, axes=(-2, -1)),
     )
+
+
+def w_divergence(f, g, grid: TorusGrid):
+    """d_theta f + d_z g, as w_derivatives(f)[0] + w_derivatives(g)[1] but
+    with the two spectra summed before one inverse transform."""
+    mt, mz = derivative_multipliers(grid)
+    c = (_sfft.fft2(_on_grid(f, grid), axes=(-2, -1)) * mt
+         + _sfft.fft2(_on_grid(g, grid), axes=(-2, -1)) * mz)
+    return _sfft.ifft2(c, axes=(-2, -1))
 
 
 def xi_gradient(fn, xi_t, xi_z):
@@ -142,8 +163,9 @@ def _xi_gradient(fn, xi_t, xi_z):
     xi_z = np.asarray(xi_z, dtype=float)
     r = np.sqrt(xi_t ** 2 + xi_z ** 2)
     h = 1e-5 * np.where(r == 0.0, 1.0, r)
-    gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) / (2j * h)
-    gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) / (2j * h)
+    scale = -0.5j / h     # 1/(2ih), on the xi shape only
+    gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) * scale
+    gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) * scale
     return gt, gz
 
 
@@ -217,18 +239,24 @@ class HomogeneousSymbol:
 # ---------------------------------------------------------------------------
 
 def _surface_data(eta: TorusField):
+    """(grid, e, eta_theta, eta_z, l^2 = 1 + (eta_theta/eta)^2 + eta_z^2) of
+    eta, projected once."""
     if eta.min() <= 0.0:
         raise DomainViolationError("eta must be strictly positive")
-    eta = eta.drop_nyquist()
-    return (eta.grid,) + _profiles(eta)
-
-
-def _profiles(eta: TorusField):
-    """e, eta_theta, eta_z and l^2 = 1 + (eta_theta/eta)^2 + eta_z^2 of a
-    Nyquist-free surface, without projecting it again."""
-    e = eta.values
+    e = eta.drop_nyquist().values
     et, ez = (np.real(d) for d in w_derivatives(e, eta.grid))
-    return e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2
+    return eta.grid, e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2
+
+
+def _lambda1_squared(e, et, ez):
+    """The closure xi -> xi_t^2/eta^2 + xi_z^2 + (xi_t eta_z/eta
+    - xi_z eta_theta/eta)^2 = lambda^(1)^2, its profiles computed once."""
+    inv_e2, ez_e, et_e = 1.0 / e ** 2, ez / e, et / e
+
+    def lam1_sq(xt, xz):
+        return xt ** 2 * inv_e2 + xz ** 2 + (xt * ez_e - xz * et_e) ** 2
+
+    return lam1_sq
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +271,20 @@ def lambda_symbol(eta: TorusField) -> HomogeneousSymbol:
     ellipticity of the closed form (sqrt(0) is harmless but the
     subprincipal part divides by S).
     """
-    grid, e, et, ez, l2 = _surface_data(eta)
+    return _lambda_from(*_surface_data(eta))
+
+
+def _lambda_from(grid, e, et, ez, l2):
+    """lambda_symbol from already derived surface profiles."""
     A0 = _factorization(grid, e, et, ez, 1.0)[0].subprincipal
+    lam1_sq = _lambda1_squared(e, et, ez)
+    l2_e = l2 / e
 
     def lam1(xt, xz):
-        return np.sqrt(
-            xt ** 2 / e ** 2 + xz ** 2 + (xt * ez / e - xz * et / e) ** 2
-        )
+        return np.sqrt(lam1_sq(xt, xz))
 
     def lam0(xt, xz):
-        return (l2 / e) * A0(xt, xz)
+        return l2_e * A0(xt, xz)
 
     return HomogeneousSymbol(grid, 1.0, lam1, lam0, name="lambda")
 
@@ -263,8 +295,7 @@ def factorization_symbols(eta: TorusField, rho=1.0):
     The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
     verified positive on a lattice sample before the root is taken.
     """
-    grid, e, et, ez, _ = _surface_data(eta)
-    return _factorization(grid, e, et, ez, rho)
+    return _factorization(*_surface_data(eta)[:4], rho)
 
 
 def _factorization(grid, e, et, ez, rho):
@@ -273,65 +304,66 @@ def _factorization(grid, e, et, ez, rho):
     if not 0.0 < r <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     alpha = (1.0 + (et / e) ** 2 + r ** 2 * ez ** 2) / e ** 2
-
-    def b_dot(xt, xz):
-        return -2.0 * et * xt / (r * e ** 3) - 2.0 * r * ez * xz / e
-
-    def T(xt, xz):
-        return xt ** 2 / (r ** 2 * e ** 2) + xz ** 2
+    four_alpha, half_inv_alpha = 4.0 * alpha, 0.5 / alpha
+    # beta.xi = b_t xi_t + b_z xi_z and T = t_t xi_t^2 + xi_z^2
+    b_t, b_z = -2.0 * et / (r * e ** 3), -2.0 * r * ez / e
+    t_t = 1.0 / (r ** 2 * e ** 2)
 
     def disc(xt, xz):
-        return 4.0 * alpha * T(xt, xz) - b_dot(xt, xz) ** 2
+        """T, beta.xi and the discriminant 4 alpha T - (beta.xi)^2."""
+        t = t_t * xt ** 2 + xz ** 2
+        b = b_t * xt + b_z * xz
+        return t, b, four_alpha * t - b ** 2
 
     xt_s, xz_s = lattice_points(grid)
-    dmin = float(np.real(disc(_as_xi(xt_s[:64]), _as_xi(xz_s[:64]))).min())
+    dmin = float(np.real(disc(_as_xi(xt_s[:64]), _as_xi(xz_s[:64]))[2]).min())
     if dmin <= 0.0:
         raise EllipticityError(
             f"factorization discriminant nonpositive (min {dmin:.3e}); "
             "the surface leaves the elliptic regime"
         )
 
-    def S(xt, xz):
-        return np.sqrt(disc(xt, xz))
-
-    # A1 and a1 from S and beta.xi
-    def A1_of(s, b):
-        return (s - 1j * b) / (2.0 * alpha)
-
-    def a1_of(s, b):
-        return (s + 1j * b) / (2.0 * alpha)
-
+    # A1 = (S - i beta.xi)/(2 alpha) and a1 = (S + i beta.xi)/(2 alpha)
     def A1(xt, xz):
-        return A1_of(S(xt, xz), b_dot(xt, xz))
+        _, b, d = disc(xt, xz)
+        return (np.sqrt(d) - 1j * b) * half_inv_alpha
 
     def a1(xt, xz):
-        return a1_of(S(xt, xz), b_dot(xt, xz))
+        _, b, d = disc(xt, xz)
+        return (np.sqrt(d) + 1j * b) * half_inv_alpha
 
     q_t = np.real(w_derivatives(et / e ** 2, grid)[0])
     q_z = np.real(w_derivatives(ez / e ** 2, grid)[1])
     gamma = -q_t / (r * e) - r * e * q_z + 1.0 / (r * e ** 2)
+    gamma_alpha = gamma / alpha
 
-    def dA1(xt, xz, s, b):
-        # hand-differentiated rho-dependence of alpha, beta.xi and T, at
-        # s = S and b = beta.xi
-        dT = -2.0 * xt ** 2 / (r ** 3 * e ** 2)
-        dalpha = 2.0 * r * ez ** 2 / e ** 2
-        dB = 2.0 * et * xt / (r ** 2 * e ** 3) - 2.0 * ez * xz / e
-        dS = (4.0 * dalpha * T(xt, xz) + 4.0 * alpha * dT - 2.0 * b * dB) / (2.0 * s)
-        return (dS - 1j * dB) / (2.0 * alpha) - (s - 1j * b) * dalpha / (
-            2.0 * alpha ** 2
-        )
+    # hand-differentiated rho-dependence: d_rho alpha, d_rho T = dt_t xi_t^2
+    # and d_rho beta.xi = db_t xi_t + db_z xi_z, so that
+    # d_rho S = (2 d_rho alpha T + 2 alpha d_rho T - beta.xi d_rho beta.xi)/S
+    # and d_rho A1 = (d_rho S - i d_rho beta.xi)/(2 alpha)
+    #                - A1 d_rho alpha/alpha
+    dalpha = 2.0 * r * ez ** 2 / e ** 2
+    two_dalpha, two_alpha_dt = 2.0 * dalpha, -4.0 * alpha / (r ** 3 * e ** 2)
+    db_t, db_z = 2.0 * et / (r ** 2 * e ** 3), -2.0 * ez / e
+    dalpha_alpha = dalpha / alpha
+
+    def dA1(xt, xz, t, b, s, A):
+        db = db_t * xt + db_z * xz
+        ds = (two_dalpha * t + two_alpha_dt * xt ** 2 - b * db) / s
+        return (ds - 1j * db) * half_inv_alpha - A * dalpha_alpha
 
     def subprincipal(big):
         # A^(0) and a^(0) differ only in their leading term, A1 resp. -a1
         def sub(xt, xz):
-            s, b = S(xt, xz), b_dot(xt, xz)
-            A, a = A1_of(s, b), a1_of(s, b)
+            t, b, d = disc(xt, xz)
+            s = np.sqrt(d)
+            A = (s - 1j * b) * half_inv_alpha
+            a = (s + 1j * b) * half_inv_alpha
             ga, gb = xi_gradient(a1, xt, xz)
             dth, dz = w_derivatives(A, grid)
-            dot = ga * (-1j * dth) + gb * (-1j * dz)
             lead = A if big else -a
-            return -(lead * gamma / alpha + dA1(xt, xz, s, b) + dot) / (A + a)
+            return -(lead * gamma_alpha + dA1(xt, xz, t, b, s, A)
+                     - 1j * (ga * dth + gb * dz)) / (A + a)
 
         return sub
 
@@ -347,13 +379,16 @@ def _factorization(grid, e, et, ez, rho):
 
 def mu_symbol(eta: TorusField, R) -> HomogeneousSymbol:
     """mu = mu^(2) + mu^(1), symbol of the linearized mean curvature."""
-    grid, e, et, ez, l2 = _surface_data(eta)
-    l3 = l2 ** 1.5
+    return _mu_from(*_surface_data(eta), R)
+
+
+def _mu_from(grid, e, et, ez, l2, R):
+    """mu_symbol from already derived surface profiles."""
+    lam1_sq = _lambda1_squared(e, et, ez)
+    half_inv_l3 = 0.5 / l2 ** 1.5
 
     def mu2(xt, xz):
-        return (
-            xt ** 2 / e ** 2 + xz ** 2 + (xt * ez / e - xz * et / e) ** 2
-        ) / (2.0 * l3)
+        return lam1_sq(xt, xz) * half_inv_l3
 
     fu, fv = curvature_F_uv(e, et, ez, R)
     (gu_tt, gu_tz, gu_zz), (gv_tt, gv_tz, gv_zz) = curvature_G_uv(e, et, ez)
@@ -368,13 +403,14 @@ def mu_symbol(eta: TorusField, R) -> HomogeneousSymbol:
     return HomogeneousSymbol(grid, 2.0, mu2, mu1, name="mu")
 
 
-def mu2_from_curvature_coefficients(eta: TorusField):
-    """-G^jk(eta, grad eta) xi_j xi_k as a closure (second mu^(2) route)."""
-    grid, e, et, ez, _ = _surface_data(eta)
+def _mu2_gjk_from(grid, e, et, ez):
+    """-G^jk(eta, grad eta) xi_j xi_k as a closure (second mu^(2) route),
+    from already derived surface profiles."""
     g_tt, g_tz, g_zz = curvature_G(e, et, ez)
+    m_tt, m_tz, m_zz = -g_tt, -2.0 * g_tz, -g_zz
 
     def mu2(xt, xz):
-        return -(g_tt * xt ** 2 + 2.0 * g_tz * xt * xz + g_zz * xz ** 2)
+        return m_tt * xt ** 2 + m_tz * (xt * xz) + m_zz * xz ** 2
 
     return HomogeneousSymbol(grid, 2.0, mu2, None, name="mu2_gjk")
 
@@ -391,12 +427,11 @@ def symmetrizer_symbols(eta: TorusField, sigma, R):
     (gamma # q) # parametrix(lambda) so that its principal part
     automatically equals gamma^(3/2) q^(0) / lambda^(1).
     """
-    eta = eta.drop_nyquist()
-    lam = lambda_symbol(eta)
-    mu = mu_symbol(eta, float(R))
-    e, _, _, l2 = _profiles(eta)
-    return _symmetrizer_from(eta.grid, e, l2, float(sigma), lam, mu,
-                             parametrix(lam))
+    data = _surface_data(eta)
+    grid, e, _, _, l2 = data
+    lam = _lambda_from(*data)
+    return _symmetrizer_from(grid, e, l2, float(sigma), lam,
+                             _mu_from(*data, float(R)), parametrix(lam))
 
 
 def _ones_like_xi(xt, xz):
@@ -414,10 +449,7 @@ def mollifier_symbol(gamma_sym: HomogeneousSymbol, eps) -> HomogeneousSymbol:
         return np.exp(-eps * gamma_sym.principal(xt, xz))
 
     def jm1(xt, xz):
-        gt, gz = xi_gradient(j0, xt, xz)
-        dth = w_derivatives(gt, grid)[0]
-        dz = w_derivatives(gz, grid)[1]
-        return -0.5j * (dth + dz)
+        return -0.5j * w_divergence(*xi_gradient(j0, xt, xz), grid)
 
     return HomogeneousSymbol(grid, 0.0, j0, jm1, name="j_eps")
 
@@ -439,7 +471,7 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
         dth, dz = w_derivatives(b.principal(xt, xz), grid)
-        out = ga * (-1j * dth) + gb * (-1j * dz)
+        out = -1j * (ga * dth + gb * dz)
         if b.subprincipal is not None:
             out = out + a.principal(xt, xz) * b.subprincipal(xt, xz)
         if a.subprincipal is not None:
@@ -462,10 +494,7 @@ def adjoint_symbol(a: HomogeneousSymbol) -> HomogeneousSymbol:
         return np.conj(a.principal(np.conj(xt), np.conj(xz)))
 
     def sub(xt, xz):
-        gt, gz = xi_gradient(principal, xt, xz)
-        dth = w_derivatives(gt, grid)[0]
-        dz = w_derivatives(gz, grid)[1]
-        out = -1j * (dth + dz)
+        out = -1j * w_divergence(*xi_gradient(principal, xt, xz), grid)
         if a.subprincipal is not None:
             out = out + np.conj(a.subprincipal(np.conj(xt), np.conj(xz)))
         return out
@@ -511,8 +540,7 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
         dth, dz = w_derivatives(inv_principal(xt, xz), grid)
-        dot = ga * (-1j * dth) + gb * (-1j * dz)
-        out = dot
+        out = -1j * (ga * dth + gb * dz)
         if a.subprincipal is not None:
             out = out + a.subprincipal(xt, xz) * inv_principal(xt, xz)
         return -out / a.principal(xt, xz)
@@ -576,11 +604,10 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
     `fault` is a test hook: "lambda0_sign" flips the sign of the
     subprincipal DtN symbol, which must trip the Im-lambda0 identity.
     """
-    eta = eta.drop_nyquist()
-    grid = eta.grid
-    e, et, ez, l2 = _profiles(eta)
+    data = _surface_data(eta)
+    grid, e, et, ez, l2 = data
 
-    lam = lambda_symbol(eta)
+    lam = _lambda_from(*data)
     if fault == "lambda0_sign":
         sub = lam.subprincipal
         lam = HomogeneousSymbol(grid, 1.0, lam.principal,
@@ -588,8 +615,8 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
                                 name="lambda(faulted)")
     elif fault is not None:
         raise ValueError(f"unknown fault hook {fault!r}")
-    mu = mu_symbol(eta, R)
-    mu2_alt = mu2_from_curvature_coefficients(eta)
+    mu = _mu_from(*data, R)
+    mu2_alt = _mu2_gjk_from(*data[:4])
     lam_inv = parametrix(lam)
     a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
                                                        lam, mu, lam_inv)
@@ -619,7 +646,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
         """Im sym^(m-1) + (1/2)(div_w + d_w log eta .) Re d_xi sym^(m)."""
         def residual(a, b):
             gt, gz = xi_gradient(sym.principal, a, b)
-            div = w_derivatives(gt, grid)[0] + w_derivatives(gz, grid)[1]
+            div = w_divergence(gt, gz, grid)
             rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
                                                + dlog_z * np.real(gz))
             return np.imag(sym.subprincipal(a, b)) - rhs
@@ -672,7 +699,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
     # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
     factorization = {}
     for rho in (1.0, 0.7):
-        big_A, small_a, alpha, _ = factorization_symbols(eta, rho)
+        big_A, small_a, alpha, _ = _factorization(*data[:4], rho)
 
         def fact_residual(a, b, rho=rho, A=big_A, s=small_a, al=alpha):
             target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
@@ -696,10 +723,7 @@ def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
         return np.sqrt(sigma * mu.principal(xt, xz) * lam.principal(xt, xz))
 
     def gamma12(xt, xz):
-        gt, gz = xi_gradient(gamma32, xt, xz)
-        dth = w_derivatives(gt, grid)[0]
-        dz = w_derivatives(gz, grid)[1]
-        im = -0.5 * np.real(dth + dz)
+        im = -0.5 * np.real(w_divergence(*xi_gradient(gamma32, xt, xz), grid))
         re = sigma * np.real(mu.principal(xt, xz)) * np.real(
             lam.subprincipal(xt, xz)
         ) / (2.0 * np.real(gamma32(xt, xz)))

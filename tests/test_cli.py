@@ -382,6 +382,26 @@ t_final = 0.05
         b = (tmp_path / "b" / "run_series.csv").read_bytes()
         assert a == b
 
+    def test_byte_identical_across_thread_counts(self, tmp_path):
+        """The series is bitwise the same under JETWAVE_THREADS 1 and 2.
+        main() only sets the pool variables that are unset, so the child
+        environment drops them."""
+        path = write(tmp_path, BASE + PERTURBED)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        series = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "jetwave.cli", "simulate", "--config",
+                 path, "--out", str(out), "--quiet"],
+                capture_output=True, text=True, timeout=600,
+                env={**env, "JETWAVE_THREADS": threads})
+            assert proc.returncode == EXIT_OK, proc.stderr
+            series.append((out / "run_series.csv").read_bytes())
+        assert series[0] == series[1]
+
     def test_seventeen_digit_floats(self, tmp_path):
         path = write(tmp_path, BASE + "[evolution]\nt_final = 0.05\n")
         main(["simulate", "--config", path, "--out", str(tmp_path),

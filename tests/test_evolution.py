@@ -251,6 +251,14 @@ class TestGrowthMeasurement:
         vals = 2.0 * np.cos(2.45 * t + 0.4)
         assert fit_oscillation_frequency(t, vals) == pytest.approx(2.45, rel=1e-6)
 
+    def test_oscillation_fit_drops_shortened_last_sample(self):
+        """simulate shortens its last step to land on t_final; that sample
+        breaks the uniform spacing the fit assumes and is left out."""
+        t = np.arange(0, 6, 0.015)
+        t = np.append(t, t[-1] + 0.011)
+        vals = 2.0 * np.cos(2.45 * t + 0.4)
+        assert fit_oscillation_frequency(t, vals) == pytest.approx(2.45, rel=1e-6)
+
     def test_plateau_growth_small_run(self):
         """Shortened growth run (the acceptance suite runs the full one)."""
         grid = TorusGrid(8, 8, z_period=2 * TAU)
