@@ -20,8 +20,12 @@ manifest names the cause, and the simulate manifest the last valid t).
 
 Configuration is flat INI-style key=value text with sections
 grid/physics/ic/evolution/output (plus optional dispersion/verify).
-Unknown keys are rejected by name.  Floating point output carries 17
-significant digits, and a fixed seed gives byte-identical reruns.
+Unknown keys are rejected by name.  [verify] takes fault (empty, or the
+symbol test hook lambda0_sign), heavy (a configparser boolean, default
+true; false skips the long time-integration runs) and structure_states
+(seeded states of the DtN structure check, >= 1, default 100).  Floating
+point output carries 17 significant digits, and a fixed seed gives
+byte-identical reruns.
 
 The environment variable JETWAVE_THREADS caps the numeric thread pools; it
 is applied before the numeric modules load.
@@ -87,6 +91,7 @@ def _check_ranges(out):
     value exits 2 with its key named instead of failing mid-run."""
     from .elliptic import TOL_RANGE, RadialGrid
     from .evolution import EvolutionConfig
+    from .symbols import FAULT_HOOKS
 
     try:
         _grid(out)
@@ -96,9 +101,13 @@ def _check_ranges(out):
                         record_every=out["record_every"], cfl=out["cfl"])
     except ValueError as exc:
         raise ConfigError(f"bad value: {exc}") from exc
-    for key, name in (("R", "r"), ("sigma", "sigma")):
+    for key, name in (("R", "r"), ("sigma", "sigma"),
+                      ("structure_states", "structure_states")):
         if not out[key] > 0:
             raise ConfigError(f"bad value for '{name}': must be positive")
+    if out["fault"] not in (None, *FAULT_HOOKS):
+        raise ConfigError(f"bad value for 'fault': {out['fault']!r} is not "
+                          f"one of {FAULT_HOOKS}")
     lo, hi = TOL_RANGE
     if not lo <= out["elliptic_tol"] <= hi:
         raise ConfigError(f"bad value for 'elliptic_tol': "
@@ -175,7 +184,7 @@ def load_config(path):
                               f"in section [{section}]")
         try:
             return cast(raw)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:   # KeyError: not a boolean
             raise ConfigError(f"bad value for '{key}': {exc}") from exc
 
     out = {
@@ -194,8 +203,8 @@ def load_config(path):
         "cfl": value("evolution", "cfl", float, "0.5"),
         "prefix": cfg.get("output", {}).get("prefix", "run"),
         "fault": cfg.get("verify", {}).get("fault") or None,
-        "heavy": cfg.get("verify", {}).get("heavy", "true").lower()
-        not in ("false", "0", "no"),
+        "heavy": value("verify", "heavy", lambda raw:
+                       configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "true"),
         "structure_states": value("verify", "structure_states", int, "100"),
     }
     _check_ranges(out)

@@ -35,11 +35,12 @@ eigenbasis per angular mode, built with the solver, inverts it at any mean
 radius; a solve reads the solver and never writes it.  A caller that has a
 nearby potential (the time stepper has one from the previous stage) passes
 it as an explicit starting guess; the stopping test stays relative to the
-cold right-hand side, so a warm solve meets the same accuracy target.  A
-warm start applies the operator once, to the guess: the norm of the cold
-right-hand side K(1 (x) psi) comes in closed form from one-layer
-transforms, since the lift is constant in rho and every coefficient of the
-energy form is a radial profile times a (theta, z) layer.
+cold right-hand side, so a warm solve meets the same accuracy target.
+Radial derivatives are taken relative to the trace, D (phi - phi(rho = 1)),
+so the lift 1 (x) psi has no radial strain, and its K, the right-hand side
+of every solve, comes in closed form from one-layer transforms; a guess adds
+K of its zero-trace interior.  A constant trace gives a zero right-hand
+side, so G(eta) 1 = 0 exactly.
 
 One CG iteration costs seven (theta, z) transforms of an n_rho-layer stack:
 the preconditioner's forward and inverse transform, the inverse transforms
@@ -267,8 +268,10 @@ class PotentialField:
         co = build_coefficients(eta, rho)
         D = self.radial.D
         phi = self.values
-        dphi = np.tensordot(D, phi, axes=(1, 0))
-        d2phi = np.tensordot(D @ D, phi, axes=(1, 0))
+        # relative to the trace, as the solver differentiates: (D D) 1 = 0
+        u = phi - phi[-1]
+        dphi = np.tensordot(D, u, axes=(1, 0))
+        d2phi = np.tensordot(D @ D, u, axes=(1, 0))
         grid = self.grid
         mt, mz = derivative_multipliers(grid)
         dth_dphi = _apply_w(dphi, mt)
@@ -451,14 +454,13 @@ class DtnSolver:
         mu = (self.radial.weights[:, None, None] * rho) * e ** 2 * self.grid.cell_area
         return c1, c2, c3, c4, mu
 
-    def _strains(self, phi, co, ph=None):
-        """(e1, e2, e3) of a stack; ph is its rfft2 half-spectrum, if known
-        (one layer of it for a stack constant in rho)."""
+    def _strains(self, u, ph, co):
+        """(e1, e2, e3) of a stack phi, given u = phi[:-1] - phi[-1], its
+        interior relative to the trace, and ph, its rfft2 half-spectrum.
+        d_rho phi = D[:, :-1] u is exactly zero if phi is constant in rho."""
         c1, c2, c3, c4, _ = co
         nt, nz = self.grid.n_theta, self.grid.n_z
-        dphi = _along_rho(self.radial.D, phi)
-        if ph is None:
-            ph = _sfft.rfft2(phi, axes=(1, 2))
+        dphi = _along_rho(self.radial.D[:, :-1], u)
         grads = _sfft.irfft2(
             np.stack([ph * self._rmt, ph * self._rmz]), axes=(2, 3), s=(nt, nz)
         )
@@ -466,15 +468,6 @@ class DtnSolver:
         e2 = c2 * grads[0] + c3 * dphi
         e3 = grads[1] + c4 * dphi
         return e1, e2, e3
-
-    @staticmethod
-    def _fluxes(strains, co):
-        """Radial, theta and z energy fluxes of a strain triple."""
-        c1, c2, c3, c4, mu = co
-        e1, e2, e3 = strains
-        g2 = mu * e2
-        g3 = mu * e3
-        return c1 * (mu * e1) + c3 * g2 + c4 * g3, c2 * g2, g3
 
     def _w_divergence(self, f_theta, f_z):
         """d_theta f_theta + d_z f_z layer by layer (minus the adjoint of the
@@ -485,11 +478,20 @@ class DtnSolver:
         return _sfft.irfft2(pair[0] * self._rmt + pair[1] * self._rmz,
                             axes=(-2, -1), s=(nt, nz))
 
-    def _apply_K(self, phi, co, ph=None):
+    def _apply_K(self, phi, co):
         """Full symmetric energy operator on a (n_rho, n_theta, n_z) stack."""
-        f_rho, f_theta, f_z = self._fluxes(self._strains(phi, co, ph), co)
-        out = _along_rho(self.radial.D.T, f_rho)
-        out -= self._w_divergence(f_theta, f_z)
+        return self._apply_K_rel(phi[:-1] - phi[-1],
+                                 _sfft.rfft2(phi, axes=(1, 2)), co)
+
+    def _apply_K_rel(self, u, ph, co):
+        """K of the stack phi that u and ph describe, as _strains takes it:
+        D^T of the radial energy flux minus the divergence of the others."""
+        c1, c2, c3, c4, mu = co
+        e1, e2, e3 = self._strains(u, ph, co)
+        g2 = mu * e2
+        g3 = mu * e3
+        out = _along_rho(self.radial.D.T, c1 * (mu * e1) + c3 * g2 + c4 * g3)
+        out -= self._w_divergence(c2 * g2, g3)
         return out
 
     def _apply_K_lift(self, psi, co):
@@ -498,35 +500,29 @@ class DtnSolver:
 
         Every coefficient is a radial profile times a (theta, z) layer:
         c1 = a, c2 = a/rho, c3 = s, c4 = rho t and mu = w rho M, whose layers
-        are the coefficients' rho = 1 rows (mu's divided by its weight).  So
-        are the strains of the lift, with dphi = (D 1) (x) psi; the D 1
-        terms vanish up to roundoff and are kept, as _apply_K keeps them.
-        K(lift) is then a sum of eight radial profiles times layers.
+        are the coefficients' rho = 1 rows (mu's divided by its weight).  The
+        lift has no radial strain, so K(lift) is a sum of four radial
+        profiles times layers made from the tangential gradients of psi.
         """
         c1, _, c3, c4, mu = co
         rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
         nt, nz = self.grid.n_theta, self.grid.n_z
         a, s, t = c1[0], c3[0], c4[-1]
         M = mu[-1] / w[-1]
-        d = D.sum(axis=1)
         P = w * rho
-        g_t, g_z = _sfft.irfft2(_sfft.rfft2(psi) * np.stack([self._rmt, self._rmz]),
-                                s=(nt, nz))
-        l_t, l_z, l_psi = M * (a * g_t), M * g_z, M * psi
-        div = _sfft.irfft2(
-            _sfft.rfft2(np.stack([a * l_t, a * s * l_psi, l_z, t * l_psi]))
-            * np.stack([self._rmt, self._rmt, self._rmz, self._rmz]),
-            s=(nt, nz))
-        profiles = np.stack([D.T @ (P * d), D.T @ (P / rho), D.T @ (P * rho),
-                             D.T @ (P * rho ** 2 * d), -P / rho ** 2,
-                             -P * d / rho, -P, -P * rho * d], axis=1)
-        layers = np.stack([(a * a + s * s) * l_psi, s * l_t, t * l_z,
-                           t * t * l_psi, *div])
-        return _along_rho(profiles, layers)
+        mult = np.stack([self._rmt, self._rmz])
+        g_t, g_z = _sfft.irfft2(_sfft.rfft2(psi) * mult, s=(nt, nz))
+        l_t, l_z = M * (a * g_t), M * g_z
+        div = _sfft.irfft2(_sfft.rfft2(np.stack([a * l_t, l_z])) * mult,
+                           s=(nt, nz))
+        profiles = np.stack([D.T @ (P / rho), D.T @ (P * rho), -P / rho ** 2,
+                             -P], axis=1)
+        return _along_rho(profiles, np.stack([s * l_t, t * l_z, *div]))
 
     def energy(self, phi, co):
         """Dirichlet energy 1/2 * a(phi, phi); nonnegative by construction."""
-        e1, e2, e3 = self._strains(phi, co)
+        e1, e2, e3 = self._strains(phi[:-1] - phi[-1],
+                                   _sfft.rfft2(phi, axes=(1, 2)), co)
         return 0.5 * float(np.sum(co[4] * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
 
     # -- solve ---------------------------------------------------------------
@@ -553,37 +549,29 @@ class DtnSolver:
         co = self._coefficients(eta)
         weights = self._precond_weights(eta.mean())
 
-        # phi = lift + x on the interior rows, the lift constant in rho.  A
-        # cold start takes its residual from K(lift), whose tangential
-        # gradients are one layer's; a warm one from K(lift + x0), and the
-        # cold right-hand side only for its norm, from the closed form.
-        lift = np.broadcast_to(psi.values, shape).copy()
-        if guess is None:
-            k0 = self._apply_K(lift, co, _sfft.rfft2(psi.values)[None])
-            x = np.zeros_like(k0[:-1])
+        def K_zero_trace(u, uh):
+            """K of the stack with interior u and zero trace, given the
+            half-spectrum uh of u."""
+            pad = np.zeros((1,) + uh.shape[1:], complex)
+            return self._apply_K_rel(u, np.concatenate([uh, pad]), co)
+
+        # phi = 1 (x) psi + x, with x zero on the trace row.  The residual
+        # starts from -K(1 (x) psi), in closed form, and a guess adds K of
+        # its interior x0; flux is the rho = 1 row of K(phi), accumulated
+        # with the coefficients of x.  Both stay in the stack k0.
+        k0 = self._apply_K_lift(psi.values, co)
+        r, flux = k0[:-1], k0[-1]
+        r *= -1.0
+        bnorm = float(np.sqrt(np.sum(r ** 2)))
+        if guess is None or not bnorm:
+            x = np.zeros_like(r)
         else:
-            k0 = self._apply_K_lift(psi.values, co)
             x = guess[:-1] - psi.values
-        bnorm = float(np.sqrt(np.sum(k0[:-1] ** 2)))
-        if bnorm == 0.0:
-            return PotentialField(self.radial, self.grid, lift, 0, 0.0, eta,
-                                  co, self._flux(k0[-1]))
-        if guess is not None:
-            start = lift.copy()
-            start[:-1] += x
-            k0 = self._apply_K(start, co)
-        r = -k0[:-1]
-        # the rho = 1 row of K(phi), accumulated with the coefficients of x
-        flux = k0[-1].copy()
+            kx = K_zero_trace(x, _sfft.rfft2(x, axes=(1, 2)))
+            r -= kx[:-1]
+            flux += kx[-1]
 
-        def K_zero_trace(u_int, uh_int):
-            """K on an interior stack with zero trace, given its
-            half-spectrum."""
-            u = np.concatenate([u_int, np.zeros((1,) + u_int.shape[1:])])
-            pad = np.zeros((1,) + uh_int.shape[1:], complex)
-            return self._apply_K(u, co, np.concatenate([uh_int, pad]))
-
-        res = float(np.sqrt(np.sum(r ** 2))) / bnorm
+        res = float(np.sqrt(np.sum(r ** 2))) / bnorm if bnorm else 0.0
         its = 0
         while res >= tol:
             if its == max_iter:
@@ -610,14 +598,10 @@ class DtnSolver:
             flux += alpha * kp[-1]
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             its += 1
-        phi = lift
+        phi = np.broadcast_to(psi.values, shape).copy()
         phi[:-1] += x
         return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
-                              self._flux(flux))
-
-    def _flux(self, row):
-        """eta G(eta) psi from the rho = 1 row of K(phi)."""
-        return TorusField(self.grid, row / self.grid.cell_area)
+                              TorusField(self.grid, flux / self.grid.cell_area))
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
@@ -632,7 +616,9 @@ class DtnSolver:
         """
         pot = self.solve(eta, psi, tol, max_iter, guess)
         eta = pot.eta
-        d_rho = TorusField(self.grid, _along_rho(self.radial.D[-1], pot.values))
+        phi = pot.values
+        d_rho = TorusField(self.grid,
+                           _along_rho(self.radial.D[-1, :-1], phi[:-1] - phi[-1]))
 
         B = nonlinear_eval(lambda d, e: d / e, d_rho, eta)
         gbt, gbz = grad_bar_eta(eta)

@@ -64,6 +64,8 @@ from .geometry import (
 from .spectral import TorusField, TorusGrid, derivative_multipliers
 
 _XI_CHUNK = 32
+# the test hooks symbol_identity_report accepts as its fault argument
+FAULT_HOOKS = ("lambda0_sign",)
 
 # Evaluations shared within the current xi chunk of an identity report; None
 # (nothing shared) outside one.  A context variable, so concurrent reports

@@ -232,7 +232,9 @@ def check_dtn_convergence(grid, R=1.0):
 
 def check_dtn_structure(grid, n_rho, seed, R=1.0, n_states=100):
     """Self-adjointness, positivity, and G(eta)1 = 0 on a seeded ensemble
-    with ||eta - R||_inf <= 0.2 R."""
+    of n_states >= 1 states with ||eta - R||_inf <= 0.2 R."""
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
     asym_worst = 0.0

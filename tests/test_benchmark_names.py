@@ -74,10 +74,10 @@ def test_traced_dtn_repeat_counts(grid16):
 
 def test_traced_warm_bundle_counts(grid16):
     """The transforms of one warm trace_bundle on 16 x 16 x 32 are those of
-    its CG iterations plus a fixed warm-start cost (one K of the guess and
-    the one-layer transforms of the closed-form K(1 (x) psi)), with no
-    strain pass after the solve; the trace algebra pads each distinct input
-    field once."""
+    its CG iterations plus a fixed warm-start cost (one K of the guess's
+    zero-trace interior and the one-layer transforms of the closed-form
+    K(1 (x) psi)), with no strain pass after the solve; the trace algebra
+    pads each distinct input field once."""
     spans = _load_spans()
     n_rho, n = 32, 16
     solver = elliptic.DtnSolver(grid16, n_rho)
@@ -103,8 +103,8 @@ def test_traced_warm_bundle_counts(grid16):
     # _apply_K given the half-spectrum: gradients, flux spectra, divergence
     k_known = 2 * n_rho * half + 2 * n_rho * layer + n_rho * half
     per_iteration = ni * layer + ni * half + k_known   # preconditioner + K
-    warm_start = n_rho * layer + k_known               # K of the guess
-    lift = layer + 2 * half + 4 * layer + 4 * half     # closed-form K(lift)
+    warm_start = ni * layer + k_known                  # K of the guess's interior
+    lift = layer + 2 * half + 2 * layer + 2 * half     # closed-form K(lift)
     assert counts["fft_points"]["elliptic"] == its * per_iteration + warm_start + lift
 
     # spectral layer: every dealiased evaluation is one real transform pair

@@ -20,7 +20,8 @@ from jetwave.cli import (
 )
 from jetwave.elliptic import DtnSolver
 from jetwave.errors import ConfigError, ConvergenceError, EllipticityError
-from jetwave.verification import check_plateau_oscillation
+from jetwave.spectral import TorusGrid
+from jetwave.verification import check_dtn_structure, check_plateau_oscillation
 
 BASE = """
 [grid]
@@ -90,6 +91,17 @@ t_final = 0.5
         cfg = load_config(write(tmp_path, BASE.replace(
             "n_rho = 24", "n_rho = 24\nz_period = 4pi")))
         assert cfg["z_period"] == pytest.approx(4 * np.pi)
+
+    @pytest.mark.parametrize("raw, heavy", [
+        ("off", False), ("No", False), ("TRUE", True),
+    ])
+    def test_verify_keys(self, tmp_path, raw, heavy):
+        """heavy takes the configparser booleans in any case; an empty
+        fault is no fault."""
+        cfg = load_config(write(tmp_path, BASE + f"[verify]\nheavy = {raw}\n"
+                                               "fault =\nstructure_states = 1\n"))
+        assert cfg["heavy"] is heavy
+        assert cfg["fault"] is None and cfg["structure_states"] == 1
 
 
 class TestExitCodes:
@@ -276,6 +288,29 @@ t_final = 0.5
                      "--quiet"])
         assert code == EXIT_CONFIG
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, raw", [
+        ("structure_states", "0"),
+        ("structure_states", "-3"),
+        ("fault", "lambda0sign"),
+        ("heavy", "flase"),
+    ])
+    def test_bad_verify_value_exit_2_names_key(self, tmp_path, capsys, key,
+                                               raw):
+        """A [verify] value that would pass vacuously, end in a traceback
+        or silently run the heavy battery is a configuration error."""
+        keys = {"heavy": "false", "structure_states": "2", key: raw}
+        path = write(tmp_path, BASE + "[verify]\n" + "".join(
+            f"{k} = {v}\n" for k, v in keys.items()))
+        code = main(["verify", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+        assert not (tmp_path / "run_verify.txt").exists()
+
+    def test_structure_check_needs_a_state(self):
+        with pytest.raises(ValueError, match="n_states"):
+            check_dtn_structure(TorusGrid(16, 16), 24, 0, n_states=0)
 
 
 class TestDtnCommand:

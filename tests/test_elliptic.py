@@ -100,9 +100,9 @@ class TestSolve:
         eta = TorusField.constant(grid32, R)
         pot = solver32.solve(eta, TorusField.constant(grid32, 2.7), tol=1e-12)
         assert np.abs(pot.values - 2.7).max() < 1e-12
-        # the constant lift solves the system up to differentiation-matrix
-        # roundoff, so at most one polish iteration runs
-        assert pot.iterations <= 1
+        # the constant lift has no radial strain: the right-hand side is
+        # exactly zero and no iteration runs
+        assert pot.iterations == 0
         assert np.abs(pot.strong_residual(eta)).max() < 1e-10
 
     def test_strong_residual_on_a_deformed_jet(self, grid32, rng):
@@ -226,10 +226,10 @@ class TestWarmStart:
 
 
 class TestLeanSolve:
-    """A solve does only its own work: a warm start applies K once and takes
-    the norm of the cold right-hand side from the closed-form K(1 (x) psi),
-    the flux is accumulated from the rows of K that CG applies, and E_k is
-    computed when read."""
+    """A solve does only its own work: every solve starts from the
+    closed-form K(1 (x) psi) and a warm start adds K of the guess's
+    zero-trace interior, the flux is accumulated from the rows of K that CG
+    applies, and E_k is computed when read."""
 
     SIZES = {16: 32, 32: 48, 64: 48}
 
@@ -250,12 +250,10 @@ class TestLeanSolve:
         want = solver._apply_K(lift, co)
         got = solver._apply_K_lift(psi.values, co)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        # a constant trace: both vanish up to the roundoff of D 1
+        # a constant trace: both vanish exactly
         lift = np.full(shape, 2.7)
-        want = solver._apply_K(lift, co)
-        got = solver._apply_K_lift(lift[-1], co)
-        assert np.abs(want).max() < 1e-12
-        assert np.abs(got - want).max() < 1e-13
+        assert not np.any(solver._apply_K(lift, co))
+        assert not np.any(solver._apply_K_lift(lift[-1], co))
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("n", [32, 64])
@@ -403,6 +401,20 @@ class TestSolverIsPure:
 
 
 class TestDtn:
+    @pytest.mark.parametrize("n,n_rho", [(16, 32), (32, 48)])
+    @pytest.mark.parametrize("amp", [0.0, 0.1], ids=["cylinder", "deformed"])
+    def test_constant_trace_exact(self, n, n_rho, amp, rng):
+        """G(eta) 1 = 0 exactly: the radial derivative is taken relative to
+        the trace, so a constant trace gives a zero right-hand side and the
+        solve returns without iterating."""
+        grid = TorusGrid(n, n)
+        eta = smooth_surface(grid, rng, R, amp=amp) if amp \
+            else TorusField.constant(grid, R)
+        b = DtnSolver(grid, n_rho).trace_bundle(
+            eta, TorusField.constant(grid, 4.2), 1e-12)
+        assert b.iterations == 0
+        assert not np.any(b.G.values) and not np.any(b.flux.values)
+
     def test_constant_trace(self, grid32, solver32, rng):
         eta = smooth_surface(grid32, rng, R, amp=0.1)
         b = solver32.trace_bundle(eta, TorusField.constant(grid32, 4.2), 1e-12)
