@@ -20,12 +20,12 @@ manifest names the cause, and the simulate manifest the last valid t).
 
 Configuration is flat INI-style key=value text with sections
 grid/physics/ic/evolution/output (plus optional dispersion/verify).
-Unknown keys are rejected by name.  [verify] takes fault (empty, or the
-symbol test hook lambda0_sign), heavy (a configparser boolean, default
-true; false skips the long time-integration runs) and structure_states
-(seeded states of the DtN structure check, >= 1, default 100).  Floating
-point output carries 17 significant digits, and a fixed seed gives
-byte-identical reruns.
+Unknown keys and non-finite numbers are rejected by name.  [verify] takes
+fault (empty, or the symbol test hook lambda0_sign), heavy (a configparser
+boolean, default true; false skips the long time-integration runs) and
+structure_states (seeded states of the DtN structure check, >= 1, default
+100).  Floating point output carries 17 significant digits, and a fixed seed
+gives byte-identical reruns.
 
 The environment variable JETWAVE_THREADS caps the numeric thread pools; it
 is applied before the numeric modules load.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -50,8 +51,7 @@ _SCHEMA = {
     "grid": {"n_theta", "n_z", "n_rho", "z_period"},
     "physics": {"r", "sigma"},
     "ic": None,  # mode.N keys, validated separately
-    "evolution": {"dt", "t_final", "filter_eps", "record_every",
-                  "elliptic_tol", "cfl"},
+    "evolution": {"dt", "t_final", "record_every", "elliptic_tol", "cfl"},
     "output": {"prefix"},
     "dispersion": {"modes"},
     "verify": {"fault", "heavy", "structure_states"},
@@ -68,7 +68,6 @@ def _fmt(x):
 
 def _parse_pi(text):
     text = text.strip().lower()
-    import math
     if text.endswith("pi"):
         head = text[:-2].strip().rstrip("*")
         factor = float(head) if head else 1.0
@@ -97,7 +96,6 @@ def _check_ranges(out):
         _grid(out)
         RadialGrid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
-                        filter_eps=out["filter_eps"],
                         record_every=out["record_every"], cfl=out["cfl"])
     except ValueError as exc:
         raise ConfigError(f"bad value: {exc}") from exc
@@ -183,9 +181,13 @@ def load_config(path):
             raise ConfigError(f"missing required key '{key}' "
                               f"in section [{section}]")
         try:
-            return cast(raw)
+            result = cast(raw)
         except (KeyError, ValueError) as exc:   # KeyError: not a boolean
             raise ConfigError(f"bad value for '{key}': {exc}") from exc
+        if isinstance(result, float) and not math.isfinite(result):
+            raise ConfigError(f"bad value for '{key}': {raw.strip()!r} is "
+                              f"not finite")
+        return result
 
     out = {
         "n_theta": value("grid", "n_theta", int),
@@ -197,7 +199,6 @@ def load_config(path):
         "modes": [],
         "dt": value("evolution", "dt", _parse_dt, "auto"),
         "t_final": value("evolution", "t_final", float, "1.0"),
-        "filter_eps": value("evolution", "filter_eps", float, "0.0"),
         "record_every": value("evolution", "record_every", int, "1"),
         "elliptic_tol": value("evolution", "elliptic_tol", float, "1e-11"),
         "cfl": value("evolution", "cfl", float, "0.5"),
@@ -225,9 +226,11 @@ def load_config(path):
                 raise ConfigError(
                     f"mode '{key}': target must be eta or psi, got {target!r}")
             try:
-                out["modes"].append(
-                    (float(amp), int(m), float(k), target, float(phase)))
-                _check_lattice(out, [float(k)])
+                amp, k, phase = float(amp), float(k), float(phase)
+                if not all(map(math.isfinite, (amp, k, phase))):
+                    raise ValueError("amplitude, k and phase must be finite")
+                out["modes"].append((amp, int(m), k, target, phase))
+                _check_lattice(out, [k])
             except ValueError as exc:
                 raise ConfigError(f"bad value in mode '{key}': {exc}") from exc
     return out
@@ -274,7 +277,6 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     state = _build_state(cfg)
     solver = DtnSolver(state.grid, cfg["n_rho"])
     econf = EvolutionConfig(dt=cfg["dt"], t_final=cfg["t_final"],
-                            filter_eps=cfg["filter_eps"],
                             record_every=cfg["record_every"],
                             tol_elliptic=cfg["elliptic_tol"], cfl=cfg["cfl"])
     traj = simulate(state, econf, solver)

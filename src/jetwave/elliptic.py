@@ -532,7 +532,9 @@ class DtnSolver:
 
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
         stack that CG starts from; its rho = 1 row is ignored.  The stopping
-        test is relative to the cold right-hand side either way.
+        test is relative to the cold right-hand side either way.  A
+        non-finite residual (from NaN or inf in eta, psi or the guess) raises
+        ConvergenceError at once.
         """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -573,13 +575,13 @@ class DtnSolver:
 
         res = float(np.sqrt(np.sum(r ** 2))) / bnorm if bnorm else 0.0
         its = 0
-        while res >= tol:
-            if its == max_iter:
+        while not res < tol:   # a NaN residual never passes
+            if its == max_iter or not np.isfinite(res):
                 raise ConvergenceError(
-                    f"elliptic solve failed to reach tol {tol:g} in {max_iter} "
+                    f"elliptic solve failed to reach tol {tol:g} in {its} "
                     f"iterations (residual {res:.3e})",
                     residual=res,
-                    iterations=max_iter,
+                    iterations=its,
                 )
             z, zh = self._apply_precond(r, weights)
             rz_new = float(np.sum(r * z))

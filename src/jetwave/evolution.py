@@ -3,18 +3,12 @@
     eta_t = G(eta) psi,
     psi_t = -sigma (H - 1/(2R)) - N,
 
-with conservation tracking, an optional high-frequency filter, and the
-linearized dynamics about the reference cylinder.
+with conservation tracking and the linearized dynamics about the reference
+cylinder.
 
-The integrator is classical RK4; the step size obeys the capillary CFL
-restriction dt * (max resolved frequency)^(3/2) * sqrt(sigma/2) <= 0.5,
-reflecting the |xi|^(3/2) dispersion of surface tension.  The optional
-filter is the frozen-coefficient frequency damping
-
-    exp(-eps sqrt(sigma/2) lambda_bar(xi)^(3/2)),
-    lambda_bar(xi) = sqrt(xi_theta^2/eta_bar^2 + xi_z^2),
-
-applied once per step to both fields when eps > 0.
+The integrator is classical RK4 on the bare system; the step size obeys the
+capillary CFL restriction dt * (max resolved frequency)^(3/2) * sqrt(sigma/2)
+<= 0.5, reflecting the |xi|^(3/2) dispersion of surface tension.
 
 Simulation stops normally at t_final or terminally when min(eta) drops below
 1e-3 R (pinch-off: the cylinder-graph model leaves its domain of validity);
@@ -128,19 +122,6 @@ def rhs(state: SurfaceState, solver: DtnSolver, tol, guess=None):
     return eta_t, psi_t, bundle
 
 
-def _filter_multiplier(grid, eta_bar, sigma, eps):
-    xt, xz = grid.xi_mesh()
-    lam_bar = np.sqrt(xt ** 2 / eta_bar ** 2 + xz ** 2)
-    return np.exp(-eps * np.sqrt(sigma / 2.0) * lam_bar ** 1.5)
-
-
-def apply_filter(f: TorusField, eta_bar, sigma, eps):
-    if eps == 0.0:
-        return f
-    mult = _filter_multiplier(f.grid, eta_bar, sigma, eps)
-    return TorusField.from_coefficients(f.grid, f.coefficients * mult)
-
-
 class Rk4Step(NamedTuple):
     """One RK4 step: the new state, the nodal potentials of its first and
     last stage solves (the next step's starting guesses), and the CG
@@ -154,10 +135,9 @@ class Rk4Step(NamedTuple):
     residual: float
 
 
-def step_rk4(state: SurfaceState, dt, filter_eps, solver: DtnSolver, tol, *,
+def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
              k1=None, previous: Rk4Step = None) -> Rk4Step:
-    """One classical fourth-order step; the filter (if any) acts once at the
-    end on both fields.
+    """One classical fourth-order step.
 
     k1 is ``rhs(state)`` if the caller already has it.  Each stage solve
     starts from earlier potentials: k2 from phi1, k3 from phi2 and k4 from
@@ -182,10 +162,6 @@ def step_rk4(state: SurfaceState, dt, filter_eps, solver: DtnSolver, tol, *,
     k4e, k4p, b4 = f(e0 + dt * k3e, p0 + dt * k3p, 2.0 * b3.potential - phi1)
     eta1 = e0 + (dt / 6) * (k1e + 2 * k2e + 2 * k3e + k4e)
     psi1 = p0 + (dt / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    if filter_eps > 0.0:
-        eta_bar = eta1.mean()
-        eta1 = apply_filter(eta1, eta_bar, state.sigma, filter_eps)
-        psi1 = apply_filter(psi1, eta_bar, state.sigma, filter_eps)
     stages = (b1, b2, b3, b4)
     return Rk4Step(state.with_fields(eta=eta1, psi=psi1, t=state.t + dt),
                    phi1, b4.potential,
@@ -208,7 +184,6 @@ def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
 class EvolutionConfig:
     dt: float | str = "auto"
     t_final: float = 1.0
-    filter_eps: float = 0.0
     tol_elliptic: float = 1e-11
     record_every: int = 1
     cfl: float = CFL_DEFAULT
@@ -216,8 +191,6 @@ class EvolutionConfig:
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if not self.filter_eps >= 0:
-            raise ValueError("filter_eps must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if self.dt != "auto" and not float(self.dt) > 0:
@@ -324,8 +297,8 @@ def _advance(traj, state, dt, config, solver):
         if state.eta.min() < PINCH_FRACTION * state.R:
             traj.status = "pinch_off"
             return
-        step = step_rk4(state, min(dt, t_end - state.t), config.filter_eps,
-                        solver, tol, k1=k1, previous=step)
+        step = step_rk4(state, min(dt, t_end - state.t), solver, tol, k1=k1,
+                        previous=step)
         state = step.state
         iterations += step.iterations
         residual = max(residual, step.residual)

@@ -98,14 +98,16 @@ def _require_positive(eta: TorusField):
 # first-order quantities
 # ---------------------------------------------------------------------------
 
+def _h(x, u, v):
+    """The metric factor as a function of (eta, eta_theta, eta_z)."""
+    return np.sqrt(1.0 + (u / x) ** 2 + v ** 2)
+
+
 def metric_factor(eta: TorusField) -> TorusField:
     """l = sqrt(1 + (eta_theta/eta)^2 + eta_z^2); l >= 1 pointwise."""
     _require_positive(eta)
-    et = spectral_derivative(eta, "theta")
-    ez = spectral_derivative(eta, "z")
-    return nonlinear_eval(
-        lambda e, u, v: np.sqrt(1.0 + (u / e) ** 2 + v ** 2), eta, et, ez
-    )
+    return nonlinear_eval(_h, eta, spectral_derivative(eta, "theta"),
+                          spectral_derivative(eta, "z"))
 
 
 def modified_gradient(f: TorusField, eta: TorusField):
@@ -124,10 +126,6 @@ def grad_bar_eta(eta: TorusField):
 # ---------------------------------------------------------------------------
 # curvature coefficient functions and their derivatives
 # ---------------------------------------------------------------------------
-
-def _h(x, u, v):
-    return np.sqrt(1.0 + (u / x) ** 2 + v ** 2)
-
 
 def curvature_F(x, u, v, R):
     """Zeroth-order part of H - 1/(2R) in the quasilinear decomposition.
@@ -201,7 +199,7 @@ def mean_curvature(eta: TorusField, method="direct", R=None) -> TorusField:
     if method == "direct":
         et = spectral_derivative(eta, "theta")
         ez = spectral_derivative(eta, "z")
-        l = metric_factor(eta)
+        l = nonlinear_eval(_h, eta, et, ez)
         t1 = nonlinear_eval(lambda e, ll: 1.0 / (e * ll), eta, l)
         q1 = nonlinear_eval(lambda u, e, ll: u / (e * ll), et, eta, l)
         t2 = nonlinear_eval(
@@ -220,7 +218,7 @@ def mean_curvature(eta: TorusField, method="direct", R=None) -> TorusField:
         g_zz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[2], eta, et, ez)
         e_tt = spectral_derivative(eta, "theta", 2)
         e_zz = spectral_derivative(eta, "z", 2)
-        e_tz = spectral_derivative(spectral_derivative(eta, "theta"), "z")
+        e_tz = spectral_derivative(et, "z")
         second = (
             dealiased_product(g_tt, e_tt)
             + 2.0 * dealiased_product(g_tz, e_tz)
@@ -245,12 +243,8 @@ def potential_energy(eta: TorusField, R, sigma) -> float:
     et = spectral_derivative(eta, "theta")
     ez = spectral_derivative(eta, "z")
     integrand = nonlinear_eval(
-        lambda e, u, v: e * (np.sqrt(1.0 + (u / e) ** 2 + v ** 2) - 1.0)
-        - (e - R) ** 2 / (2.0 * R),
-        eta,
-        et,
-        ez,
-    )
+        lambda e, u, v: e * (_h(e, u, v) - 1.0) - (e - R) ** 2 / (2.0 * R),
+        eta, et, ez)
     return 0.5 * float(sigma) * integrand.integral()
 
 

@@ -479,7 +479,7 @@ def check_rk4(seed, R=1.0, sigma=1.0):
     for nsteps in (8, 16, 32):
         s = state
         for _ in range(nsteps):
-            s = step_rk4(s, T / nsteps, 0.0, solver, 1e-12).state
+            s = step_rk4(s, T / nsteps, solver, 1e-12).state
         finals.append(s)
     d1 = max((finals[0].eta - finals[1].eta).max_norm(),
              (finals[0].psi - finals[1].psi).max_norm())
@@ -488,8 +488,8 @@ def check_rk4(seed, R=1.0, sigma=1.0):
     order = float(np.log2(d1 / d2))
     shifted = state.with_fields(eta=state.eta.shift(0, grid.n_z // 2),
                                 psi=state.psi.shift(0, grid.n_z // 2))
-    a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12).state
-    b = step_rk4(state, 0.02, 0.0, solver, 1e-12).state
+    a = step_rk4(shifted, 0.02, solver, 1e-12).state
+    b = step_rk4(state, 0.02, solver, 1e-12).state
     equi = max((a.eta - b.eta.shift(0, grid.n_z // 2)).max_norm(),
                (a.psi - b.psi.shift(0, grid.n_z // 2)).max_norm())
     return [

@@ -151,8 +151,8 @@ def test_criterion_08_rayleigh_plateau():
 
 
 def test_criterion_09_conservation():
-    """Hamiltonian drift < 1e-6 and volume drift < 1e-8 over T = 1 with
-    filter_eps = 0."""
+    """Hamiltonian drift < 1e-6 and volume drift < 1e-8 over T = 1 of the
+    bare RK4 flow."""
     _report("criterion 9", V.check_conservation())
 
 

@@ -277,9 +277,21 @@ t_final = 0.5
         ("n_theta", "7"),
         ("r", "-1"),
         ("dt", "-0.1"),
+        ("t_final", "inf"),
+        ("z_period", "inf"),
+        ("dt", "inf"),
+        ("cfl", "inf"),
+        ("r", "inf"),
+        ("sigma", "nan"),
+        ("elliptic_tol", "nan"),
+        ("mode.1", "inf 2 1 eta 0.0"),
+        ("mode.1", "1e-2 2 nan eta 0.0"),
+        ("mode.1", "1e-2 2 1 eta -inf"),
     ])
     def test_bad_value_exit_2_names_key(self, tmp_path, capsys, key, raw):
-        text = BASE + "[evolution]\nt_final = 0.05\n"
+        text = (BASE.replace("n_rho = 24", "n_rho = 24\nz_period = 2pi")
+                + "[ic]\nmode.1 = 1e-2 2 1 eta 0.0\n"
+                + "[evolution]\nt_final = 0.05\n")
         old = [l for l in text.splitlines() if l.startswith(f"{key} =")]
         text = (text.replace(old[0], f"{key} = {raw}") if old
                 else text + f"{key} = {raw}\n")
@@ -288,6 +300,16 @@ t_final = 0.5
                      "--quiet"])
         assert code == EXIT_CONFIG
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+    def test_filter_eps_is_an_unknown_key(self, tmp_path, capsys):
+        """The stepper has no frequency filter; a config that still sets
+        one is rejected by name, not ignored."""
+        path = write(tmp_path, BASE + "[evolution]\nfilter_eps = 0.0\n")
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "unknown key 'filter_eps'" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.txt").exists()
 
     @pytest.mark.parametrize("key, raw", [
         ("structure_states", "0"),

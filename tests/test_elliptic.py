@@ -163,6 +163,26 @@ class TestSolve:
             solver.solve(eta, psi, tol=1e-12, max_iter=2)
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("where", ["eta", "psi", "guess"])
+    def test_nan_input_raises_at_once(self, grid16, solver16, rng, where):
+        """A NaN residual fails CG's stopping test instead of passing it,
+        and the error gives the iterations actually made."""
+        eta = smooth_surface(grid16, rng, R)
+        psi = band_limited_random(grid16, rng, kmax=3)
+        guess = solver16.solve(eta, psi).values.copy()
+        if where == "guess":
+            guess[3, 2, 5] = np.nan
+        else:
+            field = {"eta": eta, "psi": psi}[where]
+            values = field.values.copy()
+            values[2, 5] = np.nan
+            field = TorusField(grid16, values)
+            eta, psi = (field, psi) if where == "eta" else (eta, field)
+        with pytest.raises(ConvergenceError, match="in 0 iterations") as err:
+            solver16.trace_bundle(eta, psi, guess=guess)
+        assert err.value.iterations == 0
+        assert np.isnan(err.value.residual)
+
 
 class TestWarmStart:
     """An explicit starting guess moves only where CG starts: the stopping

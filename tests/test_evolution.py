@@ -8,7 +8,6 @@ from jetwave.elliptic import DtnSolver
 from jetwave.evolution import (
     EvolutionConfig,
     Trajectory,
-    apply_filter,
     auto_dt,
     bessel_dtn_eigenvalue,
     fit_growth_rate,
@@ -102,7 +101,7 @@ class TestRhs:
 
 class TestStepping:
     def test_equilibrium_fixed_point(self, grid, solver):
-        s1 = step_rk4(_cyl(grid), 0.05, 0.0, solver, 1e-12).state
+        s1 = step_rk4(_cyl(grid), 0.05, solver, 1e-12).state
         assert (s1.eta - R).max_norm() < 1e-14
         assert s1.psi.max_norm() < 1e-14
 
@@ -116,7 +115,7 @@ class TestStepping:
         for n in (8, 16, 32):
             s = state
             for _ in range(n):
-                s = step_rk4(s, T / n, 0.0, solver, 1e-12).state
+                s = step_rk4(s, T / n, solver, 1e-12).state
             finals.append(s)
         d1 = (finals[0].eta - finals[1].eta).max_norm()
         d2 = (finals[1].eta - finals[2].eta).max_norm()
@@ -130,8 +129,8 @@ class TestStepping:
         sh = grid.n_z // 2
         shifted = state.with_fields(eta=state.eta.shift(0, sh),
                                     psi=state.psi.shift(0, sh))
-        a = step_rk4(shifted, 0.02, 0.0, solver, 1e-12).state
-        b = step_rk4(state, 0.02, 0.0, solver, 1e-12).state
+        a = step_rk4(shifted, 0.02, solver, 1e-12).state
+        b = step_rk4(state, 0.02, solver, 1e-12).state
         assert (a.eta - b.eta.shift(0, sh)).max_norm() < 1e-11
         assert (a.psi - b.psi.shift(0, sh)).max_norm() < 1e-11
 
@@ -141,18 +140,11 @@ class TestStepping:
             + TorusField.from_modes(grid, [(0.04, 2, 0, 0.0)]),
             psi=TorusField.from_modes(grid, [(0.04, 2, 0, 0.0)]))
         dt = 0.02
-        fwd = step_rk4(state, dt, 0.0, solver, 1e-12).state
-        back = step_rk4(fwd.with_fields(psi=-1.0 * fwd.psi), dt, 0.0,
-                        solver, 1e-12).state
+        fwd = step_rk4(state, dt, solver, 1e-12).state
+        back = step_rk4(fwd.with_fields(psi=-1.0 * fwd.psi), dt, solver,
+                        1e-12).state
         assert (back.eta - state.eta).max_norm() < 10 * dt ** 5
         assert (back.psi + state.psi).max_norm() < 10 * dt ** 5
-
-    def test_filter_damps_high_modes_only(self, grid):
-        f = TorusField.from_modes(grid, [(1.0, 0, 0, 0.0), (1.0, 5, 5, 0.0)])
-        filtered = apply_filter(f, R, SIGMA, 0.1)
-        assert filtered.coefficients[0, 0] == pytest.approx(1.0)
-        high = abs(filtered.coefficients[5, 5]) / abs(f.coefficients[5, 5])
-        assert high < 0.9
 
     def test_auto_dt_cfl(self, grid):
         dt = auto_dt(grid, SIGMA, R, cfl=0.5)
@@ -182,10 +174,10 @@ class TestSimulate:
         assert traj.reports[0].elliptic_residual == 0.0
         assert all(0.0 < r.elliptic_residual < 1e-11 for r in traj.reports[1:])
         # the report after two steps, replayed
-        first = step_rk4(state, traj.dt, 0.0, solver, 1e-11,
+        first = step_rk4(state, traj.dt, solver, 1e-11,
                          k1=rhs(state, solver, 1e-11))
         k1 = rhs(first.state, solver, 1e-11, first.phi4)
-        second = step_rk4(first.state, traj.dt, 0.0, solver, 1e-11, k1=k1,
+        second = step_rk4(first.state, traj.dt, solver, 1e-11, k1=k1,
                           previous=first)
         assert traj.reports[1].elliptic_residual == max(first.residual,
                                                         second.residual)
@@ -212,9 +204,38 @@ class TestSimulate:
         with pytest.raises(ValueError):
             EvolutionConfig(t_final=-1.0)
         with pytest.raises(ValueError):
-            EvolutionConfig(filter_eps=-0.1)
-        with pytest.raises(ValueError):
             EvolutionConfig(record_every=0)
+
+
+class TestFlowPinned:
+    """E_k, E_p, volume and CG iterations of every report of a short moving
+    run, bit for bit: any change to the flow, its solves or its energies
+    shows here."""
+
+    PINNED = [
+        ("0x1.ce1760228871bp-12", "0x1.c4aaa9b6218bep-8",
+         "0x1.3be8031fc5623p+4", 0),
+        ("0x1.de875738ddd63p-12", "0x1.c3a3aa449d23ap-8",
+         "0x1.3be8031fc5630p+4", 37),
+        ("0x1.07ce074fc909bp-11", "0x1.c0925ece112cap-8",
+         "0x1.3be8031fc5675p+4", 32),
+        ("0x1.30528a799d1c1p-11", "0x1.bb81ce68b4323p-8",
+         "0x1.3be8031fc56eep+4", 32),
+        ("0x1.5c324dc36ac46p-11", "0x1.b605d5ff67215p-8",
+         "0x1.3be8031fc5744p+4", 33),
+    ]
+
+    def test_reports(self, grid):
+        state = SurfaceState(
+            TorusField.constant(grid, R) + TorusField.from_modes(
+                grid, [(0.02, 1, 1, 0.0), (0.01, 2, 0, 0.3)]),
+            TorusField.from_modes(grid, [(0.01, 0, 1, 0.2)]), R, SIGMA)
+        cfg = EvolutionConfig(dt="auto", t_final=0.1, record_every=2)
+        traj = simulate(state, cfg, DtnSolver(grid, 24))
+        assert traj.status == "completed"
+        got = [(r.kinetic.hex(), r.potential.hex(), r.volume.hex(),
+                r.elliptic_iterations) for r in traj.reports]
+        assert got == self.PINNED
 
 
 class TestDispersion:
