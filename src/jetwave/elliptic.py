@@ -227,14 +227,14 @@ def build_coefficients(eta: TorusField, rho_nodes) -> MappedCoefficients:
 class PotentialField:
     """Potential on the mapped cylinder: nodal in rho, grid in (theta, z).
 
-    eta is the (Nyquist-projected) radius the potential was solved on;
-    ``_co`` holds that solve's energy-form coefficients.  flux is
-    eta G(eta) psi, the rho = 1 row of the energy operator applied to the
-    potential, over the cell area.
+    eta is the (Nyquist-projected) radius the potential was solved on and
+    eta_grad its (eta_theta, eta_z); ``_co`` holds that solve's energy-form
+    coefficients.  flux is eta G(eta) psi, the rho = 1 row of the energy
+    operator applied to the potential, over the cell area.
     """
 
     def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual, eta, co, flux):
+                 iterations, residual, eta, co, flux, eta_grad):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
         self.radial = radial
@@ -245,6 +245,7 @@ class PotentialField:
         self.eta = eta
         self._co = co
         self.flux = flux
+        self.eta_grad = eta_grad
 
     def trace(self) -> TorusField:
         """phi at rho = 1 (equals the Dirichlet data exactly)."""
@@ -298,9 +299,10 @@ class TraceBundle:
     flux = eta * G(eta) psi, the rho = 1 row of the energy operator, which
     CG accumulates alongside its iterate.  potential is the read-only nodal
     potential stack of the solve, a starting guess for the next solve at a
-    nearby state, and eta the Nyquist-projected radius it was solved on.
-    kinetic_energy, the Dirichlet energy of potential, is computed on first
-    read (the energy-form coefficients are rebuilt from eta then, not kept).
+    nearby state, eta the Nyquist-projected radius it was solved on and
+    eta_grad its (eta_theta, eta_z).  kinetic_energy, the Dirichlet energy
+    of potential, is computed on first read (the energy-form coefficients
+    are rebuilt from eta and eta_grad then, not kept).
     """
 
     B: TorusField
@@ -313,14 +315,15 @@ class TraceBundle:
     residual: float
     potential: np.ndarray
     eta: TorusField
+    eta_grad: tuple
     _solver: "DtnSolver" = field(repr=False, compare=False)
 
     @cached_property
     def kinetic_energy(self) -> float:
         """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy;
         nonnegative by construction."""
-        return self._solver.energy(self.potential,
-                                   self._solver._coefficients(self.eta))
+        return self._solver.energy(
+            self.potential, self._solver._coefficients(self.eta, self.eta_grad))
 
     def identity_residuals(self, psi: TorusField, eta: TorusField):
         """Max-norm residuals of the trace identities at the solve's data:
@@ -441,12 +444,44 @@ class DtnSolver:
         zc = np.ascontiguousarray(z).view(np.complex128)
         return self._h * _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz)), self._h * zc
 
+    def cylinder_modes(self, eta_bar):
+        """Eigenvalues Lambda(m, k) of the discrete G on the cylinder
+        eta = eta_bar, on the rfft2 half-spectrum; 0 on the (0, 0) mode and
+        the Nyquist modes, which a solve projects out.
+
+        eta_bar Lambda is the Schur complement onto rho = 1 of the frozen
+        form.  With derivatives relative to the trace, its interior block is
+        M = a0 + diag(p), p = m^2 w/rho + eta_bar^2 k^2 w rho, and
+
+            eta_bar Lambda = (m^2 + eta_bar^2 k^2) w_b + sum(p) - p^T M^-1 p,
+
+        free of the O(n_rho^4) entries of a0.  y = M^-1 p comes from the
+        interior eigenbasis; p^T M^-1 p is read as 2 p^T y - y^T M y, whose
+        error is quadratic in that of y.
+        """
+        rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
+        a0 = D[:, :-1].T @ ((w * rho)[:, None] * D[:, :-1])
+        rho, w_b, w = rho[:-1, None], w[-1], w[:-1, None]
+        k2 = eta_bar ** 2 * self._k2
+        m2 = self._rmt[:, :1].imag ** 2            # Nyquist row zeroed
+        p = m2[:, :, None] * (w / rho) + (w * rho) * k2     # (n_theta, ni, nzr)
+        h = self._h[:, 0]
+        y = h * (self._Q @ ((self._Q.transpose(0, 2, 1) @ (h * p))
+                            / (self._lam + k2)))
+        pmp = np.sum(2.0 * p * y - y * (a0 @ y + p * y), axis=1)
+        lam = ((m2 + k2) * w_b + np.sum(p, axis=1) - pmp) / eta_bar
+        lam[self.grid.n_theta // 2] = 0.0
+        lam[:, -1] = 0.0
+        return lam
+
     # -- variable-coefficient energy operator -------------------------------
-    def _coefficients(self, eta: TorusField):
+    def _coefficients(self, eta: TorusField, eta_grad):
+        """Energy-form coefficients on eta, given eta_grad = (eta_theta,
+        eta_z)."""
         rho = self.radial.nodes[:, None, None]
         e = eta.values[None, :, :]
-        et = spectral_derivative(eta, "theta").values[None, :, :]
-        ez = spectral_derivative(eta, "z").values[None, :, :]
+        et = eta_grad[0].values[None, :, :]
+        ez = eta_grad[1].values[None, :, :]
         c1 = np.broadcast_to(1.0 / e, (self.n_rho,) + eta.values.shape)
         c2 = 1.0 / (rho * e)
         c3 = np.broadcast_to(-et / e ** 2, c1.shape)
@@ -548,7 +583,9 @@ class DtnSolver:
                                  f"{shape}, got {guess.shape}")
         eta = eta.drop_nyquist()
         psi = psi.drop_nyquist()
-        co = self._coefficients(eta)
+        eta_grad = (spectral_derivative(eta, "theta"),
+                    spectral_derivative(eta, "z"))
+        co = self._coefficients(eta, eta_grad)
         weights = self._precond_weights(eta.mean())
 
         def K_zero_trace(u, uh):
@@ -603,7 +640,8 @@ class DtnSolver:
         phi = np.broadcast_to(psi.values, shape).copy()
         phi[:-1] += x
         return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
-                              TorusField(self.grid, flux / self.grid.cell_area))
+                              TorusField(self.grid, flux / self.grid.cell_area),
+                              eta_grad)
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
@@ -622,15 +660,18 @@ class DtnSolver:
         d_rho = TorusField(self.grid,
                            _along_rho(self.radial.D[-1, :-1], phi[:-1] - phi[-1]))
 
-        B = nonlinear_eval(lambda d, e: d / e, d_rho, eta)
-        gbt, gbz = grad_bar_eta(eta)
+        def over_eta(f):
+            return nonlinear_eval(lambda a, e: a / e, f, eta)
+
+        B = over_eta(d_rho)
+        # grad_bar eta from the derivatives the solve took of the same eta
+        gbt, gbz = over_eta(pot.eta_grad[0]), pot.eta_grad[1]
         psi_trace = pot.trace()
-        pt = nonlinear_eval(lambda a, e: a / e,
-                            spectral_derivative(psi_trace, "theta"), eta)
+        pt = over_eta(spectral_derivative(psi_trace, "theta"))
         pz = spectral_derivative(psi_trace, "z")
         V_theta = pt - dealiased_product(B, gbt)
         V_z = pz - dealiased_product(B, gbz)
-        G = nonlinear_eval(lambda f, e: f / e, pot.flux, eta)
+        G = over_eta(pot.flux)
         v_dot = dealiased_product(V_theta, gbt) + dealiased_product(V_z, gbz)
         N = dealiased_product(B, v_dot) + 0.5 * (
             dealiased_product(V_theta, V_theta)
@@ -640,7 +681,7 @@ class DtnSolver:
         return TraceBundle(
             B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=pot.flux,
             iterations=pot.iterations, residual=pot.residual,
-            potential=pot.values, eta=eta, _solver=self,
+            potential=pot.values, eta=eta, eta_grad=pot.eta_grad, _solver=self,
         )
 
     def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,

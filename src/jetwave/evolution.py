@@ -6,9 +6,12 @@
 with conservation tracking and the linearized dynamics about the reference
 cylinder.
 
-The integrator is classical RK4 on the bare system; the step size obeys the
-capillary CFL restriction dt * (max resolved frequency)^(3/2) * sqrt(sigma/2)
-<= 0.5, reflecting the |xi|^(3/2) dispersion of surface tension.
+The integrator is Lawson's integrating-factor RK4 on the bare system (no
+filter, no added dissipation): each step applies the propagator of the
+linear part about the cylinder of the mean radius exactly, per Fourier mode,
+and leaves only the remainder to RK4.  The capillary CFL step cfl / omega_max
+(`auto_dt`) then no longer bounds the step; the ``"auto"`` step of
+`EvolutionConfig` is up to ten of it, set by the deformation and transport.
 
 Simulation stops normally at t_final or terminally when min(eta) drops below
 1e-3 R (pinch-off: the cylinder-graph model leaves its domain of validity);
@@ -20,10 +23,12 @@ tolerance; the module keeps no solver of its own.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft as _sfft
 from scipy.special import iv, ivp
 
 from .elliptic import DtnSolver
@@ -137,7 +142,21 @@ class Rk4Step(NamedTuple):
 
 def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
              k1=None, previous: Rk4Step = None) -> Rk4Step:
-    """One classical fourth-order step.
+    """One step of Lawson's integrating-factor RK4.
+
+    About the cylinder of the step's mean radius eta_bar, each Fourier mode
+    (m, k) of (eta, psi) has the linear part L = [[0, Lambda], [-sigma c, 0]],
+    c = (m^2/eta_bar^2 + k^2 - 1/eta_bar^2)/2, with Lambda from
+    ``solver.cylinder_modes`` (L = 0 on the (0, 0) and Nyquist modes).  Its
+    propagator E(t) = exp(t L) (cos and sin(omega t)/omega, or cosh and sinh
+    where omega^2 = sigma c Lambda < 0) is applied exactly on the rfft2
+    half-spectrum, and classical RK4 integrates exp(-t L) N(exp(t L) v) for
+    the remainder N(u) = rhs(u) - L u:
+
+        u2 = E(u + dt/2 n1),  u3 = E u + dt/2 n2,  u4 = E(E u + dt n3),
+        u_new = E(E(u + dt/6 n1) + dt/3 (n2 + n3)) + dt/6 n4,
+
+    with E = E(dt/2) and n_i = N(u_i).  Classical RK4 is the case L = 0.
 
     k1 is ``rhs(state)`` if the caller already has it.  Each stage solve
     starts from earlier potentials: k2 from phi1, k3 from phi2 and k4 from
@@ -145,35 +164,69 @@ def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
     from phi1 + (phi4 - phi1)/2 of that step.  The guesses change only where
     CG starts, not its stopping test.
     """
+    grid = state.grid
+    eta_bar = state.eta.mean()
+    lam = solver.cylinder_modes(eta_bar)
+    m2 = grid.xi_theta[:, None] ** 2
+    kz2 = grid.xi_z[: grid.n_z // 2 + 1] ** 2
+    sc = np.where(lam > 0.0,
+                  0.5 * state.sigma * ((m2 - 1.0) / eta_bar ** 2 + kz2), 0.0)
+    omega = np.sqrt((sc * lam).astype(complex))
+    live = omega != 0.0
+    cos = np.cos(0.5 * dt * omega).real
+    sin = np.where(live, np.sin(0.5 * dt * omega) / np.where(live, omega, 1.0),
+                   0.5 * dt).real
+    lam_sin, sc_sin = lam * sin, sc * sin
 
-    def f(eta, psi, guess):
-        return rhs(state.with_fields(eta=eta, psi=psi), solver, tol, guess)
+    # u is the (2, n_theta, n_z // 2 + 1) stack of the spectra of eta and psi
+    def E(u):
+        return np.stack([cos * u[0] + lam_sin * u[1], cos * u[1] - sc_sin * u[0]])
 
-    e0, p0 = state.eta, state.psi
+    def N(u, k):
+        """The remainder's spectra from k = rhs(u)."""
+        ku = _sfft.rfft2(np.stack([k[0].values, k[1].values]))
+        return ku - np.stack([lam * u[1], -sc * u[0]])
+
+    def at(u, **t):
+        eta, psi = _sfft.irfft2(u, s=(grid.n_theta, grid.n_z))
+        return state.with_fields(eta=TorusField(grid, eta),
+                                 psi=TorusField(grid, psi), **t)
+
+    def stage(u, guess):
+        k = rhs(at(u), solver, tol, guess)
+        return N(u, k), k[2]
+
     if k1 is None:
-        k1 = f(e0, p0, None if previous is None else previous.phi4)
-    k1e, k1p, b1 = k1
-    phi1 = b1.potential
-    guess2 = phi1
+        k1 = rhs(state, solver, tol, None if previous is None else previous.phi4)
+    b1 = k1[2]
+    guess2 = b1.potential
     if previous is not None:
-        guess2 = phi1 + 0.5 * (previous.phi4 - previous.phi1)
-    k2e, k2p, b2 = f(e0 + (dt / 2) * k1e, p0 + (dt / 2) * k1p, guess2)
-    k3e, k3p, b3 = f(e0 + (dt / 2) * k2e, p0 + (dt / 2) * k2p, b2.potential)
-    k4e, k4p, b4 = f(e0 + dt * k3e, p0 + dt * k3p, 2.0 * b3.potential - phi1)
-    eta1 = e0 + (dt / 6) * (k1e + 2 * k2e + 2 * k3e + k4e)
-    psi1 = p0 + (dt / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        guess2 = b1.potential + 0.5 * (previous.phi4 - previous.phi1)
+    u0 = _sfft.rfft2(np.stack([state.eta.values, state.psi.values]))
+    n1 = N(u0, k1)
+    n2, b2 = stage(E(u0 + (dt / 2) * n1), guess2)
+    eu0 = E(u0)
+    n3, b3 = stage(eu0 + (dt / 2) * n2, b2.potential)
+    n4, b4 = stage(E(eu0 + dt * n3), 2.0 * b3.potential - b1.potential)
+    u1 = E(E(u0 + (dt / 6) * n1) + (dt / 3) * (n2 + n3)) + (dt / 6) * n4
     stages = (b1, b2, b3, b4)
-    return Rk4Step(state.with_fields(eta=eta1, psi=psi1, t=state.t + dt),
-                   phi1, b4.potential,
+    return Rk4Step(at(u1, t=state.t + dt), b1.potential, b4.potential,
                    sum(b.iterations for b in stages),
                    max(b.residual for b in stages))
 
 
 def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
-    """Capillary CFL step: dt = cfl / (lambda_max^(3/2) sqrt(sigma/2))."""
-    lam_max = np.sqrt((grid.n_theta / 2) ** 2 / eta_bar ** 2
-                      + max(np.abs(grid.xi_z)) ** 2)
-    return float(cfl / (lam_max ** 1.5 * np.sqrt(sigma / 2.0)))
+    """Capillary CFL step, dt = cfl / omega_max with
+    omega_max = lambda_max^(3/2) sqrt(sigma/2) at the corner of the grid:
+    the step an explicit scheme needs, and the unit of the ``"auto"`` rule
+    of `EvolutionConfig.resolve_dt`."""
+    return float(cfl / (_xi_max(grid, eta_bar) ** 1.5 * np.sqrt(sigma / 2.0)))
+
+
+def _xi_max(grid, eta_bar):
+    """|xi| at the corner of the grid, Nyquist included."""
+    return float(np.sqrt((grid.n_theta / 2) ** 2 / eta_bar ** 2
+                         + max(np.abs(grid.xi_z)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +235,19 @@ def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """Settings of `simulate`.
+
+    dt is a positive step or ``"auto"``: a multiple of the CFL step
+    `auto_dt` that bounds what the integrating-factor step leaves explicit,
+    the remainder, which grows with the deformation delta = |eta/eta_bar -
+    1|_inf + |eta_theta|_inf/eta_bar + |eta_z|_inf (dt = auto_dt /
+    clip(delta, 0.1, 1)), and transport (dt <= cfl / (|xi|_max |V|_inf)).
+    It is never below the CFL step.  `simulate` reads it again before every
+    step, from the bundle of the step's first stage, and lets the step only
+    shrink, so a jet that necks toward pinch-off slides back to the CFL
+    step.
+    """
+
     dt: float | str = "auto"
     t_final: float = 1.0
     tol_elliptic: float = 1e-11
@@ -189,19 +255,30 @@ class EvolutionConfig:
     cfl: float = CFL_DEFAULT
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise ValueError("t_final must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
-        if self.dt != "auto" and not float(self.dt) > 0:
-            raise ValueError("dt must be positive")
-        if not self.cfl > 0:
-            raise ValueError("cfl must be positive")
+        if self.dt != "auto" and not 0 < float(self.dt) < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.cfl < np.inf:
+            raise ValueError("cfl must be positive and finite")
 
-    def resolve_dt(self, grid, sigma, eta_bar):
-        if self.dt == "auto":
-            return auto_dt(grid, sigma, eta_bar, self.cfl)
-        return float(self.dt)
+    def resolve_dt(self, state: SurfaceState, bundle):
+        """The step from state; bundle is its trace bundle (rhs(state)[2])."""
+        if self.dt != "auto":
+            return float(self.dt)
+        eta_bar = state.eta.mean()
+        cfl_dt = auto_dt(state.grid, state.sigma, eta_bar, self.cfl)
+        eta_t, eta_z = bundle.eta_grad
+        delta = (np.abs(state.eta.values / eta_bar - 1.0).max()
+                 + eta_t.max_norm() / eta_bar + eta_z.max_norm())
+        dt = cfl_dt / min(max(delta, 0.1), 1.0)
+        speed = _xi_max(state.grid, eta_bar) * np.hypot(
+            bundle.V_theta.values, bundle.V_z.values).max()
+        if speed * dt > self.cfl:
+            dt = self.cfl / speed
+        return float(max(dt, cfl_dt))
 
 
 @dataclass(frozen=True)
@@ -233,7 +310,9 @@ class Trajectory:
     """Recorded snapshots of a simulation, strictly increasing in time.
 
     status is "completed", "pinch_off" or "solver_failure"; error is the
-    ConvergenceError or EllipticityError that ended a solver failure.
+    ConvergenceError or EllipticityError that ended a solver failure.  dt is
+    the run's first step, its longest: an ``"auto"`` step is resolved after
+    the first solve (0 if that solve failed) and may shrink later.
     """
 
     times: list = field(default_factory=list)
@@ -272,10 +351,9 @@ def simulate(state0: SurfaceState, config: EvolutionConfig,
     EllipticityError ends the run with status "solver_failure" and is kept
     as its error; the records stop at the last state whose report was made.
     """
-    dt = config.resolve_dt(state0.grid, state0.sigma, state0.eta.mean())
-    traj = Trajectory(dt=dt)
+    traj = Trajectory(dt=0.0 if config.dt == "auto" else float(config.dt))
     try:
-        _advance(traj, state0, dt, config, solver)
+        _advance(traj, state0, config, solver)
     except DomainViolationError:
         traj.status = "pinch_off"
     except (ConvergenceError, EllipticityError) as exc:
@@ -284,16 +362,16 @@ def simulate(state0: SurfaceState, config: EvolutionConfig,
     return traj
 
 
-def _advance(traj, state, dt, config, solver):
+def _advance(traj, state, config, solver):
     """The stepping loop of `simulate`; records into traj."""
     tol = config.tol_elliptic
     k1 = rhs(state, solver, tol)
+    dt = traj.dt = config.resolve_dt(state, k1[2])
     traj.record(state, EnergyReport.of(state, k1[2].kinetic_energy))
-    n_steps = int(np.ceil(config.t_final / dt - 1e-12))
     t_end = state.t + config.t_final
     step = None
     iterations, residual = 0, 0.0
-    for n in range(1, n_steps + 1):
+    for n in itertools.count(1):
         if state.eta.min() < PINCH_FRACTION * state.R:
             traj.status = "pinch_off"
             return
@@ -303,7 +381,7 @@ def _advance(traj, state, dt, config, solver):
         iterations += step.iterations
         residual = max(residual, step.residual)
         pinched = state.eta.min() < PINCH_FRACTION * state.R
-        if pinched or n == n_steps:
+        if pinched or t_end - state.t <= 1e-12 * dt:
             ek = solver.kinetic_energy(state.eta, state.psi, tol,
                                        guess=step.phi4)
             traj.record(state, EnergyReport.of(state, ek, iterations, residual))
@@ -311,6 +389,7 @@ def _advance(traj, state, dt, config, solver):
                 traj.status = "pinch_off"
             return
         k1 = rhs(state, solver, tol, step.phi4)
+        dt = min(dt, config.resolve_dt(state, k1[2]))
         if n % config.record_every == 0:
             traj.record(state, EnergyReport.of(state, k1[2].kinetic_energy,
                                                iterations, residual))

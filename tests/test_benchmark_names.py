@@ -123,3 +123,21 @@ def test_traced_warm_bundle_counts(grid16):
     # the inputs: d_rho phi, eta, eta_theta, psi_theta, B, grad_bar eta
     # (two), flux, V_theta, V_z, V . grad_bar eta
     assert evals == 12 and pads == 11
+
+
+def test_traced_simulate_reports_steps_and_dt(grid16):
+    """evolution.steps and evolution.dt are read from the dt argument of
+    each step_rk4 call: they must equal the run's step count and its dt."""
+    spans = _load_spans()
+    th, zz = grid16.mesh()
+    state = geometry.SurfaceState(
+        spectral.TorusField(grid16, 1.0 + 0.01 * np.cos(th + zz)),
+        spectral.TorusField(grid16, 0.005 * np.sin(zz)), 1.0, 1.0)
+    cfg = evolution.EvolutionConfig(t_final=0.3)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traj = evolution.simulate(state, cfg, elliptic.DtnSolver(grid16, 24))
+    metrics = tracer.metrics(1.0, 1.0)
+    assert traj.status == "completed" and len(traj.times) > 2
+    assert metrics["evolution.steps"] == len(traj.times) - 1
+    assert metrics["evolution.dt"] == traj.dt

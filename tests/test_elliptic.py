@@ -25,6 +25,7 @@ from jetwave.spectral import (
     TorusGrid,
     band_limited_random,
     integrate_product,
+    spectral_derivative,
 )
 from jetwave.verification import TRACE_THRESHOLDS
 
@@ -264,7 +265,8 @@ class TestLeanSolve:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_closed_form_lift(self, n, rng):
         solver, eta, psi = self._case(n, rng)
-        co = solver._coefficients(eta)
+        co = solver._coefficients(eta, (spectral_derivative(eta, "theta"),
+                                        spectral_derivative(eta, "z")))
         shape = (solver.n_rho, n, n)
         lift = np.broadcast_to(psi.values, shape).copy()
         want = solver._apply_K(lift, co)
@@ -327,6 +329,51 @@ class TestPreconditioner:
         # the half-spectrum CG carries for the search direction
         spectrum = np.fft.rfft2(got, axes=(1, 2))
         assert np.abs(got_hat - spectrum).max() <= 1e-12 * np.abs(spectrum).max()
+
+
+class TestCylinderModes:
+    """cylinder_modes is the discrete G on the cylinder, mode by mode: the
+    operator a cold solve applies, and the Bessel eigenvalues above the
+    radial roundoff floor."""
+
+    @staticmethod
+    def _live(grid, lam):
+        """Every mode but (0, 0) and the Nyquist modes, where Lambda = 0."""
+        live = np.ones(lam.shape, bool)
+        live[0, 0] = live[grid.n_theta // 2] = live[:, -1] = False
+        assert np.all(lam[~live] == 0.0) and np.all(lam[live] > 0.0)
+        return live
+
+    @pytest.mark.parametrize("n,n_rho", [(16, 24), (16, 48), (32, 24), (32, 48)])
+    @pytest.mark.parametrize("eta_bar", [1.0, 1.3])
+    def test_matches_cold_cylinder_solves(self, n, n_rho, eta_bar):
+        """One cold solve on psi with every resolved mode at weight 1/Lambda
+        (random phases off the k = 0 column, whose m and -m halves must be
+        conjugate), so that each mode of G psi weighs the same in CG's
+        stopping test."""
+        grid = TorusGrid(n, n)
+        solver = DtnSolver(grid, n_rho)
+        lam = solver.cylinder_modes(eta_bar)
+        live = self._live(grid, lam)
+        phase = np.random.default_rng(n + n_rho).random(lam.shape)
+        phase[:, 0] = 0.0
+        c = np.where(live, np.exp(2j * np.pi * phase) / np.where(live, lam, 1.0),
+                     0.0)
+        psi = TorusField(grid, np.fft.irfft2(c, s=(n, n)))
+        bundle = solver.trace_bundle(TorusField.constant(grid, eta_bar), psi,
+                                     1e-13)
+        got, want = np.fft.rfft2(bundle.G.values), lam * np.fft.rfft2(psi.values)
+        assert (np.abs(got - want)[live] / np.abs(want[live])).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_rho", [24, 48])
+    def test_matches_bessel(self, grid32, n_rho):
+        lam = DtnSolver(grid32, n_rho).cylinder_modes(R)
+        live = self._live(grid32, lam)
+        m = grid32.xi_theta
+        k = grid32.xi_z[: lam.shape[1]]
+        worst = max(abs(lam[i, j] / bessel_dtn_eigenvalue(m[i], k[j], R) - 1.0)
+                    for i, j in zip(*np.nonzero(live)))
+        assert worst <= 1e-12
 
 
 class TestSolverIsPure:
@@ -476,7 +523,7 @@ class TestDtn:
         k = 1.0
         eta = TorusField.constant(grid32, R)
         pot = solver32.solve(eta, TorusField(grid32, np.cos(k * zz)), 1e-12)
-        ek = solver32.energy(pot.values, solver32._coefficients(eta))
+        ek = solver32.energy(pot.values, pot._co)
         # oracle: E_k = (pi^2 R^2 / ...) via fine trapezoid in r of the
         # closed-form mode profile I_0(k r)/I_0(k R)
         r = np.linspace(0.0, R, 20001)
