@@ -29,9 +29,8 @@ _EXPORTS = {
                  "low_pass", "nonlinear_eval", "spectral_derivative"),
     "geometry": ("SurfaceState", "enclosed_volume", "mean_curvature",
                  "metric_factor", "modified_gradient", "potential_energy"),
-    "elliptic": ("DtnSolver", "MappedCoefficients", "PotentialField",
-                 "TraceBundle", "build_coefficients", "hamiltonian_variations",
-                 "shape_derivative"),
+    "elliptic": ("DtnSolver", "PotentialField", "TraceBundle",
+                 "hamiltonian_variations", "shape_derivative"),
     "paradiff": ("apply_paradiff", "bony_remainder", "good_unknown",
                  "paraproduct"),
     "symbols": ("HomogeneousSymbol", "adjoint_symbol", "lambda_symbol",

@@ -176,51 +176,6 @@ def _build_radial(n_rho):
 
 
 # ---------------------------------------------------------------------------
-# strong-form coefficients (reference for PotentialField.strong_residual)
-# ---------------------------------------------------------------------------
-# symbols.factorization_symbols writes the same alpha, beta, gamma pointwise
-# at one rho with plain spectral w-derivatives; this copy dealiases the
-# quotients in gamma and samples every radial node.  Sharing one body would
-# make it branch on its caller and would move the identity residuals.
-
-@dataclass(frozen=True)
-class MappedCoefficients:
-    """alpha, beta, gamma of the mapped Laplacian sampled on rho x (theta,z).
-
-    alpha is bounded below by 1/max(eta)^2; beta and gamma carry the inverse
-    powers of rho of the polar coordinates.
-    """
-
-    rho: np.ndarray
-    alpha: np.ndarray
-    beta_theta: np.ndarray
-    beta_z: np.ndarray
-    gamma: np.ndarray
-
-
-def build_coefficients(eta: TorusField, rho_nodes) -> MappedCoefficients:
-    """Evaluate alpha, beta, gamma pointwise with spectral eta-derivatives."""
-    if eta.min() <= 0.0:
-        raise DomainViolationError("eta must be strictly positive")
-    rho = np.atleast_1d(np.asarray(rho_nodes, dtype=float))
-    if np.any(rho <= 0.0) or np.any(rho > 1.0):
-        raise ValueError("rho nodes must lie in (0, 1]")
-    e = eta.values
-    et = spectral_derivative(eta, "theta").values
-    ez = spectral_derivative(eta, "z").values
-    r = rho[:, None, None]
-    alpha = (1.0 + (et / e) ** 2 + r ** 2 * ez ** 2) / e ** 2
-    beta_theta = -2.0 * et / (r * e ** 3)
-    beta_z = -2.0 * r * ez / e
-    q_t = nonlinear_eval(lambda u, x: u / x ** 2, spectral_derivative(eta, "theta"), eta)
-    q_z = nonlinear_eval(lambda u, x: u / x ** 2, spectral_derivative(eta, "z"), eta)
-    dq_t = spectral_derivative(q_t, "theta").values
-    dq_z = spectral_derivative(q_z, "z").values
-    gamma = -dq_t / (r * e) - r * e * dq_z + 1.0 / (r * e ** 2)
-    return MappedCoefficients(rho, alpha, beta_theta, beta_z, gamma)
-
-
-# ---------------------------------------------------------------------------
 # solution container
 # ---------------------------------------------------------------------------
 
@@ -250,41 +205,6 @@ class PotentialField:
     def trace(self) -> TorusField:
         """phi at rho = 1 (equals the Dirichlet data exactly)."""
         return TorusField(self.grid, self.values[-1])
-
-    def modal_profile(self, m, n):
-        """Radial profile of the (m, n)-th Fourier mode (integer indices)."""
-        c = np.fft.fft2(self.values, axes=(1, 2)) / (self.grid.n_theta * self.grid.n_z)
-        return c[:, m % self.grid.n_theta, n % self.grid.n_z]
-
-    def strong_residual(self, eta: TorusField):
-        """Pointwise residual of the rho^2-regularized strong-form operator.
-
-        Diagnostic only: the solver drives the variational residual below its
-        tolerance; this quantity collocates rho^2 * L phi at the interior
-        nodes (the rho^2 factor bounds the polar coefficients, so near-axis
-        values are not roundoff-amplified) and decays spectrally with
-        resolution.
-        """
-        rho = self.radial.nodes
-        co = build_coefficients(eta, rho)
-        D = self.radial.D
-        phi = self.values
-        # relative to the trace, as the solver differentiates: (D D) 1 = 0
-        u = phi - phi[-1]
-        dphi = np.tensordot(D, u, axes=(1, 0))
-        d2phi = np.tensordot(D @ D, u, axes=(1, 0))
-        grid = self.grid
-        mt, mz = derivative_multipliers(grid)
-        dth_dphi = _apply_w(dphi, mt)
-        dz_dphi = _apply_w(dphi, mz)
-        d2th = _apply_w(phi, mt * mt)
-        d2z = _apply_w(phi, mz * mz)
-        e = eta.values
-        r = rho[:, None, None]
-        res = r ** 2 * (co.alpha * d2phi + co.beta_theta * dth_dphi
-                        + co.beta_z * dz_dphi + co.gamma * dphi + d2z) \
-            + d2th / e ** 2
-        return res[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +275,6 @@ class TraceBundle:
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
-
-def _apply_w(stack, mult):
-    """Apply a (theta,z) Fourier multiplier to each rho-layer of a stack."""
-    c = np.fft.fft2(stack, axes=(1, 2))
-    return np.fft.ifft2(c * mult, axes=(1, 2)).real
-
 
 def _along_rho(M, stack):
     """Contract a radial matrix (a, n_rho), or a row (n_rho,), with the rho

@@ -16,7 +16,10 @@ frequency by frequency:
                e^{i w.xi} u_hat(xi).
 
 The symbol is sampled on stacked chunks of the active frequencies, each
-chunk transformed at once (scipy.fft, forward-normalized), and each
+chunk transformed at once (scipy.fft, forward-normalized).  The chunks are
+sized by the rule the symbol identity report uses, TorusGrid.xi_chunk:
+about 2^14 frequency-by-grid-point samples (16 frequencies on 32^2), so a
+chunk's temporaries are reused rather than faulted in afresh.  Each
 smoothed spectrum s_xi(zeta) u_hat(xi) is added at offset zeta + xi directly
 in coefficient space, in a box of width 2N per axis that holds every such
 sum exactly.  This is the dealiased result, exactly: on the 3/2 zero-padded
@@ -29,7 +32,9 @@ working with band-limited fields.  The j-sum starts at j = 2, so low
 frequencies of the acted-on field are invisible: T_a (S_1 u) = 0 exactly
 and constants may be added to the second argument freely.
 
-The lattice iteration order is fixed, so results are bit-reproducible.
+The lattice iteration order is fixed, so results are bit-reproducible.  The
+chunk size only regroups the coefficient-space sums, which moves a result by
+about one ulp.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ from .spectral import (
     dealiased_product,
     decomposition,
 )
-
-_CHUNK = 64     # frequencies per stacked symbol sample
 
 
 def paraproduct(a: TorusField, b: TorusField) -> TorusField:
@@ -110,8 +113,9 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     bt, bz = 2 * nt, 2 * nz
     acc = np.zeros(bt * bz, dtype=complex)
 
-    for start in range(0, n_active, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n_active))
+    chunk = grid.xi_chunk()
+    for start in range(0, n_active, chunk):
+        sl = slice(start, min(start + chunk, n_active))
         its, izs = idx_t[sl], idx_z[sl]
         n = its.size
         samples = np.broadcast_to(sample(xt[its, izs], xz[its, izs]), (n, nt, nz))

@@ -95,6 +95,13 @@ class TorusGrid:
     def xi_mesh(self):
         return np.meshgrid(self.xi_theta, self.xi_z, indexing="ij")
 
+    def xi_chunk(self):
+        """Frequencies per stacked symbol evaluation: about 2^14 samples
+        (frequencies x grid points) per stack, so that a stack's temporaries
+        stay small enough to be reused rather than returned to the OS and
+        faulted in again (16 on 32^2, 4 on 64^2, 64 on 16^2)."""
+        return max(1, 2 ** 14 // (self.n_theta * self.n_z))
+
     @property
     def dz_lattice(self):
         """Spacing of the axial frequency lattice."""
@@ -343,13 +350,6 @@ def pad_coefficients(grid: TorusGrid, coefficients, fine: TorusGrid):
     out = np.zeros((fine.n_theta, fine.n_z), dtype=complex)
     out[np.ix_(it, iz)] = coefficients
     return out
-
-
-def truncate_coefficients(fine: TorusGrid, coefficients, grid: TorusGrid):
-    """Restrict coefficients of a finer grid back to the coarse lattice."""
-    (it,) = _pad_maps(grid.n_theta, fine.n_theta)
-    (iz,) = _pad_maps(grid.n_z, fine.n_z)
-    return coefficients[np.ix_(it, iz)]
 
 
 def pad_values(f: TorusField, fine: TorusGrid):

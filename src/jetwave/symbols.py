@@ -33,11 +33,27 @@ Available constructions:
 xi-derivatives
 --------------
 Every xi-derivative differentiates the closures by a small complex step,
-which is exact to ~1e-11 for these holomorphic closed forms and is what the
-identity report needs to resolve its thresholds.
+(f(xi + ih) - f(xi - ih))/(2ih), which is exact to ~1e-11 for these
+holomorphic closed forms and is what the identity report needs to resolve
+its thresholds.  A closure may declare its Schwarz reflection
+f*(xi) = conj f(conj xi), so that f(xi - ih) = conj f*(xi + ih): a closure
+with real coefficients (lambda1, mu2) is its own reflection, a1 and A1 are
+each other's and come from one root, and a product, quotient, root or
+exponential of self-reflecting closures (gamma^(3/2), the parametrix and
+composition principals, the mollifier) is self-reflecting again.  A declared
+closure is evaluated at xi + ih only; conjugation is exact, so the gradient
+takes the same values as from both points.  A closure that declares nothing
+(a user's lambda, or one built on a1) is evaluated at both points.
 
 Within one symbol_identity_report, every closure evaluation and xi-gradient
 is computed once per xi chunk and shared by all identities on that chunk.
+The report and paradiff.apply_paradiff size their chunks by one rule,
+TorusGrid.xi_chunk (about 2^14 frequency-by-grid-point samples, 16
+frequencies on 32^2).  The evaluations one chunk shares then take about
+10 MB, under the 12.6 MB above which glibc trims a freed heap once a 32^2 x 48
+DtnSolver exists, so the next chunk reuses that memory instead of faulting it
+in again.  The values of an a1/A1 pair at xi + ih are shared only between
+the two and dropped after their gradient.
 
 A factory computes the xi-independent profiles of its closures once
 (1/eta^2, 1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and
@@ -63,7 +79,6 @@ from .geometry import (
 )
 from .spectral import TorusField, TorusGrid, derivative_multipliers
 
-_XI_CHUNK = 32
 # the test hooks symbol_identity_report accepts as its fault argument
 FAULT_HOOKS = ("lambda0_sign",)
 
@@ -120,6 +135,26 @@ def _shared(fn):
     return functools.partial(_evaluate, fn)
 
 
+def _reflecting(fn):
+    """fn, shared, declared its own Schwarz reflection: a closure with real
+    coefficients has fn(conj xi) = conj fn(xi).
+
+    A shared closure's ``reflection`` attribute names its reflection f*, and
+    promises f(xi - ih) == conj f*(xi + ih) exactly: xi_gradient reads the
+    one for the other."""
+    fn = _shared(fn)
+    fn.reflection = fn
+    return fn
+
+
+def _derived(fn, *factors):
+    """fn, declared its own reflection when every factor it combines (with
+    real coefficients) is; otherwise undeclared."""
+    if all(getattr(f, "reflection", None) is f for f in factors):
+        return _reflecting(fn)
+    return fn
+
+
 def _on_grid(arr, grid: TorusGrid):
     """arr, expanded to the grid shape in w if it is constant in w."""
     arr = np.asarray(arr)
@@ -155,8 +190,13 @@ def w_divergence(f, g, grid: TorusGrid):
 
 def xi_gradient(fn, xi_t, xi_z):
     """Gradient in xi of a symbol closure, by central complex step
-    h = 1e-5 |xi| (1e-5 at xi = 0); exact to ~1e-11 for holomorphic
-    closures, at small |xi| too."""
+    h = 1e-5 |xi| (1e-5 at xi = 0): (f(xi + ih) - f(xi - ih))/(2ih) per
+    direction, exact to ~1e-11 for holomorphic closures, at small |xi| too.
+
+    A closure that declares its Schwarz reflection f* (see _reflecting) is
+    evaluated at xi + ih only, with f(xi - ih) read as conj f*(xi + ih): the
+    same values from half the evaluations.  Any other closure is evaluated
+    at both points."""
     return _evaluate(_xi_gradient, fn, xi_t, xi_z)
 
 
@@ -166,9 +206,23 @@ def _xi_gradient(fn, xi_t, xi_z):
     r = np.sqrt(xi_t ** 2 + xi_z ** 2)
     h = 1e-5 * np.where(r == 0.0, 1.0, r)
     scale = -0.5j / h     # 1/(2ih), on the xi shape only
-    gt = (fn(xi_t + 1j * h, xi_z) - fn(xi_t - 1j * h, xi_z)) * scale
-    gz = (fn(xi_t, xi_z + 1j * h) - fn(xi_t, xi_z - 1j * h)) * scale
-    return gt, gz
+    reflection = getattr(fn, "reflection", None)
+
+    def difference(plus, minus):
+        if reflection is None:
+            return (fn(*plus) - fn(*minus)) * scale
+        if reflection is fn:
+            up = down = fn(*plus)
+        else:
+            # a pair such as a1 and A1 shares its work at this one point,
+            # and nothing of it stays in an enclosing scope
+            with _sharing():
+                up, down = fn(*plus), reflection(*plus)
+        return (up - np.conj(down)) * scale
+
+    ih = 1j * h
+    return (difference((xi_t + ih, xi_z), (xi_t - ih, xi_z)),
+            difference((xi_t, xi_z + ih), (xi_t, xi_z - ih)))
 
 
 def _as_xi(x):
@@ -282,6 +336,7 @@ def _lambda_from(grid, e, et, ez, l2):
     lam1_sq = _lambda1_squared(e, et, ez)
     l2_e = l2 / e
 
+    @_reflecting
     def lam1(xt, xz):
         return np.sqrt(lam1_sq(xt, xz))
 
@@ -325,14 +380,22 @@ def _factorization(grid, e, et, ez, rho):
             "the surface leaves the elliptic regime"
         )
 
-    # A1 = (S - i beta.xi)/(2 alpha) and a1 = (S + i beta.xi)/(2 alpha)
-    def A1(xt, xz):
+    @_shared
+    def branches(xt, xz):
+        """a1 = (S + i beta.xi)/(2 alpha) and A1 = (S - i beta.xi)/(2 alpha)
+        from one root S; each is the other's Schwarz reflection."""
         _, b, d = disc(xt, xz)
-        return (np.sqrt(d) - 1j * b) * half_inv_alpha
+        s, ib = np.sqrt(d), 1j * b
+        return (s + ib) * half_inv_alpha, (s - ib) * half_inv_alpha
+
+    def A1(xt, xz):
+        return branches(xt, xz)[1]
 
     def a1(xt, xz):
-        _, b, d = disc(xt, xz)
-        return (np.sqrt(d) + 1j * b) * half_inv_alpha
+        return branches(xt, xz)[0]
+
+    A1, a1 = _shared(A1), _shared(a1)
+    A1.reflection, a1.reflection = a1, A1
 
     q_t = np.real(w_derivatives(et / e ** 2, grid)[0])
     q_z = np.real(w_derivatives(ez / e ** 2, grid)[1])
@@ -389,6 +452,7 @@ def _mu_from(grid, e, et, ez, l2, R):
     lam1_sq = _lambda1_squared(e, et, ez)
     half_inv_l3 = 0.5 / l2 ** 1.5
 
+    @_reflecting
     def mu2(xt, xz):
         return lam1_sq(xt, xz) * half_inv_l3
 
@@ -411,6 +475,7 @@ def _mu2_gjk_from(grid, e, et, ez):
     g_tt, g_tz, g_zz = curvature_G(e, et, ez)
     m_tt, m_tz, m_zz = -g_tt, -2.0 * g_tz, -g_zz
 
+    @_reflecting
     def mu2(xt, xz):
         return m_tt * xt ** 2 + m_tz * (xt * xz) + m_zz * xz ** 2
 
@@ -450,6 +515,8 @@ def mollifier_symbol(gamma_sym: HomogeneousSymbol, eps) -> HomogeneousSymbol:
     def j0(xt, xz):
         return np.exp(-eps * gamma_sym.principal(xt, xz))
 
+    j0 = _derived(j0, gamma_sym.principal)
+
     def jm1(xt, xz):
         return -0.5j * w_divergence(*xi_gradient(j0, xt, xz), grid)
 
@@ -469,6 +536,8 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
 
     def principal(xt, xz):
         return a.principal(xt, xz) * b.principal(xt, xz)
+
+    principal = _derived(principal, a.principal, b.principal)
 
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
@@ -539,6 +608,8 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
     def inv_principal(xt, xz):
         return 1.0 / a.principal(xt, xz)
 
+    inv_principal = _derived(inv_principal, a.principal)
+
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
         dth, dz = w_derivatives(inv_principal(xt, xz), grid)
@@ -574,7 +645,7 @@ class IdentityCheck:
                 f"threshold={self.threshold:.17g} pass={int(self.passed)}")
 
 
-def _lattice_checks(identities, xt, xz):
+def _lattice_checks(identities, grid, xt, xz):
     """IdentityChecks from name -> (threshold, residual closures); each
     residual is the max of |fn| over the lattice and over that name's fns.
 
@@ -584,8 +655,9 @@ def _lattice_checks(identities, xt, xz):
     the chunking nor the order changes a bit of the result.
     """
     res = dict.fromkeys(identities, 0.0)
-    for start in range(0, len(xt), _XI_CHUNK):
-        sl = slice(start, start + _XI_CHUNK)
+    chunk = grid.xi_chunk()
+    for start in range(0, len(xt), chunk):
+        sl = slice(start, start + chunk)
         a, b = _as_xi(xt[sl]), _as_xi(xz[sl])
         with _sharing():
             for name, (_, fns) in identities.items():
@@ -667,6 +739,8 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
     def prod_ml(a, b):
         return mu.principal(a, b) * lam.principal(a, b)
 
+    prod_ml = _derived(prod_ml, mu.principal, lam.principal)
+
     def q0_equation_residual(a, b):
         gpt, gpz = xi_gradient(prod_ml, a, b)
         lhs = 0.5 * q0 * (bracket_lm(a, b) - (dlog_t * gpt + dlog_z * gpz))
@@ -685,9 +759,10 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
     # mollifier commutes with gamma at principal level
     lattice["poisson_gamma_mollifier"] = (
         1e-9, [poisson_bracket(gamma_sym, j_eps).principal])
-    checks = _lattice_checks(lattice, xt, xz)
+    checks = _lattice_checks(lattice, grid, xt, xz)
 
-    # structural invariants
+    # structural invariants; the reality sample shares nothing with the rays
+    # of the other two, so its evaluations are not kept past their use
     syms = (lam, mu, gamma_sym, q_sym, p_sym)
     with _sharing():
         checks += [
@@ -695,8 +770,8 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
                           max(s.homogeneity_residual() for s in syms), 1e-12),
             IdentityCheck("ellipticity_margin",
                           -min(s.ellipticity_margin() for s in syms), 0.0),
-            IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10),
         ]
+    checks.append(IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10))
 
     # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
     factorization = {}
@@ -709,7 +784,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
 
         factorization[f"factorization_rho_{rho:g}".replace(".", "_")] = (
             1e-10, [fact_residual])
-    return checks + _lattice_checks(factorization, xt, xz)
+    return checks + _lattice_checks(factorization, grid, xt, xz)
 
 
 def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
@@ -723,6 +798,8 @@ def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
 
     def gamma32(xt, xz):
         return np.sqrt(sigma * mu.principal(xt, xz) * lam.principal(xt, xz))
+
+    gamma32 = _derived(gamma32, mu.principal, lam.principal)
 
     def gamma12(xt, xz):
         im = -0.5 * np.real(w_divergence(*xi_gradient(gamma32, xt, xz), grid))

@@ -41,3 +41,11 @@ def rng():
 def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
     return TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
+
+
+def truncate_coefficients(fine, coefficients, grid):
+    """Restrict coefficients of a finer grid back to the coarse lattice (the
+    inverse of spectral.pad_coefficients)."""
+    it, iz = (np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+              for n, m in ((grid.n_theta, fine.n_theta), (grid.n_z, fine.n_z)))
+    return coefficients[np.ix_(it, iz)]

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from jetwave.elliptic import (
     DtnSolver,
     _along_rho,
     RadialGrid,
-    build_coefficients,
     fd_shape_derivative,
     hamiltonian_variations,
     shape_derivative,
@@ -24,12 +24,100 @@ from jetwave.spectral import (
     TorusField,
     TorusGrid,
     band_limited_random,
+    derivative_multipliers,
     integrate_product,
+    nonlinear_eval,
     spectral_derivative,
 )
 from jetwave.verification import TRACE_THRESHOLDS
 
 R = 1.0
+
+
+# ---------------------------------------------------------------------------
+# strong-form oracles: the pulled-back Laplacian of the elliptic module's
+# docstring, collocated, against which the variational solve is checked
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MappedCoefficients:
+    """alpha, beta, gamma of the mapped Laplacian sampled on rho x (theta,z).
+
+    alpha is bounded below by 1/max(eta)^2; beta and gamma carry the inverse
+    powers of rho of the polar coordinates.
+    """
+
+    rho: np.ndarray
+    alpha: np.ndarray
+    beta_theta: np.ndarray
+    beta_z: np.ndarray
+    gamma: np.ndarray
+
+
+def build_coefficients(eta: TorusField, rho_nodes) -> MappedCoefficients:
+    """Evaluate alpha, beta, gamma pointwise with spectral eta-derivatives;
+    the quotients in gamma are dealiased."""
+    if eta.min() <= 0.0:
+        raise DomainViolationError("eta must be strictly positive")
+    rho = np.atleast_1d(np.asarray(rho_nodes, dtype=float))
+    if np.any(rho <= 0.0) or np.any(rho > 1.0):
+        raise ValueError("rho nodes must lie in (0, 1]")
+    e = eta.values
+    et = spectral_derivative(eta, "theta").values
+    ez = spectral_derivative(eta, "z").values
+    r = rho[:, None, None]
+    alpha = (1.0 + (et / e) ** 2 + r ** 2 * ez ** 2) / e ** 2
+    beta_theta = -2.0 * et / (r * e ** 3)
+    beta_z = -2.0 * r * ez / e
+    q_t = nonlinear_eval(lambda u, x: u / x ** 2, spectral_derivative(eta, "theta"), eta)
+    q_z = nonlinear_eval(lambda u, x: u / x ** 2, spectral_derivative(eta, "z"), eta)
+    dq_t = spectral_derivative(q_t, "theta").values
+    dq_z = spectral_derivative(q_z, "z").values
+    gamma = -dq_t / (r * e) - r * e * dq_z + 1.0 / (r * e ** 2)
+    return MappedCoefficients(rho, alpha, beta_theta, beta_z, gamma)
+
+
+def _apply_w(stack, mult):
+    """Apply a (theta,z) Fourier multiplier to each rho-layer of a stack."""
+    c = np.fft.fft2(stack, axes=(1, 2))
+    return np.fft.ifft2(c * mult, axes=(1, 2)).real
+
+
+def strong_residual(pot, eta: TorusField):
+    """Pointwise residual of the rho^2-regularized strong-form operator on a
+    solved potential.
+
+    The solver drives the variational residual below its tolerance; this
+    quantity collocates rho^2 * L phi at the interior nodes (the rho^2 factor
+    bounds the polar coefficients, so near-axis values are not
+    roundoff-amplified) and decays spectrally with resolution.
+    """
+    rho = pot.radial.nodes
+    co = build_coefficients(eta, rho)
+    D = pot.radial.D
+    phi = pot.values
+    # relative to the trace, as the solver differentiates: (D D) 1 = 0
+    u = phi - phi[-1]
+    dphi = np.tensordot(D, u, axes=(1, 0))
+    d2phi = np.tensordot(D @ D, u, axes=(1, 0))
+    mt, mz = derivative_multipliers(pot.grid)
+    dth_dphi = _apply_w(dphi, mt)
+    dz_dphi = _apply_w(dphi, mz)
+    d2th = _apply_w(phi, mt * mt)
+    d2z = _apply_w(phi, mz * mz)
+    e = eta.values
+    r = rho[:, None, None]
+    res = r ** 2 * (co.alpha * d2phi + co.beta_theta * dth_dphi
+                    + co.beta_z * dz_dphi + co.gamma * dphi + d2z) \
+        + d2th / e ** 2
+    return res[:-1]
+
+
+def modal_profile(pot, m, n):
+    """Radial profile of the (m, n)-th Fourier mode (integer indices) of a
+    solved potential."""
+    c = np.fft.fft2(pot.values, axes=(1, 2)) / (pot.grid.n_theta * pot.grid.n_z)
+    return c[:, m % pot.grid.n_theta, n % pot.grid.n_z]
 
 
 class TestRadialGrid:
@@ -104,7 +192,7 @@ class TestSolve:
         # the constant lift has no radial strain: the right-hand side is
         # exactly zero and no iteration runs
         assert pot.iterations == 0
-        assert np.abs(pot.strong_residual(eta)).max() < 1e-10
+        assert np.abs(strong_residual(pot, eta)).max() < 1e-10
 
     def test_strong_residual_on_a_deformed_jet(self, grid32, rng):
         """The collocated strong form vanishes on a solve with a deformed
@@ -114,7 +202,7 @@ class TestSolve:
         eta = smooth_surface(grid32, rng, R, amp=0.05)
         psi = band_limited_random(grid32, rng, kmax=3, max_norm=0.3)
         pot = DtnSolver(grid32, 24).solve(eta, psi, tol=1e-12)
-        assert np.abs(pot.strong_residual(eta)).max() < 1e-9
+        assert np.abs(strong_residual(pot, eta)).max() < 1e-9
 
     def test_harmonic_power_profile(self, grid32, solver32):
         """eta = R, psi = cos(m theta): the potential is (rho)^m cos(m theta)
@@ -123,7 +211,7 @@ class TestSolve:
         m = 3
         pot = solver32.solve(TorusField.constant(grid32, R),
                              TorusField(grid32, np.cos(m * th)), tol=1e-12)
-        profile = pot.modal_profile(m, 0) * 2.0  # cos = two conjugate modes
+        profile = modal_profile(pot, m, 0) * 2.0  # cos = two conjugate modes
         expected = pot.radial.nodes ** m
         assert np.abs(profile.real - expected).max() < 1e-9
         assert np.abs(profile.imag).max() < 1e-9
@@ -134,7 +222,7 @@ class TestSolve:
         k = 2.0
         pot = solver32.solve(TorusField.constant(grid32, R),
                              TorusField(grid32, np.cos(k * zz)), tol=1e-12)
-        profile = pot.modal_profile(0, 2) * 2.0
+        profile = modal_profile(pot, 0, 2) * 2.0
         expected = iv(0, k * R * pot.radial.nodes) / iv(0, k * R)
         assert np.abs(profile.real - expected).max() < 1e-8
 
@@ -145,7 +233,7 @@ class TestSolve:
             pot = solver32.solve(
                 TorusField.constant(grid32, R),
                 TorusField(grid32, np.cos(m * th + zz)), tol=1e-12)
-            profile = np.abs(pot.modal_profile(m, 1))
+            profile = np.abs(modal_profile(pot, m, 1))
             rho = pot.radial.nodes
             inner = profile[rho < 0.05]
             bound = (rho[rho < 0.05] / rho[-1]) ** min(m, 2)

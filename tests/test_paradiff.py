@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import truncate_coefficients
+
 from jetwave.paradiff import (
     apply_paradiff,
     bony_remainder,
@@ -19,7 +21,6 @@ from jetwave.spectral import (
     decomposition,
     low_pass,
     pad_coefficients,
-    truncate_coefficients,
 )
 from jetwave.symbols import lambda_symbol
 
@@ -152,6 +153,17 @@ class TestApplyParadiff:
         lam = lambda_symbol(TorusField.constant(grid32, 1.0))
         u = low_pass(band_limited_random(grid32, rng, kmax=10), 1)
         assert apply_paradiff(lam, u).max_norm() < 1e-14
+
+    @pytest.mark.parametrize("chunk", [5, 23])
+    def test_chunk_size(self, monkeypatch, grid32, rng, chunk):
+        """The xi chunk size only reorders the coefficient-space sums."""
+        eta = TorusField.constant(grid32, 1.0) + band_limited_random(
+            grid32, rng, kmax=3, decay=3.0, max_norm=0.05)
+        lam = lambda_symbol(eta)
+        u = band_limited_random(grid32, rng, kmax=23, decay=1.0)
+        want = apply_paradiff(lam, u)
+        monkeypatch.setattr(TorusGrid, "xi_chunk", lambda self: chunk)
+        assert (apply_paradiff(lam, u) - want).max_norm() <= 1e-15 * want.max_norm()
 
 
 def _dense_paradiff(sample, u):

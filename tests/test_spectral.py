@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import truncate_coefficients
+
 from jetwave.spectral import (
     TAU,
     TorusField,
@@ -20,7 +22,6 @@ from jetwave.spectral import (
     nonlinear_eval,
     pad_coefficients,
     spectral_derivative,
-    truncate_coefficients,
 )
 
 

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from jetwave import symbols
 from jetwave.errors import EllipticityError
 from jetwave.spectral import TorusField, TorusGrid, band_limited_random
 from jetwave.symbols import (
@@ -24,6 +25,7 @@ from jetwave.symbols import (
     w_divergence,
     xi_gradient,
 )
+from jetwave.symbols import _as_xi, lattice_points
 
 R = 1.0
 SIGMA = 1.0
@@ -406,3 +408,127 @@ class TestReportIsPure:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [expect[i % 2] for i in range(4)]
+
+
+# a surface of the random family (kmax 3, decay 3, amplitude 0.05)
+_random = TestReportIsPure._other
+
+
+def _declared(monkeypatch, build):
+    """Every closure made shared while build() runs that declares a Schwarz
+    reflection (see symbols._reflecting)."""
+    made = {}
+    shared = symbols._shared
+
+    def spy(fn):
+        out = shared(fn)
+        if out is not None:
+            made[id(out)] = out
+        return out
+
+    monkeypatch.setattr(symbols, "_shared", spy)
+    build()
+    monkeypatch.undo()
+    return [f for f in made.values() if getattr(f, "reflection", None)]
+
+
+def _name(shared):
+    """The name of the closure a shared closure evaluates."""
+    return shared.args[0].__name__
+
+
+def _steps(xt, xz):
+    """The imaginary step 1j*h that xi_gradient takes at xi != 0."""
+    return 1j * (1e-5 * np.sqrt(xt ** 2 + xz ** 2))
+
+
+class TestReflection:
+    """A closure that declares its Schwarz reflection f* is differentiated
+    from xi + ih alone; f(xi - ih) = conj f*(xi + ih) must hold exactly (a
+    zero may differ in sign), or the one-sided gradient would move the
+    identity report."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("surface", [_deformed, _random])
+    def test_declared_closures_reflect_exactly(self, monkeypatch, n, surface):
+        grid = TorusGrid(n, n)
+        eta = surface(grid)
+        declared = _declared(
+            monkeypatch, lambda: symbol_identity_report(eta, SIGMA, R))
+        names = sorted(_name(f) for f in declared if f.reflection is not f)
+        # a1 and A1 reflect into each other: lambda's factorization at
+        # rho = 1 and the report's at rho = 1 and 0.7
+        assert names == ["A1"] * 3 + ["a1"] * 3
+        assert len(declared) >= 12
+        xts, xzs = lattice_points(grid)
+        chunk = grid.xi_chunk()
+        # every chunk on 16^2, every fifth on 32^2
+        for start in range(0, len(xts), chunk * (1 if n == 16 else 5)):
+            xt, xz = (_as_xi(x[start:start + chunk]) for x in (xts, xzs))
+            ih = _steps(xt, xz)
+            for f in declared:
+                for plus, minus in (((xt + ih, xz), (xt - ih, xz)),
+                                    ((xt, xz + ih), (xt, xz - ih))):
+                    want = f(*minus)
+                    got = np.conj(f.reflection(*plus))
+                    assert np.array_equal(got, want), _name(f)
+
+    def test_report_never_steps_down_a_declared_closure(self, monkeypatch,
+                                                        grid16):
+        """On a 16^2 report no declared closure is evaluated at a xi with a
+        negative imaginary step, and each is evaluated at a positive one."""
+        calls = []
+        evaluate = symbols._evaluate
+
+        def spy(fn, *args):
+            imag = [np.imag(a).min() for a in args
+                    if not callable(a) and np.iscomplexobj(a)]
+            calls.append((fn, min(imag, default=0.0)))
+            return evaluate(fn, *args)
+
+        monkeypatch.setattr(symbols, "_evaluate", spy)
+        declared = _declared(
+            monkeypatch,
+            lambda: symbol_identity_report(_deformed(grid16), SIGMA, R))
+        declared = {f.args[0] for f in declared}
+        names = {fn.__name__ for fn in declared}
+        assert names >= {"lam1", "mu2", "gamma32", "j0", "prod_ml",
+                         "inv_principal", "a1", "A1"}
+        assert not any(low < 0.0 for fn, low in calls if fn in declared)
+        stepped = {fn.__name__ for fn, low in calls if low > 0.0}
+        assert stepped >= {"lam1", "mu2", "gamma32", "j0", "prod_ml",
+                           "inv_principal", "a1", "A1"}
+
+    def test_undeclared_closure_takes_both_points(self, grid16):
+        """A closure without a declared reflection (a bare lambda) is still
+        differentiated at xi + ih and xi - ih, against its closed form."""
+        seen = []
+
+        def f(xt, xz):
+            seen.append(np.imag(np.asarray(xt) + np.asarray(xz)))
+            return (xt ** 3 + 2.0 * xt * xz ** 2) * np.ones((16, 16))
+
+        sym = HomogeneousSymbol(grid16, 3.0, f)
+        assert getattr(sym.principal, "reflection", None) is None
+        xt, xz = (_as_xi(x) for x in (np.array([3.0, 0.4, -2.0]),
+                                      np.array([1.0, -0.7, 5.0])))
+        gt, gz = xi_gradient(sym.principal, xt, xz)
+        assert _rel(gt, (3.0 * xt ** 2 + 2.0 * xz ** 2) * np.ones((16, 16))) <= 1e-10
+        assert _rel(gz, 4.0 * xt * xz * np.ones((16, 16))) <= 1e-10
+        assert min(s.min() for s in seen) < 0.0 < max(s.max() for s in seen)
+
+
+class TestChunkInvariance:
+    """The xi chunk size changes no bit of the report: every residual is an
+    exact max of per-frequency values."""
+
+    @pytest.mark.parametrize("chunk", [5, 23])
+    def test_report_bitwise(self, monkeypatch, grid32, chunk):
+        """Against the pinned residuals, which the rule's 16 gives."""
+        assert grid32.xi_chunk() == 16
+        monkeypatch.setattr(TorusGrid, "xi_chunk", lambda self: chunk)
+        assert _hex_report(_deformed(grid32), SIGMA, R) == _PINNED["analytic"]
+
+    def test_chunk_rule(self):
+        assert [TorusGrid(n, n).xi_chunk() for n in (16, 32, 64, 256)] == \
+            [64, 16, 4, 1]
