@@ -13,7 +13,8 @@ dtn         solve one Dirichlet-to-Neumann problem and dump the boundary
             fields plus trace-identity residuals
 
 Flags: --config PATH (required), --out DIR (default ./out), --seed UINT
-(default 0), --quiet.  Exit codes: 0 success, 2 configuration error,
+(default 0), --quiet.  Exit codes: 0 success, 2 configuration error (a
+bad flag included: a negative seed, an --out that cannot be a directory),
 3 verification failure, 4 pinch-off abort, 5 solver failure (an elliptic
 solve did not converge or a symbol lost ellipticity, in any subcommand; the
 manifest names the cause, and the simulate manifest the last valid t).
@@ -51,7 +52,7 @@ _SCHEMA = {
     "grid": {"n_theta", "n_z", "n_rho", "z_period"},
     "physics": {"r", "sigma"},
     "ic": None,  # mode.N keys, validated separately
-    "evolution": {"dt", "t_final", "record_every", "elliptic_tol", "cfl"},
+    "evolution": {"dt", "t_final", "record_every", "elliptic_tol"},
     "output": {"prefix"},
     "dispersion": {"modes"},
     "verify": {"fault", "heavy", "structure_states"},
@@ -79,6 +80,14 @@ def _parse_dt(text):
     return "auto" if text.strip() == "auto" else float(text)
 
 
+def _parse_seed(text):
+    """--seed: a non-negative integer, the seeds numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _grid(cfg):
     from .spectral import TorusGrid
 
@@ -96,7 +105,7 @@ def _check_ranges(out):
         _grid(out)
         RadialGrid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
-                        record_every=out["record_every"], cfl=out["cfl"])
+                        record_every=out["record_every"])
     except ValueError as exc:
         raise ConfigError(f"bad value: {exc}") from exc
     for key, name in (("R", "r"), ("sigma", "sigma"),
@@ -201,7 +210,6 @@ def load_config(path):
         "t_final": value("evolution", "t_final", float, "1.0"),
         "record_every": value("evolution", "record_every", int, "1"),
         "elliptic_tol": value("evolution", "elliptic_tol", float, "1e-11"),
-        "cfl": value("evolution", "cfl", float, "0.5"),
         "prefix": cfg.get("output", {}).get("prefix", "run"),
         "fault": cfg.get("verify", {}).get("fault") or None,
         "heavy": value("verify", "heavy", lambda raw:
@@ -278,7 +286,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     solver = DtnSolver(state.grid, cfg["n_rho"])
     econf = EvolutionConfig(dt=cfg["dt"], t_final=cfg["t_final"],
                             record_every=cfg["record_every"],
-                            tol_elliptic=cfg["elliptic_tol"], cfl=cfg["cfl"])
+                            tol_elliptic=cfg["elliptic_tol"])
     traj = simulate(state, econf, solver)
     rows = [
         (r.t, r.kinetic, r.potential, r.total, r.volume, r.min_eta,
@@ -414,7 +422,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to INI config")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="rng seed")
+        p.add_argument("--seed", type=_parse_seed, default=0, help="rng seed")
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -424,7 +432,12 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:      # a file, or a path under one
+        sub.choices[args.command].error(
+            f"argument --out: cannot create directory {args.out!r}: "
+            f"{exc.strerror}")
     handler = {
         "simulate": cmd_simulate,
         "dispersion": cmd_dispersion,

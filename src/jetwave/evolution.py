@@ -9,9 +9,10 @@ cylinder.
 The integrator is Lawson's integrating-factor RK4 on the bare system (no
 filter, no added dissipation): each step applies the propagator of the
 linear part about the cylinder of the mean radius exactly, per Fourier mode,
-and leaves only the remainder to RK4.  The capillary CFL step cfl / omega_max
-(`auto_dt`) then no longer bounds the step; the ``"auto"`` step of
-`EvolutionConfig` is up to ten of it, set by the deformation and transport.
+and leaves only the remainder to RK4.  The capillary CFL step CFL / omega_max
+(`auto_dt`, CFL = 0.5) then no longer bounds the step but is its unit: the
+``"auto"`` step of `EvolutionConfig` is up to ten of it, set by the
+deformation and transport.
 
 Simulation stops normally at t_final or terminally when min(eta) drops below
 1e-3 R (pinch-off: the cylinder-graph model leaves its domain of validity);
@@ -42,7 +43,9 @@ from .geometry import (
 from .spectral import TorusField
 
 PINCH_FRACTION = 1e-3
-CFL_DEFAULT = 0.5
+#: the Courant number of the capillary step `auto_dt` and of the transport
+#: bound of the ``"auto"`` step
+CFL = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +218,12 @@ def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
                    max(b.residual for b in stages))
 
 
-def auto_dt(grid, sigma, eta_bar=1.0, cfl=CFL_DEFAULT):
-    """Capillary CFL step, dt = cfl / omega_max with
+def auto_dt(grid, sigma, eta_bar=1.0):
+    """Capillary CFL step, dt = CFL / omega_max with
     omega_max = lambda_max^(3/2) sqrt(sigma/2) at the corner of the grid:
     the step an explicit scheme needs, and the unit of the ``"auto"`` rule
     of `EvolutionConfig.resolve_dt`."""
-    return float(cfl / (_xi_max(grid, eta_bar) ** 1.5 * np.sqrt(sigma / 2.0)))
+    return float(CFL / (_xi_max(grid, eta_bar) ** 1.5 * np.sqrt(sigma / 2.0)))
 
 
 def _xi_max(grid, eta_bar):
@@ -235,13 +238,15 @@ def _xi_max(grid, eta_bar):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Settings of `simulate`.
+    """Settings of `simulate`: the step, the horizon, the elliptic
+    tolerance and the report cadence (the Courant number is the constant
+    `CFL`).
 
     dt is a positive step or ``"auto"``: a multiple of the CFL step
     `auto_dt` that bounds what the integrating-factor step leaves explicit,
     the remainder, which grows with the deformation delta = |eta/eta_bar -
     1|_inf + |eta_theta|_inf/eta_bar + |eta_z|_inf (dt = auto_dt /
-    clip(delta, 0.1, 1)), and transport (dt <= cfl / (|xi|_max |V|_inf)).
+    clip(delta, 0.1, 1)), and transport (dt <= CFL / (|xi|_max |V|_inf)).
     It is never below the CFL step.  `simulate` reads it again before every
     step, from the bundle of the step's first stage, and lets the step only
     shrink, so a jet that necks toward pinch-off slides back to the CFL
@@ -252,7 +257,6 @@ class EvolutionConfig:
     t_final: float = 1.0
     tol_elliptic: float = 1e-11
     record_every: int = 1
-    cfl: float = CFL_DEFAULT
 
     def __post_init__(self):
         if not 0 < self.t_final < np.inf:
@@ -261,23 +265,21 @@ class EvolutionConfig:
             raise ValueError("record_every must be a positive integer")
         if self.dt != "auto" and not 0 < float(self.dt) < np.inf:
             raise ValueError("dt must be positive and finite")
-        if not 0 < self.cfl < np.inf:
-            raise ValueError("cfl must be positive and finite")
 
     def resolve_dt(self, state: SurfaceState, bundle):
         """The step from state; bundle is its trace bundle (rhs(state)[2])."""
         if self.dt != "auto":
             return float(self.dt)
         eta_bar = state.eta.mean()
-        cfl_dt = auto_dt(state.grid, state.sigma, eta_bar, self.cfl)
+        cfl_dt = auto_dt(state.grid, state.sigma, eta_bar)
         eta_t, eta_z = bundle.eta_grad
         delta = (np.abs(state.eta.values / eta_bar - 1.0).max()
                  + eta_t.max_norm() / eta_bar + eta_z.max_norm())
         dt = cfl_dt / min(max(delta, 0.1), 1.0)
         speed = _xi_max(state.grid, eta_bar) * np.hypot(
             bundle.V_theta.values, bundle.V_z.values).max()
-        if speed * dt > self.cfl:
-            dt = self.cfl / speed
+        if speed * dt > CFL:
+            dt = CFL / speed
         return float(max(dt, cfl_dt))
 
 

@@ -187,13 +187,13 @@ def curvature_G_uv(x, u, v):
 # mean curvature
 # ---------------------------------------------------------------------------
 
-def mean_curvature(eta: TorusField, method="direct", R=None) -> TorusField:
+def mean_curvature(eta: TorusField, method="direct") -> TorusField:
     """Mean curvature of the surface r = eta.
 
     method="direct" evaluates the divergence form; method="decomposed" uses
-    the quasilinear F/G^jk decomposition (R is then required to place the
-    1/(2R) normalization; it cancels in the returned H).  Both agree to
-    spectral accuracy on smooth resolved fields.
+    the quasilinear F/G^jk decomposition, evaluated at R = 1 (the 1/(2R) of
+    F is added back, so R cancels in H).  Both agree to spectral accuracy
+    on smooth resolved fields.
     """
     _require_positive(eta)
     if method == "direct":
@@ -209,10 +209,9 @@ def mean_curvature(eta: TorusField, method="direct", R=None) -> TorusField:
         t3 = spectral_derivative(q2, "z")
         return 0.5 * (t1 - t2 - t3)
     if method == "decomposed":
-        Rn = 1.0 if R is None else float(R)
         et = spectral_derivative(eta, "theta")
         ez = spectral_derivative(eta, "z")
-        F = nonlinear_eval(lambda x, u, v: curvature_F(x, u, v, Rn), eta, et, ez)
+        F = nonlinear_eval(lambda x, u, v: curvature_F(x, u, v, 1.0), eta, et, ez)
         g_tt = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[0], eta, et, ez)
         g_tz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[1], eta, et, ez)
         g_zz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[2], eta, et, ez)
@@ -224,7 +223,7 @@ def mean_curvature(eta: TorusField, method="direct", R=None) -> TorusField:
             + 2.0 * dealiased_product(g_tz, e_tz)
             + dealiased_product(g_zz, e_zz)
         )
-        return F + second + 1.0 / (2.0 * Rn)
+        return F + second + 0.5
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -29,7 +29,8 @@ keeps the real part:
 * truncation averages each fine +-n/2 pair of the Nyquist row and column
   and takes the corner from the (+n/2, +n/2) entry.
 
-The transform pair, derivatives and integrals stay on complex transforms.
+Integrals of products multiply the same cached padded samples.  The
+transform pair and derivatives stay on complex transforms.
 """
 
 from __future__ import annotations
@@ -123,13 +124,11 @@ class TorusGrid:
     def cell_area(self):
         return self.area / (self.n_theta * self.n_z)
 
-    def padded(self, factor=1.5):
-        """Grid refined by `factor` in both directions (same periods)."""
-        mt = int(round(self.n_theta * factor))
-        mz = int(round(self.n_z * factor))
-        mt += mt % 2
-        mz += mz % 2
-        return TorusGrid(mt, mz, self.z_period)
+    def padded(self):
+        """Grid refined by 3/2 in both directions (rounded up to even; same
+        periods): the grid of every dealiased evaluation."""
+        mt, mz = 3 * self.n_theta // 2, 3 * self.n_z // 2
+        return TorusGrid(mt + mt % 2, mz + mz % 2, self.z_period)
 
 
 def forward_transform(grid: TorusGrid, values):
@@ -303,19 +302,17 @@ def spectral_derivative(f: TorusField, direction, order=1):
         raise ValueError("derivative order must be between 1 and 4")
     grid = f.grid
     if direction == "theta":
-        xi = grid.xi_theta[:, None]
-        nyq = np.zeros((grid.n_theta, grid.n_z), dtype=bool)
-        nyq[grid.n_theta // 2, :] = True
+        axis, xi = 0, grid.xi_theta[:, None]
     elif direction == "z":
-        xi = grid.xi_z[None, :]
-        nyq = np.zeros((grid.n_theta, grid.n_z), dtype=bool)
-        nyq[:, grid.n_z // 2] = True
+        axis, xi = 1, grid.xi_z[None, :]
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    mult = (1j * xi) ** order
-    mult = np.broadcast_to(mult, (grid.n_theta, grid.n_z)).copy()
-    if order % 2 == 1:
-        mult[nyq] = 0.0
+    if order == 1:
+        mult = derivative_multipliers(grid)[axis]
+    else:
+        mult = (1j * xi) ** order
+        if order == 3:
+            mult.flat[xi.size // 2] = 0.0            # the Nyquist mode
     return TorusField.from_coefficients(grid, f.coefficients * mult)
 
 
@@ -336,26 +333,14 @@ def derivative_multipliers(grid: TorusGrid):
 # dealiasing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _pad_maps(n_src, n_dst):
-    """Index arrays embedding FFT-ordered axes of length n_src into n_dst."""
-    freqs = np.fft.fftfreq(n_src, 1.0 / n_src).astype(int)
-    return (freqs % n_dst,)
-
-
 def pad_coefficients(grid: TorusGrid, coefficients, fine: TorusGrid):
-    """Embed coefficients into the lattice of a finer grid (zero padding)."""
-    (it,) = _pad_maps(grid.n_theta, fine.n_theta)
-    (iz,) = _pad_maps(grid.n_z, fine.n_z)
+    """Embed coefficients into the lattice of a finer grid (zero padding;
+    the Nyquist row and column land at -n/2)."""
+    it, iz = (np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+              for n, m in ((grid.n_theta, fine.n_theta), (grid.n_z, fine.n_z)))
     out = np.zeros((fine.n_theta, fine.n_z), dtype=complex)
     out[np.ix_(it, iz)] = coefficients
     return out
-
-
-def pad_values(f: TorusField, fine: TorusGrid):
-    """Sample a field on a finer grid via its Fourier interpolant."""
-    c = pad_coefficients(f.grid, f.coefficients, fine)
-    return inverse_transform(fine, c)
 
 
 def _pad_real(grid: TorusGrid, values):
@@ -417,14 +402,14 @@ def dealiased_product(f: TorusField, g: TorusField):
 def integrate_product(*fields):
     """Integral over the torus of a pointwise product of fields.
 
-    Uses 2x zero padding, which makes the trapezoid rule exact for products
-    of up to four Nyquist-free fields.
+    The trapezoid rule on the fields' cached padded samples (the grid refined
+    by 3/2) is exact for products of up to three fields unless all three
+    carry Nyquist content.
     """
     grid = fields[0].grid
-    fine = grid.padded(2.0)
-    prod = pad_values(fields[0], fine)
+    prod = fields[0].padded_samples
     for f in fields[1:]:
-        prod = prod * pad_values(f, fine)
+        prod = prod * f.padded_samples
     return float(prod.mean() * grid.area)
 
 

@@ -640,10 +640,6 @@ class IdentityCheck:
         return (f"{tag} {self.name}: residual {self.residual:.3e} "
                 f"(threshold {self.threshold:.1e})")
 
-    def record(self):
-        return (f"symbol.{self.name}={self.residual:.17g} "
-                f"threshold={self.threshold:.17g} pass={int(self.passed)}")
-
 
 def _lattice_checks(identities, grid, xt, xz):
     """IdentityChecks from name -> (threshold, residual closures); each

@@ -371,7 +371,7 @@ def check_curvature(grid, seed, R=1.0):
         eta = TorusField.constant(grid, R) + band_limited_random(
             grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
         h1 = mean_curvature(eta, "direct")
-        h2 = mean_curvature(eta, "decomposed", R=R)
+        h2 = mean_curvature(eta, "decomposed")
         worst = max(worst, (h1 - h2).max_norm() / h1.max_norm())
     return [_below("curvature.two_paths", worst, 1e-9,
                    note=f"random smooth eta, kmax {kmax}, decay {decay}, "

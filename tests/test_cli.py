@@ -315,6 +315,30 @@ t_final = 0.5
         assert "unknown key 'filter_eps'" in capsys.readouterr().err
         assert not (tmp_path / "run_manifest.txt").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed_exit_2_names_flag(self, tmp_path, capsys, seed):
+        """numpy's generators take only non-negative integer seeds; any
+        other --seed is rejected by name before the run starts."""
+        path = write(tmp_path, BASE + "[verify]\nheavy = false\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", path, "--out", str(tmp_path),
+                  "--seed", seed, "--quiet"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    def test_out_not_a_directory_exit_2(self, tmp_path, capsys, below):
+        """An --out that names a file (FileExistsError) or a path under one
+        (NotADirectoryError) is rejected by name."""
+        path = write(tmp_path, BASE)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", path, "--out", str(taken / below),
+                  "--quiet"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, raw", [
         ("structure_states", "0"),
         ("structure_states", "-3"),

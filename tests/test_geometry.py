@@ -95,7 +95,7 @@ class TestMeanCurvature:
         for _ in range(3):
             eta = smooth_surface(grid32, rng, R, amp=0.05)
             h1 = mean_curvature(eta, "direct")
-            h2 = mean_curvature(eta, "decomposed", R=R)
+            h2 = mean_curvature(eta, "decomposed")
             assert (h1 - h2).max_norm() < 1e-9 * h1.max_norm()
 
     def test_shift_equivariance(self, grid32, rng):

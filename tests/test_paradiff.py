@@ -172,7 +172,7 @@ def _dense_paradiff(sample, u):
     dense phase matrix, then take the real part and truncate."""
     grid = u.grid
     dec = decomposition(grid)
-    fine = grid.padded(1.5)
+    fine = grid.padded()
     xt, xz = grid.xi_mesh()
     uhat = u.coefficients
     js = range(2, dec.jmax + 1)

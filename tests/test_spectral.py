@@ -17,6 +17,7 @@ from jetwave.spectral import (
     decomposition,
     dyadic_block,
     forward_transform,
+    integrate_product,
     inverse_transform,
     low_pass,
     nonlinear_eval,
@@ -149,6 +150,60 @@ class TestDealiasedProduct:
         oracle = self._convolution_oracle(a, b)
         # combined bandwidth 6 <= 7 = N/2 - 1: product fully resolved, exact
         assert np.abs(p.coefficients - oracle).max() < 1e-12
+
+
+class TestIntegrateProduct:
+    """integrate_product against the lattice sum of its factors' spectra."""
+
+    @staticmethod
+    def _spectrum(f):
+        """Coefficients on the symmetric lattice -n/2..n/2 (index 0 is -n/2)
+        of the real interpolant: each Nyquist row or column coefficient is
+        split evenly between +-n/2, the corner between (-n/2, -n/2) and
+        (+n/2, +n/2)."""
+        c = np.fft.fftshift(f.coefficients)
+        e = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=complex)
+        e[:-1, :-1] = c
+        e[-1, 1:-1] = e[0, 1:-1]
+        e[1:-1, -1] = e[1:-1, 0]
+        e[-1, -1] = e[0, 0]
+        e[[0, -1], :] *= 0.5
+        e[1:-1, [0, -1]] *= 0.5
+        return e
+
+    @classmethod
+    def _lattice_integral(cls, *fields):
+        """area * sum over xi_1 + ... + xi_k = 0 of the product of the
+        factors' coefficients, by brute-force convolution."""
+        acc = cls._spectrum(fields[0])
+        for f in fields[1:-1]:
+            e = cls._spectrum(f)
+            out = np.zeros((acc.shape[0] + e.shape[0] - 1,
+                            acc.shape[1] + e.shape[1] - 1), dtype=complex)
+            for i, j in np.ndindex(e.shape):
+                out[i:i + acc.shape[0], j:j + acc.shape[1]] += e[i, j] * acc
+            acc = out
+        last = cls._spectrum(fields[-1])
+        (ht, hz), (at, az) = (np.array(last.shape) // 2,
+                              np.array(acc.shape) // 2)
+        window = acc[at - ht:at + ht + 1, az - hz:az + hz + 1]
+        total = np.sum(window * last[::-1, ::-1])
+        assert abs(total.imag) <= 1e-14 * abs(total)
+        return total.real * fields[0].grid.area
+
+    @pytest.mark.parametrize("n_nyquist", [0, 1, 2])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_matches_lattice_sum(self, grid16, arity, n_nyquist):
+        """Exact for up to three factors unless all three carry Nyquist
+        content; here up to two do."""
+        r = np.random.default_rng(100 * arity + n_nyquist)
+        fields = [TorusField(grid16, 1.0 + 0.3 * r.standard_normal((16, 16)))
+                  for _ in range(n_nyquist)]
+        fields += [1.0 + band_limited_random(grid16, r, kmax=10, decay=1.2,
+                                             max_norm=0.3)
+                   for _ in range(arity - n_nyquist)]
+        want = self._lattice_integral(*fields)
+        assert abs(integrate_product(*fields) - want) <= 1e-13 * abs(want)
 
 
 def _complex_nonlinear_eval(fn, *fields):
