@@ -19,14 +19,14 @@ bad flag included: a negative seed, an --out that cannot be a directory),
 solve did not converge or a symbol lost ellipticity, in any subcommand; the
 manifest names the cause, and the simulate manifest the last valid t).
 
-Configuration is flat INI-style key=value text with sections
-grid/physics/ic/evolution/output (plus optional dispersion/verify).
-Unknown keys and non-finite numbers are rejected by name.  [verify] takes
-fault (empty, or the symbol test hook lambda0_sign), heavy (a configparser
-boolean, default true; false skips the long time-integration runs) and
-structure_states (seeded states of the DtN structure check, >= 1, default
-100).  Floating point output carries 17 significant digits, and a fixed seed
-gives byte-identical reruns.
+Configuration is flat INI-style key=value text in UTF-8 with sections
+grid/physics/ic/evolution/output (plus optional dispersion/verify).  A file
+configparser cannot read is named with its line; unknown keys, non-finite
+numbers and an output prefix with a path separator in it are rejected by
+name.  [verify] takes heavy (a configparser boolean, default true; false
+skips the long time-integration runs) and structure_states (seeded states
+of the DtN structure check, >= 1, default 100).  Floating point output
+carries 17 significant digits, and a fixed seed gives byte-identical reruns.
 
 The environment variable JETWAVE_THREADS caps the numeric thread pools; it
 is applied before the numeric modules load.
@@ -55,7 +55,7 @@ _SCHEMA = {
     "evolution": {"dt", "t_final", "record_every", "elliptic_tol"},
     "output": {"prefix"},
     "dispersion": {"modes"},
-    "verify": {"fault", "heavy", "structure_states"},
+    "verify": {"heavy", "structure_states"},
 }
 
 _FLOAT_FMT = "%.17g"
@@ -99,7 +99,6 @@ def _check_ranges(out):
     value exits 2 with its key named instead of failing mid-run."""
     from .elliptic import TOL_RANGE, RadialGrid
     from .evolution import EvolutionConfig
-    from .symbols import FAULT_HOOKS
 
     try:
         _grid(out)
@@ -112,9 +111,9 @@ def _check_ranges(out):
                       ("structure_states", "structure_states")):
         if not out[key] > 0:
             raise ConfigError(f"bad value for '{name}': must be positive")
-    if out["fault"] not in (None, *FAULT_HOOKS):
-        raise ConfigError(f"bad value for 'fault': {out['fault']!r} is not "
-                          f"one of {FAULT_HOOKS}")
+    if any(sep and sep in out["prefix"] for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"bad value for 'prefix': {out['prefix']!r} names a "
+                          f"directory; --out sets where output goes")
     lo, hi = TOL_RANGE
     if not lo <= out["elliptic_tol"] <= hi:
         raise ConfigError(f"bad value for 'elliptic_tol': "
@@ -165,24 +164,41 @@ def _dispersion_modes(raw, out):
     return modes
 
 
+def _read_ini(path):
+    """The sections of the INI file at path as {section: {key: raw}}; a file
+    that is missing, not UTF-8 or not parsable raises ConfigError naming
+    it (and the line, where configparser reports one)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        return {name: dict(parser[name]) for name in parser.sections()}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text "
+                          f"({exc.reason})") from exc
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        reason = exc.message.splitlines()[0].rpartition("]: ")[2]
+        if getattr(exc, "errors", None):    # ParsingError: its first bad line
+            line, text = exc.errors[0]
+            reason = f"not a [section] header or key = value: {text}"
+        where = f"{path}, line {line}" if line else path
+        raise ConfigError(f"cannot parse {where}: {reason}") from exc
+
+
 def load_config(path):
     """Parse and validate a run configuration; unknown keys are rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    cfg = {}
-    for section in parser.sections():
+    cfg = _read_ini(path)
+    for section, entries in cfg.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         allowed = _SCHEMA[section]
-        for key in parser[section]:
+        for key in entries:
             if allowed is not None and key not in allowed:
                 raise ConfigError(
                     f"unknown key '{key}' in section [{section}]")
             if section == "ic" and not (key == "modes" or key.startswith("mode")):
                 raise ConfigError(f"unknown key '{key}' in section [ic]")
-        cfg[section] = dict(parser[section])
 
     def value(section, key, cast=float, default=None):
         raw = cfg.get(section, {}).get(key, default)
@@ -211,7 +227,6 @@ def load_config(path):
         "record_every": value("evolution", "record_every", int, "1"),
         "elliptic_tol": value("evolution", "elliptic_tol", float, "1e-11"),
         "prefix": cfg.get("output", {}).get("prefix", "run"),
-        "fault": cfg.get("verify", {}).get("fault") or None,
         "heavy": value("verify", "heavy", lambda raw:
                        configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "true"),
         "structure_states": value("verify", "structure_states", int, "100"),
@@ -352,7 +367,7 @@ def cmd_verify(cfg, out_dir, seed, quiet):
     from .verification import run_battery
 
     checks = run_battery(_grid(cfg), cfg["n_rho"], seed, cfg["R"], cfg["sigma"],
-                         fault=cfg["fault"], heavy=cfg["heavy"],
+                         heavy=cfg["heavy"],
                          n_structure_states=cfg["structure_states"])
     path = os.path.join(out_dir, cfg["prefix"] + "_verify.txt")
     with open(path, "w") as fh:

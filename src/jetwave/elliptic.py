@@ -90,7 +90,7 @@ from .spectral import (
 
 TOL_DEFAULT = 1e-11
 TOL_RANGE = (1e-13, 1e-6)
-MAX_ITER_DEFAULT = 200
+MAX_ITER = 200      # CG iteration cap of every solve, read at call time
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ class DtnSolver:
 
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
-              max_iter=MAX_ITER_DEFAULT, guess=None) -> PotentialField:
+              guess=None) -> PotentialField:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
@@ -527,7 +527,7 @@ class DtnSolver:
         res = float(np.sqrt(np.sum(r ** 2))) / bnorm if bnorm else 0.0
         its = 0
         while not res < tol:   # a NaN residual never passes
-            if its == max_iter or not np.isfinite(res):
+            if its == MAX_ITER or not np.isfinite(res):
                 raise ConvergenceError(
                     f"elliptic solve failed to reach tol {tol:g} in {its} "
                     f"iterations (residual {res:.3e})",
@@ -559,7 +559,7 @@ class DtnSolver:
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
-                     max_iter=MAX_ITER_DEFAULT, guess=None) -> TraceBundle:
+                     guess=None) -> TraceBundle:
         """One elliptic solve (from guess, if given) and every boundary
         quantity derived from it.
 
@@ -568,7 +568,7 @@ class DtnSolver:
         (B, V and N share their inputs' padded samples), and E_k waits until
         it is read.
         """
-        pot = self.solve(eta, psi, tol, max_iter, guess)
+        pot = self.solve(eta, psi, tol, guess)
         eta = pot.eta
         phi = pot.values
         d_rho = TorusField(self.grid,

@@ -68,6 +68,12 @@ def bessel_dtn_eigenvalue(m, k, R):
     return k * ivp(m, x) / iv(m, x)
 
 
+def _omega_squared(R, sigma, m, k):
+    """The real omega^2 of linearized_growth_rate (negative if unstable)."""
+    lam = bessel_dtn_eigenvalue(m, k, R)
+    return sigma * lam * (m ** 2 + (k * R) ** 2 - 1.0) / (2.0 * R ** 2)
+
+
 def linearized_growth_rate(R, sigma, m, k):
     """Complex frequency omega of the mode cos(m theta + k z) about eta = R:
 
@@ -77,9 +83,7 @@ def linearized_growth_rate(R, sigma, m, k):
     """
     if m == 0 and k == 0:
         raise ValueError("the (0, 0) mode has no linearized frequency")
-    lam = bessel_dtn_eigenvalue(m, k, R)
-    omega_sq = sigma * lam * (m ** 2 + (k * R) ** 2 - 1.0) / (2.0 * R ** 2)
-    return complex(np.sqrt(complex(omega_sq)))
+    return complex(np.sqrt(complex(_omega_squared(R, sigma, m, k))))
 
 
 def measure_dispersion(solver: DtnSolver, R, sigma, modes, tol):
@@ -106,8 +110,7 @@ def measure_dispersion(solver: DtnSolver, R, sigma, modes, tol):
         c_meas = (wp - wm).values.ravel() @ v.values.ravel() \
             * grid.cell_area / (2.0 * eps * nrm)
         omega2_meas = -lam_meas * c_meas
-        lam_a = bessel_dtn_eigenvalue(m, k, R)
-        omega2_a = sigma * lam_a * (m ** 2 + (k * R) ** 2 - 1.0) / (2.0 * R ** 2)
+        omega2_a = _omega_squared(R, sigma, m, k)
         # marginal modes have omega2 = 0 exactly; report their error on the
         # natural capillary scale sigma/R^3 instead of dividing by zero
         scale = max(abs(omega2_a), sigma / R ** 3)

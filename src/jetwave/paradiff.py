@@ -15,6 +15,9 @@ frequency by frequency:
     T_a u(w) = sum_xi [ sum_{j>=2} phi(xi/2^j) (S_{j-2} a)(w, xi) ]
                e^{i w.xi} u_hat(xi).
 
+A symbol is anything with a stacked ``total(xi_theta, xi_z)``, such as
+symbols.HomogeneousSymbol.
+
 The symbol is sampled on stacked chunks of the active frequencies, each
 chunk transformed at once (scipy.fft, forward-normalized).  The chunks are
 sized by the rule the symbol identity report uses, TorusGrid.xi_chunk:
@@ -77,14 +80,13 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     """Apply the paradifferential operator of an (w, xi) symbol to u.
 
     ``symbol`` is anything with a ``total(xi_theta, xi_z)`` method that takes
-    stacked 1-d frequency arrays and returns the (n, n_theta, n_z) complex
-    samples of a(., xi) on the grid (see symbols.HomogeneousSymbol), or a
-    bare callable returning the (n_theta, n_z) sample at one frequency.  For
-    real operators the samples must satisfy a(w, -xi) = conj(a(w, xi)); the
-    accumulated sum is then real and its real part is returned.
+    stacked 1-d frequency arrays and returns the complex samples of a(., xi)
+    on the grid, shaped (n, n_theta, n_z) or broadcasting to it (see
+    symbols.HomogeneousSymbol).  For real operators the samples must satisfy
+    a(w, -xi) = conj(a(w, xi)); the accumulated sum is then real and its real
+    part is returned.
     """
     grid = u.grid
-    sample = symbol.total if hasattr(symbol, "total") else _stacked(symbol)
     dec = decomposition(grid)
     nt, nz = grid.n_theta, grid.n_z
     xt, xz = grid.xi_mesh()
@@ -118,7 +120,8 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
         sl = slice(start, min(start + chunk, n_active))
         its, izs = idx_t[sl], idx_z[sl]
         n = its.size
-        samples = np.broadcast_to(sample(xt[its, izs], xz[its, izs]), (n, nt, nz))
+        samples = np.broadcast_to(symbol.total(xt[its, izs], xz[its, izs]),
+                                  (n, nt, nz))
         shat = _sfft.fft2(samples, axes=(1, 2), norm="forward")
         # per-frequency smoothing multiplier: sum_j phi(xi/2^j) chi(zeta/2^(j-2))
         shat *= np.einsum("jn,jtz->ntz", block_w[:, its, izs], low_w, optimize=True)
@@ -134,7 +137,3 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
                + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
     return TorusField.from_coefficients(grid, c)
 
-
-def _stacked(fn):
-    """Stacked sampler from a callable taking one frequency at a time."""
-    return lambda xts, xzs: np.stack([fn(float(a), float(b)) for a, b in zip(xts, xzs)])

@@ -11,7 +11,7 @@ Conventions
 -----------
 * Coefficients are normalized so that f(w) = sum_xi c(xi) exp(i w.xi); a
   constant field has c(0) equal to the constant.
-* Nyquist columns/rows are zeroed in odd-order derivatives and in every
+* Nyquist columns/rows are zeroed in first derivatives and in every
   symbol application so real fields stay real.
 * Quadratic products are dealiased by 3/2 zero padding; they are exact
   whenever the result is resolved on the lattice.
@@ -294,12 +294,14 @@ class TorusField:
 
 
 def spectral_derivative(f: TorusField, direction, order=1):
-    """d^order/d(direction)^order by Fourier multiplier (i*xi)^order.
+    """d^order/d(direction)^order, order 1 or 2, by Fourier multiplier
+    (i*xi)^order.
 
-    The Nyquist mode is zeroed for odd orders so the result stays real.
+    The Nyquist mode is zeroed for the first derivative so the result stays
+    real.
     """
-    if order < 1 or order > 4:
-        raise ValueError("derivative order must be between 1 and 4")
+    if order not in (1, 2):
+        raise ValueError("derivative order must be 1 or 2")
     grid = f.grid
     if direction == "theta":
         axis, xi = 0, grid.xi_theta[:, None]
@@ -307,12 +309,7 @@ def spectral_derivative(f: TorusField, direction, order=1):
         axis, xi = 1, grid.xi_z[None, :]
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if order == 1:
-        mult = derivative_multipliers(grid)[axis]
-    else:
-        mult = (1j * xi) ** order
-        if order == 3:
-            mult.flat[xi.size // 2] = 0.0            # the Nyquist mode
+    mult = derivative_multipliers(grid)[axis] if order == 1 else (1j * xi) ** 2
     return TorusField.from_coefficients(grid, f.coefficients * mult)
 
 
@@ -332,16 +329,6 @@ def derivative_multipliers(grid: TorusGrid):
 # ---------------------------------------------------------------------------
 # dealiasing
 # ---------------------------------------------------------------------------
-
-def pad_coefficients(grid: TorusGrid, coefficients, fine: TorusGrid):
-    """Embed coefficients into the lattice of a finer grid (zero padding;
-    the Nyquist row and column land at -n/2)."""
-    it, iz = (np.fft.fftfreq(n, 1.0 / n).astype(int) % m
-              for n, m in ((grid.n_theta, fine.n_theta), (grid.n_z, fine.n_z)))
-    out = np.zeros((fine.n_theta, fine.n_z), dtype=complex)
-    out[np.ix_(it, iz)] = coefficients
-    return out
-
 
 def _pad_real(grid: TorusGrid, values):
     """Samples on grid.padded() of the interpolant of real grid values."""

@@ -79,9 +79,6 @@ from .geometry import (
 )
 from .spectral import TorusField, TorusGrid, derivative_multipliers
 
-# the test hooks symbol_identity_report accepts as its fault argument
-FAULT_HOOKS = ("lambda0_sign",)
-
 # Evaluations shared within the current xi chunk of an identity report; None
 # (nothing shared) outside one.  A context variable, so concurrent reports
 # on other threads never see each other's entries.
@@ -663,28 +660,18 @@ def _lattice_checks(identities, grid, xt, xz):
             for name, (threshold, _) in identities.items()]
 
 
-def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
+def symbol_identity_report(eta: TorusField, sigma, R):
     """Numerically certify every symbol-level identity.
 
     Returns a list of IdentityCheck records (one per identity) with max
     pointwise residuals over the resolved Nyquist-free lattice.  The
     thresholds of the subprincipal identities rest on the complex-step
     xi-derivative being exact to ~1e-11.
-
-    `fault` is a test hook: "lambda0_sign" flips the sign of the
-    subprincipal DtN symbol, which must trip the Im-lambda0 identity.
     """
     data = _surface_data(eta)
     grid, e, et, ez, l2 = data
 
     lam = _lambda_from(*data)
-    if fault == "lambda0_sign":
-        sub = lam.subprincipal
-        lam = HomogeneousSymbol(grid, 1.0, lam.principal,
-                                lambda xt, xz: -sub(xt, xz),
-                                name="lambda(faulted)")
-    elif fault is not None:
-        raise ValueError(f"unknown fault hook {fault!r}")
     mu = _mu_from(*data, R)
     mu2_alt = _mu2_gjk_from(*data[:4])
     lam_inv = parametrix(lam)
@@ -785,7 +772,7 @@ def symbol_identity_report(eta: TorusField, sigma, R, fault=None):
 
 def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
     """symmetrizer_symbols from surface profiles and prebuilt lambda, mu and
-    parametrix(lambda) (fault-aware)."""
+    parametrix(lambda)."""
     a_prof = (1.0 / np.sqrt(2.0)) * l2 ** (-0.75)
     a_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: a_prof * _ones_like_xi(xt, xz),

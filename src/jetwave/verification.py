@@ -378,14 +378,14 @@ def check_curvature(grid, seed, R=1.0):
                         f"amplitude {amp}R")]
 
 
-def check_symbols(grid, seed, R=1.0, sigma=1.0, fault=None):
+def check_symbols(grid, seed, R=1.0, sigma=1.0):
     """Symbol identity report on the documented reference surface
     eta = R (1 + 0.1 cos theta cos z)."""
     grid = _desk(grid)
     th, zz = grid.mesh()
     eta = TorusField(grid, R * (1.0 + 0.1 * np.cos(th) * np.cos(zz)))
     out = []
-    for c in symbol_identity_report(eta, sigma, R, fault=fault):
+    for c in symbol_identity_report(eta, sigma, R):
         out.append(CheckResult("symbol." + c.name, c.residual, c.threshold,
                                c.passed))
     return out
@@ -545,8 +545,8 @@ def check_plateau_oscillation():
 # battery
 # ---------------------------------------------------------------------------
 
-def run_battery(grid, n_rho=48, seed=0, R=1.0, sigma=1.0, fault=None,
-                heavy=True, n_structure_states=100):
+def run_battery(grid, n_rho=48, seed=0, R=1.0, sigma=1.0, heavy=True,
+                n_structure_states=100):
     """Run every check; heavy=False skips the long time-integration runs
     (used by quick smoke configurations)."""
     checks = []
@@ -562,7 +562,7 @@ def run_battery(grid, n_rho=48, seed=0, R=1.0, sigma=1.0, fault=None,
     checks += check_cancellation(grid, n_rho, seed + 7, R)
     checks += check_hamiltonian_variations(grid, n_rho, seed + 8, R, sigma,
                                            n_states=20 if heavy else 3)
-    checks += check_symbols(grid, seed + 9, R, sigma, fault=fault)
+    checks += check_symbols(grid, seed + 9, R, sigma)
     checks += check_symbol_vs_bessel(grid, R)
     checks += check_paralinearization(grid, n_rho, seed + 10, R)
     checks += check_rk4(seed + 11, R, sigma)

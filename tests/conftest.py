@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from jetwave import symbols
 from jetwave.elliptic import DtnSolver
 from jetwave.spectral import TorusField, TorusGrid, band_limited_random
 
@@ -38,14 +39,41 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture()
+def lambda0_sign_fault(monkeypatch):
+    """Flip the sign of lambda's subprincipal part wherever the identity
+    report builds lambda: a fault its Im-lambda0 identity must trip on."""
+    lambda_from = symbols._lambda_from
+
+    def faulted(*data):
+        lam = lambda_from(*data)
+        sub = lam.subprincipal
+        return symbols.HomogeneousSymbol(lam.grid, 1.0, lam.principal,
+                                         lambda xt, xz: -sub(xt, xz),
+                                         name="lambda(faulted)")
+
+    monkeypatch.setattr(symbols, "_lambda_from", faulted)
+
+
 def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
     return TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
 
 
+def pad_coefficients(grid, coefficients, fine):
+    """Embed coefficients into the lattice of a finer grid (zero padding;
+    the Nyquist row and column land at -n/2): the complex embedding the
+    real-transform dealiasing of spectral is checked against."""
+    it, iz = (np.fft.fftfreq(n, 1.0 / n).astype(int) % m
+              for n, m in ((grid.n_theta, fine.n_theta), (grid.n_z, fine.n_z)))
+    out = np.zeros((fine.n_theta, fine.n_z), dtype=complex)
+    out[np.ix_(it, iz)] = coefficients
+    return out
+
+
 def truncate_coefficients(fine, coefficients, grid):
     """Restrict coefficients of a finer grid back to the coarse lattice (the
-    inverse of spectral.pad_coefficients)."""
+    inverse of pad_coefficients)."""
     it, iz = (np.fft.fftfreq(n, 1.0 / n).astype(int) % m
               for n, m in ((grid.n_theta, fine.n_theta), (grid.n_z, fine.n_z)))
     return coefficients[np.ix_(it, iz)]

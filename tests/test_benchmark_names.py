@@ -1,12 +1,14 @@
-"""The benchmark's per-layer metrics name public functions and methods of
-the package; renaming or deleting one of them must fail here, not only when
-the traced benchmark runs."""
+"""The benchmark's workloads call public functions and methods of the
+package, and its per-layer metrics name them; renaming or deleting one of
+them, or changing how it is called, must fail here, not only when the
+benchmark runs."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # the layer modules the tracer rebinds (the package itself loads them lazily)
 from jetwave import elliptic, evolution, geometry, paradiff, spectral, symbols  # noqa: F401
@@ -14,12 +16,30 @@ from jetwave import elliptic, evolution, geometry, paradiff, spectral, symbols  
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_spans():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("spans")
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_workload_unit_passes_its_gate(name):
+    """One unit of each benchmark workload runs through the calls the
+    benchmark makes and passes the workload's own output gate, so a change
+    that breaks one of those calls fails here."""
+    wl = _load("workloads").WORKLOADS[name]()
+    wl.setup(np.random.default_rng(0))
+    inputs = wl.make(np.random.default_rng(1), 0)
+    out = wl.run(inputs)
+    assert wl.check(inputs, out) is None
+    assert wl.work(inputs, out) > 0.0
 
 
 def test_every_per_layer_metric_is_produced():

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from jetwave import elliptic
 from jetwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -100,12 +101,11 @@ t_final = 0.5
         ("off", False), ("No", False), ("TRUE", True),
     ])
     def test_verify_keys(self, tmp_path, raw, heavy):
-        """heavy takes the configparser booleans in any case; an empty
-        fault is no fault."""
+        """heavy takes the configparser booleans in any case."""
         cfg = load_config(write(tmp_path, BASE + f"[verify]\nheavy = {raw}\n"
-                                               "fault =\nstructure_states = 1\n"))
+                                               "structure_states = 1\n"))
         assert cfg["heavy"] is heavy
-        assert cfg["fault"] is None and cfg["structure_states"] == 1
+        assert cfg["structure_states"] == 1
 
 
 class TestExitCodes:
@@ -183,13 +183,23 @@ t_final = 0.5
         solve = DtnSolver.solve
         calls = []
 
-        def limited(self, eta, psi, tol=1e-11, max_iter=200, guess=None):
+        def limited(self, *args, **kwargs):
             calls.append(None)
             if len(calls) > n_ok:
-                return fail(solve, self, eta, psi, tol, guess)
-            return solve(self, eta, psi, tol, max_iter, guess)
+                return fail(solve, self, *args, **kwargs)
+            return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(DtnSolver, "solve", limited)
+
+    @staticmethod
+    def _one_iteration(monkeypatch):
+        """A fail for _fail_solves_after: the solve, with CG capped at one
+        iteration from then on."""
+        def fail(solve, *args, **kwargs):
+            monkeypatch.setattr(elliptic, "MAX_ITER", 1)
+            return solve(*args, **kwargs)
+
+        return fail
 
     def _check_failure(self, tmp_path, capsys, error):
         path = write(tmp_path, BASE + PERTURBED + CFL_DT)
@@ -208,9 +218,7 @@ t_final = 0.5
         assert float(rows[-1].split(",")[0]) == float(manifest["dt"])
 
     def test_convergence_failure_exit_5(self, tmp_path, capsys, monkeypatch):
-        self._fail_solves_after(
-            monkeypatch, 5,
-            lambda solve, *args: solve(*args[:4], max_iter=1, guess=args[4]))
+        self._fail_solves_after(monkeypatch, 5, self._one_iteration(monkeypatch))
         self._check_failure(tmp_path, capsys, "ConvergenceError")
 
     def test_ellipticity_failure_exit_5(self, tmp_path, capsys, monkeypatch):
@@ -241,9 +249,7 @@ t_final = 0.5
     def test_check_simulate_failure_raises_its_error(self, monkeypatch):
         """A solver failure inside a battery simulation surfaces as the
         error itself, which verify turns into exit 5."""
-        self._fail_solves_after(
-            monkeypatch, 0,
-            lambda solve, *args: solve(*args[:4], max_iter=1, guess=args[4]))
+        self._fail_solves_after(monkeypatch, 0, self._one_iteration(monkeypatch))
         with pytest.raises(ConvergenceError):
             check_plateau_oscillation()
 
@@ -255,10 +261,9 @@ t_final = 0.5
         assert code == EXIT_CONFIG
         assert "'mode.1'" in capsys.readouterr().err
 
-    def test_verify_fault_exit_3(self, tmp_path, capsys):
+    def test_verify_fault_exit_3(self, tmp_path, capsys, lambda0_sign_fault):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"
-                                      "structure_states = 2\n"
-                                      "fault = lambda0_sign\n")
+                                      "structure_states = 2\n")
         code = main(["verify", "--config", path, "--out", str(tmp_path),
                      "--quiet"])
         assert code == EXIT_VERIFY
@@ -314,6 +319,43 @@ t_final = 0.5
         assert code == EXIT_CONFIG
         assert "unknown key 'filter_eps'" in capsys.readouterr().err
         assert not (tmp_path / "run_manifest.txt").exists()
+
+    @pytest.mark.parametrize("prefix", ["nodir/eq", "a/b/c", "/eq"])
+    def test_prefix_with_separator_exit_2(self, tmp_path, capsys, monkeypatch,
+                                          prefix):
+        """A prefix naming a directory is rejected by name before any
+        solve, not after the run when its output cannot be written."""
+        def fail(*_):
+            raise AssertionError("solved before the prefix was checked")
+
+        monkeypatch.setattr(DtnSolver, "solve", fail)
+        path = write(tmp_path, BASE + f"[output]\nprefix = {prefix}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", path, "--out", str(out),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'prefix'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where", [
+        (b"n_theta = 16\n" + BASE.encode(), ", line 1:"),
+        (BASE.replace("n_rho = 24", "n_rho = 24\nn_z = 8").encode(),
+         ", line 6:"),
+        (BASE.encode() + b"[output]\nprefix = r\xe9sum\xe9\n", ":"),
+        (BASE.encode() + b"[output]\nprefix = run%1\n", ":"),
+    ], ids=["no_section_header", "repeated_key", "not_utf8", "interpolation"])
+    def test_unparsable_config_exit_2_names_file(self, tmp_path, capsys, text,
+                                                 where):
+        """A file configparser cannot read exits 2 naming it, and the line
+        where configparser reports one."""
+        path = tmp_path / "c.ini"
+        path.write_bytes(text)
+        code = main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{path}{where}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_bad_seed_exit_2_names_flag(self, tmp_path, capsys, seed):

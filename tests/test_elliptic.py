@@ -9,6 +9,7 @@ import pytest
 from scipy.special import iv
 
 from conftest import smooth_surface
+from jetwave import elliptic
 from jetwave.elliptic import (
     DtnSolver,
     _along_rho,
@@ -244,12 +245,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solver32.solve(eta, eta, tol=1e-3)
 
-    def test_convergence_failure_raises(self, grid32, rng):
+    def test_convergence_failure_raises(self, grid32, rng, monkeypatch):
         solver = DtnSolver(grid32, 24)
         eta = smooth_surface(grid32, rng, R, amp=0.2, decay=2.0)
         psi = band_limited_random(grid32, rng, kmax=5)
+        monkeypatch.setattr(elliptic, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            solver.solve(eta, psi, tol=1e-12, max_iter=2)
+            solver.solve(eta, psi, tol=1e-12)
         assert err.value.residual is not None
 
     @pytest.mark.parametrize("where", ["eta", "psi", "guess"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import truncate_coefficients
+from conftest import pad_coefficients, truncate_coefficients
 
 from jetwave.paradiff import (
     apply_paradiff,
@@ -20,9 +20,8 @@ from jetwave.spectral import (
     dealiased_product,
     decomposition,
     low_pass,
-    pad_coefficients,
 )
-from jetwave.symbols import lambda_symbol
+from jetwave.symbols import HomogeneousSymbol, lambda_symbol
 
 
 def _mode(grid, m, k, amp=1.0):
@@ -111,9 +110,9 @@ class TestApplyParadiff:
         u = band_limited_random(grid32, rng, kmax=14)
 
         def sample(xt, xz):
-            return np.full((32, 32), xt ** 2 + 0.5 * xz ** 2, dtype=complex)
+            return (xt ** 2 + 0.5 * xz ** 2) * np.ones((32, 32), dtype=complex)
 
-        got = apply_paradiff(sample, u)
+        got = apply_paradiff(HomogeneousSymbol(grid32, 2.0, sample), u)
         dec = decomposition(grid32)
         xt, xz = grid32.xi_mesh()
         mult = np.zeros_like(xt)
@@ -126,7 +125,9 @@ class TestApplyParadiff:
     def test_w_only_symbol_is_paraproduct(self, grid32, rng):
         a = band_limited_random(grid32, rng, kmax=5)
         u = band_limited_random(grid32, rng, kmax=13)
-        got = apply_paradiff(lambda xt, xz: a.values.astype(complex), u)
+        sym = HomogeneousSymbol(grid32, 0.0,
+                                lambda xt, xz: a.values.astype(complex))
+        got = apply_paradiff(sym, u)
         assert (got - paraproduct(a, u)).max_norm() < 1e-12
 
     def test_lambda_on_high_mode(self, grid32):
@@ -134,7 +135,7 @@ class TestApplyParadiff:
         acts as multiplication by sqrt(m^2/R^2 + k^2)."""
         lam = lambda_symbol(TorusField.constant(grid32, 1.0))
         u = _mode(grid32, 9, 5)
-        got = apply_paradiff(lam.principal, u)
+        got = apply_paradiff(HomogeneousSymbol(grid32, 1.0, lam.principal), u)
         expect = np.hypot(9.0, 5.0)
         assert (got - expect * u).max_norm() < 1e-10 * expect
 
@@ -166,7 +167,7 @@ class TestApplyParadiff:
         assert (apply_paradiff(lam, u) - want).max_norm() <= 1e-15 * want.max_norm()
 
 
-def _dense_paradiff(sample, u):
+def _dense_paradiff(symbol, u):
     """Reference quantization: sample the symbol one frequency at a time and
     sum sum_xi s_xi(w) e^{i w.xi} u_hat(xi) on the 3/2-padded grid through a
     dense phase matrix, then take the real part and truncate."""
@@ -183,7 +184,7 @@ def _dense_paradiff(sample, u):
     tt, zz = (m.ravel() for m in fine.mesh())
     acc = np.zeros(tt.size, dtype=complex)
     for it, iz in active:
-        s = np.fft.fft2(sample(float(xt[it, iz]), float(xz[it, iz])))
+        s = np.fft.fft2(symbol.total(float(xt[it, iz]), float(xz[it, iz])))
         s *= np.einsum("j,jtz->tz", block_w[:, it, iz], low_w) / s.size
         vals = np.fft.ifft2(pad_coefficients(grid, s, fine)) * tt.size
         phase = np.exp(1j * (xt[it, iz] * tt + xz[it, iz] * zz))
@@ -210,20 +211,20 @@ class TestCoefficientSpaceSum:
         lam = lambda_symbol(self._surface(grid32, kind))
         # every resolved frequency, so sums reach the coarse Nyquist row
         u = band_limited_random(grid32, rng, kmax=23, decay=1.0)
-        ref = _dense_paradiff(lam.total, u)
+        ref = _dense_paradiff(lam, u)
         assert (apply_paradiff(lam, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
 
-    def test_bare_callable(self, grid32, rng):
-        """A callable that only takes one frequency at a time."""
+    def test_closure_symbol(self, grid32, rng):
+        """A symbol built from a closure that broadcasts over stacked xi."""
         a = band_limited_random(grid32, rng, kmax=5)
         u = band_limited_random(grid32, rng, kmax=23, decay=1.0)
 
         def sample(xt, xz):
-            return (1.0 + a.values) * np.full((32, 32), np.hypot(xt, 2.0 * xz),
-                                              dtype=complex)
+            return (1.0 + a.values) * (np.hypot(xt, 2.0 * xz) + 0j)
 
-        ref = _dense_paradiff(sample, u)
-        assert (apply_paradiff(sample, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
+        sym = HomogeneousSymbol(grid32, 1.0, sample)
+        ref = _dense_paradiff(sym, u)
+        assert (apply_paradiff(sym, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
 
 
 class TestGoodUnknown:

@@ -324,9 +324,9 @@ class TestReport:
         for c in checks:
             assert c.passed, c
 
-    def test_fault_hook_trips_im_lambda0(self, grid32):
+    def test_fault_hook_trips_im_lambda0(self, grid32, lambda0_sign_fault):
         checks = {c.name: c for c in symbol_identity_report(
-            _deformed(grid32), SIGMA, R, fault="lambda0_sign")}
+            _deformed(grid32), SIGMA, R)}
         assert not checks["im_lambda0"].passed
 
 
@@ -352,13 +352,12 @@ _PINNED = {
         "factorization_rho_0_7": "0x1.0005e5d0d1f7fp-41",
     },
 }
-# the lambda0_sign fault moves only the Im-lambda0 identity
+# the lambda0_sign_fault fixture moves only the Im-lambda0 identity
 _PINNED["fault"] = dict(_PINNED["analytic"], im_lambda0="0x1.bde9ff8803fc6p-4")
 
 
-def _hex_report(*args, **kwargs):
-    return {c.name: c.residual.hex()
-            for c in symbol_identity_report(*args, **kwargs)}
+def _hex_report(*args):
+    return {c.name: c.residual.hex() for c in symbol_identity_report(*args)}
 
 
 class TestReportPinned:
@@ -368,8 +367,8 @@ class TestReportPinned:
         got = _hex_report(_deformed(grid32), SIGMA, R)
         assert got == _PINNED["analytic"]
 
-    def test_fault(self, grid32):
-        got = _hex_report(_deformed(grid32), SIGMA, R, fault="lambda0_sign")
+    def test_fault(self, grid32, lambda0_sign_fault):
+        got = _hex_report(_deformed(grid32), SIGMA, R)
         assert got == _PINNED["fault"]
 
 
