@@ -166,13 +166,15 @@ def _dispersion_modes(raw, out):
 
 def _read_ini(path):
     """The sections of the INI file at path as {section: {key: raw}}; a file
-    that is missing, not UTF-8 or not parsable raises ConfigError naming
-    it (and the line, where configparser reports one)."""
+    that cannot be opened, is not UTF-8 or is not parsable raises ConfigError
+    naming it and the cause (and the line, where configparser reports one)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {path}")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         return {name: dict(parser[name]) for name in parser.sections()}
+    except OSError as exc:      # missing, a directory, unreadable
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: not UTF-8 text "
                           f"({exc.reason})") from exc

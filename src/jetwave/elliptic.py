@@ -333,12 +333,6 @@ class DtnSolver:
         self._Q = q
         for a in (self._rmt, self._rmz, self._h, self._lam, self._k2, self._Q):
             a.setflags(write=False)
-        # glibc unmaps freed blocks above its mmap threshold and trims free
-        # heap above twice that, so every temporary stack of a solve would be
-        # page-faulted in afresh; it raises both thresholds to the largest
-        # block freed (if under 32 MB).  Freeing one untouched block of 16
-        # stacks keeps a solve's temporaries on the heap and commits no memory.
-        np.empty(min(16 * n_rho * grid.n_theta * grid.n_z * 8, 30 << 20), np.uint8)
 
     # -- preconditioner ----------------------------------------------------
     def _precond_weights(self, eta_bar):

@@ -21,8 +21,7 @@ symbols.HomogeneousSymbol.
 The symbol is sampled on stacked chunks of the active frequencies, each
 chunk transformed at once (scipy.fft, forward-normalized).  The chunks are
 sized by the rule the symbol identity report uses, TorusGrid.xi_chunk:
-about 2^14 frequency-by-grid-point samples (16 frequencies on 32^2), so a
-chunk's temporaries are reused rather than faulted in afresh.  Each
+about 2^14 frequency-by-grid-point samples (16 frequencies on 32^2).  Each
 smoothed spectrum s_xi(zeta) u_hat(xi) is added at offset zeta + xi directly
 in coefficient space, in a box of width 2N per axis that holds every such
 sum exactly.  This is the dealiased result, exactly: on the 3/2 zero-padded

@@ -48,12 +48,11 @@ takes the same values as from both points.  A closure that declares nothing
 Within one symbol_identity_report, every closure evaluation and xi-gradient
 is computed once per xi chunk and shared by all identities on that chunk.
 The report and paradiff.apply_paradiff size their chunks by one rule,
-TorusGrid.xi_chunk (about 2^14 frequency-by-grid-point samples, 16
-frequencies on 32^2).  The evaluations one chunk shares then take about
-10 MB, under the 12.6 MB above which glibc trims a freed heap once a 32^2 x 48
-DtnSolver exists, so the next chunk reuses that memory instead of faulting it
-in again.  The values of an a1/A1 pair at xi + ih are shared only between
-the two and dropped after their gradient.
+TorusGrid.xi_chunk.  The evaluations one chunk shares take about 10 MB on
+32^2, under the heap thresholds that spectral raises as it loads, so the
+next chunk reuses that memory instead of faulting it in again.  The values
+of an a1/A1 pair at xi + ih are shared only between the two and dropped
+after their gradient, which keeps the peak lower.
 
 A factory computes the xi-independent profiles of its closures once
 (1/eta^2, 1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and
@@ -211,8 +210,8 @@ def _xi_gradient(fn, xi_t, xi_z):
         if reflection is fn:
             up = down = fn(*plus)
         else:
-            # a pair such as a1 and A1 shares its work at this one point,
-            # and nothing of it stays in an enclosing scope
+            # a pair such as a1 and A1 shares its work at this one point;
+            # the inner scope drops it here rather than with the chunk
             with _sharing():
                 up, down = fn(*plus), reflection(*plus)
         return (up - np.conj(down)) * scale

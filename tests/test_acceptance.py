@@ -76,7 +76,7 @@ def test_criterion_01b_battery_check_matches(grid):
     R = V.DOUBLING_RADIUS
     e24 = V.bessel_error_at(grid, 24, R)
     e48 = V.bessel_error_at(grid, 48, R)
-    (check,) = [c for c in V.check_dtn_convergence(TorusGrid(16, 16), 1.0)
+    (check,) = [c for c in V.check_dtn_convergence(1.0)
                 if c.name == "dtn.convergence_24_48"]
     print(check.line())
     assert check.passed

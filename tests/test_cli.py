@@ -357,6 +357,23 @@ t_final = 0.5
         assert err.startswith("config error: ") and f"{path}{where}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, cause", [
+        ("a_directory", "Is a directory"),
+        ("missing.ini", "No such file or directory"),
+    ], ids=["directory", "missing"])
+    def test_unopenable_config_exit_2_names_cause(self, tmp_path, capsys,
+                                                  name, cause):
+        """A --config that cannot be opened exits 2 with the OS's reason."""
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        code = main(["dtn", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{path}: {cause}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     def test_bad_seed_exit_2_names_flag(self, tmp_path, capsys, seed):
         """numpy's generators take only non-negative integer seeds; any

@@ -1,5 +1,8 @@
 """Closed-form symbols, the sharp algebra, parametrix, mollifier, report."""
 
+import os
+import platform
+import subprocess
 import sys
 import threading
 
@@ -328,6 +331,37 @@ class TestReport:
         checks = {c.name: c for c in symbol_identity_report(
             _deformed(grid32), SIGMA, R)}
         assert not checks["im_lambda0"].passed
+
+
+_SECOND_REPORT_FAULTS = """
+import resource
+import numpy as np
+from jetwave.spectral import TorusField, TorusGrid
+from jetwave.symbols import symbol_identity_report
+grid = TorusGrid(16, 16)
+th, zz = grid.mesh()
+eta = TorusField(grid, 1.0 + 0.1 * np.cos(th) * np.cos(zz))
+symbol_identity_report(eta, 1.0, 1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+symbol_identity_report(eta, 1.0, 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_second_report_reuses_the_heap():
+    """Importing spectral raises glibc's mmap and trim thresholds, so in a
+    fresh process with no DtnSolver a second 16^2 report reuses the memory
+    of the first: a few minor faults, not the ~2e4 of chunk temporaries
+    returned to the OS and faulted in again."""
+    src = os.path.dirname(os.path.dirname(symbols.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SECOND_REPORT_FAULTS],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
 
 
 # Residuals of the report on _deformed(grid32), as float.hex, recorded with
