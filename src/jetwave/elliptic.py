@@ -49,7 +49,12 @@ updated alongside it, since the radial scaling of the preconditioner
 commutes with the transform), and the forward transforms of the two
 tangential fluxes, whose spectra are summed before a single inverse
 transform.  Radial derivatives are small matrix products per theta row, run
-on the calling thread (see ``_along_rho``).
+on the calling thread (see ``_along_rho``).  Every term is formed in place
+in a stack the iteration already holds and each stack is freed once read,
+so an iteration holds about twelve n_rho-layer stacks at its peak: the three
+coefficient stacks of the form, K of the lift (residual and flux rows), the
+potential, the search direction and its half-spectrum, half a stack of
+preconditioner weights, and at most four more inside K.
 
 The conormal flux eta*G(eta)psi is extracted variationally (boundary rows of
 the discrete operator), which is the discretization of the duality pairing
@@ -341,16 +346,24 @@ class DtnSolver:
 
     def _apply_precond(self, r, weights):
         """Per-mode frozen-coefficient solve of an interior residual stack;
-        returns the result and its rfft2 half-spectrum."""
+        returns the result and its rfft2 half-spectrum.  Each spectrum is
+        freed once the next is formed, and the last is scaled in place."""
         ni = r.shape[0]
         nt, nz = self.grid.n_theta, self.grid.n_z
         c = _sfft.rfft2(self._h * r, axes=(1, 2))          # (ni, nt, nzr)
-        pairs = c.view(np.float64).transpose(1, 0, 2)       # (nt, ni, 2 nzr)
-        y = np.matmul(self._Q.transpose(0, 2, 1), pairs)
-        y = y.reshape(nt, ni, -1, 2) * weights[..., None]
-        z = np.matmul(self._Q, y.reshape(nt, ni, -1)).transpose(1, 0, 2)
-        zc = np.ascontiguousarray(z).view(np.complex128)
-        return self._h * _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz)), self._h * zc
+        y = np.matmul(self._Q.transpose(0, 2, 1),
+                      c.view(np.float64).transpose(1, 0, 2))  # (nt, ni, 2 nzr)
+        del c
+        y = y.reshape(nt, ni, -1, 2)
+        y *= weights[..., None]
+        zc = np.empty((ni, nt, nz // 2 + 1), complex)
+        np.matmul(self._Q, y.reshape(nt, ni, -1),
+                  out=zc.view(np.float64).transpose(1, 0, 2))
+        del y
+        out = _sfft.irfft2(zc, axes=(1, 2), s=(nt, nz))
+        out *= self._h
+        zc *= self._h
+        return out, zc
 
     def cylinder_modes(self, eta_bar):
         """Eigenvalues Lambda(m, k) of the discrete G on the cylinder
@@ -397,29 +410,32 @@ class DtnSolver:
         mu = (self.radial.weights[:, None, None] * rho) * e ** 2 * self.grid.cell_area
         return c1, c2, c3, c4, mu
 
+    def _w_gradient(self, ph, mult):
+        """One tangential derivative, layer by layer, of the n_rho-layer stack
+        whose rfft2 half-spectrum is ph; layers past those ph holds (the
+        trace row of a zero-trace stack) are zero."""
+        n = ph.shape[0]
+        prod = np.empty((self.n_rho,) + ph.shape[1:], complex)
+        np.multiply(ph, mult, out=prod[:n])
+        prod[n:] = 0.0
+        return _sfft.irfft2(prod, axes=(1, 2),
+                            s=(self.grid.n_theta, self.grid.n_z))
+
     def _strains(self, u, ph, co):
         """(e1, e2, e3) of a stack phi, given u = phi[:-1] - phi[-1], its
-        interior relative to the trace, and ph, its rfft2 half-spectrum.
-        d_rho phi = D[:, :-1] u is exactly zero if phi is constant in rho."""
+        interior relative to the trace, and ph, its rfft2 half-spectrum (the
+        interior layers alone when the trace is zero).  d_rho phi =
+        D[:, :-1] u is exactly zero if phi is constant in rho.  Each strain
+        is scaled in place in the stack its gradient or d_rho phi came in."""
         c1, c2, c3, c4, _ = co
-        nt, nz = self.grid.n_theta, self.grid.n_z
+        e2 = self._w_gradient(ph, self._rmt)
+        e3 = self._w_gradient(ph, self._rmz)
         dphi = _along_rho(self.radial.D[:, :-1], u)
-        grads = _sfft.irfft2(
-            np.stack([ph * self._rmt, ph * self._rmz]), axes=(2, 3), s=(nt, nz)
-        )
-        e1 = c1 * dphi
-        e2 = c2 * grads[0] + c3 * dphi
-        e3 = grads[1] + c4 * dphi
-        return e1, e2, e3
-
-    def _w_divergence(self, f_theta, f_z):
-        """d_theta f_theta + d_z f_z layer by layer (minus the adjoint of the
-        tangential gradient): the two spectra are summed before one inverse
-        transform."""
-        nt, nz = self.grid.n_theta, self.grid.n_z
-        pair = _sfft.rfft2(np.stack([f_theta, f_z]), axes=(-2, -1))
-        return _sfft.irfft2(pair[0] * self._rmt + pair[1] * self._rmz,
-                            axes=(-2, -1), s=(nt, nz))
+        e2 *= c2
+        e2 += c3 * dphi
+        e3 += c4 * dphi
+        dphi *= c1
+        return dphi, e2, e3
 
     def _apply_K(self, phi, co):
         """Full symmetric energy operator on a (n_rho, n_theta, n_z) stack."""
@@ -428,13 +444,33 @@ class DtnSolver:
 
     def _apply_K_rel(self, u, ph, co):
         """K of the stack phi that u and ph describe, as _strains takes it:
-        D^T of the radial energy flux minus the divergence of the others."""
+        D^T of the radial energy flux minus the divergence of the others.
+
+        The fluxes are formed in the strains' stacks, and each stack is freed
+        once read: the radial flux after its D^T, the tangential fluxes after
+        their forward transforms, whose spectra are summed before one
+        inverse transform."""
         c1, c2, c3, c4, mu = co
+        nt, nz = self.grid.n_theta, self.grid.n_z
         e1, e2, e3 = self._strains(u, ph, co)
-        g2 = mu * e2
-        g3 = mu * e3
-        out = _along_rho(self.radial.D.T, c1 * (mu * e1) + c3 * g2 + c4 * g3)
-        out -= self._w_divergence(c2 * g2, g3)
+        e2 *= mu
+        e3 *= mu
+        e1 *= mu
+        e1 *= c1
+        e1 += c3 * e2
+        e1 += c4 * e3
+        out = _along_rho(self.radial.D.T, e1)
+        del e1
+        e2 *= c2
+        div = _sfft.rfft2(e2, axes=(1, 2))
+        del e2
+        div *= self._rmt
+        fz = _sfft.rfft2(e3, axes=(1, 2))
+        del e3
+        fz *= self._rmz
+        div += fz
+        del fz
+        out -= _sfft.irfft2(div, axes=(1, 2), s=(nt, nz))
         return out
 
     def _apply_K_lift(self, psi, co):
@@ -466,7 +502,13 @@ class DtnSolver:
         """Dirichlet energy 1/2 * a(phi, phi); nonnegative by construction."""
         e1, e2, e3 = self._strains(phi[:-1] - phi[-1],
                                    _sfft.rfft2(phi, axes=(1, 2)), co)
-        return 0.5 * float(np.sum(co[4] * (e1 ** 2 + e2 ** 2 + e3 ** 2)))
+        e1 *= e1
+        e2 *= e2
+        e1 += e2
+        e3 *= e3
+        e1 += e3
+        e1 *= co[4]
+        return 0.5 * float(np.sum(e1))
 
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
@@ -496,27 +538,27 @@ class DtnSolver:
         co = self._coefficients(eta, eta_grad)
         weights = self._precond_weights(eta.mean())
 
-        def K_zero_trace(u, uh):
-            """K of the stack with interior u and zero trace, given the
-            half-spectrum uh of u."""
-            pad = np.zeros((1,) + uh.shape[1:], complex)
-            return self._apply_K_rel(u, np.concatenate([uh, pad]), co)
-
         # phi = 1 (x) psi + x, with x zero on the trace row.  The residual
         # starts from -K(1 (x) psi), in closed form, and a guess adds K of
         # its interior x0; flux is the rho = 1 row of K(phi), accumulated
-        # with the coefficients of x.  Both stay in the stack k0.
+        # with the coefficients of x.  Both stay in the stack k0.  x is the
+        # interior of phi, which takes psi once CG stops.  K of a stack with
+        # zero trace takes the half-spectrum of its interior alone.
         k0 = self._apply_K_lift(psi.values, co)
         r, flux = k0[:-1], k0[-1]
         r *= -1.0
         bnorm = float(np.sqrt(np.sum(r ** 2)))
+        phi = np.empty(shape)
+        phi[-1] = psi.values
+        x = phi[:-1]
         if guess is None or not bnorm:
-            x = np.zeros_like(r)
+            x[...] = 0.0
         else:
-            x = guess[:-1] - psi.values
-            kx = K_zero_trace(x, _sfft.rfft2(x, axes=(1, 2)))
+            np.subtract(guess[:-1], psi.values, out=x)
+            kx = self._apply_K_rel(x, _sfft.rfft2(x, axes=(1, 2)), co)
             r -= kx[:-1]
             flux += kx[-1]
+            del kx
 
         res = float(np.sqrt(np.sum(r ** 2))) / bnorm if bnorm else 0.0
         its = 0
@@ -531,22 +573,26 @@ class DtnSolver:
             z, zh = self._apply_precond(r, weights)
             rz_new = float(np.sum(r * z))
             if its:
+                # p = z + beta p, in place: IEEE addition commutes
                 beta = rz_new / rz
-                p = z + beta * p
-                ph = zh + beta * ph
+                p *= beta
+                p += z
+                ph *= beta
+                ph += zh
             else:
                 p, ph = z, zh
+            del z, zh
             rz = rz_new
-            kp = K_zero_trace(p, ph)
+            kp = self._apply_K_rel(p, ph, co)
             q = kp[:-1]
             alpha = rz / float(np.sum(p * q))
             x += alpha * p
             r -= alpha * q
             flux += alpha * kp[-1]
+            del kp, q
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             its += 1
-        phi = np.broadcast_to(psi.values, shape).copy()
-        phi[:-1] += x
+        x += psi.values
         return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
                               TorusField(self.grid, flux / self.grid.cell_area),
                               eta_grad)

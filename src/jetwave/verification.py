@@ -92,10 +92,12 @@ def _run(state, cfg, solver):
 
 def _desk(grid):
     """Identity thresholds are stated at desk scale; run those checks on a
-    grid of at least 32 x 32 whatever the configured one."""
-    if grid.n_theta >= 32 and grid.n_z >= 32:
+    grid of at least 32 points in theta and 32 per 2 pi in z (64 on a 4 pi
+    period) whatever the configured one."""
+    n_z = 32 * max(1, round(grid.z_period / TAU))
+    if grid.n_theta >= 32 and grid.n_z >= n_z:
         return grid
-    return TorusGrid(max(grid.n_theta, 32), max(grid.n_z, 32), grid.z_period)
+    return TorusGrid(max(grid.n_theta, 32), max(grid.n_z, n_z), grid.z_period)
 
 
 # Random smooth surface ensemble for the pointwise identity checks:
@@ -342,6 +344,7 @@ def check_cancellation(grid, n_rho, seed, R=1.0):
 
 def check_hamiltonian_variations(grid, n_rho, seed, R=1.0, sigma=1.0,
                                  n_states=20):
+    grid = _desk(grid)
     rng = np.random.default_rng(seed)
     solver = DtnSolver(grid, n_rho)
     worst_p = worst_eta = 0.0

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -555,6 +556,66 @@ class TestSolverIsPure:
         for a, b in zip(got.states, ref.states):
             assert np.array_equal(a.eta.values, b.eta.values)
             assert np.array_equal(a.psi.values, b.psi.values)
+
+
+class TestWorkingSet:
+    """A solve forms each operator term in a stack it owns and frees every
+    stack once read; it writes none of its inputs, and its results are
+    pinned bit for bit."""
+
+    @staticmethod
+    def _inputs(grid, seed):
+        rng = np.random.default_rng(seed)
+        eta = smooth_surface(grid, rng, R, amp=0.1)
+        psi = band_limited_random(grid, rng, kmax=4, max_norm=0.3)
+        return eta, psi
+
+    def test_cold_bundle_pinned(self, grid32, solver32):
+        """A cold 32^2 x 48 bundle: the sums of G and of the flux, E_k and
+        the CG iterations."""
+        bundle = solver32.trace_bundle(*self._inputs(grid32, 20))
+        got = (float(np.sum(bundle.G.values)).hex(),
+               float(np.sum(bundle.flux.values)).hex(),
+               bundle.kinetic_energy.hex(), bundle.iterations)
+        assert got == ("0x1.a799626c14590p+1", "-0x1.b668000000000p-34",
+                       "0x1.b5cf12bc0c886p-2", 9)
+
+    def test_peak_working_set(self, grid32, solver32):
+        """tracemalloc's peak over a cold bundle and its E_k, in n_rho-layer
+        stacks: the solve holds the three coefficient stacks, K(lift), phi,
+        the search direction and its half-spectrum and half a stack of
+        preconditioner weights, and K adds four stacks at most (12.0 in
+        all; 23.5 when every term of K took fresh arrays)."""
+        solver32.trace_bundle(*self._inputs(grid32, 21)).kinetic_energy
+        eta, psi = self._inputs(grid32, 22)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solver32.trace_bundle(eta, psi).kinetic_energy
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        stack = solver32.n_rho * grid32.n_theta * grid32.n_z * 8
+        assert peak <= 13 * stack
+
+    def test_inputs_left_unwritten(self, grid32, solver32):
+        """Read-only eta, psi and guess come back unchanged, and a bundle's
+        potential used twice as a guess gives bitwise the same bundle."""
+        eta, psi = self._inputs(grid32, 23)
+        guess = solver32.solve(1.01 * eta, psi).values
+        inputs = (eta.values, psi.values, guess)
+        assert not any(a.flags.writeable for a in inputs)
+        before = [a.copy() for a in inputs]
+        pot = solver32.solve(eta, psi, guess=guess)
+        bundle = solver32.trace_bundle(eta, psi, guess=guess)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert np.array_equal(pot.values, bundle.potential)
+        potential = bundle.potential.copy()
+        first = solver32.trace_bundle(0.99 * eta, psi, guess=bundle.potential)
+        second = solver32.trace_bundle(0.99 * eta, psi, guess=bundle.potential)
+        assert np.array_equal(bundle.potential, potential)
+        assert np.array_equal(first.potential, second.potential)
+        assert TestSolverIsPure._same(first, second)
 
 
 class TestDtn:

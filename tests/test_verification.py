@@ -24,3 +24,25 @@ def test_bessel_error_keeps_lattice_modes():
     """At z_period 4 pi the fixed integer k are lattice indices 2k: only
     the resolved ones enter, so the error is the solver's, not aliasing."""
     assert V.bessel_error_at(TorusGrid(16, 16, 2 * TAU), 24) < 1e-8
+
+
+def test_long_period_identity_checks_keep_desk_resolution():
+    """At z_period 4 pi the desk grid keeps 32 points per 2 pi in z, and the
+    Hamiltonian check runs on it too: the eight checks that failed on
+    configs/rayleigh_plateau.ini at half that axial resolution (or, for the
+    Hamiltonian pair, on its 8 x 8 grid) pass at unchanged thresholds."""
+    grid = TorusGrid(8, 8, 2 * TAU)
+    assert V._desk(grid) == TorusGrid(32, 64, 2 * TAU)
+    assert V._desk(TorusGrid(16, 16)) == TorusGrid(32, 32)
+    checks = (V.check_curvature(grid, 3)
+              + V.check_trace_identities(grid, 24, 5)
+              + V.check_shape_derivative(grid, 24, 6)
+              + V.check_hamiltonian_variations(grid, 24, 8, 1.0, 2.0,
+                                               n_states=3)
+              + V.check_symbols(grid, 9, 1.0, 2.0))
+    names = {c.name for c in checks}
+    assert {"curvature.two_paths", "trace.b_formula", "trace.g_consistency",
+            "shape_derivative.fd_agreement", "symbol.im_mu1",
+            "symbol.q0_equation", "hamiltonian.variation_p",
+            "hamiltonian.variation_eta"} <= names
+    assert [c.name for c in checks if not c.passed] == []
