@@ -68,6 +68,17 @@ direction, so the solve accumulates that row with the coefficients of its
 iterate and no pass over the potential follows it.  A trace bundle computes
 E_k, a sum of squared strains, only when it is read.
 
+A cold solve on a grid of at least 64 x 64 points, both counts divisible by
+4, starts from a nested iteration (the first leg of full multigrid): the
+solver holds a read-only coarse solver on the half grid with 16 radial
+nodes, solves there to COARSE_TOL on eta and psi truncated spectrally, and
+prolongs that potential -- barycentric interpolation in rho, zero padding
+in (theta, z) -- into the fine CG's starting guess.  The stopping test stays
+relative to the cold right-hand side, so the accuracy target is unchanged.
+``iterations`` counts the fine CG iterations and ``coarse_iterations`` the
+coarse ones (0 when no coarse start ran).  Smaller grids solve cold as
+before; so does a truncated radius that is not positive.
+
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
 """
@@ -96,6 +107,7 @@ from .spectral import (
 TOL_DEFAULT = 1e-11
 TOL_RANGE = (1e-13, 1e-6)
 MAX_ITER = 200      # CG iteration cap of every solve, read at call time
+COARSE_TOL = 1e-8   # tolerance of the half-grid solve of a nested cold start
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +192,34 @@ def _build_radial(n_rho):
     return rho, w, D
 
 
+@lru_cache(maxsize=8)
+def _radial_prolongation(n_from, n_to):
+    """(n_to, n_from) barycentric interpolation matrix from the n_from radial
+    nodes to the n_to radial nodes; a shared node (rho = 1) maps exactly."""
+    x = _build_radial(n_from)[0]
+    d = _build_radial(n_to)[0][:, None] - x[None, :]
+    hit = d == 0.0
+    d[hit] = 1.0
+    P = _barycentric_weights(x) / d
+    P /= P.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    P[rows] = hit[rows]
+    P.setflags(write=False)
+    return P
+
+
+def _resample(spec, n_theta, n_z):
+    """rfft2 half-spectra (last two axes, even grid) moved to an n_theta x
+    n_z grid: the modes |m|, |k| below half the smaller grid are copied,
+    every other mode (the smaller grid's Nyquist modes included) is zero."""
+    h = min(spec.shape[-2], n_theta) // 2
+    k = min(2 * (spec.shape[-1] - 1), n_z) // 2
+    out = np.zeros(spec.shape[:-2] + (n_theta, n_z // 2 + 1), complex)
+    out[..., :h, :k] = spec[..., :h, :k]
+    out[..., 1 - h:, :k] = spec[..., 1 - h:, :k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # solution container
 # ---------------------------------------------------------------------------
@@ -190,17 +230,21 @@ class PotentialField:
     eta is the (Nyquist-projected) radius the potential was solved on and
     eta_grad its (eta_theta, eta_z); ``_co`` holds that solve's energy-form
     coefficients.  flux is eta G(eta) psi, the rho = 1 row of the energy
-    operator applied to the potential, over the cell area.
+    operator applied to the potential, over the cell area.  iterations
+    counts the CG iterations of this grid, coarse_iterations those of the
+    half-grid solve it started from (0 if none).
     """
 
     def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual, eta, co, flux, eta_grad):
+                 iterations, residual, eta, co, flux, eta_grad,
+                 coarse_iterations):
         values = np.asarray(values, dtype=float)
         values.setflags(write=False)
         self.radial = radial
         self.grid = grid
         self.values = values
         self.iterations = int(iterations)
+        self.coarse_iterations = int(coarse_iterations)
         self.residual = float(residual)
         self.eta = eta
         self._co = co
@@ -227,7 +271,9 @@ class TraceBundle:
     nearby state, eta the Nyquist-projected radius it was solved on and
     eta_grad its (eta_theta, eta_z).  kinetic_energy, the Dirichlet energy
     of potential, is computed on first read (the energy-form coefficients
-    are rebuilt from eta and eta_grad then, not kept).
+    are rebuilt from eta and eta_grad then, not kept).  iterations and
+    coarse_iterations are the solve's CG iterations on its own grid and on
+    the half grid of a nested cold start (0 if none ran).
     """
 
     B: TorusField
@@ -237,6 +283,7 @@ class TraceBundle:
     G: TorusField
     flux: TorusField
     iterations: int
+    coarse_iterations: int
     residual: float
     potential: np.ndarray
     eta: TorusField
@@ -303,16 +350,22 @@ def _along_rho(M, stack):
 class DtnSolver:
     """Dirichlet-to-Neumann solver on a fixed torus grid.
 
-    Holds the radial discretization and the preconditioner's per-angular-mode
-    eigenbasis, all read-only after construction.  A solve depends only on
-    its inputs, so instances give bitwise the same results whatever was
-    solved before and are safe for concurrent use.
+    Holds the radial discretization, the preconditioner's per-angular-mode
+    eigenbasis and, on grids of at least 64 x 64 with both counts divisible
+    by 4, the half-grid solver of nested cold starts, all read-only after
+    construction.  A solve depends only on its inputs, so instances give
+    bitwise the same results whatever was solved before and are safe for
+    concurrent use.
     """
 
     def __init__(self, grid: TorusGrid, n_rho=48):
         self.grid = grid
         self.radial = RadialGrid(n_rho)
         self.n_rho = n_rho
+        nt, nz = grid.n_theta, grid.n_z
+        self._coarse = (
+            DtnSolver(TorusGrid(nt // 2, nz // 2, grid.z_period), 16)
+            if min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0 else None)
         mt, mz = derivative_multipliers(grid)
         nzr = grid.n_z // 2 + 1
         self._rmt = mt[:, :nzr].copy()
@@ -516,10 +569,11 @@ class DtnSolver:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
-        stack that CG starts from; its rho = 1 row is ignored.  The stopping
-        test is relative to the cold right-hand side either way.  A
-        non-finite residual (from NaN or inf in eta, psi or the guess) raises
-        ConvergenceError at once.
+        stack that CG starts from; its rho = 1 row is ignored.  Without one,
+        a solver with a half-grid solver starts from its prolonged solution.
+        The stopping test is relative to the cold right-hand side either
+        way.  A non-finite residual (from NaN or inf in eta, psi or the
+        guess) raises ConvergenceError at once.
         """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -531,8 +585,25 @@ class DtnSolver:
             if guess.shape != shape:
                 raise ValueError(f"guess must be a potential stack of shape "
                                  f"{shape}, got {guess.shape}")
-        eta = eta.drop_nyquist()
-        psi = psi.drop_nyquist()
+        pot = self._solve(eta.drop_nyquist(), psi.drop_nyquist(), tol, guess)
+        if not pot.residual < tol:   # a NaN residual never passes
+            raise ConvergenceError(
+                f"elliptic solve failed to reach tol {tol:g} in "
+                f"{pot.iterations} iterations (residual {pot.residual:.3e})",
+                residual=pot.residual,
+                iterations=pot.iterations,
+            )
+        return pot
+
+    def _solve(self, eta, psi, tol, guess=None):
+        """CG on Nyquist-projected eta and psi, from guess or else from the
+        nested cold start if the solver has a half-grid solver, stopped at
+        tol, after MAX_ITER iterations or at a non-finite residual; the
+        caller checks the residual."""
+        coarse_its = 0
+        if guess is None and self._coarse is not None:
+            guess, coarse_its = self._coarse_start(eta, psi)
+        shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
         eta_grad = (spectral_derivative(eta, "theta"),
                     spectral_derivative(eta, "z"))
         co = self._coefficients(eta, eta_grad)
@@ -555,6 +626,7 @@ class DtnSolver:
             x[...] = 0.0
         else:
             np.subtract(guess[:-1], psi.values, out=x)
+            del guess     # a prolonged guess is freed before CG
             kx = self._apply_K_rel(x, _sfft.rfft2(x, axes=(1, 2)), co)
             r -= kx[:-1]
             flux += kx[-1]
@@ -562,14 +634,7 @@ class DtnSolver:
 
         res = float(np.sqrt(np.sum(r ** 2))) / bnorm if bnorm else 0.0
         its = 0
-        while not res < tol:   # a NaN residual never passes
-            if its == MAX_ITER or not np.isfinite(res):
-                raise ConvergenceError(
-                    f"elliptic solve failed to reach tol {tol:g} in {its} "
-                    f"iterations (residual {res:.3e})",
-                    residual=res,
-                    iterations=its,
-                )
+        while not res < tol and its < MAX_ITER and np.isfinite(res):
             z, zh = self._apply_precond(r, weights)
             rz_new = float(np.sum(r * z))
             if its:
@@ -595,7 +660,30 @@ class DtnSolver:
         x += psi.values
         return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
                               TorusField(self.grid, flux / self.grid.cell_area),
-                              eta_grad)
+                              eta_grad, coarse_its)
+
+    def _coarse_start(self, eta, psi):
+        """(guess, coarse CG iterations) of a nested cold start: eta and psi
+        truncated to the half grid, solved there to COARSE_TOL, and the
+        potential interpolated to this solver's radial nodes and zero-padded
+        in (theta, z).  (None, 0) when the truncated radius is not positive
+        or not finite."""
+        coarse = self._coarse
+        half = (coarse.grid.n_theta, coarse.grid.n_z)
+        spec = _resample(_sfft.rfft2(np.stack([eta.values, psi.values]),
+                                     norm="forward"), *half)
+        eta_c, psi_c = _sfft.irfft2(spec, s=half, norm="forward")
+        if not eta_c.min() > 0.0:   # NaN fails too
+            return None, 0
+        pot = coarse._solve(TorusField(coarse.grid, eta_c),
+                            TorusField(coarse.grid, psi_c), COARSE_TOL)
+        stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),
+                           pot.values)
+        full = (self.grid.n_theta, self.grid.n_z)
+        spec = _resample(_sfft.rfft2(stack, axes=(1, 2), norm="forward"),
+                         *full)
+        return (_sfft.irfft2(spec, axes=(1, 2), s=full, norm="forward"),
+                pot.iterations)
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
@@ -634,7 +722,8 @@ class DtnSolver:
         )
         return TraceBundle(
             B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=pot.flux,
-            iterations=pot.iterations, residual=pot.residual,
+            iterations=pot.iterations, coarse_iterations=pot.coarse_iterations,
+            residual=pot.residual,
             potential=pot.values, eta=eta, eta_grad=pot.eta_grad, _solver=self,
         )
 

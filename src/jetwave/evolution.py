@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as _sfft
-from scipy.special import iv, ivp
+from scipy.special import ive
 
 from .elliptic import DtnSolver
 from .errors import ConvergenceError, DomainViolationError, EllipticityError
@@ -56,7 +56,10 @@ def bessel_dtn_eigenvalue(m, k, R):
     """Eigenvalue of G(R) on cos(m theta + k z):
 
         Lambda(m, k) = |k| I_m'(|k| R) / I_m(|k| R)   (k != 0),
-        Lambda(m, 0) = |m| / R.
+        Lambda(m, 0) = |m| / R,
+
+    with I_m' = (I_{m-1} + I_{m+1}) / 2 taken in the exponentially scaled
+    form, which does not overflow at large |k| R.
     """
     m = abs(int(round(m)))
     k = abs(float(k))
@@ -65,7 +68,7 @@ def bessel_dtn_eigenvalue(m, k, R):
     if k == 0.0:
         return m / R
     x = k * R
-    return k * ivp(m, x) / iv(m, x)
+    return k * (ive(m - 1, x) + ive(m + 1, x)) / (2.0 * ive(m, x))
 
 
 def _omega_squared(R, sigma, m, k):
@@ -93,7 +96,7 @@ def measure_dispersion(solver: DtnSolver, R, sigma, modes, tol):
     Returns rows (m, k, omega2_analytic, omega2_measured, rel_error).
     """
     grid = solver.grid
-    eps = 1e-6
+    eps = 1e-6 * R
     rows = []
     for m, k in modes:
         v = TorusField.from_modes(grid, [(1.0, m, k, 0.0)])

@@ -25,8 +25,18 @@ def grid16():
 
 
 @pytest.fixture(scope="session")
+def grid64():
+    return TorusGrid(64, 64)
+
+
+@pytest.fixture(scope="session")
 def solver32(grid32):
     return DtnSolver(grid32, 48)
+
+
+@pytest.fixture(scope="session")
+def solver64(grid64):
+    return DtnSolver(grid64, 48)
 
 
 @pytest.fixture(scope="session")

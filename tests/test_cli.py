@@ -475,6 +475,19 @@ class TestDispersionCommand:
         assert [float(line.split(",")[1]) for line in rows] == pytest.approx(
             [dz, 2 * dz, dz, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("radius", ["1e-6", "1e6"])
+    def test_extreme_radius_exit_0_finite(self, tmp_path, radius):
+        """eta is perturbed relative to R, so R = 1e-6 stays positive, and
+        the Bessel ratio is formed from scaled functions, so R = 1e6 neither
+        overflows (a RuntimeWarning fails the suite) nor writes nan."""
+        path = write(tmp_path, BASE.replace("r = 1.0", f"r = {radius}"))
+        code = main(["dispersion", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "run_dispersion.csv").read_text().splitlines()[1:]
+        cells = [float(x) for line in rows for x in line.split(",")]
+        assert len(cells) == 30 and np.all(np.isfinite(cells))
+
     @pytest.mark.parametrize("modes", ["1 2 3", "1 0.3", "1.5 2"])
     def test_bad_modes_exit_2(self, tmp_path, capsys, modes):
         """Three fields, k off the axial lattice, non-integer m."""

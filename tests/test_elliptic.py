@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from conftest import smooth_surface
+from conftest import smooth_surface, truncate_coefficients
 from jetwave import elliptic
 from jetwave.elliptic import (
     DtnSolver,
@@ -539,6 +539,35 @@ class TestSolverIsPure:
         assert not any(t.is_alive() for t in threads)
         assert all(e == want for e in got)
 
+    def test_nested_history_and_threads(self, grid64, solver64):
+        """At 64^2 a cold solve starts from the half grid's solve, which is
+        as pure: a fresh solver, a solver after another request, and two
+        threads at once give bitwise the same bundles."""
+        rng = np.random.default_rng(18)
+        inputs = [TestNestedStart._draw(grid64, rng) for _ in range(2)]
+        fresh = [DtnSolver(grid64, 48).trace_bundle(*a) for a in inputs]
+        assert all(b.coarse_iterations > 0 for b in fresh)
+        assert self._same(solver64.trace_bundle(*inputs[1]), fresh[1])
+        assert self._same(solver64.trace_bundle(*inputs[0]), fresh[0])
+
+        got = [None] * 2
+
+        def work(i):
+            got[i] = solver64.trace_bundle(*inputs[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(self._same(got[i], fresh[i]) for i in range(2))
+
     def test_simulate_after_unrelated_solves(self, grid16):
         """Warm starts pass potentials as arguments only: a trajectory is
         bitwise the same on a fresh solver and after unrelated solves."""
@@ -556,6 +585,116 @@ class TestSolverIsPure:
         for a, b in zip(got.states, ref.states):
             assert np.array_equal(a.eta.values, b.eta.values)
             assert np.array_equal(a.psi.values, b.psi.values)
+
+
+class TestNestedStart:
+    """A cold solve on a grid of at least 64^2 starts CG from the prolonged
+    potential of a half-grid solve.  The lift 1 (x) psi passed as the guess
+    takes the cold path bit for bit: it is the reference."""
+
+    @staticmethod
+    def _draw(grid, rng):
+        """A request drawn as the dtn-cold-64 benchmark draws them."""
+        R = rng.uniform(0.9, 1.1)
+        amp = rng.uniform(0.05, 0.2)
+        eta = TorusField.constant(grid, R) + band_limited_random(
+            grid, rng, kmax=4, max_norm=amp * R)
+        return eta, band_limited_random(grid, rng, kmax=5, max_norm=0.3)
+
+    @staticmethod
+    def _lift(solver, psi):
+        return np.broadcast_to(psi.drop_nyquist().values,
+                               (solver.n_rho,) + psi.values.shape)
+
+    @pytest.mark.parametrize("shape, nested", [
+        ((64, 64), True), ((64, 128), True), ((32, 32), False),
+        ((64, 32), False), ((66, 64), False)])
+    def test_rule(self, shape, nested):
+        solver = DtnSolver(TorusGrid(*shape, 3.0), 24)
+        assert (solver._coarse is not None) == nested
+        if nested:
+            assert solver._coarse.grid == TorusGrid(shape[0] // 2,
+                                                    shape[1] // 2, 3.0)
+            assert solver._coarse.n_rho == 16
+            assert solver._coarse._coarse is None
+
+    def test_lift_guess_is_the_cold_path(self, grid64, solver64, rng):
+        eta, psi = self._draw(grid64, rng)
+        cold = DtnSolver(grid64, 48)
+        cold._coarse = None
+        want = cold.trace_bundle(eta, psi)
+        got = solver64.trace_bundle(eta, psi, guess=self._lift(solver64, psi))
+        assert TestSolverIsPure._same(got, want)
+        assert (got.iterations, got.coarse_iterations) \
+            == (want.iterations, 0)
+
+    def test_matches_cold_in_fewer_iterations(self, grid64, solver64, rng):
+        """On dtn-cold-64 draws the nested bundle passes the workload's gate
+        and keeps G, flux and E_k within 1e-9 of the cold reference, in at
+        most 6 fine CG iterations on average (10-13 cold)."""
+        fine = []
+        for _ in range(4):
+            eta, psi = self._draw(grid64, rng)
+            ref = solver64.trace_bundle(eta, psi,
+                                        guess=self._lift(solver64, psi))
+            got = solver64.trace_bundle(eta, psi)
+            assert got.residual < 1e-11
+            assert got.kinetic_energy >= -1e-12
+            assert abs(got.flux.integral()) <= 1e-9 * got.flux.l2_norm()
+            for a, b in ((got.G, ref.G), (got.flux, ref.flux)):
+                assert (a - b).max_norm() <= 1e-9 * b.max_norm()
+            assert abs(got.kinetic_energy - ref.kinetic_energy) \
+                <= 1e-9 * ref.kinetic_energy
+            assert got.coarse_iterations > 0
+            assert got.iterations < ref.iterations
+            fine.append(got.iterations)
+        assert np.mean(fine) <= 6
+
+    def test_no_coarse_start_at_32(self, grid32, solver32, rng):
+        eta, psi = self._draw(grid32, rng)
+        bundle = solver32.trace_bundle(eta, psi)
+        assert bundle.coarse_iterations == 0
+        ref = solver32.trace_bundle(eta, psi, guess=self._lift(solver32, psi))
+        assert TestSolverIsPure._same(bundle, ref)
+        assert bundle.iterations == ref.iterations
+
+    def test_truncation_not_positive_solves_cold(self, grid64, rng):
+        """An axisymmetric neck whose half-grid truncation dips below zero
+        (Fejer kernel of modes below 16, lifted by the mode 16): the solve
+        starts cold and returns the reference bit for bit."""
+        zz = grid64.mesh()[1]
+        fejer = sum((1 - abs(k) / 16) * np.cos(k * zz)
+                    for k in range(-15, 16)) / 16
+        eta = TorusField(grid64, 1.0 - 1.02 * fejer + 0.1 * np.cos(16 * zz))
+        half = TorusGrid(32, 32)
+        coarse = TorusField.from_coefficients(half, truncate_coefficients(
+            grid64, eta.drop_nyquist().coefficients, half)).drop_nyquist()
+        assert eta.min() > 0.0 and coarse.min() <= 0.0
+        psi = band_limited_random(grid64, rng, kmax=3, max_norm=0.3)
+        solver = DtnSolver(grid64, 24)
+        got = solver.solve(eta, psi, 1e-6)
+        want = solver.solve(eta, psi, 1e-6, guess=self._lift(solver, psi))
+        assert got.coarse_iterations == 0
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("where", ["eta", "psi", "guess"])
+    def test_nan_input_raises_at_once(self, grid64, solver64, rng, where):
+        eta, psi = self._draw(grid64, rng)
+        guess = None
+        if where == "guess":
+            guess = self._lift(solver64, psi).copy()
+            guess[3, 2, 5] = np.nan
+        else:
+            field = {"eta": eta, "psi": psi}[where]
+            values = field.values.copy()
+            values[2, 5] = np.nan
+            field = TorusField(grid64, values)
+            eta, psi = (field, psi) if where == "eta" else (eta, field)
+        with pytest.raises(ConvergenceError, match="in 0 iterations") as err:
+            solver64.trace_bundle(eta, psi, guess=guess)
+        assert err.value.iterations == 0
+        assert np.isnan(err.value.residual)
 
 
 class TestWorkingSet:

@@ -47,6 +47,14 @@ class TestOracleFormulas:
             1.5 * ivp(0, x) / iv(0, x))
         assert bessel_dtn_eigenvalue(0, 0, R) == 0.0
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_dtn_eigenvalue_at_large_argument(self, m):
+        """At k R = 1e6, where I_m overflows, Lambda / k follows the
+        asymptotic series 1 - 1/(2x) + (4m^2 - 1)/(8x^2)."""
+        x = 1e6
+        want = 1.0 - 0.5 / x + (4 * m ** 2 - 1) / (8 * x ** 2)
+        assert bessel_dtn_eigenvalue(m, 1.0, x) == pytest.approx(want, rel=1e-14)
+
     def test_growth_rate_frozen_value(self):
         """m=2, k=0, R=1, sigma=2: omega^2 = sigma m (m^2-1)/(2R^3) = 6."""
         om = linearized_growth_rate(1.0, 2.0, 2, 0.0)
