@@ -4,7 +4,7 @@ motion of a 3D capillary liquid jet under surface tension.
 The package is organized around one module per subsystem:
 
 * ``spectral``  -- Fourier analysis on the torus, dealiasing, dyadic blocks
-* ``geometry``  -- metric factor, mean curvature, energies of the surface
+* ``geometry``  -- mean curvature, energies and volume of the surface
 * ``elliptic``  -- mapped Laplace solve and the Dirichlet-to-Neumann operator
 * ``paradiff``  -- Bony paraproducts, paradifferential quantization
 * ``symbols``   -- closed-form symbol calculus and the identity report
@@ -28,12 +28,12 @@ _EXPORTS = {
                  "forward_transform", "integrate_product", "inverse_transform",
                  "low_pass", "nonlinear_eval", "spectral_derivative"),
     "geometry": ("SurfaceState", "enclosed_volume", "mean_curvature",
-                 "metric_factor", "modified_gradient", "potential_energy"),
+                 "modified_gradient", "potential_energy"),
     "elliptic": ("DtnSolver", "PotentialField", "TraceBundle",
                  "hamiltonian_variations", "shape_derivative"),
     "paradiff": ("apply_paradiff", "bony_remainder", "good_unknown",
                  "paraproduct"),
-    "symbols": ("HomogeneousSymbol", "adjoint_symbol", "lambda_symbol",
+    "symbols": ("HomogeneousSymbol", "lambda_symbol",
                 "mollifier_symbol", "mu_symbol", "parametrix",
                 "poisson_bracket", "sharp_compose", "symbol_identity_report",
                 "symmetrizer_symbols"),

@@ -48,6 +48,10 @@ EXIT_VERIFY = 3
 EXIT_PINCH = 4
 EXIT_SOLVER = 5
 
+#: most steps a simulate run may need; a config whose smallest step needs
+#: more to reach t_final exits 2 before any solve
+MAX_STEPS = 10 ** 6
+
 _SCHEMA = {
     "grid": {"n_theta", "n_z", "n_rho", "z_period"},
     "physics": {"r", "sigma"},
@@ -295,10 +299,36 @@ def _write_csv(path, header, rows):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_step_count(cfg):
+    """Raise ConfigError, naming the keys that set it, when the smallest
+    step the run can take needs more than MAX_STEPS steps to reach t_final:
+    the fixed dt, or for "auto" the capillary CFL step at radius r, below
+    which `EvolutionConfig.resolve_dt` never goes."""
+    import numpy as np
+
+    from .evolution import auto_dt
+
+    if cfg["dt"] == "auto":
+        try:
+            with np.errstate(over="ignore"):
+                dt = auto_dt(_grid(cfg), cfg["sigma"], cfg["R"])
+        except ArithmeticError:     # r so small that r^2 underflows
+            dt = 0.0
+        what = (f"the 'auto' step never goes below the CFL step {dt:.3g} "
+                f"that n_theta, n_z, z_period, r and sigma set")
+    else:
+        dt = cfg["dt"]
+        what = f"'dt' = {dt:g}"
+    if not cfg["t_final"] <= MAX_STEPS * dt:
+        raise ConfigError(f"{what}: reaching t_final = {cfg['t_final']:g} "
+                          f"would take more than {MAX_STEPS:.0e} steps")
+
+
 def cmd_simulate(cfg, out_dir, seed, quiet):
     from .elliptic import DtnSolver
     from .evolution import EvolutionConfig, simulate
 
+    _check_step_count(cfg)
     state = _build_state(cfg)
     solver = DtnSolver(state.grid, cfg["n_rho"])
     econf = EvolutionConfig(dt=cfg["dt"], t_final=cfg["t_final"],

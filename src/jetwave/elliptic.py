@@ -42,6 +42,17 @@ of every solve, comes in closed form from one-layer transforms; a guess adds
 K of its zero-trace interior.  A constant trace gives a zero right-hand
 side, so G(eta) 1 = 0 exactly.
 
+A guess's rho = 1 row is read as the trace it was solved for.  When it
+differs from the projected psi (an RK4 stage guess is the potential of an
+earlier stage, whose trace has turned since), CG starts from the guess
+carried to psi, guess + Ext(psi - guess[-1]).  Ext is the discrete harmonic
+extension on the cylinder of the solve's mean radius: per Fourier mode, the
+interior profile 1 - y, where y = M^-1 p is the eigenbasis solve that
+``cylinder_modes`` makes too.  It is formed per solve from two one-layer
+transforms and one inverse stack transform, so the solver keeps no state.
+A guess whose trace row is psi starts as before, and NaN in that row fails
+the solve like NaN anywhere in a guess.
+
 One CG iteration costs seven (theta, z) transforms of an n_rho-layer stack:
 the preconditioner's forward and inverse transform, the inverse transforms
 of the two tangential gradients (the search direction's half-spectrum is
@@ -77,7 +88,9 @@ in (theta, z) -- into the fine CG's starting guess.  The stopping test stays
 relative to the cold right-hand side, so the accuracy target is unchanged.
 ``iterations`` counts the fine CG iterations and ``coarse_iterations`` the
 coarse ones (0 when no coarse start ran).  Smaller grids solve cold as
-before; so does a truncated radius that is not positive.
+before; so does a truncated radius that is not positive.  The prolonged
+guess is not carried: its trace row is the truncated psi, and carrying it
+saved no fine iteration.
 
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
@@ -435,18 +448,40 @@ class DtnSolver:
         """
         rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
         a0 = D[:, :-1].T @ ((w * rho)[:, None] * D[:, :-1])
-        rho, w_b, w = rho[:-1, None], w[-1], w[:-1, None]
         k2 = eta_bar ** 2 * self._k2
         m2 = self._rmt[:, :1].imag ** 2            # Nyquist row zeroed
-        p = m2[:, :, None] * (w / rho) + (w * rho) * k2     # (n_theta, ni, nzr)
-        h = self._h[:, 0]
-        y = h * (self._Q @ ((self._Q.transpose(0, 2, 1) @ (h * p))
-                            / (self._lam + k2)))
+        p, y = self._interior_coupling(eta_bar)
         pmp = np.sum(2.0 * p * y - y * (a0 @ y + p * y), axis=1)
-        lam = ((m2 + k2) * w_b + np.sum(p, axis=1) - pmp) / eta_bar
+        lam = ((m2 + k2) * w[-1] + np.sum(p, axis=1) - pmp) / eta_bar
         lam[self.grid.n_theta // 2] = 0.0
         lam[:, -1] = 0.0
         return lam
+
+    def _interior_coupling(self, eta_bar):
+        """(p, y), each (n_theta, ni, nzr), of the form frozen on the
+        cylinder eta = eta_bar (see ``cylinder_modes``): p = m^2 w/rho +
+        eta_bar^2 k^2 w rho couples the interior to the trace, and y = M^-1 p
+        comes from the interior eigenbasis.  Per mode, 1 - y is the interior
+        profile of the discrete harmonic extension of a unit trace."""
+        rho, w = self.radial.nodes[:-1, None], self.radial.weights[:-1, None]
+        k2 = eta_bar ** 2 * self._k2
+        m2 = self._rmt[:, :1].imag ** 2            # Nyquist row zeroed
+        p = m2[:, :, None] * (w / rho) + (w * rho) * k2
+        h = self._h[:, 0]
+        y = h * (self._Q @ ((self._Q.transpose(0, 2, 1) @ (h * p))
+                            / (self._lam + k2)))
+        return p, y
+
+    def _extension(self, d, eta_bar):
+        """Interior rows of Ext d, the discrete harmonic extension of the
+        trace d on the cylinder eta = eta_bar: per mode, the profile 1 - y
+        times the mode of d."""
+        nt, nz = self.grid.n_theta, self.grid.n_z
+        prof = self._interior_coupling(eta_bar)[1]
+        np.subtract(1.0, prof, out=prof)
+        spec = prof.transpose(1, 0, 2) * _sfft.rfft2(d)
+        del prof
+        return _sfft.irfft2(spec, axes=(1, 2), s=(nt, nz), overwrite_x=True)
 
     # -- variable-coefficient energy operator -------------------------------
     def _coefficients(self, eta: TorusField, eta_grad):
@@ -569,11 +604,14 @@ class DtnSolver:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
-        stack that CG starts from; its rho = 1 row is ignored.  Without one,
-        a solver with a half-grid solver starts from its prolonged solution.
+        stack that CG starts from.  Its rho = 1 row is the trace it was
+        solved for: if that differs from the projected psi, the guess is
+        carried to psi by the harmonic extension of the difference on the
+        cylinder of eta's mean radius.  Without a guess, a solver with a
+        half-grid solver starts from its prolonged solution, uncarried.
         The stopping test is relative to the cold right-hand side either
         way.  A non-finite residual (from NaN or inf in eta, psi or the
-        guess) raises ConvergenceError at once.
+        guess, its trace row included) raises ConvergenceError at once.
         """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -596,25 +634,28 @@ class DtnSolver:
         return pot
 
     def _solve(self, eta, psi, tol, guess=None):
-        """CG on Nyquist-projected eta and psi, from guess or else from the
-        nested cold start if the solver has a half-grid solver, stopped at
-        tol, after MAX_ITER iterations or at a non-finite residual; the
-        caller checks the residual."""
+        """CG on Nyquist-projected eta and psi, from guess (carried to psi)
+        or else from the nested cold start if the solver has a half-grid
+        solver, stopped at tol, after MAX_ITER iterations or at a
+        non-finite residual; the caller checks the residual."""
         coarse_its = 0
-        if guess is None and self._coarse is not None:
+        from_caller = guess is not None
+        if not from_caller and self._coarse is not None:
             guess, coarse_its = self._coarse_start(eta, psi)
         shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
         eta_grad = (spectral_derivative(eta, "theta"),
                     spectral_derivative(eta, "z"))
         co = self._coefficients(eta, eta_grad)
-        weights = self._precond_weights(eta.mean())
+        eta_bar = eta.mean()
+        weights = self._precond_weights(eta_bar)
 
         # phi = 1 (x) psi + x, with x zero on the trace row.  The residual
         # starts from -K(1 (x) psi), in closed form, and a guess adds K of
         # its interior x0; flux is the rho = 1 row of K(phi), accumulated
         # with the coefficients of x.  Both stay in the stack k0.  x is the
         # interior of phi, which takes psi once CG stops.  K of a stack with
-        # zero trace takes the half-spectrum of its interior alone.
+        # zero trace takes the half-spectrum of its interior alone.  A
+        # caller's guess starts CG from guess + Ext(psi - guess[-1]).
         k0 = self._apply_K_lift(psi.values, co)
         r, flux = k0[:-1], k0[-1]
         r *= -1.0
@@ -626,6 +667,10 @@ class DtnSolver:
             x[...] = 0.0
         else:
             np.subtract(guess[:-1], psi.values, out=x)
+            if from_caller:
+                d = psi.values - guess[-1]
+                if d.any():     # NaN counts as a change
+                    x += self._extension(d, eta_bar)
             del guess     # a prolonged guess is freed before CG
             kx = self._apply_K_rel(x, _sfft.rfft2(x, axes=(1, 2)), co)
             r -= kx[:-1]
@@ -781,16 +826,19 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
         analytic_p   = integral  G(eta) psi . delta_p,
         analytic_eta = integral (-psi G(eta) psi
                                  + eta (sigma (H - 1/(2R)) + N)) . delta_eta.
+
+    The four perturbed solves start from the base solve's potential.
     """
     eta = eta.drop_nyquist()
     psi = psi.drop_nyquist()
     delta_p = delta_p.drop_nyquist()
     delta_eta = delta_eta.drop_nyquist()
     p = dealiased_product(eta, psi)
+    bundle = solver.trace_bundle(eta, psi, tol)
 
     def total_energy(eta_f, p_f):
         psi_f = nonlinear_eval(lambda a, e: a / e, p_f, eta_f)
-        ek = solver.kinetic_energy(eta_f, psi_f, tol)
+        ek = solver.kinetic_energy(eta_f, psi_f, tol, guess=bundle.potential)
         return ek + potential_energy(eta_f, R, sigma)
 
     eps_p = 1e-4 * max(p.max_norm(), 1.0) / max(delta_p.max_norm(), 1e-30)
@@ -801,7 +849,6 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
     fd_eta = (total_energy(eta + eps_e * delta_eta, p)
               - total_energy(eta - eps_e * delta_eta, p)) / (2.0 * eps_e)
 
-    bundle = solver.trace_bundle(eta, psi, tol)
     analytic_p = integrate_product(bundle.G, delta_p)
     H = mean_curvature(eta)
     inner = sigma * (H - 1.0 / (2.0 * R)) + bundle.N

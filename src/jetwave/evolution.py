@@ -170,8 +170,11 @@ def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
     k1 is ``rhs(state)`` if the caller already has it.  Each stage solve
     starts from earlier potentials: k2 from phi1, k3 from phi2 and k4 from
     2 phi3 - phi1.  Given the step before, k1 starts from its phi4 and k2
-    from phi1 + (phi4 - phi1)/2 of that step.  The guesses change only where
-    CG starts, not its stopping test.
+    from phi1 + (phi4 - phi1)/2 of that step.  Each guess's trace row is
+    the stage trace it was solved (or extrapolated) for; the solve carries
+    it to the new stage's psi through the cylinder's harmonic extension
+    (see ``DtnSolver.solve``).  The guesses change only where CG starts,
+    not its stopping test.
     """
     grid = state.grid
     eta_bar = state.eta.mean()

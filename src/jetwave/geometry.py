@@ -103,13 +103,6 @@ def _h(x, u, v):
     return np.sqrt(1.0 + (u / x) ** 2 + v ** 2)
 
 
-def metric_factor(eta: TorusField) -> TorusField:
-    """l = sqrt(1 + (eta_theta/eta)^2 + eta_z^2); l >= 1 pointwise."""
-    _require_positive(eta)
-    return nonlinear_eval(_h, eta, spectral_derivative(eta, "theta"),
-                          spectral_derivative(eta, "z"))
-
-
 def modified_gradient(f: TorusField, eta: TorusField):
     """grad_bar f = (f_theta / eta, f_z)."""
     _require_positive(eta)

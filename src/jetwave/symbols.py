@@ -27,7 +27,7 @@ Available constructions:
       a = 2^(-1/2) (1 + |grad_bar eta|^2)^(-3/4),
       gamma = sqrt(sigma mu2 lambda1) + gamma^(1/2),
       q = eta^(1/2) a^(-1/3),   p = (gamma # q) # lambda~;
-* the truncated composition a # b, adjoint, Poisson bracket, parametrix of an
+* the truncated composition a # b, Poisson bracket, parametrix of an
   elliptic symbol, and the mollifier exp(-eps gamma^(3/2)).
 
 xi-derivatives
@@ -547,27 +547,6 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
 
     return HomogeneousSymbol(grid, a.degree + b.degree, principal, sub,
                              name=f"({a.name}#{b.name})")
-
-
-def adjoint_symbol(a: HomogeneousSymbol) -> HomogeneousSymbol:
-    """a* = conj a^(m) + (D_w . d_xi conj a^(m) + conj a^(m-1)).
-
-    The conjugated principal is continued holomorphically (Schwarz
-    reflection) so it remains differentiable by complex step.
-    """
-    grid = a.grid
-
-    def principal(xt, xz):
-        return np.conj(a.principal(np.conj(xt), np.conj(xz)))
-
-    def sub(xt, xz):
-        out = -1j * w_divergence(*xi_gradient(principal, xt, xz), grid)
-        if a.subprincipal is not None:
-            out = out + np.conj(a.subprincipal(np.conj(xt), np.conj(xz)))
-        return out
-
-    return HomogeneousSymbol(grid, a.degree, principal, sub,
-                             name=f"{a.name}*")
 
 
 def poisson_bracket(a: HomogeneousSymbol, b: HomogeneousSymbol):

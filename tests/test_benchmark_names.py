@@ -56,6 +56,20 @@ def test_dtn_cold_units_start_from_the_half_grid():
     assert np.mean([b.iterations for b in bundles]) <= 6
 
 
+def test_evolve_units_carry_their_stage_guesses():
+    """evolve-32's stage solves start from earlier potentials carried to
+    the new trace through the cylinder's harmonic extension, so each of
+    its units 0-4 takes at most 30 stage CG iterations (27 carried, 37
+    uncarried).  A count fails here if the carry stops firing, where wall
+    time would only drift."""
+    wl = _load("workloads").WORKLOADS["evolve-32"]()
+    wl.setup(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for i in range(5):
+        traj = wl.run(wl.make(rng, i))
+        assert sum(r.elliptic_iterations for r in traj.reports) <= 30
+
+
 def test_every_per_layer_metric_is_produced():
     spans = _load_spans()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())

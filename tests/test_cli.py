@@ -337,6 +337,30 @@ t_final = 0.5
         assert "'prefix'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, raw", [
+        ("dt", "1e-300"), ("sigma", "1e300"), ("r", "1e-6"),
+        ("z_period", "1e-6"), ("r", "1e-300"), ("z_period", "1e-300")])
+    def test_too_many_steps_exit_2_names_key(self, tmp_path, capsys,
+                                             monkeypatch, key, raw):
+        """Accepted values whose smallest step (the fixed dt, or the CFL
+        step under which the auto step never goes) needs more than
+        MAX_STEPS steps to reach t_final are refused before any solve."""
+        def fail(*_):
+            raise AssertionError("solved before the step count was checked")
+
+        monkeypatch.setattr(DtnSolver, "solve", fail)
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "equilibrium.ini")
+        with open(config) as fh:
+            text = fh.read().replace("[grid]\n", "[grid]\nz_period = 2pi\n")
+        old = [l for l in text.splitlines() if l.startswith(f"{key} =")]
+        path = write(tmp_path, text.replace(old[0], f"{key} = {raw}"))
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+        assert not (tmp_path / "equilibrium_manifest.txt").exists()
+
     @pytest.mark.parametrize("text, where", [
         (b"n_theta = 16\n" + BASE.encode(), ", line 1:"),
         (BASE.replace("n_rho = 24", "n_rho = 24\nn_z = 8").encode(),

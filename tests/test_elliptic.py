@@ -255,15 +255,17 @@ class TestSolve:
             solver.solve(eta, psi, tol=1e-12)
         assert err.value.residual is not None
 
-    @pytest.mark.parametrize("where", ["eta", "psi", "guess"])
+    @pytest.mark.parametrize("where", ["eta", "psi", "guess", "guess_trace"])
     def test_nan_input_raises_at_once(self, grid16, solver16, rng, where):
         """A NaN residual fails CG's stopping test instead of passing it,
-        and the error gives the iterations actually made."""
+        and the error gives the iterations actually made.  The guess's
+        rho = 1 row is read as the trace it was solved for, so NaN there
+        fails as NaN in its interior does."""
         eta = smooth_surface(grid16, rng, R)
         psi = band_limited_random(grid16, rng, kmax=3)
         guess = solver16.solve(eta, psi).values.copy()
-        if where == "guess":
-            guess[3, 2, 5] = np.nan
+        if where.startswith("guess"):
+            guess[-1 if where == "guess_trace" else 3, 2, 5] = np.nan
         else:
             field = {"eta": eta, "psi": psi}[where]
             values = field.values.copy()
@@ -305,13 +307,43 @@ class TestWarmStart:
         assert abs(warm.kinetic_energy - cold.kinetic_energy) \
             <= 1e-12 * cold.kinetic_energy
 
-    def test_guess_row_at_surface_ignored(self, grid32, solver32, rng):
+    def test_guess_for_psi_is_not_carried(self, grid32, solver32, rng,
+                                          monkeypatch):
+        """A guess whose rho = 1 row is the projected psi (this psi has a
+        Nyquist row, which the projection drops) starts CG as it did before
+        the carry: the extension is never formed."""
         eta, psi = self._inputs(grid32, rng)
-        guess = solver32.solve(1.01 * eta, psi, 1e-11).values.copy()
-        a = solver32.solve(eta, psi, 1e-11, guess=guess)
-        guess[-1] = 7.0
-        b = solver32.solve(eta, psi, 1e-11, guess=guess)
-        assert np.array_equal(a.values, b.values)
+        th, _ = grid32.mesh()
+        psi = psi + TorusField(grid32, 0.1 * np.cos(16 * th))
+        guess = solver32.solve(1.01 * eta, psi, 1e-11).values
+        want = solver32.solve(eta, psi, 1e-11, guess=guess)
+
+        def no_extension(*args):
+            raise AssertionError("a guess solved for psi was carried")
+
+        monkeypatch.setattr(DtnSolver, "_extension", no_extension)
+        got = solver32.solve(eta, psi, 1e-11, guess=guess)
+        assert np.array_equal(got.values, want.values)
+        assert got.iterations == want.iterations
+
+    def test_guess_for_another_trace_is_carried(self, grid32, solver32, rng):
+        """A guess solved for a turned trace is carried to psi by the
+        harmonic extension of the change.  It matches the cold solve, in
+        fewer CG iterations than the same guess with psi written over its
+        rho = 1 row, the start before the carry."""
+        eta, psi = self._inputs(grid32, rng)
+        turned = TorusField(grid32, np.roll(psi.values, 1, axis=0))
+        guess = solver32.solve(1.01 * eta, turned, 1e-11).values
+        overwritten = guess.copy()
+        overwritten[-1] = psi.drop_nyquist().values
+        cold = solver32.trace_bundle(eta, psi, 1e-13)
+        warm = solver32.trace_bundle(eta, psi, 1e-13, guess=guess)
+        flat = solver32.trace_bundle(eta, psi, 1e-13, guess=overwritten)
+        assert warm.iterations < flat.iterations
+        rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
+        assert rel <= 1e-12
+        assert abs(warm.kinetic_energy - cold.kinetic_energy) \
+            <= 1e-12 * cold.kinetic_energy
 
     def test_wrong_shape_named(self, grid16, solver16, solver32, rng):
         eta, psi = self._inputs(grid16, rng)
@@ -482,6 +514,21 @@ class TestSolverIsPure:
     def _same(cls, a, b):
         return all(np.array_equal(x, y) for x, y in zip(cls._values(a), cls._values(b)))
 
+    @staticmethod
+    def _in_threads(work, n):
+        """work(i) for i < n, each on its own thread, switching often."""
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
     def test_history_and_threads(self, grid32):
         rng = np.random.default_rng(17)
         eta = smooth_surface(grid32, rng, R, amp=0.1)
@@ -497,17 +544,7 @@ class TestSolverIsPure:
         def work(i):
             got[i] = solver.trace_bundle(*inputs[i % 2])
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        self._in_threads(work, 4)
         assert all(self._same(got[i], (fresh, other)[i % 2]) for i in range(4))
 
     def test_energy_read_from_threads(self, grid32):
@@ -526,17 +563,7 @@ class TestSolverIsPure:
             start.wait()
             got[i] = bundle.kinetic_energy
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        self._in_threads(work, 4)
         assert all(e == want for e in got)
 
     def test_nested_history_and_threads(self, grid64, solver64):
@@ -555,17 +582,32 @@ class TestSolverIsPure:
         def work(i):
             got[i] = solver64.trace_bundle(*inputs[i])
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        self._in_threads(work, 2)
+        assert all(self._same(got[i], fresh[i]) for i in range(2))
+
+    def test_carried_history_and_threads(self, grid32, solver32):
+        """A guess solved for another trace is carried by a pure function
+        of the request: a fresh solver, a solver after the other requests
+        in shuffled order, and two threads at once give bitwise the same
+        bundles."""
+        rng = np.random.default_rng(19)
+        inputs = []
+        for _ in range(2):
+            eta = smooth_surface(grid32, rng, R, amp=0.1)
+            psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
+            other = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
+            guess = solver32.solve(1.01 * eta, other).values
+            inputs.append(dict(eta=eta, psi=psi, guess=guess))
+        fresh = [DtnSolver(grid32, 48).trace_bundle(**a) for a in inputs]
+        for i in rng.permutation([0, 1, 0, 1]):
+            assert self._same(solver32.trace_bundle(**inputs[i]), fresh[i])
+
+        got = [None] * 2
+
+        def work(i):
+            got[i] = solver32.trace_bundle(**inputs[i])
+
+        self._in_threads(work, 2)
         assert all(self._same(got[i], fresh[i]) for i in range(2))
 
     def test_simulate_after_unrelated_solves(self, grid16):
@@ -649,6 +691,18 @@ class TestNestedStart:
             assert got.iterations < ref.iterations
             fine.append(got.iterations)
         assert np.mean(fine) <= 6
+
+    def test_prolonged_guess_is_not_carried(self, grid64, solver64, rng,
+                                            monkeypatch):
+        """The prolonged guess's trace row is the truncated psi, and the
+        fine CG starts from it as it is: carrying it saved no fine
+        iteration."""
+        def no_extension(*args):
+            raise AssertionError("the prolonged guess was carried")
+
+        monkeypatch.setattr(DtnSolver, "_extension", no_extension)
+        eta, psi = self._draw(grid64, rng)
+        assert solver64.trace_bundle(eta, psi).coarse_iterations > 0
 
     def test_no_coarse_start_at_32(self, grid32, solver32, rng):
         eta, psi = self._draw(grid32, rng)

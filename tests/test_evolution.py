@@ -334,14 +334,14 @@ class TestFlowPinned:
     PINNED = [
         ("0x1.ce1760228871bp-12", "0x1.c4aaa9b6218bep-8",
          "0x1.3be8031fc5624p+4", 0),
-        ("0x1.de87573d869cap-12", "0x1.c3a3aa4471ef1p-8",
-         "0x1.3be8031fc562bp+4", 37),
-        ("0x1.07ce0758f9185p-11", "0x1.c0925ecd2ba35p-8",
-         "0x1.3be8031fc563ep+4", 31),
-        ("0x1.30528a8dc42a0p-11", "0x1.bb81ce669247cp-8",
-         "0x1.3be8031fc5660p+4", 30),
-        ("0x1.5c324de0c278bp-11", "0x1.b605d5fc321e3p-8",
-         "0x1.3be8031fc567ap+4", 32),
+        ("0x1.de87573d869c6p-12", "0x1.c3a3aa4471da3p-8",
+         "0x1.3be8031fc562bp+4", 30),
+        ("0x1.07ce0758f9163p-11", "0x1.c0925ecd2b650p-8",
+         "0x1.3be8031fc563dp+4", 24),
+        ("0x1.30528a8dc4228p-11", "0x1.bb81ce6692017p-8",
+         "0x1.3be8031fc5660p+4", 24),
+        ("0x1.5c324de0c2669p-11", "0x1.b605d5fc31bacp-8",
+         "0x1.3be8031fc5675p+4", 23),
     ]
 
     def test_reports(self, grid):

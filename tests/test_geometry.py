@@ -1,4 +1,4 @@
-"""Metric factor, modified gradient, mean curvature, energies, volume."""
+"""Modified gradient, mean curvature, energies, volume."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from jetwave.geometry import (
     SurfaceState,
     enclosed_volume,
     mean_curvature,
-    metric_factor,
     modified_gradient,
     potential_energy,
 )
@@ -17,38 +16,6 @@ from jetwave.spectral import TorusField, integrate_product
 
 R = 1.3
 SIGMA = 0.7
-
-
-class TestMetricFactor:
-    def test_cylinder(self, grid32):
-        l = metric_factor(TorusField.constant(grid32, R))
-        assert np.abs(l.values - 1.0).max() < 1e-14
-
-    def test_axisymmetric_closed_form(self, grid32):
-        _, zz = grid32.mesh()
-        eps = 0.2
-        eta = TorusField(grid32, R + eps * np.cos(zz))
-        l = metric_factor(eta)
-        expected = np.sqrt(1.0 + eps ** 2 * np.sin(zz) ** 2)
-        assert np.abs(l.values - expected).max() < 1e-10
-
-    def test_against_finite_differences(self, grid32):
-        th, _ = grid32.mesh()
-        eta = TorusField(grid32, R * (1.0 + 0.1 * np.cos(th)))
-        l = metric_factor(eta)
-        # second-order FD oracle for eta_theta on a fine sample
-        h = grid32.theta[1] - grid32.theta[0]
-        et_fd = (np.roll(eta.values, -1, 0) - np.roll(eta.values, 1, 0)) / (2 * h)
-        oracle = np.sqrt(1.0 + (et_fd / eta.values) ** 2)
-        assert np.abs(l.values - oracle).max() < 5 * h ** 2
-
-    def test_lower_bound(self, grid32, rng):
-        eta = smooth_surface(grid32, rng, R, amp=0.15)
-        assert metric_factor(eta).min() >= 1.0 - 1e-12
-
-    def test_rejects_nonpositive(self, grid32):
-        with pytest.raises(DomainViolationError):
-            metric_factor(TorusField.constant(grid32, -0.1))
 
 
 class TestModifiedGradient:

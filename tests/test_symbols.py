@@ -14,7 +14,6 @@ from jetwave.errors import EllipticityError
 from jetwave.spectral import TorusField, TorusGrid, band_limited_random
 from jetwave.symbols import (
     HomogeneousSymbol,
-    adjoint_symbol,
     factorization_symbols,
     lambda_symbol,
     mollifier_symbol,
@@ -249,40 +248,6 @@ class TestSharpAlgebra:
         pb = poisson_bracket(gamma_sym, j)
         for m, k in ((2.0, 2.0), (6.0, 1.0)):
             assert np.abs(pb.principal_at(m, k)).max() < 1e-9
-
-    def test_weighted_dtn_symbol_self_adjoint(self, grid32):
-        """The adjoint formula closes on eta*lambda: (eta lambda)* has the
-        same subprincipal part, which is the operator-level statement behind
-        the Im lambda0 identity."""
-        eta = _deformed(grid32)
-        lam = lambda_symbol(eta)
-        e = eta.drop_nyquist().values
-
-        weighted = HomogeneousSymbol(
-            grid32, 1.0,
-            lambda xt, xz: e * lam.principal(xt, xz),
-            lambda xt, xz: e * lam.subprincipal(xt, xz),
-        )
-        adj = adjoint_symbol(weighted)
-        for m, k in ((2.0, 1.0), (5.0, 3.0), (0.0, 7.0)):
-            d = adj.subprincipal(m, k) - weighted.subprincipal(m, k)
-            assert np.abs(d).max() < 1e-8
-            d1 = adj.principal_at(m, k) - weighted.principal_at(m, k)
-            assert np.abs(d1).max() < 1e-11
-
-    def test_adjoint_of_real_xi_even_symbol(self, grid32):
-        """For a real principal the adjoint adds D_w . d_xi as the
-        subprincipal correction; composing with the identity data checks the
-        Schwarz-reflected closure is differentiable."""
-        eta = _deformed(grid32)
-        lam = lambda_symbol(eta)
-        adj = adjoint_symbol(lam)
-        m, k = 3.0, 4.0
-        assert np.abs(adj.principal_at(m, k) - lam.principal_at(m, k)).max() < 1e-11
-        # Im of the adjoint subprincipal flips: a* has
-        # Im a*^(0) = -Im a^(0) - i ... consistency via self-adjoint eta*lam
-        got = adj.subprincipal(m, k)
-        assert np.all(np.isfinite(got))
 
 
 class TestMollifier:
