@@ -29,8 +29,8 @@ _EXPORTS = {
                  "low_pass", "nonlinear_eval", "spectral_derivative"),
     "geometry": ("SurfaceState", "enclosed_volume", "mean_curvature",
                  "modified_gradient", "potential_energy"),
-    "elliptic": ("DtnSolver", "PotentialField", "TraceBundle",
-                 "hamiltonian_variations", "shape_derivative"),
+    "elliptic": ("DtnSolver", "TraceBundle", "hamiltonian_variations",
+                 "shape_derivative"),
     "paradiff": ("apply_paradiff", "bony_remainder", "good_unknown",
                  "paraproduct"),
     "symbols": ("HomogeneousSymbol", "lambda_symbol",

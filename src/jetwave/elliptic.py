@@ -76,8 +76,11 @@ note the eta-weight on the left, required for consistency with the kinetic
 energy  E_k = 1/2 * integral psi (eta G(eta) psi).  CG already applies the
 full operator, boundary row included, to its start and to every search
 direction, so the solve accumulates that row with the coefficients of its
-iterate and no pass over the potential follows it.  A trace bundle computes
-E_k, a sum of squared strains, only when it is read.
+iterate and no pass over the potential follows it.  A solve returns the
+read-only potential, the flux, its iteration counts and residual, and the
+projected eta with eta_grad; its coefficient stacks are freed with it.
+``DtnSolver.energy`` forms E_k, a sum of squared strains, from the
+potential, eta and eta_grad, when a trace bundle's E_k is read.
 
 A cold solve on a grid of at least 64 x 64 points, both counts divisible by
 4, starts from a nested iteration (the first leg of full multigrid): the
@@ -100,6 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as _sfft
@@ -234,57 +238,35 @@ def _resample(spec, n_theta, n_z):
 
 
 # ---------------------------------------------------------------------------
-# solution container
+# solve result and trace bundle
 # ---------------------------------------------------------------------------
 
-class PotentialField:
-    """Potential on the mapped cylinder: nodal in rho, grid in (theta, z).
+class _Solve(NamedTuple):
+    """What one solve gives, under the names TraceBundle gives it."""
 
-    eta is the (Nyquist-projected) radius the potential was solved on and
-    eta_grad its (eta_theta, eta_z); ``_co`` holds that solve's energy-form
-    coefficients.  flux is eta G(eta) psi, the rho = 1 row of the energy
-    operator applied to the potential, over the cell area.  iterations
-    counts the CG iterations of this grid, coarse_iterations those of the
-    half-grid solve it started from (0 if none).
-    """
+    potential: np.ndarray
+    flux: TorusField
+    iterations: int
+    coarse_iterations: int
+    residual: float
+    eta: TorusField
+    eta_grad: tuple
 
-    def __init__(self, radial: RadialGrid, grid: TorusGrid, values,
-                 iterations, residual, eta, co, flux, eta_grad,
-                 coarse_iterations):
-        values = np.asarray(values, dtype=float)
-        values.setflags(write=False)
-        self.radial = radial
-        self.grid = grid
-        self.values = values
-        self.iterations = int(iterations)
-        self.coarse_iterations = int(coarse_iterations)
-        self.residual = float(residual)
-        self.eta = eta
-        self._co = co
-        self.flux = flux
-        self.eta_grad = eta_grad
-
-    def trace(self) -> TorusField:
-        """phi at rho = 1 (equals the Dirichlet data exactly)."""
-        return TorusField(self.grid, self.values[-1])
-
-
-# ---------------------------------------------------------------------------
-# trace bundle
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TraceBundle:
     """Boundary quantities derived from one elliptic solve.
 
-    G is the variational Dirichlet-to-Neumann value (flux / eta);
+    flux, iterations, coarse_iterations, residual, potential, eta and
+    eta_grad are the fields of the solve's result, passed through.  G is
+    the variational Dirichlet-to-Neumann value (flux / eta);
     flux = eta * G(eta) psi, the rho = 1 row of the energy operator, which
     CG accumulates alongside its iterate.  potential is the read-only nodal
     potential stack of the solve, a starting guess for the next solve at a
     nearby state, eta the Nyquist-projected radius it was solved on and
     eta_grad its (eta_theta, eta_z).  kinetic_energy, the Dirichlet energy
-    of potential, is computed on first read (the energy-form coefficients
-    are rebuilt from eta and eta_grad then, not kept).  iterations and
+    of potential, is computed on first read by ``DtnSolver.energy``, which
+    forms the energy-form coefficients from eta and eta_grad.  iterations and
     coarse_iterations are the solve's CG iterations on its own grid and on
     the half grid of a nested cold start (0 if none ran).
     """
@@ -307,8 +289,7 @@ class TraceBundle:
     def kinetic_energy(self) -> float:
         """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy;
         nonnegative by construction."""
-        return self._solver.energy(
-            self.potential, self._solver._coefficients(self.eta, self.eta_grad))
+        return self._solver.energy(self.potential, self.eta, self.eta_grad)
 
     def identity_residuals(self, psi: TorusField, eta: TorusField):
         """Max-norm residuals of the trace identities at the solve's data:
@@ -586,8 +567,11 @@ class DtnSolver:
                              -P], axis=1)
         return _along_rho(profiles, np.stack([s * l_t, t * l_z, *div]))
 
-    def energy(self, phi, co):
-        """Dirichlet energy 1/2 * a(phi, phi); nonnegative by construction."""
+    def energy(self, phi, eta: TorusField, eta_grad):
+        """Dirichlet energy 1/2 * a(phi, phi) of a potential stack on eta,
+        given eta_grad = (eta_theta, eta_z); nonnegative by construction.
+        The energy-form coefficients are formed here and freed on return."""
+        co = self._coefficients(eta, eta_grad)
         e1, e2, e3 = self._strains(phi[:-1] - phi[-1],
                                    _sfft.rfft2(phi, axes=(1, 2)), co)
         e1 *= e1
@@ -600,9 +584,14 @@ class DtnSolver:
 
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
-              guess=None) -> PotentialField:
+              guess=None) -> _Solve:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
+        Returns a record of the read-only (n_rho, n_theta, n_z) potential,
+        the flux eta G(eta) psi, the CG iterations on this grid and on the
+        half grid of a nested cold start (0 if none ran), the final relative
+        residual, and the Nyquist-projected eta with its eta_grad =
+        (eta_theta, eta_z), the inputs ``energy`` takes with the potential.
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
         stack that CG starts from.  Its rho = 1 row is the trace it was
         solved for: if that differs from the projected psi, the guess is
@@ -703,9 +692,9 @@ class DtnSolver:
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             its += 1
         x += psi.values
-        return PotentialField(self.radial, self.grid, phi, its, res, eta, co,
-                              TorusField(self.grid, flux / self.grid.cell_area),
-                              eta_grad, coarse_its)
+        phi.setflags(write=False)
+        return _Solve(phi, TorusField(self.grid, flux / self.grid.cell_area),
+                      its, coarse_its, res, eta, eta_grad)
 
     def _coarse_start(self, eta, psi):
         """(guess, coarse CG iterations) of a nested cold start: eta and psi
@@ -723,7 +712,7 @@ class DtnSolver:
         pot = coarse._solve(TorusField(coarse.grid, eta_c),
                             TorusField(coarse.grid, psi_c), COARSE_TOL)
         stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),
-                           pot.values)
+                           pot.potential)
         full = (self.grid.n_theta, self.grid.n_z)
         spec = _resample(_sfft.rfft2(stack, axes=(1, 2), norm="forward"),
                          *full)
@@ -743,7 +732,7 @@ class DtnSolver:
         """
         pot = self.solve(eta, psi, tol, guess)
         eta = pot.eta
-        phi = pot.values
+        phi = pot.potential
         d_rho = TorusField(self.grid,
                            _along_rho(self.radial.D[-1, :-1], phi[:-1] - phi[-1]))
 
@@ -753,7 +742,7 @@ class DtnSolver:
         B = over_eta(d_rho)
         # grad_bar eta from the derivatives the solve took of the same eta
         gbt, gbz = over_eta(pot.eta_grad[0]), pot.eta_grad[1]
-        psi_trace = pot.trace()
+        psi_trace = TorusField(self.grid, phi[-1])
         pt = over_eta(spectral_derivative(psi_trace, "theta"))
         pz = spectral_derivative(psi_trace, "z")
         V_theta = pt - dealiased_product(B, gbt)
@@ -765,18 +754,14 @@ class DtnSolver:
             + dealiased_product(V_z, V_z)
             - dealiased_product(B, B)
         )
-        return TraceBundle(
-            B=B, V_theta=V_theta, V_z=V_z, N=N, G=G, flux=pot.flux,
-            iterations=pot.iterations, coarse_iterations=pot.coarse_iterations,
-            residual=pot.residual,
-            potential=pot.values, eta=eta, eta_grad=pot.eta_grad, _solver=self,
-        )
+        return TraceBundle(B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
+                           **pot._asdict(), _solver=self)
 
     def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
                        guess=None):
         """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy."""
         pot = self.solve(eta, psi, tol, guess=guess)
-        return self.energy(pot.values, pot._co)
+        return self.energy(pot.potential, pot.eta, pot.eta_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_traced_warm_bundle_counts(grid16):
                 spectral.TorusField(grid16, 0.3 * np.sin(2 * th + zz)))
 
     eta, psi = fields()
-    guess = solver.solve(1.02 * eta, psi).values
+    guess = solver.solve(1.02 * eta, psi).potential
     eta, psi = fields()
     tracer = spans.Tracer()
     with tracer.installed():

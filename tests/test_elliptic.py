@@ -85,24 +85,24 @@ def _apply_w(stack, mult):
     return np.fft.ifft2(c * mult, axes=(1, 2)).real
 
 
-def strong_residual(pot, eta: TorusField):
+def strong_residual(solver, pot, eta: TorusField):
     """Pointwise residual of the rho^2-regularized strong-form operator on a
-    solved potential.
+    potential the solver solved.
 
     The solver drives the variational residual below its tolerance; this
     quantity collocates rho^2 * L phi at the interior nodes (the rho^2 factor
     bounds the polar coefficients, so near-axis values are not
     roundoff-amplified) and decays spectrally with resolution.
     """
-    rho = pot.radial.nodes
+    rho = solver.radial.nodes
     co = build_coefficients(eta, rho)
-    D = pot.radial.D
-    phi = pot.values
+    D = solver.radial.D
+    phi = pot.potential
     # relative to the trace, as the solver differentiates: (D D) 1 = 0
     u = phi - phi[-1]
     dphi = np.tensordot(D, u, axes=(1, 0))
     d2phi = np.tensordot(D @ D, u, axes=(1, 0))
-    mt, mz = derivative_multipliers(pot.grid)
+    mt, mz = derivative_multipliers(solver.grid)
     dth_dphi = _apply_w(dphi, mt)
     dz_dphi = _apply_w(dphi, mz)
     d2th = _apply_w(phi, mt * mt)
@@ -118,8 +118,9 @@ def strong_residual(pot, eta: TorusField):
 def modal_profile(pot, m, n):
     """Radial profile of the (m, n)-th Fourier mode (integer indices) of a
     solved potential."""
-    c = np.fft.fft2(pot.values, axes=(1, 2)) / (pot.grid.n_theta * pot.grid.n_z)
-    return c[:, m % pot.grid.n_theta, n % pot.grid.n_z]
+    grid = pot.eta.grid
+    c = np.fft.fft2(pot.potential, axes=(1, 2)) / (grid.n_theta * grid.n_z)
+    return c[:, m % grid.n_theta, n % grid.n_z]
 
 
 class TestRadialGrid:
@@ -190,11 +191,11 @@ class TestSolve:
     def test_constant_trace_gives_constant_potential(self, grid32, solver32):
         eta = TorusField.constant(grid32, R)
         pot = solver32.solve(eta, TorusField.constant(grid32, 2.7), tol=1e-12)
-        assert np.abs(pot.values - 2.7).max() < 1e-12
+        assert np.abs(pot.potential - 2.7).max() < 1e-12
         # the constant lift has no radial strain: the right-hand side is
         # exactly zero and no iteration runs
         assert pot.iterations == 0
-        assert np.abs(strong_residual(pot, eta)).max() < 1e-10
+        assert np.abs(strong_residual(solver32, pot, eta)).max() < 1e-10
 
     def test_strong_residual_on_a_deformed_jet(self, grid32, rng):
         """The collocated strong form vanishes on a solve with a deformed
@@ -203,8 +204,9 @@ class TestSolve:
         term is zero whatever the coefficients)."""
         eta = smooth_surface(grid32, rng, R, amp=0.05)
         psi = band_limited_random(grid32, rng, kmax=3, max_norm=0.3)
-        pot = DtnSolver(grid32, 24).solve(eta, psi, tol=1e-12)
-        assert np.abs(strong_residual(pot, eta)).max() < 1e-9
+        solver = DtnSolver(grid32, 24)
+        pot = solver.solve(eta, psi, tol=1e-12)
+        assert np.abs(strong_residual(solver, pot, eta)).max() < 1e-9
 
     def test_harmonic_power_profile(self, grid32, solver32):
         """eta = R, psi = cos(m theta): the potential is (rho)^m cos(m theta)
@@ -214,7 +216,7 @@ class TestSolve:
         pot = solver32.solve(TorusField.constant(grid32, R),
                              TorusField(grid32, np.cos(m * th)), tol=1e-12)
         profile = modal_profile(pot, m, 0) * 2.0  # cos = two conjugate modes
-        expected = pot.radial.nodes ** m
+        expected = solver32.radial.nodes ** m
         assert np.abs(profile.real - expected).max() < 1e-9
         assert np.abs(profile.imag).max() < 1e-9
 
@@ -225,7 +227,7 @@ class TestSolve:
         pot = solver32.solve(TorusField.constant(grid32, R),
                              TorusField(grid32, np.cos(k * zz)), tol=1e-12)
         profile = modal_profile(pot, 0, 2) * 2.0
-        expected = iv(0, k * R * pot.radial.nodes) / iv(0, k * R)
+        expected = iv(0, k * R * solver32.radial.nodes) / iv(0, k * R)
         assert np.abs(profile.real - expected).max() < 1e-8
 
     def test_axis_regularity(self, grid32, solver32):
@@ -236,7 +238,7 @@ class TestSolve:
                 TorusField.constant(grid32, R),
                 TorusField(grid32, np.cos(m * th + zz)), tol=1e-12)
             profile = np.abs(modal_profile(pot, m, 1))
-            rho = pot.radial.nodes
+            rho = solver32.radial.nodes
             inner = profile[rho < 0.05]
             bound = (rho[rho < 0.05] / rho[-1]) ** min(m, 2)
             assert np.all(inner <= 5.0 * bound * profile[-1] + 1e-11)
@@ -263,7 +265,7 @@ class TestSolve:
         fails as NaN in its interior does."""
         eta = smooth_surface(grid16, rng, R)
         psi = band_limited_random(grid16, rng, kmax=3)
-        guess = solver16.solve(eta, psi).values.copy()
+        guess = solver16.solve(eta, psi).potential.copy()
         if where.startswith("guess"):
             guess[-1 if where == "guess_trace" else 3, 2, 5] = np.nan
         else:
@@ -291,14 +293,14 @@ class TestWarmStart:
     def test_exact_guess_converges_at_once(self, grid32, solver32, rng):
         eta, psi = self._inputs(grid32, rng)
         cold = solver32.solve(eta, psi, 1e-11)
-        warm = solver32.solve(eta, psi, 1e-11, guess=cold.values)
+        warm = solver32.solve(eta, psi, 1e-11, guess=cold.potential)
         assert cold.iterations > 1
         assert warm.iterations <= 1
         assert warm.residual < 1e-11
 
     def test_warm_matches_cold(self, grid32, solver32, rng):
         eta, psi = self._inputs(grid32, rng)
-        near = solver32.solve(1.01 * eta, psi, 1e-11).values
+        near = solver32.solve(1.01 * eta, psi, 1e-11).potential
         cold = solver32.trace_bundle(eta, psi, 1e-13)
         warm = solver32.trace_bundle(eta, psi, 1e-13, guess=near)
         assert warm.iterations < cold.iterations
@@ -315,7 +317,7 @@ class TestWarmStart:
         eta, psi = self._inputs(grid32, rng)
         th, _ = grid32.mesh()
         psi = psi + TorusField(grid32, 0.1 * np.cos(16 * th))
-        guess = solver32.solve(1.01 * eta, psi, 1e-11).values
+        guess = solver32.solve(1.01 * eta, psi, 1e-11).potential
         want = solver32.solve(eta, psi, 1e-11, guess=guess)
 
         def no_extension(*args):
@@ -323,7 +325,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(DtnSolver, "_extension", no_extension)
         got = solver32.solve(eta, psi, 1e-11, guess=guess)
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.potential, want.potential)
         assert got.iterations == want.iterations
 
     def test_guess_for_another_trace_is_carried(self, grid32, solver32, rng):
@@ -333,7 +335,7 @@ class TestWarmStart:
         rho = 1 row, the start before the carry."""
         eta, psi = self._inputs(grid32, rng)
         turned = TorusField(grid32, np.roll(psi.values, 1, axis=0))
-        guess = solver32.solve(1.01 * eta, turned, 1e-11).values
+        guess = solver32.solve(1.01 * eta, turned, 1e-11).potential
         overwritten = guess.copy()
         overwritten[-1] = psi.drop_nyquist().values
         cold = solver32.trace_bundle(eta, psi, 1e-13)
@@ -348,7 +350,7 @@ class TestWarmStart:
     def test_wrong_shape_named(self, grid16, solver16, solver32, rng):
         eta, psi = self._inputs(grid16, rng)
         other = solver32.solve(TorusField.constant(solver32.grid, R),
-                               TorusField.zeros(solver32.grid)).values
+                               TorusField.zeros(solver32.grid)).potential
         with pytest.raises(ValueError, match=r"\(32, 16, 16\)"):
             solver16.solve(eta, psi, guess=other)
         with pytest.raises(ValueError, match="shape"):
@@ -361,11 +363,13 @@ class TestWarmStart:
         eta, psi = self._inputs(grid32, rng)
         bundle = solver32.trace_bundle(eta, psi, 1e-12)
         pot = solver32.solve(eta, psi, 1e-12)
-        assert np.array_equal(bundle.potential, pot.values)
-        full = solver32._apply_K(pot.values, pot._co)[-1] / grid32.cell_area
+        assert np.array_equal(bundle.potential, pot.potential)
+        co = solver32._coefficients(pot.eta, pot.eta_grad)
+        full = solver32._apply_K(pot.potential, co)[-1] / grid32.cell_area
         assert np.abs(bundle.flux.values - full).max() \
             <= 1e-13 * np.abs(full).max()
-        assert bundle.kinetic_energy == solver32.energy(pot.values, pot._co)
+        assert bundle.kinetic_energy == solver32.energy(pot.potential, pot.eta,
+                                                        pot.eta_grad)
         assert not bundle.potential.flags.writeable
 
 
@@ -404,10 +408,11 @@ class TestLeanSolve:
     @pytest.mark.parametrize("n", [32, 64])
     def test_accumulated_flux(self, n, warm, rng):
         solver, eta, psi = self._case(n, rng)
-        guess = solver.solve(1.01 * eta, psi, 1e-12).values if warm else None
+        guess = solver.solve(1.01 * eta, psi, 1e-12).potential if warm else None
         pot = solver.solve(eta, psi, 1e-12, guess=guess)
         assert pot.iterations > 1
-        want = solver._apply_K(pot.values, pot._co)[-1] / solver.grid.cell_area
+        co = solver._coefficients(pot.eta, pot.eta_grad)
+        want = solver._apply_K(pot.potential, co)[-1] / solver.grid.cell_area
         assert np.abs(pot.flux.values - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_energy_computed_when_read(self, grid32, solver32, rng):
@@ -415,8 +420,29 @@ class TestLeanSolve:
         bundle = solver32.trace_bundle(eta, psi, 1e-12)
         assert "kinetic_energy" not in vars(bundle)
         pot = solver32.solve(eta, psi, 1e-12)
-        assert bundle.kinetic_energy == solver32.energy(pot.values, pot._co)
+        assert bundle.kinetic_energy == solver32.energy(pot.potential, pot.eta,
+                                                        pot.eta_grad)
         assert bundle.kinetic_energy is bundle.kinetic_energy
+
+    def test_result_pins_one_stack(self, grid32, solver32, rng):
+        """A solve's result and its trace bundle keep one n_rho-layer stack
+        alive, the read-only potential: the energy-form coefficients are
+        freed with the solve, and energy() forms them again."""
+        def arrays(values):
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    yield v
+                elif isinstance(v, tuple):
+                    yield from arrays(v)
+
+        eta, psi = TestWarmStart._inputs(grid32, rng)
+        for result in (solver32.solve(eta, psi, 1e-12),
+                       solver32.trace_bundle(eta, psi, 1e-12)):
+            fields = result if isinstance(result, tuple) \
+                else vars(result).values()
+            stacks = [a for a in arrays(fields) if a.ndim == 3]
+            assert len(stacks) == 1 and stacks[0] is result.potential
+            assert not result.potential.flags.writeable
 
 
 class TestPreconditioner:
@@ -554,7 +580,7 @@ class TestSolverIsPure:
         psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
         solver = DtnSolver(grid32, 48)
         pot = solver.solve(eta, psi)
-        want = solver.energy(pot.values, pot._co)
+        want = solver.energy(pot.potential, pot.eta, pot.eta_grad)
         bundle = solver.trace_bundle(eta, psi)
         got = [None] * 4
         start = threading.Barrier(4)
@@ -596,7 +622,7 @@ class TestSolverIsPure:
             eta = smooth_surface(grid32, rng, R, amp=0.1)
             psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
             other = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
-            guess = solver32.solve(1.01 * eta, other).values
+            guess = solver32.solve(1.01 * eta, other).potential
             inputs.append(dict(eta=eta, psi=psi, guess=guess))
         fresh = [DtnSolver(grid32, 48).trace_bundle(**a) for a in inputs]
         for i in rng.permutation([0, 1, 0, 1]):
@@ -621,7 +647,7 @@ class TestSolverIsPure:
         ref = simulate(state, cfg, DtnSolver(grid16, 24))
         solver = DtnSolver(grid16, 24)
         solver.trace_bundle(1.02 * eta, 2.0 * psi)
-        solver.solve(eta, psi, guess=solver.solve(1.05 * eta, psi).values)
+        solver.solve(eta, psi, guess=solver.solve(1.05 * eta, psi).potential)
         got = simulate(state, cfg, solver)
         assert got.times == ref.times and got.reports == ref.reports
         for a, b in zip(got.states, ref.states):
@@ -730,7 +756,7 @@ class TestNestedStart:
         want = solver.solve(eta, psi, 1e-6, guess=self._lift(solver, psi))
         assert got.coarse_iterations == 0
         assert got.iterations == want.iterations
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.potential, want.potential)
 
     @pytest.mark.parametrize("where", ["eta", "psi", "guess"])
     def test_nan_input_raises_at_once(self, grid64, solver64, rng, where):
@@ -795,14 +821,14 @@ class TestWorkingSet:
         """Read-only eta, psi and guess come back unchanged, and a bundle's
         potential used twice as a guess gives bitwise the same bundle."""
         eta, psi = self._inputs(grid32, 23)
-        guess = solver32.solve(1.01 * eta, psi).values
+        guess = solver32.solve(1.01 * eta, psi).potential
         inputs = (eta.values, psi.values, guess)
         assert not any(a.flags.writeable for a in inputs)
         before = [a.copy() for a in inputs]
         pot = solver32.solve(eta, psi, guess=guess)
         bundle = solver32.trace_bundle(eta, psi, guess=guess)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-        assert np.array_equal(pot.values, bundle.potential)
+        assert np.array_equal(pot.potential, bundle.potential)
         potential = bundle.potential.copy()
         first = solver32.trace_bundle(0.99 * eta, psi, guess=bundle.potential)
         second = solver32.trace_bundle(0.99 * eta, psi, guess=bundle.potential)
@@ -867,7 +893,7 @@ class TestDtn:
         k = 1.0
         eta = TorusField.constant(grid32, R)
         pot = solver32.solve(eta, TorusField(grid32, np.cos(k * zz)), 1e-12)
-        ek = solver32.energy(pot.values, pot._co)
+        ek = solver32.energy(pot.potential, pot.eta, pot.eta_grad)
         # oracle: E_k = (pi^2 R^2 / ...) via fine trapezoid in r of the
         # closed-form mode profile I_0(k r)/I_0(k R)
         r = np.linspace(0.0, R, 20001)
