@@ -44,7 +44,7 @@ print(f"min eta = {eta.min():.3f}, max eta = {eta.max():.3f}, "
 print(f"<eta G psi1, psi2> = {s12:+.12e}")
 print(f"<psi1, eta G psi2> = {s21:+.12e}   (symmetric to "
       f"{abs(s12 - s21):.1e})")
-print(f"kinetic energy = {b1.kinetic_energy:.6f}  (exactly nonnegative)")
+print(f"kinetic energy = {b1.kinetic_energy:.6f}  (nonnegative to roundoff)")
 bc = solver.trace_bundle(eta, TorusField.constant(grid, 5.0), 1e-12)
 print(f"G(eta) applied to a constant: max |G| = {bc.G.max_norm():.2e}")
 res = b1.identity_residuals(psi1, eta)

@@ -115,6 +115,9 @@ def _check_ranges(out):
                       ("structure_states", "structure_states")):
         if not out[key] > 0:
             raise ConfigError(f"bad value for '{name}': must be positive")
+    if not out["R"] * out["R"] >= sys.float_info.min:
+        raise ConfigError(f"bad value for 'r': {out['R']:g} is so small that "
+                          f"r^2, which the energy form divides by, underflows")
     if any(sep and sep in out["prefix"] for sep in ("/", os.sep, os.altsep)):
         raise ConfigError(f"bad value for 'prefix': {out['prefix']!r} names a "
                           f"directory; --out sets where output goes")
@@ -140,6 +143,15 @@ def _resolved(grid, m, k):
             and abs(round(k / grid.dz_lattice)) < grid.n_z // 2)
 
 
+def _check_resolved(grid, m, k):
+    """Raise ValueError unless the mode (m, k) is ``_resolved`` on grid."""
+    if not _resolved(grid, m, k):
+        raise ValueError(
+            f"mode ({m}, {_fmt(k)}) is not resolved on the "
+            f"{grid.n_theta} x {grid.n_z} grid (needs |m| < "
+            f"{grid.n_theta // 2} and |k| < {grid.n_z // 2} dz)")
+
+
 def _dispersion_modes(raw, out):
     """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or, if
     it is empty, the resolved modes of a default set with k = dz and 2 dz on
@@ -157,11 +169,7 @@ def _dispersion_modes(raw, out):
             modes.append((int(m), float(k)))
         _check_lattice(out, [k for _, k in modes])
         for m, k in modes:
-            if not _resolved(grid, m, k):
-                raise ValueError(
-                    f"mode ({m}, {_fmt(k)}) is not resolved on the "
-                    f"{grid.n_theta} x {grid.n_z} grid (needs |m| < "
-                    f"{grid.n_theta // 2} and |k| < {grid.n_z // 2} dz)")
+            _check_resolved(grid, m, k)
     except ValueError as exc:
         raise ConfigError(f"bad value for 'modes' ({raw.strip()!r}): "
                           f"{exc}") from exc
@@ -258,8 +266,10 @@ def load_config(path):
                 amp, k, phase = float(amp), float(k), float(phase)
                 if not all(map(math.isfinite, (amp, k, phase))):
                     raise ValueError("amplitude, k and phase must be finite")
-                out["modes"].append((amp, int(m), k, target, phase))
+                m = int(m)
+                out["modes"].append((amp, m, k, target, phase))
                 _check_lattice(out, [k])
+                _check_resolved(_grid(out), m, k)
             except ValueError as exc:
                 raise ConfigError(f"bad value in mode '{key}': {exc}") from exc
     return out

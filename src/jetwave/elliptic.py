@@ -26,7 +26,7 @@ nodes in rho (the node rho = 1 carries the Dirichlet trace; no node sits on
 the axis, and no artificial axis condition is needed).  The discrete bilinear
 form is symmetric positive semi-definite by construction, so the resulting
 discrete operator eta*G(eta) is exactly self-adjoint and the kinetic energy
-is exactly nonnegative -- independently of resolution.
+is nonnegative to roundoff -- independently of resolution.
 
 The linear system is solved by conjugate gradients preconditioned with the
 same energy form frozen on the cylinder of the mean radius.  That form
@@ -76,11 +76,12 @@ note the eta-weight on the left, required for consistency with the kinetic
 energy  E_k = 1/2 * integral psi (eta G(eta) psi).  CG already applies the
 full operator, boundary row included, to its start and to every search
 direction, so the solve accumulates that row with the coefficients of its
-iterate and no pass over the potential follows it.  A solve returns the
-read-only potential, the flux, its iteration counts and residual, and the
-projected eta with eta_grad; its coefficient stacks are freed with it.
-``DtnSolver.energy`` forms E_k, a sum of squared strains, from the
-potential, eta and eta_grad, when a trace bundle's E_k is read.
+iterate and no pass over the potential follows it.  E_k = 1/2 phi^T K phi
+is read off the same rows: once CG stops, K(phi) has the flux as its trace
+row and the negated residual as its interior rows, so E_k takes two dot
+products.  A solve returns the read-only potential, the flux, E_k, its
+iteration counts and residual, and the projected eta with eta_grad; its
+coefficient stacks are freed with it.
 
 A cold solve on a grid of at least 64 x 64 points, both counts divisible by
 4, starts from a nested iteration (the first leg of full multigrid): the
@@ -101,8 +102,8 @@ tolerance; the module keeps no solver of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -246,6 +247,7 @@ class _Solve(NamedTuple):
 
     potential: np.ndarray
     flux: TorusField
+    kinetic_energy: float
     iterations: int
     coarse_iterations: int
     residual: float
@@ -257,18 +259,18 @@ class _Solve(NamedTuple):
 class TraceBundle:
     """Boundary quantities derived from one elliptic solve.
 
-    flux, iterations, coarse_iterations, residual, potential, eta and
-    eta_grad are the fields of the solve's result, passed through.  G is
-    the variational Dirichlet-to-Neumann value (flux / eta);
+    flux, kinetic_energy, iterations, coarse_iterations, residual,
+    potential, eta and eta_grad are the fields of the solve's result, passed
+    through.  G is the variational Dirichlet-to-Neumann value (flux / eta);
     flux = eta * G(eta) psi, the rho = 1 row of the energy operator, which
-    CG accumulates alongside its iterate.  potential is the read-only nodal
-    potential stack of the solve, a starting guess for the next solve at a
-    nearby state, eta the Nyquist-projected radius it was solved on and
-    eta_grad its (eta_theta, eta_z).  kinetic_energy, the Dirichlet energy
-    of potential, is computed on first read by ``DtnSolver.energy``, which
-    forms the energy-form coefficients from eta and eta_grad.  iterations and
-    coarse_iterations are the solve's CG iterations on its own grid and on
-    the half grid of a nested cold start (0 if none ran).
+    CG accumulates alongside its iterate.  kinetic_energy, the Dirichlet
+    energy 1/2 phi^T K phi of the potential, is read off the operator rows
+    CG holds when it stops.  potential is the read-only nodal potential
+    stack of the solve, a starting guess for the next solve at a nearby
+    state, eta the Nyquist-projected radius it was solved on and eta_grad
+    its (eta_theta, eta_z).  iterations and coarse_iterations are the
+    solve's CG iterations on its own grid and on the half grid of a nested
+    cold start (0 if none ran).
     """
 
     B: TorusField
@@ -277,19 +279,13 @@ class TraceBundle:
     N: TorusField
     G: TorusField
     flux: TorusField
+    kinetic_energy: float
     iterations: int
     coarse_iterations: int
     residual: float
     potential: np.ndarray
     eta: TorusField
     eta_grad: tuple
-    _solver: "DtnSolver" = field(repr=False, compare=False)
-
-    @cached_property
-    def kinetic_energy(self) -> float:
-        """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy;
-        nonnegative by construction."""
-        return self._solver.energy(self.potential, self.eta, self.eta_grad)
 
     def identity_residuals(self, psi: TorusField, eta: TorusField):
         """Max-norm residuals of the trace identities at the solve's data:
@@ -371,19 +367,20 @@ class DtnSolver:
         ni = n_rho - 1
         rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
         h = 1.0 / np.sqrt(w[:ni] * rho[:ni])
-        a0 = (D.T @ ((w * rho)[:, None] * D))[:ni, :ni]
-        m_eff = grid.xi_theta.copy()
-        m_eff[grid.n_theta // 2] = 0.0
+        self._a0 = D[:, :-1].T @ ((w * rho)[:, None] * D[:, :-1])
+        self._m2 = grid.xi_theta[:, None] ** 2     # (n_theta, 1)
+        self._m2[grid.n_theta // 2] = 0.0          # Nyquist row zeroed
         k_eff = grid.xi_z[:nzr].copy()
         k_eff[-1] = 0.0
-        c = (h[:, None] * a0 * h[None, :])[None] \
-            + (m_eff ** 2)[:, None, None] * np.diag(1.0 / rho[:ni] ** 2)[None]
+        c = (h[:, None] * self._a0 * h[None, :])[None] \
+            + self._m2[:, :, None] * np.diag(1.0 / rho[:ni] ** 2)[None]
         lam, q = np.linalg.eigh(c)
         self._h = h[:, None, None]
         self._lam = lam[:, :, None]          # (n_theta, ni, 1)
         self._k2 = k_eff ** 2                # (nzr,)
         self._Q = q
-        for a in (self._rmt, self._rmz, self._h, self._lam, self._k2, self._Q):
+        for a in (self._rmt, self._rmz, self._a0, self._m2, self._h, self._lam,
+                  self._k2, self._Q):
             a.setflags(write=False)
 
     # -- preconditioner ----------------------------------------------------
@@ -427,13 +424,11 @@ class DtnSolver:
         interior eigenbasis; p^T M^-1 p is read as 2 p^T y - y^T M y, whose
         error is quadratic in that of y.
         """
-        rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
-        a0 = D[:, :-1].T @ ((w * rho)[:, None] * D[:, :-1])
+        w = self.radial.weights
         k2 = eta_bar ** 2 * self._k2
-        m2 = self._rmt[:, :1].imag ** 2            # Nyquist row zeroed
         p, y = self._interior_coupling(eta_bar)
-        pmp = np.sum(2.0 * p * y - y * (a0 @ y + p * y), axis=1)
-        lam = ((m2 + k2) * w[-1] + np.sum(p, axis=1) - pmp) / eta_bar
+        pmp = np.sum(2.0 * p * y - y * (self._a0 @ y + p * y), axis=1)
+        lam = ((self._m2 + k2) * w[-1] + np.sum(p, axis=1) - pmp) / eta_bar
         lam[self.grid.n_theta // 2] = 0.0
         lam[:, -1] = 0.0
         return lam
@@ -446,8 +441,7 @@ class DtnSolver:
         profile of the discrete harmonic extension of a unit trace."""
         rho, w = self.radial.nodes[:-1, None], self.radial.weights[:-1, None]
         k2 = eta_bar ** 2 * self._k2
-        m2 = self._rmt[:, :1].imag ** 2            # Nyquist row zeroed
-        p = m2[:, :, None] * (w / rho) + (w * rho) * k2
+        p = self._m2[:, :, None] * (w / rho) + (w * rho) * k2
         h = self._h[:, 0]
         y = h * (self._Q @ ((self._Q.transpose(0, 2, 1) @ (h * p))
                             / (self._lam + k2)))
@@ -567,31 +561,16 @@ class DtnSolver:
                              -P], axis=1)
         return _along_rho(profiles, np.stack([s * l_t, t * l_z, *div]))
 
-    def energy(self, phi, eta: TorusField, eta_grad):
-        """Dirichlet energy 1/2 * a(phi, phi) of a potential stack on eta,
-        given eta_grad = (eta_theta, eta_z); nonnegative by construction.
-        The energy-form coefficients are formed here and freed on return."""
-        co = self._coefficients(eta, eta_grad)
-        e1, e2, e3 = self._strains(phi[:-1] - phi[-1],
-                                   _sfft.rfft2(phi, axes=(1, 2)), co)
-        e1 *= e1
-        e2 *= e2
-        e1 += e2
-        e3 *= e3
-        e1 += e3
-        e1 *= co[4]
-        return 0.5 * float(np.sum(e1))
-
     # -- solve ---------------------------------------------------------------
     def solve(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
               guess=None) -> _Solve:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
         Returns a record of the read-only (n_rho, n_theta, n_z) potential,
-        the flux eta G(eta) psi, the CG iterations on this grid and on the
-        half grid of a nested cold start (0 if none ran), the final relative
-        residual, and the Nyquist-projected eta with its eta_grad =
-        (eta_theta, eta_z), the inputs ``energy`` takes with the potential.
+        the flux eta G(eta) psi, the kinetic energy E_k, the CG iterations
+        on this grid and on the half grid of a nested cold start (0 if none
+        ran), the final relative residual, and the Nyquist-projected eta
+        with its eta_grad = (eta_theta, eta_z).
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
         stack that CG starts from.  Its rho = 1 row is the trace it was
         solved for: if that differs from the projected psi, the guess is
@@ -692,9 +671,12 @@ class DtnSolver:
             res = float(np.sqrt(np.sum(r ** 2))) / bnorm
             its += 1
         x += psi.values
+        # E_k = 1/2 phi^T K phi: K(phi) has the trace row flux and the
+        # interior rows -r
+        ek = 0.5 * (float(np.sum(psi.values * flux)) - float(np.sum(x * r)))
         phi.setflags(write=False)
         return _Solve(phi, TorusField(self.grid, flux / self.grid.cell_area),
-                      its, coarse_its, res, eta, eta_grad)
+                      ek, its, coarse_its, res, eta, eta_grad)
 
     def _coarse_start(self, eta, psi):
         """(guess, coarse CG iterations) of a nested cold start: eta and psi
@@ -725,10 +707,9 @@ class DtnSolver:
         """One elliptic solve (from guess, if given) and every boundary
         quantity derived from it.
 
-        The flux is the one the solve accumulated from the operator rows it
+        The flux and E_k are the ones the solve read off the operator rows it
         applied; the trace algebra then pads each field it reads once
-        (B, V and N share their inputs' padded samples), and E_k waits until
-        it is read.
+        (B, V and N share their inputs' padded samples).
         """
         pot = self.solve(eta, psi, tol, guess)
         eta = pot.eta
@@ -755,13 +736,12 @@ class DtnSolver:
             - dealiased_product(B, B)
         )
         return TraceBundle(B=B, V_theta=V_theta, V_z=V_z, N=N, G=G,
-                           **pot._asdict(), _solver=self)
+                           **pot._asdict())
 
     def kinetic_energy(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,
                        guess=None):
         """E_k = 1/2 integral psi (eta G(eta)) psi, as the Dirichlet energy."""
-        pot = self.solve(eta, psi, tol, guess=guess)
-        return self.energy(pot.potential, pot.eta, pot.eta_grad)
+        return self.solve(eta, psi, tol, guess=guess).kinetic_energy
 
 
 # ---------------------------------------------------------------------------

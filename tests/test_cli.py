@@ -56,6 +56,22 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 CATALOGUE = ("", "0", "-1", "-0", "0.5", "3.7", "1e-300", "1e300", "1e400",
              "nan", "inf", "abc", "2pi")
 
+# accepted extremes of equilibrium.ini, one key at a time, that the cheap
+# subcommands must end in a contract exit code
+EXTREMES = [
+    ("physics", "r", v) for v in ("1e-6", "1e6", "1e-300")
+] + [
+    ("physics", "sigma", v) for v in ("1e300", "1e-300", "1e-6")
+] + [
+    ("grid", "z_period", v) for v in ("1e-6", "1e6")
+] + [
+    ("evolution", "elliptic_tol", v) for v in ("1e-13", "1e-6")
+] + [
+    ("grid", "n_rho", "4"), ("grid", "n_theta", "8"),
+    ("evolution", "t_final", "1e-300"), ("evolution", "dt", "1e300"),
+    ("evolution", "record_every", "1000000"),
+]
+
 
 def write(tmp_path, text, name="c.ini"):
     p = tmp_path / name
@@ -294,6 +310,47 @@ t_final = 0.5
                      "--quiet"])
         assert code == EXIT_CONFIG
         assert "'mode.1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        "1e-3 8 0 psi 0.0", "1e-3 -8 1 eta 0.0", "1e-3 20 0 eta 0.0",
+        "1e-3 0 8 psi 0.0", "1e-3 1 -9 eta 0.0",
+    ])
+    def test_ic_mode_not_resolved_exit_2(self, tmp_path, capsys, mode):
+        """|m| >= n_theta/2 or |k| >= (n_z/2) dz on the 16 x 16 grid: the
+        mode would be projected out (the Nyquist row or column) or aliased
+        (m = 20 onto m = 4), so the config is rejected naming the key."""
+        path = write(tmp_path, BASE + f"[ic]\nmode.1 = {mode}\n")
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "bad value in mode 'mode.1'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("section, key, raw", EXTREMES,
+                             ids=[f"{k}={v}" for _, k, v in EXTREMES])
+    def test_accepted_extremes_keep_contract(self, tmp_path, section, key,
+                                             raw):
+        """dispersion, dtn and simulate on equilibrium.ini with one key at an
+        accepted extreme end in a contract exit code (0, 2, 4 or 5), and a
+        run that exits 0 writes no nan or inf."""
+        config = configparser.ConfigParser(interpolation=None)
+        config.read(os.path.join(CONFIGS, "equilibrium.ini"), encoding="utf-8")
+        config[section][key] = raw
+        path = tmp_path / "c.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            config.write(fh)
+        for command in ("dispersion", "dtn", "simulate"):
+            out = tmp_path / command
+            out.mkdir()
+            code = main([command, "--config", str(path), "--out", str(out),
+                         "--quiet"])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PINCH, EXIT_SOLVER), \
+                command
+            if code == EXIT_OK:
+                written = [f.read_text() for f in out.iterdir()]
+                assert written, command
+                assert not any(re.search(r"\b(nan|inf)\b", text, re.I)
+                               for text in written), command
 
     def test_verify_fault_exit_3(self, tmp_path, capsys, lambda0_sign_fault):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"

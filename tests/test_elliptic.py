@@ -3,7 +3,7 @@
 import sys
 import threading
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -113,6 +113,17 @@ def strong_residual(solver, pot, eta: TorusField):
                     + co.beta_z * dz_dphi + co.gamma * dphi + d2z) \
         + d2th / e ** 2
     return res[:-1]
+
+
+def strain_energy(solver, pot):
+    """Oracle of E_k: half the mu-weighted sum of the squared strains of a
+    solve's potential, the energy form summed cell by cell, with its
+    coefficients formed again from the solve's eta and eta_grad."""
+    co = solver._coefficients(pot.eta, pot.eta_grad)
+    phi = pot.potential
+    strains = solver._strains(phi[:-1] - phi[-1],
+                              np.fft.rfft2(phi, axes=(1, 2)), co)
+    return 0.5 * sum(float(np.sum(co[4] * e ** 2)) for e in strains)
 
 
 def modal_profile(pot, m, n):
@@ -359,7 +370,7 @@ class TestWarmStart:
     def test_lean_flux_and_energy(self, grid32, solver32, rng):
         """The bundle's flux, accumulated by CG from the rows of the operator
         it applies, matches the full operator's rho = 1 row, and E_k, read
-        on demand, equals energy()."""
+        off those rows, equals the squared-strain sum."""
         eta, psi = self._inputs(grid32, rng)
         bundle = solver32.trace_bundle(eta, psi, 1e-12)
         pot = solver32.solve(eta, psi, 1e-12)
@@ -368,8 +379,8 @@ class TestWarmStart:
         full = solver32._apply_K(pot.potential, co)[-1] / grid32.cell_area
         assert np.abs(bundle.flux.values - full).max() \
             <= 1e-13 * np.abs(full).max()
-        assert bundle.kinetic_energy == solver32.energy(pot.potential, pot.eta,
-                                                        pot.eta_grad)
+        assert abs(bundle.kinetic_energy - strain_energy(solver32, pot)) \
+            <= 1e-14 * bundle.kinetic_energy
         assert not bundle.potential.flags.writeable
 
 
@@ -377,7 +388,7 @@ class TestLeanSolve:
     """A solve does only its own work: every solve starts from the
     closed-form K(1 (x) psi) and a warm start adds K of the guess's
     zero-trace interior, the flux is accumulated from the rows of K that CG
-    applies, and E_k is computed when read."""
+    applies, and E_k = 1/2 phi^T K phi is read off the same rows."""
 
     SIZES = {16: 32, 32: 48, 64: 48}
 
@@ -415,19 +426,47 @@ class TestLeanSolve:
         want = solver._apply_K(pot.potential, co)[-1] / solver.grid.cell_area
         assert np.abs(pot.flux.values - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_energy_computed_when_read(self, grid32, solver32, rng):
+    @pytest.mark.parametrize("case", ["cold-32", "carried-32", "nested-64"])
+    def test_energy_from_operator_rows(self, case, rng):
+        """E_k read off K(phi)'s rows matches the squared-strain sum on cold,
+        carried-warm and nested-start solves."""
+        solver, eta, psi = self._case(64 if case == "nested-64" else 32, rng)
+        guess = None
+        if case == "carried-32":
+            turned = TorusField(solver.grid, np.roll(psi.values, 1, axis=0))
+            guess = solver.solve(1.01 * eta, turned, 1e-12).potential
+        pot = solver.solve(eta, psi, 1e-12, guess=guess)
+        assert (pot.coarse_iterations > 0) == (case == "nested-64")
+        want = strain_energy(solver, pot)
+        assert want > 0.0
+        assert abs(pot.kinetic_energy - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("trace", [0.0, 4.2])
+    def test_energy_of_constant_trace_is_zero(self, grid32, solver32, rng,
+                                              trace):
+        eta = smooth_surface(grid32, rng, R, amp=0.1)
+        bundle = solver32.trace_bundle(eta, TorusField.constant(grid32, trace))
+        assert bundle.kinetic_energy == 0.0
+        assert np.copysign(1.0, bundle.kinetic_energy) == 1.0
+
+    def test_bundle_is_plain_record(self, grid32, solver32, rng):
+        """Reading every field of a bundle leaves it as it was built, and no
+        field refers back to the solver."""
         eta, psi = TestWarmStart._inputs(grid32, rng)
         bundle = solver32.trace_bundle(eta, psi, 1e-12)
-        assert "kinetic_energy" not in vars(bundle)
-        pot = solver32.solve(eta, psi, 1e-12)
-        assert bundle.kinetic_energy == solver32.energy(pot.potential, pot.eta,
-                                                        pot.eta_grad)
-        assert bundle.kinetic_energy is bundle.kinetic_energy
+        before = dict(vars(bundle))
+        for f in fields(bundle):
+            getattr(bundle, f.name)
+        after = vars(bundle)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
+        assert type(bundle.kinetic_energy) is float
+        assert not any(isinstance(v, DtnSolver) for v in after.values())
 
     def test_result_pins_one_stack(self, grid32, solver32, rng):
         """A solve's result and its trace bundle keep one n_rho-layer stack
         alive, the read-only potential: the energy-form coefficients are
-        freed with the solve, and energy() forms them again."""
+        freed with the solve."""
         def arrays(values):
             for v in values:
                 if isinstance(v, np.ndarray):
@@ -572,25 +611,6 @@ class TestSolverIsPure:
 
         self._in_threads(work, 4)
         assert all(self._same(got[i], (fresh, other)[i % 2]) for i in range(4))
-
-    def test_energy_read_from_threads(self, grid32):
-        """Four threads reading one bundle's E_k at once all get energy()."""
-        rng = np.random.default_rng(17)
-        eta = smooth_surface(grid32, rng, R, amp=0.1)
-        psi = band_limited_random(grid32, rng, kmax=4, max_norm=0.3)
-        solver = DtnSolver(grid32, 48)
-        pot = solver.solve(eta, psi)
-        want = solver.energy(pot.potential, pot.eta, pot.eta_grad)
-        bundle = solver.trace_bundle(eta, psi)
-        got = [None] * 4
-        start = threading.Barrier(4)
-
-        def work(i):
-            start.wait()
-            got[i] = bundle.kinetic_energy
-
-        self._in_threads(work, 4)
-        assert all(e == want for e in got)
 
     def test_nested_history_and_threads(self, grid64, solver64):
         """At 64^2 a cold solve starts from the half grid's solve, which is
@@ -797,7 +817,7 @@ class TestWorkingSet:
                float(np.sum(bundle.flux.values)).hex(),
                bundle.kinetic_energy.hex(), bundle.iterations)
         assert got == ("0x1.a799626c14590p+1", "-0x1.b668000000000p-34",
-                       "0x1.b5cf12bc0c886p-2", 9)
+                       "0x1.b5cf12bc0c881p-2", 9)
 
     def test_peak_working_set(self, grid32, solver32):
         """tracemalloc's peak over a cold bundle and its E_k, in n_rho-layer
@@ -893,7 +913,7 @@ class TestDtn:
         k = 1.0
         eta = TorusField.constant(grid32, R)
         pot = solver32.solve(eta, TorusField(grid32, np.cos(k * zz)), 1e-12)
-        ek = solver32.energy(pot.potential, pot.eta, pot.eta_grad)
+        ek = strain_energy(solver32, pot)
         # oracle: E_k = (pi^2 R^2 / ...) via fine trapezoid in r of the
         # closed-form mode profile I_0(k r)/I_0(k R)
         r = np.linspace(0.0, R, 20001)
