@@ -105,7 +105,7 @@ def _check_ranges(out):
     from .evolution import EvolutionConfig
 
     try:
-        _grid(out)
+        grid = _grid(out)
         RadialGrid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
                         record_every=out["record_every"])
@@ -118,6 +118,11 @@ def _check_ranges(out):
     if not out["R"] * out["R"] >= sys.float_info.min:
         raise ConfigError(f"bad value for 'r': {out['R']:g} is so small that "
                           f"r^2, which the energy form divides by, underflows")
+    # the grid's corner |xi|, cubed by multiplication: ** raises on overflow
+    xi = math.hypot(grid.n_theta / 2 / out["R"], grid.n_z / 2 * grid.dz_lattice)
+    if not math.isfinite(out["sigma"] * xi * xi * xi):
+        raise ConfigError(f"bad value for 'r', 'sigma' or 'z_period': sigma "
+                          f"|xi|^3 at the grid's corner |xi| = {xi:.3g} overflows")
     if any(sep and sep in out["prefix"] for sep in ("/", os.sep, os.altsep)):
         raise ConfigError(f"bad value for 'prefix': {out['prefix']!r} names a "
                           f"directory; --out sets where output goes")

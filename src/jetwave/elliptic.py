@@ -783,16 +783,16 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
                            solver: DtnSolver, tol):
     """Both variational identities of the Hamiltonian formulation.
 
-    Returns (fd_p, analytic_p, fd_eta, analytic_eta) where the FD entries are
-    central differences of H(p, eta) = E_k(eta, p/eta) + E_p(eta) in the p-
-    and eta-directions at fixed eta resp. fixed p, and the analytic entries
-    are
+    Returns (fd_p, analytic_p, fd_eta, analytic_eta) where the FD entries
+    are central differences C of H(p, eta) = E_k(eta, p/eta) + E_p(eta) in
+    the p- and eta-directions at fixed eta resp. fixed p, Richardson-
+    extrapolated as (4 C(eps/2) - C(eps))/3, and the analytic entries are
 
         analytic_p   = integral  G(eta) psi . delta_p,
         analytic_eta = integral (-psi G(eta) psi
                                  + eta (sigma (H - 1/(2R)) + N)) . delta_eta.
 
-    The four perturbed solves start from the base solve's potential.
+    The eight perturbed solves start from the base solve's potential.
     """
     eta = eta.drop_nyquist()
     psi = psi.drop_nyquist()
@@ -806,13 +806,15 @@ def hamiltonian_variations(eta, psi, delta_p, delta_eta, R, sigma,
         ek = solver.kinetic_energy(eta_f, psi_f, tol, guess=bundle.potential)
         return ek + potential_energy(eta_f, R, sigma)
 
+    def richardson(energy, eps):
+        c = [(energy(h) - energy(-h)) / (2.0 * h) for h in (0.5 * eps, eps)]
+        return (4.0 * c[0] - c[1]) / 3.0
+
     eps_p = 1e-4 * max(p.max_norm(), 1.0) / max(delta_p.max_norm(), 1e-30)
-    fd_p = (total_energy(eta, p + eps_p * delta_p)
-            - total_energy(eta, p - eps_p * delta_p)) / (2.0 * eps_p)
+    fd_p = richardson(lambda h: total_energy(eta, p + h * delta_p), eps_p)
 
     eps_e = 1e-4 * eta.max_norm() / max(delta_eta.max_norm(), 1e-30)
-    fd_eta = (total_energy(eta + eps_e * delta_eta, p)
-              - total_energy(eta - eps_e * delta_eta, p)) / (2.0 * eps_e)
+    fd_eta = richardson(lambda h: total_energy(eta + h * delta_eta, p), eps_e)
 
     analytic_p = integrate_product(bundle.G, delta_p)
     H = mean_curvature(eta)

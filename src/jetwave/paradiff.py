@@ -48,6 +48,7 @@ from .spectral import (
     TorusField,
     dealiased_product,
     decomposition,
+    low_pass,
 )
 
 
@@ -58,10 +59,11 @@ def paraproduct(a: TorusField, b: TorusField) -> TorusField:
     dec = decomposition(a.grid)
     out = TorusField.zeros(a.grid)
     for j in range(2, dec.jmax + 1):
-        block = dec.block(b, j)
-        if not np.any(block.coefficients):
+        c = b.coefficients * dec.blocks[j]
+        if not c.any():
             continue
-        out = out + dealiased_product(dec.low_pass(a, j - 2), block)
+        block = TorusField.from_coefficients(a.grid, c)
+        out = out + dealiased_product(low_pass(a, j - 2), block)
     return out
 
 
@@ -92,11 +94,10 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     uhat = u.coefficients
     nyq = grid.nyquist_mask()
 
-    js = list(range(2, dec.jmax + 1))
-    if not js:
+    if dec.jmax < 2:
         return TorusField.zeros(grid)
-    block_w = np.stack([dec.block_multiplier(j) for j in js])        # (J, Nt, Nz)
-    low_w = np.stack([dec.lowpass_multiplier(j - 2) for j in js])    # (J, Nt, Nz)
+    block_w = dec.blocks[2:]                # (J, Nt, Nz): phi(xi/2^j), j >= 2
+    low_w = dec.lowpass[:dec.jmax - 1]      # (J, Nt, Nz): chi(xi/2^(j-2))
     weight = block_w.sum(axis=0)
 
     active = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq)

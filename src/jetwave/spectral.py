@@ -5,7 +5,8 @@ configurable z-period (default 2*pi).  Frequencies are carried explicitly:
 xi_theta is an integer lattice, xi_z a multiple of 2*pi/z_period.  The module
 provides the exact discrete transform pair, spectral derivatives, dealiased
 (zero-padded) products, and a smooth dyadic (Littlewood-Paley) decomposition
-with exact telescoping on the lattice.
+with exact telescoping on the lattice, whose multipliers `decomposition`
+stacks once per grid, read-only, for `dyadic_block` and `low_pass`.
 
 Conventions
 -----------
@@ -35,8 +36,9 @@ transform pair and derivatives stay on complex transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as _sfft
@@ -432,73 +434,56 @@ def annulus_profile(r):
     return chi_profile(np.asarray(r) / 2.0) - chi_profile(r)
 
 
-class DyadicDecomposition:
-    """Dyadic frequency blocks Delta_j and low passes S_j on a fixed grid.
+class DyadicDecomposition(NamedTuple):
+    """Dyadic frequency multipliers of one grid, stacked and read-only.
 
-    Delta_j multiplies coefficients by phi(xi/2^j) and S_j by chi(xi/2^j),
-    where phi(r) = chi(r/2) - chi(r).  Because phi is defined by differencing
-    chi, the partition telescopes exactly on the lattice:
+    ``blocks[j]`` = phi(|xi|/2^j) for j = 0..jmax multiplies the
+    coefficients of Delta_j, and ``lowpass[j]`` = chi(|xi|/2^j) for
+    j = 0..jmax+1 those of S_j, where phi(r) = chi(r/2) - chi(r).  Because
+    phi is defined by differencing chi, the partition telescopes exactly on
+    the lattice:
 
         chi(xi) + sum_{k=0}^{j-1} phi(xi/2^k) = chi(xi/2^j),
 
-    and S_{jmax+1} = identity on every resolved frequency.
+    and S_{jmax+1} = identity on every resolved frequency.  jmax is the
+    largest index whose annulus still meets the lattice.
     """
 
-    def __init__(self, grid: TorusGrid):
-        self.grid = grid
-        xt, xz = grid.xi_mesh()
-        self._radii = np.sqrt(xt ** 2 + xz ** 2)
-        rmax = float(self._radii.max())
-        j = 0
-        while np.any(annulus_profile(self._radii / 2.0 ** j) != 0.0):
-            j += 1
-        # largest index whose annulus still meets the lattice
-        self.jmax = j - 1
-        self._blocks = {}
-        self._lowpass = {}
-
-    def block_multiplier(self, j):
-        if j not in self._blocks:
-            m = annulus_profile(self._radii / 2.0 ** j)
-            m.setflags(write=False)
-            self._blocks[j] = m
-        return self._blocks[j]
-
-    def lowpass_multiplier(self, j):
-        if j not in self._lowpass:
-            m = chi_profile(self._radii / 2.0 ** j)
-            m.setflags(write=False)
-            self._lowpass[j] = m
-        return self._lowpass[j]
-
-    def block(self, f: TorusField, j):
-        if j < 0 or j > self.jmax:
-            raise ValueError(f"block index {j} outside [0, {self.jmax}]")
-        return TorusField.from_coefficients(
-            self.grid, f.coefficients * self.block_multiplier(j)
-        )
-
-    def low_pass(self, f: TorusField, j):
-        if j < 0 or j > self.jmax + 1:
-            raise ValueError(f"low-pass index {j} outside [0, {self.jmax + 1}]")
-        return TorusField.from_coefficients(
-            self.grid, f.coefficients * self.lowpass_multiplier(j)
-        )
+    jmax: int
+    blocks: np.ndarray      # (jmax + 1, n_theta, n_z)
+    lowpass: np.ndarray     # (jmax + 2, n_theta, n_z)
 
 
 @lru_cache(maxsize=16)
 def decomposition(grid: TorusGrid) -> DyadicDecomposition:
-    return DyadicDecomposition(grid)
+    """The dyadic multipliers of grid; cached per grid."""
+    xt, xz = grid.xi_mesh()
+    radii = np.sqrt(xt ** 2 + xz ** 2)
+    blocks = [annulus_profile(radii)]
+    while blocks[-1].any():
+        blocks.append(annulus_profile(radii / 2.0 ** len(blocks)))
+    blocks = np.stack(blocks[:-1])      # the last annulus misses the lattice
+    jmax = len(blocks) - 1
+    lowpass = np.stack([chi_profile(radii / 2.0 ** j) for j in range(jmax + 2)])
+    blocks.setflags(write=False)
+    lowpass.setflags(write=False)
+    return DyadicDecomposition(jmax, blocks, lowpass)
 
 
 def dyadic_block(f: TorusField, j):
-    """Delta_j f (annulus projection around |xi| ~ 2^j)."""
-    return decomposition(f.grid).block(f, j)
+    """Delta_j f (annulus projection around |xi| ~ 2^j), 0 <= j <= jmax."""
+    dec = decomposition(f.grid)
+    if not 0 <= j <= dec.jmax:
+        raise ValueError(f"block index {j} outside [0, {dec.jmax}]")
+    return TorusField.from_coefficients(f.grid, f.coefficients * dec.blocks[j])
 
 
 def low_pass(f: TorusField, j):
-    """S_j f (smooth cutoff to |xi| <~ 2^(j+1))."""
-    return decomposition(f.grid).low_pass(f, j)
+    """S_j f (smooth cutoff to |xi| <~ 2^(j+1)), 0 <= j <= jmax + 1."""
+    dec = decomposition(f.grid)
+    if not 0 <= j <= dec.jmax + 1:
+        raise ValueError(f"low-pass index {j} outside [0, {dec.jmax + 1}]")
+    return TorusField.from_coefficients(f.grid, f.coefficients * dec.lowpass[j])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .spectral import (
     annulus_profile,
     dealiased_product,
     decomposition,
+    dyadic_block,
     integrate_product,
     low_pass,
     nonlinear_eval,
@@ -137,7 +138,7 @@ def check_dyadic(grid, seed):
     f = TorusField(grid, rng.standard_normal((grid.n_theta, grid.n_z)))
     recon = low_pass(f, 0)
     for j in range(0, dec.jmax + 1):
-        recon = recon + dec.block(f, j)
+        recon = recon + dyadic_block(f, j)
     return [
         _below("dyadic.telescoping", tele, 1e-15),
         _below("dyadic.reconstruction", (recon - f).max_norm(), 1e-12),
@@ -332,11 +333,11 @@ def check_cancellation(grid, n_rho, seed, R=1.0):
     dec = decomposition(grid)
     js, ratios = [], []
     for j in range(1, dec.jmax):
-        den = dec.block(gb, j).l2_norm()
+        den = dyadic_block(gb, j).l2_norm()
         if den < 1e-12:
             continue
         js.append(j)
-        ratios.append(dec.block(combo, j).l2_norm() / den)
+        ratios.append(dyadic_block(combo, j).l2_norm() / den)
     gain = -float(np.polyfit(js, np.log2(ratios), 1)[0])
     return [_above("shape_derivative.cancellation_gain", gain, 0.5,
                    note="extra dyadic decay rate of G(eta)B + div_bar V")]

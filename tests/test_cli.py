@@ -59,7 +59,8 @@ CATALOGUE = ("", "0", "-1", "-0", "0.5", "3.7", "1e-300", "1e300", "1e400",
 # accepted extremes of equilibrium.ini, one key at a time, that the cheap
 # subcommands must end in a contract exit code
 EXTREMES = [
-    ("physics", "r", v) for v in ("1e-6", "1e6", "1e-300")
+    ("physics", "r", v) for v in ("1e-6", "1e6", "1e-300", "1.5e-154",
+                                  "1e-120", "1e-103")
 ] + [
     ("physics", "sigma", v) for v in ("1e300", "1e-300", "1e-6")
 ] + [
@@ -156,6 +157,16 @@ t_final = 0.5
                     except Exception as exc:
                         escaped.append(f"[{section}] {key} = {raw!r}: {exc!r}")
         assert not escaped, escaped
+
+    @pytest.mark.parametrize("raw", ["1.5e-154", "1e-120", "1e-103"])
+    def test_capillary_scale_overflow_names_r(self, tmp_path, raw):
+        """Radii whose square is normal but at which sigma |xi|^3 at the
+        grid's corner overflows, as the dispersion scale sigma / r^3 would,
+        are refused naming r."""
+        with open(os.path.join(CONFIGS, "equilibrium.ini")) as fh:
+            text = fh.read().replace("r = 1.0", f"r = {raw}")
+        with pytest.raises(ConfigError, match="'r'"):
+            load_config(write(tmp_path, text))
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import pad_coefficients, truncate_coefficients
 
+from jetwave import spectral
 from jetwave.paradiff import (
     apply_paradiff,
     bony_remainder,
@@ -19,6 +20,7 @@ from jetwave.spectral import (
     band_limited_random,
     dealiased_product,
     decomposition,
+    forward_transform,
     low_pass,
 )
 from jetwave.symbols import HomogeneousSymbol, lambda_symbol
@@ -48,9 +50,25 @@ class TestParaproduct:
         dec = decomposition(grid32)
         mult = np.zeros((grid32.n_theta, grid32.n_z))
         for j in range(2, dec.jmax + 1):
-            mult = mult + dec.block_multiplier(j)
+            mult = mult + dec.blocks[j]
         oracle = TorusField.from_coefficients(grid32, b.coefficients * mult)
         assert (got - oracle).max_norm() < 1e-13
+
+    def test_forward_transforms_only_its_arguments(self, monkeypatch, grid32,
+                                                  rng):
+        """Blocks are tested for emptiness in coefficient space: on fresh
+        fields only a and b are transformed forward."""
+        a = band_limited_random(grid32, rng, kmax=6)
+        b = band_limited_random(grid32, rng, kmax=14)
+        calls = []
+
+        def counted(grid, values):
+            calls.append(grid)
+            return forward_transform(grid, values)
+
+        monkeypatch.setattr(spectral, "forward_transform", counted)
+        paraproduct(a, b)
+        assert len(calls) == 2
 
     def test_low_frequency_blindness(self, grid32, rng):
         a = band_limited_random(grid32, rng, kmax=8)
@@ -117,7 +135,7 @@ class TestApplyParadiff:
         xt, xz = grid32.xi_mesh()
         mult = np.zeros_like(xt)
         for j in range(2, dec.jmax + 1):
-            mult += dec.block_multiplier(j)
+            mult += dec.blocks[j]
         oracle = TorusField.from_coefficients(
             grid32, u.coefficients * mult * (xt ** 2 + 0.5 * xz ** 2))
         assert (got - oracle).max_norm() < 1e-11
@@ -177,8 +195,8 @@ def _dense_paradiff(symbol, u):
     xt, xz = grid.xi_mesh()
     uhat = u.coefficients
     js = range(2, dec.jmax + 1)
-    block_w = np.stack([dec.block_multiplier(j) for j in js])
-    low_w = np.stack([dec.lowpass_multiplier(j - 2) for j in js])
+    block_w = np.stack([dec.blocks[j] for j in js])
+    low_w = np.stack([dec.lowpass[j - 2] for j in js])
     active = np.argwhere((block_w.sum(axis=0) != 0.0) & (uhat != 0.0)
                          & ~grid.nyquist_mask())
     tt, zz = (m.ravel() for m in fine.mesh())

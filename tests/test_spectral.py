@@ -290,7 +290,7 @@ class TestDyadic:
         dec = decomposition(grid32)
         recon = low_pass(f, 0)
         for j in range(dec.jmax + 1):
-            recon = recon + dec.block(f, j)
+            recon = recon + dyadic_block(f, j)
         assert (recon - f).max_norm() < 1e-12
 
     def test_derivative_commutes_with_blocks(self, grid32, rng):
@@ -311,9 +311,24 @@ class TestDyadic:
         f = TorusField.zeros(grid32)
         dec = decomposition(grid32)
         with pytest.raises(ValueError):
-            dec.block(f, dec.jmax + 1)
+            dyadic_block(f, dec.jmax + 1)
         with pytest.raises(ValueError):
-            dec.block(f, -1)
+            dyadic_block(f, -1)
+        with pytest.raises(ValueError):
+            low_pass(f, dec.jmax + 2)
+        with pytest.raises(ValueError):
+            low_pass(f, -1)
+
+    def test_decomposition_read_only_stacks(self, grid32):
+        dec = decomposition(grid32)
+        assert decomposition(grid32) is dec
+        shape = (grid32.n_theta, grid32.n_z)
+        assert dec.blocks.shape == (dec.jmax + 1,) + shape
+        assert dec.lowpass.shape == (dec.jmax + 2,) + shape
+        for stack in (dec.blocks, dec.lowpass):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
 
 
 class TestFieldBasics:

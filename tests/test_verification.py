@@ -46,3 +46,12 @@ def test_long_period_identity_checks_keep_desk_resolution():
             "symbol.q0_equation", "hamiltonian.variation_p",
             "hamiltonian.variation_eta"} <= names
     assert [c.name for c in checks if not c.passed] == []
+
+
+def test_hamiltonian_variations_beyond_central_difference_accuracy():
+    """State 291 on the desk grid puts the eta-variation's central difference
+    at 1.66e-5 of the analytic value, over the 1e-5 threshold, from its
+    O(eps^2) truncation alone; the Richardson step removes it."""
+    checks = V.check_hamiltonian_variations(TorusGrid(32, 32), 48, 291,
+                                            n_states=1)
+    assert [c.name for c in checks if not c.passed] == []
