@@ -33,10 +33,9 @@ _EXPORTS = {
                  "shape_derivative"),
     "paradiff": ("apply_paradiff", "bony_remainder", "good_unknown",
                  "paraproduct"),
-    "symbols": ("HomogeneousSymbol", "lambda_symbol",
-                "mollifier_symbol", "mu_symbol", "parametrix",
-                "poisson_bracket", "sharp_compose", "symbol_identity_report",
-                "symmetrizer_symbols"),
+    "symbols": ("HomogeneousSymbol", "lambda_symbol", "mollifier_symbol",
+                "parametrix", "poisson_bracket", "sharp_compose",
+                "symbol_identity_report"),
     "evolution": ("EvolutionConfig", "Trajectory", "bessel_dtn_eigenvalue",
                   "linearized_growth_rate", "rhs", "simulate", "step_rk4"),
 }

@@ -319,16 +319,14 @@ def _check_step_count(cfg):
     step the run can take needs more than MAX_STEPS steps to reach t_final:
     the fixed dt, or for "auto" the capillary CFL step at radius r, below
     which `EvolutionConfig.resolve_dt` never goes."""
-    import numpy as np
-
     from .evolution import auto_dt
 
     if cfg["dt"] == "auto":
         try:
-            with np.errstate(over="ignore"):
-                dt = auto_dt(_grid(cfg), cfg["sigma"], cfg["R"])
-        except ArithmeticError:     # r so small that r^2 underflows
-            dt = 0.0
+            dt = auto_dt(_grid(cfg), cfg["sigma"], cfg["R"])
+        except ValueError as exc:
+            raise ConfigError(f"{exc}: n_theta, n_z, z_period and r set "
+                              f"the 'auto' step") from None
         what = (f"the 'auto' step never goes below the CFL step {dt:.3g} "
                 f"that n_theta, n_z, z_period, r and sigma set")
     else:

@@ -236,9 +236,17 @@ def auto_dt(grid, sigma, eta_bar=1.0):
 
 
 def _xi_max(grid, eta_bar):
-    """|xi| at the corner of the grid, Nyquist included."""
-    return float(np.sqrt((grid.n_theta / 2) ** 2 / eta_bar ** 2
-                         + max(np.abs(grid.xi_z)) ** 2))
+    """|xi| at the corner of the grid, Nyquist included.  A ValueError when
+    a square in it overflows or eta_bar^2 underflows to zero."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            return float(np.sqrt((grid.n_theta / 2) ** 2 / eta_bar ** 2
+                                 + max(np.abs(grid.xi_z)) ** 2))
+    except ArithmeticError:
+        raise ValueError(
+            f"the corner frequency |xi|_max of the grid is out of "
+            f"floating-point range at eta_bar = {eta_bar:g}, z_period = "
+            f"{grid.z_period:g}") from None
 
 
 # ---------------------------------------------------------------------------

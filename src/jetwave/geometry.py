@@ -13,7 +13,7 @@ The mean curvature is available through two independent routes:
       H = (1/2) [ 1/(eta l) - (1/eta) d_theta(eta_theta/(eta l))
                   - d_z(eta_z/l) ],
 * the quasilinear decomposition
-      H - 1/(2R) = F(eta, grad eta) + sum_jk G^jk(eta, grad eta) eta_jk,
+      H = F(eta, grad eta) + sum_jk G^jk(eta, grad eta) eta_jk,
 
 whose agreement is one of the package's standing cross-checks.  The same
 F, G^jk functions later feed the curvature symbol, so their partial
@@ -120,16 +120,16 @@ def grad_bar_eta(eta: TorusField):
 # curvature coefficient functions and their derivatives
 # ---------------------------------------------------------------------------
 
-def curvature_F(x, u, v, R):
-    """Zeroth-order part of H - 1/(2R) in the quasilinear decomposition.
+def curvature_F(x, u, v):
+    """Zeroth-order part of H in the quasilinear decomposition.
 
     The last term carries x^3: that exponent is forced both by matching the
     divergence form of H and by the self-adjointness of the curvature
     Hessian (the decomposed path would otherwise drift from the direct one
-    at first order in eta - R).
+    at first order in the deformation).
     """
     h = _h(x, u, v)
-    return 1.0 / (2.0 * x * h) - 1.0 / (2.0 * R) + u ** 2 / (2.0 * x ** 3 * h ** 3)
+    return 1.0 / (2.0 * x * h) + u ** 2 / (2.0 * x ** 3 * h ** 3)
 
 
 def curvature_G(x, u, v):
@@ -155,12 +155,10 @@ def cs_partial(fn, argnum, *args):
     return np.imag(fn(*perturbed)) / _CS_STEP
 
 
-def curvature_F_uv(x, u, v, R):
+def curvature_F_uv(x, u, v):
     """(dF/du, dF/dv) evaluated pointwise."""
-    return (
-        cs_partial(lambda a, b, c: curvature_F(a, b, c, R), 1, x, u, v),
-        cs_partial(lambda a, b, c: curvature_F(a, b, c, R), 2, x, u, v),
-    )
+    return (cs_partial(curvature_F, 1, x, u, v),
+            cs_partial(curvature_F, 2, x, u, v))
 
 
 def curvature_G_uv(x, u, v):
@@ -184,8 +182,7 @@ def mean_curvature(eta: TorusField, method="direct") -> TorusField:
     """Mean curvature of the surface r = eta.
 
     method="direct" evaluates the divergence form; method="decomposed" uses
-    the quasilinear F/G^jk decomposition, evaluated at R = 1 (the 1/(2R) of
-    F is added back, so R cancels in H).  Both agree to spectral accuracy
+    the quasilinear F/G^jk decomposition.  Both agree to spectral accuracy
     on smooth resolved fields.
     """
     _require_positive(eta)
@@ -204,7 +201,7 @@ def mean_curvature(eta: TorusField, method="direct") -> TorusField:
     if method == "decomposed":
         et = spectral_derivative(eta, "theta")
         ez = spectral_derivative(eta, "z")
-        F = nonlinear_eval(lambda x, u, v: curvature_F(x, u, v, 1.0), eta, et, ez)
+        F = nonlinear_eval(curvature_F, eta, et, ez)
         g_tt = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[0], eta, et, ez)
         g_tz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[1], eta, et, ez)
         g_zz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[2], eta, et, ez)
@@ -216,7 +213,7 @@ def mean_curvature(eta: TorusField, method="direct") -> TorusField:
             + 2.0 * dealiased_product(g_tz, e_tz)
             + dealiased_product(g_zz, e_zz)
         )
-        return F + second + 0.5
+        return F + second
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -54,15 +54,19 @@ next chunk reuses that memory instead of faulting it in again.  The values
 of an a1/A1 pair at xi + ih are shared only between the two and dropped
 after their gradient, which keeps the peak lower.
 
-A factory computes the xi-independent profiles of its closures once
-(1/eta^2, 1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and
-adds on its (n, n_theta, n_z) stack.  w_divergence sums two spectra before
-one inverse transform; the w-transforms run on scipy.fft.  The report
-projects eta once and builds every symbol from its profiles.
+Each symbol has one constructor, which takes the surface record of
+_surface_data (eta projected once, its first derivatives and l^2) and
+computes the xi-independent profiles of its closures once (1/eta^2,
+1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and adds on its
+(n, n_theta, n_z) stack.  lambda_symbol(eta) is the one public constructor
+that takes eta; the report builds one record and every symbol from it.
+w_divergence sums two spectra before one inverse transform; the
+w-transforms run on scipy.fft.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
@@ -287,23 +291,26 @@ class HomogeneousSymbol:
 
 
 # ---------------------------------------------------------------------------
-# surface data shared by the factories
+# the surface record every symbol is built from
 # ---------------------------------------------------------------------------
 
-def _surface_data(eta: TorusField):
-    """(grid, e, eta_theta, eta_z, l^2 = 1 + (eta_theta/eta)^2 + eta_z^2) of
-    eta, projected once."""
+_Surface = collections.namedtuple("_Surface", "grid e et ez l2")
+
+
+def _surface_data(eta: TorusField) -> _Surface:
+    """eta projected once (Nyquist dropped) as e, its spectral derivatives
+    et = eta_theta and ez = eta_z, and l2 = 1 + (eta_theta/eta)^2 + eta_z^2."""
     if eta.min() <= 0.0:
         raise DomainViolationError("eta must be strictly positive")
     e = eta.drop_nyquist().values
     et, ez = (np.real(d) for d in w_derivatives(e, eta.grid))
-    return eta.grid, e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2
+    return _Surface(eta.grid, e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2)
 
 
-def _lambda1_squared(e, et, ez):
+def _lambda1_squared(s: _Surface):
     """The closure xi -> xi_t^2/eta^2 + xi_z^2 + (xi_t eta_z/eta
     - xi_z eta_theta/eta)^2 = lambda^(1)^2, its profiles computed once."""
-    inv_e2, ez_e, et_e = 1.0 / e ** 2, ez / e, et / e
+    inv_e2, ez_e, et_e = 1.0 / s.e ** 2, s.ez / s.e, s.et / s.e
 
     def lam1_sq(xt, xz):
         return xt ** 2 * inv_e2 + xz ** 2 + (xt * ez_e - xz * et_e) ** 2
@@ -323,14 +330,14 @@ def lambda_symbol(eta: TorusField) -> HomogeneousSymbol:
     ellipticity of the closed form (sqrt(0) is harmless but the
     subprincipal part divides by S).
     """
-    return _lambda_from(*_surface_data(eta))
+    return _lambda_from(_surface_data(eta))
 
 
-def _lambda_from(grid, e, et, ez, l2):
-    """lambda_symbol from already derived surface profiles."""
-    A0 = _factorization(grid, e, et, ez, 1.0)[0].subprincipal
-    lam1_sq = _lambda1_squared(e, et, ez)
-    l2_e = l2 / e
+def _lambda_from(s: _Surface):
+    """lambda_symbol of the surface record s."""
+    A0 = _factorization(s, 1.0)[0].subprincipal
+    lam1_sq = _lambda1_squared(s)
+    l2_e = s.l2 / s.e
 
     @_reflecting
     def lam1(xt, xz):
@@ -339,20 +346,18 @@ def _lambda_from(grid, e, et, ez, l2):
     def lam0(xt, xz):
         return l2_e * A0(xt, xz)
 
-    return HomogeneousSymbol(grid, 1.0, lam1, lam0, name="lambda")
+    return HomogeneousSymbol(s.grid, 1.0, lam1, lam0, name="lambda")
 
 
-def factorization_symbols(eta: TorusField, rho=1.0):
-    """A^(1), a^(1), A^(0), a^(0) of the radial factorization at a given rho.
+def _factorization(s: _Surface, rho):
+    """(A, a, alpha): the symbols A = A^(1) + A^(0) and a = a^(1) + a^(0) of
+    the radial factorization of the surface record s at rho, and its
+    profile alpha.
 
     The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
     verified positive on a lattice sample before the root is taken.
     """
-    return _factorization(*_surface_data(eta)[:4], rho)
-
-
-def _factorization(grid, e, et, ez, rho):
-    """factorization_symbols from already derived surface profiles."""
+    grid, e, et, ez, _ = s
     r = float(rho)
     if not 0.0 < r <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -417,13 +422,13 @@ def _factorization(grid, e, et, ez, rho):
         # A^(0) and a^(0) differ only in their leading term, A1 resp. -a1
         def sub(xt, xz):
             t, b, d = disc(xt, xz)
-            s = np.sqrt(d)
-            A = (s - 1j * b) * half_inv_alpha
-            a = (s + 1j * b) * half_inv_alpha
+            root = np.sqrt(d)
+            A = (root - 1j * b) * half_inv_alpha
+            a = (root + 1j * b) * half_inv_alpha
             ga, gb = xi_gradient(a1, xt, xz)
             dth, dz = w_derivatives(A, grid)
             lead = A if big else -a
-            return -(lead * gamma_alpha + dA1(xt, xz, t, b, s, A)
+            return -(lead * gamma_alpha + dA1(xt, xz, t, b, root, A)
                      - 1j * (ga * dth + gb * dz)) / (A + a)
 
         return sub
@@ -431,28 +436,25 @@ def _factorization(grid, e, et, ez, rho):
     big_A = HomogeneousSymbol(grid, 1.0, A1, subprincipal(True), name="A")
     small_a = HomogeneousSymbol(grid, 1.0, a1, subprincipal(False),
                                 name="a_fact")
-    return big_A, small_a, alpha, gamma
+    return big_A, small_a, alpha
 
 
 # ---------------------------------------------------------------------------
 # curvature symbol
 # ---------------------------------------------------------------------------
 
-def mu_symbol(eta: TorusField, R) -> HomogeneousSymbol:
-    """mu = mu^(2) + mu^(1), symbol of the linearized mean curvature."""
-    return _mu_from(*_surface_data(eta), R)
-
-
-def _mu_from(grid, e, et, ez, l2, R):
-    """mu_symbol from already derived surface profiles."""
-    lam1_sq = _lambda1_squared(e, et, ez)
-    half_inv_l3 = 0.5 / l2 ** 1.5
+def _mu_from(s: _Surface):
+    """mu = mu^(2) + mu^(1), symbol of the linearized mean curvature of the
+    surface record s."""
+    grid, e, et, ez, _ = s
+    lam1_sq = _lambda1_squared(s)
+    half_inv_l3 = 0.5 / s.l2 ** 1.5
 
     @_reflecting
     def mu2(xt, xz):
         return lam1_sq(xt, xz) * half_inv_l3
 
-    fu, fv = curvature_F_uv(e, et, ez, R)
+    fu, fv = curvature_F_uv(e, et, ez)
     (gu_tt, gu_tz, gu_zz), (gv_tt, gv_tz, gv_zz) = curvature_G_uv(e, et, ez)
     e_tt, e_tz = (np.real(d) for d in w_derivatives(et, grid))
     e_zz = np.real(w_derivatives(ez, grid)[1])
@@ -465,37 +467,22 @@ def _mu_from(grid, e, et, ez, l2, R):
     return HomogeneousSymbol(grid, 2.0, mu2, mu1, name="mu")
 
 
-def _mu2_gjk_from(grid, e, et, ez):
-    """-G^jk(eta, grad eta) xi_j xi_k as a closure (second mu^(2) route),
-    from already derived surface profiles."""
-    g_tt, g_tz, g_zz = curvature_G(e, et, ez)
+def _mu2_gjk_from(s: _Surface):
+    """-G^jk(eta, grad eta) xi_j xi_k as a closure (second mu^(2) route) of
+    the surface record s."""
+    g_tt, g_tz, g_zz = curvature_G(s.e, s.et, s.ez)
     m_tt, m_tz, m_zz = -g_tt, -2.0 * g_tz, -g_zz
 
     @_reflecting
     def mu2(xt, xz):
         return m_tt * xt ** 2 + m_tz * (xt * xz) + m_zz * xz ** 2
 
-    return HomogeneousSymbol(grid, 2.0, mu2, None, name="mu2_gjk")
+    return HomogeneousSymbol(s.grid, 2.0, mu2, None, name="mu2_gjk")
 
 
 # ---------------------------------------------------------------------------
 # symmetrizer and mollifier
 # ---------------------------------------------------------------------------
-
-def symmetrizer_symbols(eta: TorusField, sigma, R):
-    """(a, gamma, q, p) of the symmetrizer.
-
-    a and q are xi-independent profiles; gamma carries the dispersive 3/2
-    order with subprincipal part fixed by self-adjointness; p is assembled as
-    (gamma # q) # parametrix(lambda) so that its principal part
-    automatically equals gamma^(3/2) q^(0) / lambda^(1).
-    """
-    data = _surface_data(eta)
-    grid, e, _, _, l2 = data
-    lam = _lambda_from(*data)
-    return _symmetrizer_from(grid, e, l2, float(sigma), lam,
-                             _mu_from(*data, float(R)), parametrix(lam))
-
 
 def _ones_like_xi(xt, xz):
     shape = np.broadcast_shapes(np.shape(xt), np.shape(xz))
@@ -644,17 +631,18 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     Returns a list of IdentityCheck records (one per identity) with max
     pointwise residuals over the resolved Nyquist-free lattice.  The
     thresholds of the subprincipal identities rest on the complex-step
-    xi-derivative being exact to ~1e-11.
+    xi-derivative being exact to ~1e-11.  No symbol depends on the
+    reference radius R; it is accepted and not read.
     """
-    data = _surface_data(eta)
-    grid, e, et, ez, l2 = data
+    surface = _surface_data(eta)
+    grid, e, et, ez, _ = surface
 
-    lam = _lambda_from(*data)
-    mu = _mu_from(*data, R)
-    mu2_alt = _mu2_gjk_from(*data[:4])
+    lam = _lambda_from(surface)
+    mu = _mu_from(surface)
+    mu2_alt = _mu2_gjk_from(surface)
     lam_inv = parametrix(lam)
-    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(grid, e, l2, sigma,
-                                                       lam, mu, lam_inv)
+    a_sym, gamma_sym, q_sym, p_sym = _symmetrizer_from(surface, sigma, lam,
+                                                       mu, lam_inv)
     j_eps = mollifier_symbol(gamma_sym, 0.5)
 
     xt, xz = lattice_points(grid)
@@ -737,7 +725,7 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
     factorization = {}
     for rho in (1.0, 0.7):
-        big_A, small_a, alpha, _ = _factorization(*data[:4], rho)
+        big_A, small_a, alpha = _factorization(surface, rho)
 
         def fact_residual(a, b, rho=rho, A=big_A, s=small_a, al=alpha):
             target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
@@ -748,10 +736,17 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     return checks + _lattice_checks(factorization, grid, xt, xz)
 
 
-def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
-    """symmetrizer_symbols from surface profiles and prebuilt lambda, mu and
-    parametrix(lambda)."""
-    a_prof = (1.0 / np.sqrt(2.0)) * l2 ** (-0.75)
+def _symmetrizer_from(s: _Surface, sigma, lam, mu, lam_inv):
+    """(a, gamma, q, p) of the symmetrizer of the surface record s, from its
+    lambda, mu and lam_inv = parametrix(lambda).
+
+    a and q are xi-independent profiles; gamma carries the dispersive 3/2
+    order with subprincipal part fixed by self-adjointness; p is assembled as
+    (gamma # q) # parametrix(lambda) so that its principal part
+    automatically equals gamma^(3/2) q^(0) / lambda^(1).
+    """
+    grid = s.grid
+    a_prof = (1.0 / np.sqrt(2.0)) * s.l2 ** (-0.75)
     a_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: a_prof * _ones_like_xi(xt, xz),
         None, name="a",
@@ -770,7 +765,7 @@ def _symmetrizer_from(grid, e, l2, sigma, lam, mu, lam_inv):
         return re + 1j * im
 
     gamma_sym = HomogeneousSymbol(grid, 1.5, gamma32, gamma12, name="gamma")
-    q_prof = 2.0 ** (1.0 / 6.0) * np.sqrt(e) * l2 ** 0.25
+    q_prof = 2.0 ** (1.0 / 6.0) * np.sqrt(s.e) * s.l2 ** 0.25
     q_sym = HomogeneousSymbol(
         grid, 0.0, lambda xt, xz: q_prof * _ones_like_xi(xt, xz),
         None, name="q",

@@ -55,8 +55,8 @@ def lambda0_sign_fault(monkeypatch):
     report builds lambda: a fault its Im-lambda0 identity must trip on."""
     lambda_from = symbols._lambda_from
 
-    def faulted(*data):
-        lam = lambda_from(*data)
+    def faulted(surface):
+        lam = lambda_from(surface)
         sub = lam.subprincipal
         return symbols.HomogeneousSymbol(lam.grid, 1.0, lam.principal,
                                          lambda xt, xz: -sub(xt, xz),

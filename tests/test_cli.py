@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from jetwave import elliptic
+from jetwave import elliptic, symbols
 from jetwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -728,3 +728,8 @@ class TestEntryPoint:
             jetwave.__getattr__(name)
         assert "PotentialField" not in jetwave.__all__
         assert not hasattr(elliptic, "PotentialField")
+        # each symbol has one constructor; lambda_symbol is the public one
+        assert {"mu_symbol", "symmetrizer_symbols"}.isdisjoint(jetwave.__all__)
+        for name in ("mu_symbol", "symmetrizer_symbols",
+                     "factorization_symbols"):
+            assert not hasattr(symbols, name)

@@ -159,6 +159,16 @@ class TestStepping:
         lam_max = np.hypot(8.0 / R, 8.0)
         assert dt * lam_max ** 1.5 * np.sqrt(SIGMA / 2) == pytest.approx(0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid_args, eta_bar", [
+        ((16, 16), 1e-300), ((16, 16, 1e-300), 1.0)])
+    def test_auto_dt_out_of_range_corner(self, grid_args, eta_bar):
+        """A radius whose square underflows, or an axial period so short
+        that max|xi_z|^2 overflows, is a ValueError that names the corner
+        frequency, with no warning on the way."""
+        with pytest.raises(ValueError, match="corner frequency"):
+            auto_dt(TorusGrid(*grid_args), 1.0, eta_bar)
+
     def test_linear_mode_exact_past_the_cfl_step(self):
         """The m = 2 oscillation of check_plateau_oscillation at amplitude
         1e-6, over one period at ten CFL steps (14 steps): the propagator

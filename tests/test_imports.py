@@ -1,11 +1,15 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or demo imports is used there, and every
+name a demo imports from jetwave exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "jetwave"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jetwave"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -30,7 +34,26 @@ def test_detects_unused_name():
     assert unused_imports(source) == [(1, "field")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + DEMOS,
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def jetwave_imports(source):
+    """(module, name) of every ``from jetwave... import name``."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "jetwave"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    """A demo is not run here, but a name it imports from jetwave that is
+    gone fails here rather than the next time the demo runs."""
+    names = jetwave_imports(path.read_text(encoding="utf-8"))
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), (module, name)

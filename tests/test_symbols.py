@@ -11,23 +11,29 @@ import pytest
 
 from jetwave import symbols
 from jetwave.errors import EllipticityError
+from jetwave.geometry import curvature_F_uv
 from jetwave.spectral import TorusField, TorusGrid, band_limited_random
 from jetwave.symbols import (
     HomogeneousSymbol,
-    factorization_symbols,
     lambda_symbol,
     mollifier_symbol,
-    mu_symbol,
     parametrix,
     poisson_bracket,
     sharp_compose,
     symbol_identity_report,
-    symmetrizer_symbols,
     w_derivatives,
     w_divergence,
     xi_gradient,
 )
-from jetwave.symbols import _as_xi, lattice_points
+from jetwave.symbols import (
+    _as_xi,
+    _factorization,
+    _lambda_from,
+    _mu_from,
+    _surface_data,
+    _symmetrizer_from,
+    lattice_points,
+)
 
 R = 1.0
 SIGMA = 1.0
@@ -36,6 +42,18 @@ SIGMA = 1.0
 def _deformed(grid):
     th, zz = grid.mesh()
     return TorusField(grid, R * (1.0 + 0.1 * np.cos(th) * np.cos(zz)))
+
+
+def _mu(eta):
+    return _mu_from(_surface_data(eta))
+
+
+def _symmetrizer(eta):
+    """(a, gamma, q, p) of eta, built as the identity report builds them."""
+    surface = _surface_data(eta)
+    lam = _lambda_from(surface)
+    return _symmetrizer_from(surface, SIGMA, lam, _mu_from(surface),
+                             parametrix(lam))
 
 
 class TestLambdaSymbol:
@@ -61,7 +79,7 @@ class TestLambdaSymbol:
         and lambda^(0) is exactly (l^2/eta) A^(0)."""
         eta = _deformed(grid32)
         lam = lambda_symbol(eta)
-        big_A, _, _, _ = factorization_symbols(eta, 1.0)
+        big_A, _, _ = _factorization(_surface_data(eta), 1.0)
         e = eta.drop_nyquist().values
         et = np.real(w_derivatives(e, grid32)[0])
         ez = np.real(w_derivatives(e, grid32)[1])
@@ -137,7 +155,7 @@ class TestHoistedClosures:
         b = -2.0 * et * xt / (rho * e ** 3) - 2.0 * rho * ez * xz / e
         T = xt ** 2 / (rho ** 2 * e ** 2) + xz ** 2
         S = np.sqrt(4.0 * alpha * T - b ** 2)
-        big_A, small_a, _, _ = factorization_symbols(eta, rho)
+        big_A, small_a, _ = _factorization(_surface_data(eta), rho)
         assert _rel(big_A.principal(xt, xz), (S - 1j * b) / (2.0 * alpha)) <= 1e-14
         assert _rel(small_a.principal(xt, xz), (S + 1j * b) / (2.0 * alpha)) <= 1e-14
 
@@ -149,7 +167,7 @@ class TestHoistedClosures:
         quad = xt ** 2 / e ** 2 + xz ** 2 + (xt * ez / e - xz * et / e) ** 2
         l3 = (1.0 + (et / e) ** 2 + ez ** 2) ** 1.5
         assert _rel(lambda_symbol(eta).principal(xt, xz), np.sqrt(quad)) <= 1e-14
-        assert _rel(mu_symbol(eta, R).principal(xt, xz), quad / (2.0 * l3)) <= 1e-14
+        assert _rel(_mu(eta).principal(xt, xz), quad / (2.0 * l3)) <= 1e-14
 
 
 class TestWDivergence:
@@ -165,13 +183,26 @@ class TestWDivergence:
 
 class TestMuSymbol:
     def test_cylinder(self, grid32):
-        mu = mu_symbol(TorusField.constant(grid32, R), R)
+        mu = _mu(TorusField.constant(grid32, R))
         got = mu.principal_at(3.0, 2.0)
         assert np.abs(got - 0.5 * (9.0 / R ** 2 + 4.0)).max() < 1e-13
         assert np.abs(mu.subprincipal(3.0, 2.0)).max() < 1e-14
 
+    def test_cylinder_of_other_radius(self, grid32):
+        """On a cylinder of radius Rc != 1, mu^(2) = (m^2/Rc^2 + k^2)/2 and
+        mu^(1) = 0: every u- and v-partial of F and G^jk vanishes there."""
+        Rc = 1.3
+        assert all(np.array_equal(d, np.zeros(3))
+                   for d in curvature_F_uv(np.full(3, Rc), np.zeros(3),
+                                           np.zeros(3)))
+        mu = _mu(TorusField.constant(grid32, Rc))
+        for m, k in ((3.0, 2.0), (1.0, 0.0), (0.0, 5.0)):
+            got = mu.principal_at(m, k)
+            assert np.abs(got - 0.5 * (m ** 2 / Rc ** 2 + k ** 2)).max() < 1e-13
+            assert np.abs(mu.subprincipal(m, k)).max() < 1e-14
+
     def test_re_mu1_vanishes(self, grid32):
-        mu = mu_symbol(_deformed(grid32), R)
+        mu = _mu(_deformed(grid32))
         assert np.abs(np.real(mu.subprincipal(4.0, 3.0))).max() < 1e-14
 
     def test_two_paths_and_im_identity(self, grid32):
@@ -184,17 +215,16 @@ class TestMuSymbol:
 class TestSymmetrizer:
     def test_mu2_is_a2_lambda1_sq(self, grid32):
         eta = _deformed(grid32)
-        a_sym, gamma_sym, q_sym, p_sym = symmetrizer_symbols(eta, SIGMA, R)
+        a_sym, _, _, _ = _symmetrizer(eta)
         lam = lambda_symbol(eta)
-        mu = mu_symbol(eta, R)
+        mu = _mu(eta)
         for m, k in ((2.0, 1.0), (5.0, 7.0)):
             d = mu.principal_at(m, k) - (a_sym.principal_at(m, k) ** 2
                                          * lam.principal_at(m, k) ** 2)
             assert np.abs(d).max() < 1e-12
 
     def test_q0_cylinder_value(self, grid32):
-        _, _, q_sym, _ = symmetrizer_symbols(TorusField.constant(grid32, R),
-                                             SIGMA, R)
+        _, _, q_sym, _ = _symmetrizer(TorusField.constant(grid32, R))
         expect = 2.0 ** (1.0 / 6.0) * np.sqrt(R)
         assert np.abs(q_sym.principal_at(1.0, 0.0) - expect).max() < 1e-13
 
@@ -243,7 +273,7 @@ class TestSharpAlgebra:
 
     def test_poisson_bracket_of_gamma_functions(self, grid32):
         eta = _deformed(grid32)
-        _, gamma_sym, _, _ = symmetrizer_symbols(eta, SIGMA, R)
+        _, gamma_sym, _, _ = _symmetrizer(eta)
         j = mollifier_symbol(gamma_sym, 0.4)
         pb = poisson_bracket(gamma_sym, j)
         for m, k in ((2.0, 2.0), (6.0, 1.0)):
@@ -253,27 +283,25 @@ class TestSharpAlgebra:
 class TestMollifier:
     def test_zero_strength(self, grid32):
         eta = _deformed(grid32)
-        _, gamma_sym, _, _ = symmetrizer_symbols(eta, SIGMA, R)
+        _, gamma_sym, _, _ = _symmetrizer(eta)
         j = mollifier_symbol(gamma_sym, 0.0)
         assert np.abs(j.principal_at(5.0, 5.0) - 1.0).max() < 1e-14
         assert np.abs(j.subprincipal(5.0, 5.0)).max() < 1e-12
 
     def test_range(self, grid32):
         eta = _deformed(grid32)
-        _, gamma_sym, _, _ = symmetrizer_symbols(eta, SIGMA, R)
+        _, gamma_sym, _, _ = _symmetrizer(eta)
         j = mollifier_symbol(gamma_sym, 0.7)
         vals = np.real(j.principal_at(4.0, 4.0))
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
     def test_cylinder_subprincipal_vanishes(self, grid32):
-        _, gamma_sym, _, _ = symmetrizer_symbols(
-            TorusField.constant(grid32, R), SIGMA, R)
+        _, gamma_sym, _, _ = _symmetrizer(TorusField.constant(grid32, R))
         j = mollifier_symbol(gamma_sym, 0.5)
         assert np.abs(j.subprincipal(3.0, 3.0)).max() < 1e-12
 
     def test_negative_strength_rejected(self, grid32):
-        _, gamma_sym, _, _ = symmetrizer_symbols(
-            TorusField.constant(grid32, R), SIGMA, R)
+        _, gamma_sym, _, _ = _symmetrizer(TorusField.constant(grid32, R))
         with pytest.raises(ValueError):
             mollifier_symbol(gamma_sym, -0.1)
 
