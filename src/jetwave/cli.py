@@ -101,12 +101,12 @@ def _grid(cfg):
 def _check_ranges(out):
     """Run the value checks of the objects the subcommands build, so a bad
     value exits 2 with its key named instead of failing mid-run."""
-    from .elliptic import TOL_RANGE, RadialGrid
+    from .elliptic import TOL_RANGE, radial_grid
     from .evolution import EvolutionConfig
 
     try:
         grid = _grid(out)
-        RadialGrid(out["n_rho"])
+        radial_grid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
                         record_every=out["record_every"])
     except ValueError as exc:
@@ -325,8 +325,8 @@ def _check_step_count(cfg):
         try:
             dt = auto_dt(_grid(cfg), cfg["sigma"], cfg["R"])
         except ValueError as exc:
-            raise ConfigError(f"{exc}: n_theta, n_z, z_period and r set "
-                              f"the 'auto' step") from None
+            raise ConfigError(f"{exc}: n_theta, n_z, z_period, r and sigma "
+                              f"set the 'auto' step") from None
         what = (f"the 'auto' step never goes below the CFL step {dt:.3g} "
                 f"that n_theta, n_z, z_period, r and sigma set")
     else:

@@ -111,7 +111,7 @@ import scipy.fft as _sfft
 from numpy.polynomial import legendre as npleg
 
 from .errors import ConvergenceError, DomainViolationError
-from .geometry import grad_bar_eta, mean_curvature, potential_energy
+from .geometry import mean_curvature, modified_gradient, potential_energy
 from .spectral import (
     TorusField,
     TorusGrid,
@@ -170,35 +170,20 @@ def _differentiation_matrix(x, w):
     return D
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Gauss-Radau collocation on (0, 1], boundary node rho = 1 last."""
+class RadialGrid(NamedTuple):
+    """Gauss-Radau collocation on (0, 1], boundary node rho = 1 last: nodes,
+    quadrature weights and differentiation matrix D, read-only."""
 
-    n_rho: int
-
-    def __post_init__(self):
-        if self.n_rho < 4:
-            raise ValueError("n_rho must be at least 4")
-
-    @property
-    def _built(self):
-        return _build_radial(self.n_rho)
-
-    @property
-    def nodes(self):
-        return self._built[0]
-
-    @property
-    def weights(self):
-        return self._built[1]
-
-    @property
-    def D(self):
-        return self._built[2]
+    nodes: np.ndarray
+    weights: np.ndarray
+    D: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _build_radial(n_rho):
+def radial_grid(n_rho) -> RadialGrid:
+    """The RadialGrid of n_rho >= 4 nodes; cached per n_rho."""
+    if n_rho < 4:
+        raise ValueError("n_rho must be at least 4")
     x, wx = _gauss_radau_left(n_rho)
     rho = (1.0 - x) / 2.0          # x = -1 -> rho = 1; interior x -> rho in (0,1)
     order = np.argsort(rho)        # ascending; boundary rho = 1 ends up last
@@ -207,15 +192,15 @@ def _build_radial(n_rho):
     D = _differentiation_matrix(rho, _barycentric_weights(rho))
     for a in (rho, w, D):
         a.setflags(write=False)
-    return rho, w, D
+    return RadialGrid(rho, w, D)
 
 
 @lru_cache(maxsize=8)
 def _radial_prolongation(n_from, n_to):
     """(n_to, n_from) barycentric interpolation matrix from the n_from radial
     nodes to the n_to radial nodes; a shared node (rho = 1) maps exactly."""
-    x = _build_radial(n_from)[0]
-    d = _build_radial(n_to)[0][:, None] - x[None, :]
+    x = radial_grid(n_from).nodes
+    d = radial_grid(n_to).nodes[:, None] - x[None, :]
     hit = d == 0.0
     d[hit] = 1.0
     P = _barycentric_weights(x) / d
@@ -296,9 +281,8 @@ class TraceBundle:
         g_consistency      G - (B - V . grad_bar eta), the variational value
                            against the trace algebra
         """
-        gbt, gbz = grad_bar_eta(eta)
-        pt = nonlinear_eval(lambda a, e: a / e, spectral_derivative(psi, "theta"), eta)
-        pz = spectral_derivative(psi, "z")
+        gbt, gbz = modified_gradient(eta, eta)
+        pt, pz = modified_gradient(psi, eta)
         r1 = pt - self.V_theta - dealiased_product(self.B, gbt)
         r2 = pz - self.V_z - dealiased_product(self.B, gbz)
         num = self.G + dealiased_product(pt, gbt) + dealiased_product(pz, gbz)
@@ -350,7 +334,7 @@ class DtnSolver:
 
     def __init__(self, grid: TorusGrid, n_rho=48):
         self.grid = grid
-        self.radial = RadialGrid(n_rho)
+        self.radial = radial_grid(n_rho)
         self.n_rho = n_rho
         nt, nz = grid.n_theta, grid.n_z
         self._coarse = (
@@ -368,16 +352,14 @@ class DtnSolver:
         rho, w, D = self.radial.nodes, self.radial.weights, self.radial.D
         h = 1.0 / np.sqrt(w[:ni] * rho[:ni])
         self._a0 = D[:, :-1].T @ ((w * rho)[:, None] * D[:, :-1])
-        self._m2 = grid.xi_theta[:, None] ** 2     # (n_theta, 1)
-        self._m2[grid.n_theta // 2] = 0.0          # Nyquist row zeroed
-        k_eff = grid.xi_z[:nzr].copy()
-        k_eff[-1] = 0.0
+        # m^2 and k^2 off the multipliers, whose Nyquist modes are zeroed
+        self._m2 = self._rmt[:, :1].imag ** 2     # (n_theta, 1)
+        self._k2 = self._rmz[0].imag ** 2         # (nzr,)
         c = (h[:, None] * self._a0 * h[None, :])[None] \
             + self._m2[:, :, None] * np.diag(1.0 / rho[:ni] ** 2)[None]
         lam, q = np.linalg.eigh(c)
         self._h = h[:, None, None]
         self._lam = lam[:, :, None]          # (n_theta, ni, 1)
-        self._k2 = k_eff ** 2                # (nzr,)
         self._Q = q
         for a in (self._rmt, self._rmz, self._a0, self._m2, self._h, self._lam,
                   self._k2, self._Q):
@@ -723,9 +705,7 @@ class DtnSolver:
         B = over_eta(d_rho)
         # grad_bar eta from the derivatives the solve took of the same eta
         gbt, gbz = over_eta(pot.eta_grad[0]), pot.eta_grad[1]
-        psi_trace = TorusField(self.grid, phi[-1])
-        pt = over_eta(spectral_derivative(psi_trace, "theta"))
-        pz = spectral_derivative(psi_trace, "z")
+        pt, pz = modified_gradient(TorusField(self.grid, phi[-1]), eta)
         V_theta = pt - dealiased_product(B, gbt)
         V_z = pz - dealiased_product(B, gbz)
         G = over_eta(pot.flux)

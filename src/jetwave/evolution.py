@@ -231,8 +231,13 @@ def auto_dt(grid, sigma, eta_bar=1.0):
     """Capillary CFL step, dt = CFL / omega_max with
     omega_max = lambda_max^(3/2) sqrt(sigma/2) at the corner of the grid:
     the step an explicit scheme needs, and the unit of the ``"auto"`` rule
-    of `EvolutionConfig.resolve_dt`."""
-    return float(CFL / (_xi_max(grid, eta_bar) ** 1.5 * np.sqrt(sigma / 2.0)))
+    of `EvolutionConfig.resolve_dt`.  A ValueError when omega_max underflows
+    to zero (sigma/2 does at sigma = 5e-324)."""
+    omega = _xi_max(grid, eta_bar) ** 1.5 * np.sqrt(sigma / 2.0)
+    if not omega > 0.0:
+        raise ValueError(f"the capillary frequency omega_max underflows to "
+                         f"zero at sigma = {sigma:g}")
+    return float(CFL / omega)
 
 
 def _xi_max(grid, eta_bar):

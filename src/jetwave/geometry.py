@@ -162,16 +162,10 @@ def curvature_F_uv(x, u, v):
 
 
 def curvature_G_uv(x, u, v):
-    """u- and v-partials of (G_tt, G_tz, G_zz): returns two triples."""
-    gu = tuple(
-        cs_partial(lambda a, b, c, i=i: curvature_G(a, b, c)[i], 1, x, u, v)
-        for i in range(3)
-    )
-    gv = tuple(
-        cs_partial(lambda a, b, c, i=i: curvature_G(a, b, c)[i], 2, x, u, v)
-        for i in range(3)
-    )
-    return gu, gv
+    """u- and v-partials of (G_tt, G_tz, G_zz): returns two triples, each
+    from one complex step of the whole triple."""
+    return (tuple(cs_partial(curvature_G, 1, x, u, v)),
+            tuple(cs_partial(curvature_G, 2, x, u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +199,10 @@ def mean_curvature(eta: TorusField, method="direct") -> TorusField:
         g_tt = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[0], eta, et, ez)
         g_tz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[1], eta, et, ez)
         g_zz = nonlinear_eval(lambda x, u, v: curvature_G(x, u, v)[2], eta, et, ez)
-        e_tt = spectral_derivative(eta, "theta", 2)
-        e_zz = spectral_derivative(eta, "z", 2)
+        # eta_jk = d_j(eta_k), Nyquist dropped each time, as mu takes them
+        e_tt = spectral_derivative(et, "theta")
         e_tz = spectral_derivative(et, "z")
+        e_zz = spectral_derivative(ez, "z")
         second = (
             dealiased_product(g_tt, e_tt)
             + 2.0 * dealiased_product(g_tz, e_tz)

@@ -100,14 +100,11 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     low_w = dec.lowpass[:dec.jmax - 1]      # (J, Nt, Nz): chi(xi/2^(j-2))
     weight = block_w.sum(axis=0)
 
-    active = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq)
-    n_active = active[0].size
+    # row-major, so the lattice iteration order is fixed
+    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq)
+    n_active = idx_t.size
     if n_active == 0:
         return TorusField.zeros(grid)
-
-    order = np.argsort(np.ravel_multi_index(active, uhat.shape))
-    idx_t = active[0][order]
-    idx_z = active[1][order]
 
     # signed lattice indices, and the box holding every sum zeta + xi
     kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)

@@ -12,8 +12,9 @@ Conventions
 -----------
 * Coefficients are normalized so that f(w) = sum_xi c(xi) exp(i w.xi); a
   constant field has c(0) equal to the constant.
-* Nyquist columns/rows are zeroed in first derivatives and in every
-  symbol application so real fields stay real.
+* Nyquist columns/rows are zeroed in every derivative and every symbol
+  application so real fields stay real; a second derivative is two first
+  derivatives, so it drops the Nyquist mode too.
 * Quadratic products are dealiased by 3/2 zero padding; they are exact
   whenever the result is resolved on the lattice.
 
@@ -299,24 +300,17 @@ class TorusField:
         return TorusField.from_coefficients(self.grid, c)
 
 
-def spectral_derivative(f: TorusField, direction, order=1):
-    """d^order/d(direction)^order, order 1 or 2, by Fourier multiplier
-    (i*xi)^order.
-
-    The Nyquist mode is zeroed for the first derivative so the result stays
-    real.
-    """
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    grid = f.grid
+def spectral_derivative(f: TorusField, direction):
+    """d/d(direction) by the Fourier multiplier i*xi, Nyquist mode zeroed so
+    the result stays real; a second derivative applies it twice."""
     if direction == "theta":
-        axis, xi = 0, grid.xi_theta[:, None]
+        axis = 0
     elif direction == "z":
-        axis, xi = 1, grid.xi_z[None, :]
+        axis = 1
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    mult = derivative_multipliers(grid)[axis] if order == 1 else (1j * xi) ** 2
-    return TorusField.from_coefficients(grid, f.coefficients * mult)
+    mult = derivative_multipliers(f.grid)[axis]
+    return TorusField.from_coefficients(f.grid, f.coefficients * mult)
 
 
 @lru_cache(maxsize=16)

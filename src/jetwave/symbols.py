@@ -11,12 +11,12 @@ Available constructions:
       lambda1 = sqrt(xi_t^2/eta^2 + xi_z^2
                      + (xi_t eta_z/eta - xi_z eta_theta/eta)^2)
   and its subprincipal part lambda0 = (l^2/eta) A0, with A0 read from the
-  radial factorization of the pulled-back Laplacian at rho = 1
+  radial factorization of the pulled-back Laplacian at rho = 1, which
+  _factorization gives as A = A1 + A0 and the principal a = a1:
 
       A1 = (S - i b.xi)/(2 alpha),   a1 = (S + i b.xi)/(2 alpha),
       S  = sqrt(4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (b.xi)^2),
       A0 = -(A1 gamma/alpha + d_rho A1 + grad_xi a1 . D_w A1) / (A1 + a1),
-      a0 = -(-a1 gamma/alpha + d_rho A1 + grad_xi a1 . D_w A1) / (A1 + a1),
 
   with the rho-derivative of A1 differentiated by hand (no numerical
   rho-differencing) and D_w = -i d_w spectral;
@@ -350,9 +350,9 @@ def _lambda_from(s: _Surface):
 
 
 def _factorization(s: _Surface, rho):
-    """(A, a, alpha): the symbols A = A^(1) + A^(0) and a = a^(1) + a^(0) of
-    the radial factorization of the surface record s at rho, and its
-    profile alpha.
+    """(A, a, alpha): the symbol A = A^(1) + A^(0) and the principal symbol
+    a = a^(1) of the radial factorization of the surface record s at rho,
+    and its profile alpha.
 
     The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
     verified positive on a lattice sample before the root is taken.
@@ -418,24 +418,18 @@ def _factorization(s: _Surface, rho):
         ds = (two_dalpha * t + two_alpha_dt * xt ** 2 - b * db) / s
         return (ds - 1j * db) * half_inv_alpha - A * dalpha_alpha
 
-    def subprincipal(big):
-        # A^(0) and a^(0) differ only in their leading term, A1 resp. -a1
-        def sub(xt, xz):
-            t, b, d = disc(xt, xz)
-            root = np.sqrt(d)
-            A = (root - 1j * b) * half_inv_alpha
-            a = (root + 1j * b) * half_inv_alpha
-            ga, gb = xi_gradient(a1, xt, xz)
-            dth, dz = w_derivatives(A, grid)
-            lead = A if big else -a
-            return -(lead * gamma_alpha + dA1(xt, xz, t, b, root, A)
-                     - 1j * (ga * dth + gb * dz)) / (A + a)
+    def A0(xt, xz):
+        t, b, d = disc(xt, xz)
+        root = np.sqrt(d)
+        A = (root - 1j * b) * half_inv_alpha
+        a = (root + 1j * b) * half_inv_alpha
+        ga, gb = xi_gradient(a1, xt, xz)
+        dth, dz = w_derivatives(A, grid)
+        return -(A * gamma_alpha + dA1(xt, xz, t, b, root, A)
+                 - 1j * (ga * dth + gb * dz)) / (A + a)
 
-        return sub
-
-    big_A = HomogeneousSymbol(grid, 1.0, A1, subprincipal(True), name="A")
-    small_a = HomogeneousSymbol(grid, 1.0, a1, subprincipal(False),
-                                name="a_fact")
+    big_A = HomogeneousSymbol(grid, 1.0, A1, A0, name="A")
+    small_a = HomogeneousSymbol(grid, 1.0, a1, name="a_fact")
     return big_A, small_a, alpha
 
 

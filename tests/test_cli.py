@@ -441,7 +441,8 @@ t_final = 0.5
 
     @pytest.mark.parametrize("key, raw", [
         ("dt", "1e-300"), ("sigma", "1e300"), ("r", "1e-6"),
-        ("z_period", "1e-6"), ("r", "1e-300"), ("z_period", "1e-300")])
+        ("z_period", "1e-6"), ("r", "1e-300"), ("z_period", "1e-300"),
+        ("sigma", "5e-324")])
     def test_too_many_steps_exit_2_names_key(self, tmp_path, capsys,
                                              monkeypatch, key, raw):
         """Accepted values whose smallest step (the fixed dt, or the CFL
@@ -684,6 +685,20 @@ t_final = 0.05
             assert proc.returncode == EXIT_OK, proc.stderr
             series.append((out / "run_series.csv").read_bytes())
         assert series[0] == series[1]
+
+    def test_verify_quick_records_pinned(self, tmp_path):
+        """`jetwave verify` on configs/verify_quick.ini at seed 0 writes the
+        records of tests/golden/verify_quick_seed0.txt, line by line."""
+        code = main(["verify", "--config",
+                     os.path.join(CONFIGS, "verify_quick.ini"), "--seed", "0",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "verify_quick_seed0.txt")
+        with open(golden) as fh:
+            want = fh.read().splitlines()
+        assert (tmp_path / "verify_quick_verify.txt").read_text() \
+            .splitlines() == want
 
     def test_seventeen_digit_floats(self, tmp_path):
         path = write(tmp_path, BASE + "[evolution]\nt_final = 0.05\n")

@@ -17,6 +17,7 @@ from jetwave.elliptic import (
     RadialGrid,
     fd_shape_derivative,
     hamiltonian_variations,
+    radial_grid,
     shape_derivative,
 )
 from jetwave.errors import ConvergenceError, DomainViolationError
@@ -137,26 +138,36 @@ def modal_profile(pot, m, n):
 class TestRadialGrid:
     def test_quadrature_exactness(self):
         """Gauss-Radau weights integrate polynomials up to degree 2n-2."""
-        rad = RadialGrid(12)
+        rad = radial_grid(12)
         for p in range(0, 2 * 12 - 1):
             got = float(np.sum(rad.weights * rad.nodes ** p))
             assert abs(got - 1.0 / (p + 1)) < 1e-13
 
     def test_nodes_in_half_open_interval(self):
-        rad = RadialGrid(48)
+        rad = radial_grid(48)
         assert rad.nodes[0] > 0.0
         assert abs(rad.nodes[-1] - 1.0) < 1e-14
 
     def test_differentiation_matrix(self):
-        rad = RadialGrid(16)
+        rad = radial_grid(16)
         f = rad.nodes ** 5
         df = rad.D @ f
         assert np.abs(df - 5 * rad.nodes ** 4).max() < 1e-9
 
+    def test_one_cached_record(self):
+        """The constructor returns one read-only record per n_rho and
+        rejects fewer than 4 nodes."""
+        rad = radial_grid(16)
+        assert type(rad) is RadialGrid and radial_grid(16) is rad
+        assert all(not a.flags.writeable for a in rad)
+        assert rad.D.shape == (16, 16) and rad.weights.shape == (16,)
+        with pytest.raises(ValueError, match="at least 4"):
+            radial_grid(3)
+
     def test_along_rho_matches_tensordot(self):
         """The per-theta-row radial contraction equals one contraction over
         the whole stack, for a matrix, its transpose, a row and a column."""
-        D = RadialGrid(16).D
+        D = radial_grid(16).D
         stack = np.random.default_rng(3).standard_normal((16, 8, 12))
         for M in (D, D.T, D[-1], D[:, -1]):
             ref = np.tensordot(M, stack, axes=(M.ndim - 1, 0))
@@ -167,7 +178,7 @@ class TestRadialGrid:
 
 class TestMappedCoefficients:
     def test_cylinder_values(self, grid32):
-        rad = RadialGrid(8)
+        rad = radial_grid(8)
         co = build_coefficients(TorusField.constant(grid32, R), rad.nodes)
         rho = rad.nodes[:, None, None]
         assert np.abs(co.alpha - 1.0 / R ** 2).max() < 1e-13
@@ -188,7 +199,7 @@ class TestMappedCoefficients:
 
     def test_alpha_lower_bound(self, grid32, rng):
         eta = smooth_surface(grid32, rng, R, amp=0.15)
-        co = build_coefficients(eta, RadialGrid(8).nodes)
+        co = build_coefficients(eta, radial_grid(8).nodes)
         assert co.alpha.min() >= 1.0 / eta.max() ** 2 - 1e-13
 
     def test_rejects_bad_inputs(self, grid32):
@@ -924,6 +935,17 @@ class TestDtn:
         integrand = 0.5 * (dprof ** 2 + k ** 2 * prof ** 2) * r
         vol = 2 * np.pi * np.pi * np.trapezoid(integrand, r)
         assert abs(ek - vol) < 1e-6 * vol
+
+    def test_projected_radius_not_positive(self, grid16, solver16):
+        """eta positive while its Nyquist projection is not: the trace
+        algebra, which divides by the projected eta, raises instead of
+        returning a bundle of that eta."""
+        v = np.ones((16, 16))
+        v[2::2, 0] = 4.0
+        eta = TorusField(grid16, v)
+        assert eta.min() > 0.0 >= eta.drop_nyquist().min()
+        with pytest.raises(DomainViolationError):
+            solver16.trace_bundle(eta, TorusField.zeros(grid16))
 
     def test_trace_identities(self, grid32, solver32, rng):
         eta = smooth_surface(grid32, rng, R, amp=0.05)

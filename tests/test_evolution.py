@@ -169,6 +169,13 @@ class TestStepping:
         with pytest.raises(ValueError, match="corner frequency"):
             auto_dt(TorusGrid(*grid_args), 1.0, eta_bar)
 
+    @pytest.mark.filterwarnings("error")
+    def test_auto_dt_sigma_underflow(self):
+        """At sigma = 5e-324, sigma/2 rounds to zero: a ValueError that
+        names sigma, not an infinite step."""
+        with pytest.raises(ValueError, match=r"sigma = 4\.94066e-324"):
+            auto_dt(TorusGrid(16, 16), 5e-324, 1.0)
+
     def test_linear_mode_exact_past_the_cfl_step(self):
         """The m = 2 oscillation of check_plateau_oscillation at amplitude
         1e-6, over one period at ten CFL steps (14 steps): the propagator

@@ -7,12 +7,16 @@ from conftest import smooth_surface
 from jetwave.errors import DomainViolationError
 from jetwave.geometry import (
     SurfaceState,
+    cs_partial,
+    curvature_G,
+    curvature_G_uv,
     enclosed_volume,
     mean_curvature,
     modified_gradient,
     potential_energy,
 )
-from jetwave.spectral import TorusField, integrate_product
+from jetwave.spectral import TorusField, TorusGrid, integrate_product
+from jetwave.verification import check_curvature
 
 R = 1.3
 SIGMA = 0.7
@@ -65,11 +69,35 @@ class TestMeanCurvature:
             h2 = mean_curvature(eta, "decomposed")
             assert (h1 - h2).max_norm() < 1e-9 * h1.max_norm()
 
+    @pytest.mark.parametrize("seed", range(3, 9))
+    def test_two_paths_agree_to_roundoff_on_64(self, seed):
+        """On 64^2 the two routes differ by roundoff only: the decomposed
+        path takes eta_jk as d_j(eta_k), Nyquist dropped at each step, as
+        the curvature symbol does.  The bound separates it from (i xi)^2
+        for eta_tt and eta_zz, which keeps the Nyquist mode and reads
+        8.0e-14 to 1.4e-13 on these seeds."""
+        assert check_curvature(TorusGrid(64, 64), seed)[0].value < 4e-14
+
     def test_shift_equivariance(self, grid32, rng):
         eta = smooth_surface(grid32, rng, R, amp=0.1)
         a = mean_curvature(eta.shift(5, 7))
         b = mean_curvature(eta).shift(5, 7)
         assert (a - b).max_norm() < 1e-12
+
+
+class TestCurvatureCoefficients:
+    def test_G_uv_one_step_per_variable(self, rng):
+        """The u- and v-partials of the whole (G_tt, G_tz, G_zz) triple equal,
+        bit for bit, the complex steps of each component on its own."""
+        x = R + 0.1 * rng.standard_normal((16, 16))
+        u, v = 0.3 * rng.standard_normal((2, 16, 16))
+        got = curvature_G_uv(x, u, v)
+        for argnum, triple in zip((1, 2), got):
+            assert len(triple) == 3
+            for i, g in enumerate(triple):
+                oracle = cs_partial(
+                    lambda a, b, c: curvature_G(a, b, c)[i], argnum, x, u, v)
+                assert np.array_equal(g, oracle)
 
 
 class TestPotentialEnergy:

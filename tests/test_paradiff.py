@@ -1,5 +1,7 @@
 """Paraproducts, the Bony remainder, quantization, good unknown."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +25,12 @@ from jetwave.spectral import (
     forward_transform,
     low_pass,
 )
-from jetwave.symbols import HomogeneousSymbol, lambda_symbol
+from jetwave.symbols import (
+    HomogeneousSymbol,
+    _mu_from,
+    _surface_data,
+    lambda_symbol,
+)
 
 
 def _mode(grid, m, k, amp=1.0):
@@ -183,6 +190,24 @@ class TestApplyParadiff:
         want = apply_paradiff(lam, u)
         monkeypatch.setattr(TorusGrid, "xi_chunk", lambda self: chunk)
         assert (apply_paradiff(lam, u) - want).max_norm() <= 1e-15 * want.max_norm()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("lambda",
+         "a8dfcbde8164f3025de8e8eae284a467ddf16f5c6041cf33ebf80ff9b9939b1c"),
+        ("mu",
+         "b4a7430632fb73691f73f34d630d614524491699c331fe9ad956ee38a4e34feb"),
+    ], ids=["lambda", "mu"])
+    def test_pinned(self, grid32, name, digest):
+        """lambda and mu of the reference surface 1 + 0.1 cos theta cos z
+        applied to a seeded field, bit for bit: the sha256 of the
+        little-endian samples."""
+        th, zz = grid32.mesh()
+        eta = TorusField(grid32, 1.0 + 0.1 * np.cos(th) * np.cos(zz))
+        sym = (lambda_symbol(eta) if name == "lambda"
+               else _mu_from(_surface_data(eta)))
+        u = band_limited_random(grid32, np.random.default_rng(7), kmax=8)
+        out = apply_paradiff(sym, u).values.astype("<f8")
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def _dense_paradiff(symbol, u):

@@ -85,12 +85,8 @@ class TestDerivatives:
         assert np.abs(d.values - np.cos(th) * np.cos(zz)).max() < 1e-12
 
     def test_order_limits(self, grid32):
-        f = TorusField.zeros(grid32)
-        for order in (0, 3):
-            with pytest.raises(ValueError):
-                spectral_derivative(f, "theta", order)
         with pytest.raises(ValueError):
-            spectral_derivative(f, "sideways")
+            spectral_derivative(TorusField.zeros(grid32), "sideways")
 
     def test_nyquist_zeroed_for_odd_order(self, grid16):
         c = np.zeros((16, 16), dtype=complex)
