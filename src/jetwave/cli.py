@@ -22,7 +22,8 @@ manifest names the cause, and the simulate manifest the last valid t).
 Configuration is flat INI-style key=value text in UTF-8 with sections
 grid/physics/ic/evolution/output (plus optional dispersion/verify).  A file
 configparser cannot read is named with its line; unknown keys, non-finite
-numbers and an output prefix with a path separator in it are rejected by
+numbers, an output prefix with a path separator, an n_rho outside [4, 512]
+and a mode the grid does not resolve (TorusGrid.resolves) are rejected by
 name.  [verify] takes heavy (a configparser boolean, default true; false
 skips the long time-integration runs) and structure_states (seeded states
 of the DtN structure check, >= 1, default 100).  Floating point output
@@ -132,25 +133,10 @@ def _check_ranges(out):
                           f"{out['elliptic_tol']:g} outside [{lo:g}, {hi:g}]")
 
 
-def _check_lattice(out, ks):
-    """Raise ValueError unless every axial wavenumber in ks lies on the
-    axial lattice of the configured grid (TorusField.from_modes's rule)."""
-    from .spectral import TorusField
-
-    TorusField.from_modes(_grid(out), [(0.0, 0, k, 0.0) for k in ks])
-
-
-def _resolved(grid, m, k):
-    """Whether the mode cos(m theta + k z), k on the axial lattice, lies
-    strictly inside the Nyquist band (|m| < n_theta/2, |k|/dz < n_z/2);
-    SurfaceState projects out the rest."""
-    return (abs(m) < grid.n_theta // 2
-            and abs(round(k / grid.dz_lattice)) < grid.n_z // 2)
-
-
 def _check_resolved(grid, m, k):
-    """Raise ValueError unless the mode (m, k) is ``_resolved`` on grid."""
-    if not _resolved(grid, m, k):
+    """ValueError unless grid resolves (m, k); an off-lattice k is named."""
+    grid.axial_index(k)
+    if not grid.resolves(m, k):
         raise ValueError(
             f"mode ({m}, {_fmt(k)}) is not resolved on the "
             f"{grid.n_theta} x {grid.n_z} grid (needs |m| < "
@@ -158,21 +144,19 @@ def _check_resolved(grid, m, k):
 
 
 def _dispersion_modes(raw, out):
-    """(m, k) pairs of the '[dispersion] modes' list 'm k; m k; ...', or, if
-    it is empty, the resolved modes of a default set with k = dz and 2 dz on
-    the axial lattice (dz = 2 pi/z_period); m must be an integer and k lie
-    on the lattice, both inside the Nyquist band."""
+    """(m, k) pairs, m an integer, of the '[dispersion] modes' list 'm k;
+    m k; ...', each resolved on the grid, or, if it is empty, the resolved
+    modes of a default set with k = dz and 2 dz (dz = 2 pi/z_period)."""
     grid = _grid(out)
     if not raw.strip():
         dz = grid.dz_lattice
         default = [(0, dz), (0, 2.0 * dz), (1, dz), (2, 0.0), (3, 0.0), (4, 0.0)]
-        return [(m, k) for m, k in default if _resolved(grid, m, k)]
+        return [(m, k) for m, k in default if grid.resolves(m, k)]
     try:
         modes = []
         for chunk in filter(None, (c.strip() for c in raw.split(";"))):
             m, k = chunk.split()
             modes.append((int(m), float(k)))
-        _check_lattice(out, [k for _, k in modes])
         for m, k in modes:
             _check_resolved(grid, m, k)
     except ValueError as exc:
@@ -273,7 +257,6 @@ def load_config(path):
                     raise ValueError("amplitude, k and phase must be finite")
                 m = int(m)
                 out["modes"].append((amp, m, k, target, phase))
-                _check_lattice(out, [k])
                 _check_resolved(_grid(out), m, k)
             except ValueError as exc:
                 raise ConfigError(f"bad value in mode '{key}': {exc}") from exc

@@ -110,8 +110,9 @@ import numpy as np
 import scipy.fft as _sfft
 from numpy.polynomial import legendre as npleg
 
-from .errors import ConvergenceError, DomainViolationError
-from .geometry import mean_curvature, modified_gradient, potential_energy
+from .errors import ConvergenceError
+from .geometry import (_require_positive, mean_curvature, modified_gradient,
+                       potential_energy)
 from .spectral import (
     TorusField,
     TorusGrid,
@@ -126,6 +127,7 @@ TOL_DEFAULT = 1e-11
 TOL_RANGE = (1e-13, 1e-6)
 MAX_ITER = 200      # CG iteration cap of every solve, read at call time
 COARSE_TOL = 1e-8   # tolerance of the half-grid solve of a nested cold start
+N_RHO_MAX = 512     # from 518 radial nodes a barycentric weight overflows
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +183,9 @@ class RadialGrid(NamedTuple):
 
 @lru_cache(maxsize=8)
 def radial_grid(n_rho) -> RadialGrid:
-    """The RadialGrid of n_rho >= 4 nodes; cached per n_rho."""
-    if n_rho < 4:
-        raise ValueError("n_rho must be at least 4")
+    """RadialGrid of 4 <= n_rho <= N_RHO_MAX nodes, checked first; cached."""
+    if not 4 <= n_rho <= N_RHO_MAX:
+        raise ValueError(f"n_rho must be at least 4 and at most {N_RHO_MAX}")
     x, wx = _gauss_radau_left(n_rho)
     rho = (1.0 - x) / 2.0          # x = -1 -> rho = 1; interior x -> rho in (0,1)
     order = np.argsort(rho)        # ascending; boundary rho = 1 ends up last
@@ -548,11 +550,12 @@ class DtnSolver:
               guess=None) -> _Solve:
         """Solve the mapped Laplace problem with trace psi on rho = 1.
 
-        Returns a record of the read-only (n_rho, n_theta, n_z) potential,
-        the flux eta G(eta) psi, the kinetic energy E_k, the CG iterations
-        on this grid and on the half grid of a nested cold start (0 if none
-        ran), the final relative residual, and the Nyquist-projected eta
-        with its eta_grad = (eta_theta, eta_z).
+        eta and psi are Nyquist-projected first, and the projected eta must
+        be strictly positive (DomainViolationError).  Returns a record of the
+        read-only (n_rho, n_theta, n_z) potential, the flux eta G(eta) psi,
+        the kinetic energy E_k, the CG iterations on this grid and on the
+        half grid of a nested cold start (0 if none ran), the final relative
+        residual, and the projected eta with eta_grad = (eta_theta, eta_z).
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
         stack that CG starts from.  Its rho = 1 row is the trace it was
         solved for: if that differs from the projected psi, the guess is
@@ -565,15 +568,15 @@ class DtnSolver:
         """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
-        if eta.min() <= 0.0:
-            raise DomainViolationError("eta must be strictly positive")
+        eta = eta.drop_nyquist()
+        _require_positive(eta)
         shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
         if guess is not None:
             guess = np.asarray(guess, dtype=float)
             if guess.shape != shape:
                 raise ValueError(f"guess must be a potential stack of shape "
                                  f"{shape}, got {guess.shape}")
-        pot = self._solve(eta.drop_nyquist(), psi.drop_nyquist(), tol, guess)
+        pot = self._solve(eta, psi.drop_nyquist(), tol, guess)
         if not pot.residual < tol:   # a NaN residual never passes
             raise ConvergenceError(
                 f"elliptic solve failed to reach tol {tol:g} in "

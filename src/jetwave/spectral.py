@@ -115,6 +115,25 @@ class TorusGrid:
         """Spacing of the axial frequency lattice."""
         return TAU / self.z_period
 
+    def axial_index(self, k):
+        """The integer n with k = n dz_lattice; ValueError if k is not
+        finite or lies off the axial lattice by more than 1e-12 steps."""
+        n = k / self.dz_lattice
+        if not (np.isfinite(n) and abs(n - round(n)) <= 1e-12):
+            raise ValueError(f"k={k} is not on the axial lattice "
+                             f"(step {self.dz_lattice})")
+        return round(n)
+
+    def resolves(self, m, k):
+        """Whether the grid resolves cos(m theta + k z): k on the axial
+        lattice (``axial_index``), |m| < n_theta/2 and |k| < (n_z/2) dz; a
+        state projects out the Nyquist modes, and modes past them alias."""
+        try:
+            n = self.axial_index(k)
+        except ValueError:
+            return False
+        return abs(m) < self.n_theta // 2 and abs(n) < self.n_z // 2
+
     def nyquist_mask(self):
         """True on modes that must be dropped to keep real fields real."""
         mask = np.zeros((self.n_theta, self.n_z), dtype=bool)
@@ -206,14 +225,12 @@ class TorusField:
     def from_modes(cls, grid, modes):
         """Sum of cosine modes, each given as (amplitude, m, k, phase).
 
-        k must lie on the axial lattice (multiple of 2*pi/z_period).
+        k must lie on the axial lattice (``TorusGrid.axial_index``).
         """
         th, zz = grid.mesh()
         out = np.zeros_like(th)
         for amp, m, k, phase in modes:
-            step = grid.dz_lattice
-            if abs(k / step - round(k / step)) > 1e-12:
-                raise ValueError(f"k={k} is not on the axial lattice (step {step})")
+            grid.axial_index(k)
             out += amp * np.cos(m * th + k * zz + phase)
         return cls(grid, out)
 

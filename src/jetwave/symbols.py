@@ -74,8 +74,9 @@ import functools
 import numpy as np
 import scipy.fft as _sfft
 
-from .errors import DomainViolationError, EllipticityError
+from .errors import EllipticityError
 from .geometry import (
+    _require_positive,
     curvature_F_uv,
     curvature_G,
     curvature_G_uv,
@@ -298,11 +299,11 @@ _Surface = collections.namedtuple("_Surface", "grid e et ez l2")
 
 
 def _surface_data(eta: TorusField) -> _Surface:
-    """eta projected once (Nyquist dropped) as e, its spectral derivatives
-    et = eta_theta and ez = eta_z, and l2 = 1 + (eta_theta/eta)^2 + eta_z^2."""
-    if eta.min() <= 0.0:
-        raise DomainViolationError("eta must be strictly positive")
-    e = eta.drop_nyquist().values
+    """eta Nyquist-projected once as e (positive, else DomainViolationError),
+    et = eta_theta, ez = eta_z and l2 = 1 + (eta_theta/eta)^2 + eta_z^2."""
+    eta = eta.drop_nyquist()
+    _require_positive(eta)
+    e = eta.values
     et, ez = (np.real(d) for d in w_derivatives(e, eta.grid))
     return _Surface(eta.grid, e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2)
 

@@ -363,6 +363,25 @@ t_final = 0.5
                 assert not any(re.search(r"\b(nan|inf)\b", text, re.I)
                                for text in written), command
 
+    @pytest.mark.parametrize("n_rho", ["518", "1000000"])
+    def test_n_rho_past_bound_exit_2(self, tmp_path, capsys, n_rho):
+        """n_rho past elliptic.N_RHO_MAX (from 518 nodes D turns NaN) is
+        rejected by name before any radial node is computed: dispersion,
+        dtn and simulate on equilibrium.ini exit 2 and write nothing."""
+        config = configparser.ConfigParser(interpolation=None)
+        config.read(os.path.join(CONFIGS, "equilibrium.ini"), encoding="utf-8")
+        config["grid"]["n_rho"] = n_rho
+        path = tmp_path / "c.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            config.write(fh)
+        for command in ("dispersion", "dtn", "simulate"):
+            out = tmp_path / command
+            code = main([command, "--config", str(path), "--out", str(out),
+                         "--quiet"])
+            assert code == EXIT_CONFIG, command
+            assert "n_rho" in capsys.readouterr().err, command
+            assert not out.exists(), command
+
     def test_verify_fault_exit_3(self, tmp_path, capsys, lambda0_sign_fault):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"
                                       "structure_states = 2\n")
@@ -615,9 +634,11 @@ class TestDispersionCommand:
         cells = [float(x) for line in rows for x in line.split(",")]
         assert len(cells) == 30 and np.all(np.isfinite(cells))
 
-    @pytest.mark.parametrize("modes", ["1 2 3", "1 0.3", "1.5 2"])
+    @pytest.mark.parametrize("modes", ["1 2 3", "1 0.3", "1.5 2", "1 inf",
+                                       "0 nan"])
     def test_bad_modes_exit_2(self, tmp_path, capsys, modes):
-        """Three fields, k off the axial lattice, non-integer m."""
+        """Three fields, k off the axial lattice, non-integer m, k not
+        finite."""
         path = write(tmp_path, BASE + f"\n[dispersion]\nmodes = {modes}\n")
         code = main(["dispersion", "--config", path, "--out", str(tmp_path),
                      "--quiet"])

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.special import iv
 from conftest import smooth_surface, truncate_coefficients
 from jetwave import elliptic
 from jetwave.elliptic import (
+    N_RHO_MAX,
     DtnSolver,
     _along_rho,
     RadialGrid,
@@ -32,6 +34,7 @@ from jetwave.spectral import (
     nonlinear_eval,
     spectral_derivative,
 )
+from jetwave.symbols import lambda_symbol, symbol_identity_report
 from jetwave.verification import TRACE_THRESHOLDS
 
 R = 1.0
@@ -163,6 +166,18 @@ class TestRadialGrid:
         assert rad.D.shape == (16, 16) and rad.weights.shape == (16,)
         with pytest.raises(ValueError, match="at least 4"):
             radial_grid(3)
+
+    def test_node_count_bound(self):
+        """N_RHO_MAX nodes give a finite D with no floating-point warning
+        (the build runs uncached); one more node, where D would turn NaN,
+        is rejected by name, by radial_grid and so by the solver."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rad = radial_grid.__wrapped__(N_RHO_MAX)
+        assert np.isfinite(rad.D).all()
+        for build in (radial_grid, lambda n: DtnSolver(TorusGrid(8, 8), n)):
+            with pytest.raises(ValueError, match="n_rho .* at most 512"):
+                build(N_RHO_MAX + 1)
 
     def test_along_rho_matches_tensordot(self):
         """The per-theta-row radial contraction equals one contraction over
@@ -937,15 +952,24 @@ class TestDtn:
         assert abs(ek - vol) < 1e-6 * vol
 
     def test_projected_radius_not_positive(self, grid16, solver16):
-        """eta positive while its Nyquist projection is not: the trace
-        algebra, which divides by the projected eta, raises instead of
-        returning a bundle of that eta."""
+        """eta positive while its Nyquist projection, the radius every layer
+        computes with, is not: the solve, its energy, the trace algebra and
+        the symbols each raise, with no warning first, instead of returning
+        values of that radius."""
         v = np.ones((16, 16))
         v[2::2, 0] = 4.0
         eta = TorusField(grid16, v)
         assert eta.min() > 0.0 >= eta.drop_nyquist().min()
-        with pytest.raises(DomainViolationError):
-            solver16.trace_bundle(eta, TorusField.zeros(grid16))
+        th, zz = grid16.mesh()
+        psi = TorusField(grid16, np.cos(th) + 0.5 * np.sin(zz))
+        calls = (solver16.solve, solver16.kinetic_energy,
+                 solver16.trace_bundle, lambda e, _: lambda_symbol(e),
+                 lambda e, _: symbol_identity_report(e, 1.0, R))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainViolationError, match="min -2.3"):
+                    call(eta, psi)
 
     def test_trace_identities(self, grid32, solver32, rng):
         eta = smooth_surface(grid32, rng, R, amp=0.05)

@@ -1,5 +1,6 @@
 """Every name a package module or demo imports is used there, every name a
-demo imports from jetwave exists, and every export has a caller."""
+demo imports from jetwave exists, every export has a caller, and every
+parameter of a package function is read."""
 
 import ast
 import importlib
@@ -41,6 +42,51 @@ def test_detects_unused_name():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source):
+    """(function, parameter) of every parameter that its function's body
+    never reads by name; self, and names that start with an underscore (the
+    mark of a parameter left unread on purpose), excepted."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [(func.name, name) for name in params
+                  if name not in read and name != "self"
+                  and not name.startswith("_")]
+    return found
+
+
+def test_detects_unread_parameter():
+    source = ("def f(self, a, b=1, *_, c):\n"
+              "    def g(d):\n        return a + c\n    return g\n")
+    assert unread_parameters(source) == [("f", "b"), ("g", "d")]
+
+
+#: parameters a signature fixes but the body does not read
+UNREAD_ON_PURPOSE = {
+    # accepted and not read (no symbol depends on the reference radius);
+    # perfbench passes it, and the benchmark is changed on its own
+    ("symbols.py", "symbol_identity_report", "R"),
+    # the (cfg, out_dir, seed, quiet) signature every subcommand handler has
+    ("cli.py", "cmd_dispersion", "seed"),
+    ("cli.py", "cmd_dtn", "seed"),
+}
+
+
+def test_no_unread_parameters():
+    found = {(path.name, func, name) for path in sorted(PACKAGE.glob("*.py"))
+             for func, name in unread_parameters(
+                 path.read_text(encoding="utf-8"))}
+    assert found == UNREAD_ON_PURPOSE
 
 
 def jetwave_imports(source):

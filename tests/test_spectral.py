@@ -346,3 +346,20 @@ class TestFieldBasics:
             TorusField.from_modes(grid, [(1.0, 0, 0.5, 0.0)])
         long_grid = TorusGrid(8, 8, z_period=2 * TAU)
         TorusField.from_modes(long_grid, [(1.0, 0, 0.5, 0.0)])  # now on lattice
+
+    def test_mode_rule(self):
+        """axial_index gives k's lattice index and rejects k off the lattice
+        or not finite; resolves admits exactly the lattice modes strictly
+        inside the Nyquist band, of either sign, and no Nyquist or aliased
+        mode."""
+        grid = TorusGrid(8, 8, z_period=2 * TAU)    # dz 0.5: |m| < 4, |k| < 2
+        assert grid.axial_index(1.5) == 3 and grid.axial_index(-0.5) == -1
+        for k in (0.3, -0.7, np.inf, np.nan):
+            with pytest.raises(ValueError, match="axial lattice"):
+                grid.axial_index(k)
+            assert not grid.resolves(0, k)
+        assert all(grid.resolves(m, k) for m in (-3, 0, 3)
+                   for k in (-1.5, 0.0, 1.5))
+        for m, k in ((4, 0.0), (-4, 0.5), (0, 2.0), (1, -2.0),   # Nyquist
+                     (12, 0.0), (0, 4.5), (-5, -3.0)):           # aliased
+            assert not grid.resolves(m, k)

@@ -39,7 +39,7 @@ def test_long_period_identity_checks_keep_desk_resolution():
               + V.check_shape_derivative(grid, 24, 6)
               + V.check_hamiltonian_variations(grid, 24, 8, 1.0, 2.0,
                                                n_states=3)
-              + V.check_symbols(grid, 9, 1.0, 2.0))
+              + V.check_symbols(grid, 1.0, 2.0))
     names = {c.name for c in checks}
     assert {"curvature.two_paths", "trace.b_formula", "trace.g_consistency",
             "shape_derivative.fd_agreement", "symbol.im_mu1",
