@@ -107,7 +107,6 @@ def _check_ranges(out):
 
     try:
         grid = _grid(out)
-        radial_grid(out["n_rho"])
         EvolutionConfig(dt=out["dt"], t_final=out["t_final"],
                         record_every=out["record_every"])
     except ValueError as exc:
@@ -131,6 +130,11 @@ def _check_ranges(out):
     if not lo <= out["elliptic_tol"] <= hi:
         raise ConfigError(f"bad value for 'elliptic_tol': "
                           f"{out['elliptic_tol']:g} outside [{lo:g}, {hi:g}]")
+    # last: an uncached grid at the node bound takes about a second to build
+    try:
+        radial_grid(out["n_rho"])
+    except ValueError as exc:
+        raise ConfigError(f"bad value: {exc}") from exc
 
 
 def _check_resolved(grid, m, k):

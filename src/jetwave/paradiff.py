@@ -27,8 +27,18 @@ in coefficient space, in a box of width 2N per axis that holds every such
 sum exactly.  This is the dealiased result, exactly: on the 3/2 zero-padded
 grid of width M = 3N/2 the sums |zeta + xi| <= N - 1 would alias only by
 multiples of M, and every alias of a kept frequency k in [-N/2, N/2] lies
-outside (-N, N).  The real part is taken as c(k) <- (c(k) + conj c(-k))/2,
-which for the coarse Nyquist row reads its +N/2 partner from the box.
+outside (-N, N).
+
+Only half the active frequencies are sampled: those with k_theta > 0, or
+k_theta = 0 and k_z > 0.  For a real operator, a(w, -xi) = conj a(w, xi),
+and u real, u_hat(-xi) = conj u_hat(xi), the contribution of -xi to c(k)
+is the conjugate of the contribution of xi to c(-k).  No active frequency
+is its own mirror: xi = 0 has weight 0 and the Nyquist modes are dropped.
+So the half sums acc give the real part of the full sum as
+c(k) = acc(k) + conj acc(-k), which for the coarse Nyquist row reads its
++N/2 partner from the box.  This halves the symbol samples, the stacked
+transforms and the scatter-adds.
+
 Blocks beyond the dealiased band are dropped, the discrete analogue of
 working with band-limited fields.  The j-sum starts at j = 2, so low
 frequencies of the acted-on field are invisible: T_a (S_1 u) = 0 exactly
@@ -83,15 +93,15 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     ``symbol`` is anything with a ``total(xi_theta, xi_z)`` method that takes
     stacked 1-d frequency arrays and returns the complex samples of a(., xi)
     on the grid, shaped (n, n_theta, n_z) or broadcasting to it (see
-    symbols.HomogeneousSymbol).  For real operators the samples must satisfy
-    a(w, -xi) = conj(a(w, xi)); the accumulated sum is then real and its real
-    part is returned.
+    symbols.HomogeneousSymbol).  The samples must satisfy
+    a(w, -xi) = conj(a(w, xi)), the condition for a real operator: only the
+    half lattice k_theta > 0, or k_theta = 0 and k_z > 0, is sampled, and
+    the mirror half is its conjugate.  The real result is returned.
     """
     grid = u.grid
     dec = decomposition(grid)
     nt, nz = grid.n_theta, grid.n_z
     xt, xz = grid.xi_mesh()
-    uhat = u.coefficients
     nyq = grid.nyquist_mask()
 
     if dec.jmax < 2:
@@ -100,15 +110,21 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     low_w = dec.lowpass[:dec.jmax - 1]      # (J, Nt, Nz): chi(xi/2^(j-2))
     weight = block_w.sum(axis=0)
 
+    # signed lattice indices, and the box holding every sum zeta + xi
+    kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)
+    kz = np.fft.fftfreq(nz, 1.0 / nz).astype(int)
+    half = (kt[:, None] > 0) | ((kt[:, None] == 0) & (kz[None, :] > 0))
+    # u's coefficients, conjugate-symmetric exactly (a transform of real
+    # samples is so only to roundoff), so the active set is its own mirror
+    uhat = u.coefficients
+    uhat = 0.5 * (uhat + np.conj(uhat[np.ix_(-kt % nt, -kz % nz)]))
+
     # row-major, so the lattice iteration order is fixed
-    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq)
+    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq & half)
     n_active = idx_t.size
     if n_active == 0:
         return TorusField.zeros(grid)
 
-    # signed lattice indices, and the box holding every sum zeta + xi
-    kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)
-    kz = np.fft.fftfreq(nz, 1.0 / nz).astype(int)
     bt, bz = 2 * nt, 2 * nz
     acc = np.zeros(bt * bz, dtype=complex)
 
@@ -130,7 +146,7 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
         acc += 1j * np.bincount(at, shat.imag.ravel(), bt * bz)
 
     acc = acc.reshape(bt, bz)
-    c = 0.5 * (acc[np.ix_(kt % bt, kz % bz)]
-               + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
+    c = (acc[np.ix_(kt % bt, kz % bz)]
+         + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
     return TorusField.from_coefficients(grid, c)
 

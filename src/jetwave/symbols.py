@@ -42,17 +42,29 @@ each other's and come from one root, and a product, quotient, root or
 exponential of self-reflecting closures (gamma^(3/2), the parametrix and
 composition principals, the mollifier) is self-reflecting again.  A declared
 closure is evaluated at xi + ih only; conjugation is exact, so the gradient
-takes the same values as from both points.  A closure that declares nothing
-(a user's lambda, or one built on a1) is evaluated at both points.
+takes the same values as from both points.  A self-reflecting closure is
+real at real xi, and its gradient is the real array Im f(xi + ih)/h.  A
+closure that declares nothing (a user's lambda, or one built on a1) is
+evaluated at both points.
 
-Within one symbol_identity_report, every closure evaluation and xi-gradient
-is computed once per xi chunk and shared by all identities on that chunk.
-The report and paradiff.apply_paradiff size their chunks by one rule,
-TorusGrid.xi_chunk.  The evaluations one chunk shares take about 10 MB on
-32^2, under the heap thresholds that spectral raises as it loads, so the
-next chunk reuses that memory instead of faulting it in again.  The values
-of an a1/A1 pair at xi + ih are shared only between the two and dropped
-after their gradient, which keeps the peak lower.
+w-derivatives
+-------------
+w_derivatives and w_divergence transform each derivative along its own
+axis only, d_theta along theta and d_z along z, with real transforms for
+real input: the principal parts, their xi-gradients and the surface
+profiles are real, so most inputs are.  The transforms run on scipy.fft,
+and the 1-d multipliers are slices of spectral.derivative_multipliers,
+Nyquist zeroed by the same rule.
+
+Within one symbol_identity_report, every closure evaluation, xi-gradient
+and w-derivative pair of a closure is computed once per xi chunk and shared
+by all identities on that chunk.  The report and paradiff.apply_paradiff
+size their chunks by one rule, TorusGrid.xi_chunk.  The evaluations one
+chunk shares take about 10 MB on 32^2, under the heap thresholds that
+spectral raises as it loads, so the next chunk reuses that memory instead
+of faulting it in again.  The values of an a1/A1 pair at xi + ih are shared
+only between the two and dropped after their gradient, which keeps the
+peak lower.
 
 Each symbol has one constructor, which takes the surface record of
 _surface_data (eta projected once, its first derivatives and l^2) and
@@ -60,8 +72,6 @@ computes the xi-independent profiles of its closures once (1/eta^2,
 1/(2 alpha), gamma/alpha, ...), so a closure only multiplies and adds on its
 (n, n_theta, n_z) stack.  lambda_symbol(eta) is the one public constructor
 that takes eta; the report builds one record and every symbol from it.
-w_divergence sums two spectra before one inverse transform; the
-w-transforms run on scipy.fft.
 """
 
 from __future__ import annotations
@@ -104,7 +114,7 @@ def _sharing():
 
 
 def _key(arg):
-    if callable(arg):
+    if callable(arg) or isinstance(arg, TorusGrid):
         return arg
     a = np.asarray(arg)
     return a.dtype.str, a.shape, a.tobytes()
@@ -113,9 +123,10 @@ def _key(arg):
 def _evaluate(fn, *args):
     """fn(*args), computed once per sharing scope.
 
-    Arguments are keyed by value (functions by identity), so the same xi
-    reached by different routes -- e.g. the complex-step points of several
-    xi-gradients -- hits one entry.  Shared results are made read-only.
+    Arguments are keyed by value (functions by identity, grids as
+    themselves), so the same xi reached by different routes -- e.g. the
+    complex-step points of several xi-gradients -- hits one entry.  Shared
+    results are made read-only.
     """
     memo = _SHARED.get()
     if memo is None:
@@ -166,27 +177,42 @@ def _on_grid(arr, grid: TorusGrid):
     return arr
 
 
+def _w_derivative(arr, grid: TorusGrid, axis):
+    """d_theta (axis -2) or d_z (axis -1) of a grid array, spectral along
+    that axis only, Nyquist-zeroed; real transforms for real input."""
+    arr = _on_grid(arr, grid)
+    mt, mz = derivative_multipliers(grid)
+    mult = mt[:, :1] if axis == -2 else mz[0]
+    if np.iscomplexobj(arr):
+        return _sfft.ifft(_sfft.fft(arr, axis=axis) * mult, axis=axis)
+    n = arr.shape[axis]
+    c = _sfft.rfft(arr, axis=axis) * mult[:n // 2 + 1]
+    return _sfft.irfft(c, n, axis=axis)
+
+
 def w_derivatives(arr, grid: TorusGrid):
-    """(d_theta, d_z) of a (complex) grid array, spectral, Nyquist-zeroed.
+    """(d_theta, d_z) of a grid array, spectral, Nyquist-zeroed; real for
+    real input.
 
     Broadcasts over leading axes; inputs constant in w (trailing shape not
     matching the grid) are expanded first.
     """
-    mt, mz = derivative_multipliers(grid)
-    c = _sfft.fft2(_on_grid(arr, grid), axes=(-2, -1))
-    return (
-        _sfft.ifft2(c * mt, axes=(-2, -1)),
-        _sfft.ifft2(c * mz, axes=(-2, -1)),
-    )
+    return _w_derivative(arr, grid, -2), _w_derivative(arr, grid, -1)
 
 
 def w_divergence(f, g, grid: TorusGrid):
-    """d_theta f + d_z g, as w_derivatives(f)[0] + w_derivatives(g)[1] but
-    with the two spectra summed before one inverse transform."""
-    mt, mz = derivative_multipliers(grid)
-    c = (_sfft.fft2(_on_grid(f, grid), axes=(-2, -1)) * mt
-         + _sfft.fft2(_on_grid(g, grid), axes=(-2, -1)) * mz)
-    return _sfft.ifft2(c, axes=(-2, -1))
+    """d_theta f + d_z g, as w_derivatives(f)[0] + w_derivatives(g)[1]."""
+    return _w_derivative(f, grid, -2) + _w_derivative(g, grid, -1)
+
+
+def _w_derivatives_of(fn, xt, xz, grid):
+    """w_derivatives of the closure fn at xi, computed once per sharing
+    scope (see _evaluate)."""
+    return _evaluate(_w_derivatives_at, fn, xt, xz, grid)
+
+
+def _w_derivatives_at(fn, xt, xz, grid):
+    return w_derivatives(fn(xt, xz), grid)
 
 
 def xi_gradient(fn, xi_t, xi_z):
@@ -196,8 +222,8 @@ def xi_gradient(fn, xi_t, xi_z):
 
     A closure that declares its Schwarz reflection f* (see _reflecting) is
     evaluated at xi + ih only, with f(xi - ih) read as conj f*(xi + ih): the
-    same values from half the evaluations.  Any other closure is evaluated
-    at both points."""
+    same values from half the evaluations; a self-reflecting closure's
+    gradient is real.  Any other closure is evaluated at both points."""
     return _evaluate(_xi_gradient, fn, xi_t, xi_z)
 
 
@@ -206,24 +232,26 @@ def _xi_gradient(fn, xi_t, xi_z):
     xi_z = np.asarray(xi_z, dtype=float)
     r = np.sqrt(xi_t ** 2 + xi_z ** 2)
     h = 1e-5 * np.where(r == 0.0, 1.0, r)
-    scale = -0.5j / h     # 1/(2ih), on the xi shape only
     reflection = getattr(fn, "reflection", None)
+    ih = 1j * h
+    plus = ((xi_t + ih, xi_z), (xi_t, xi_z + ih))
+    if reflection is fn:
+        # f(xi - ih) = conj f(xi + ih): the difference is 2i Im f(xi + ih)
+        inv_h = 1.0 / h
+        return tuple(np.imag(fn(*p)) * inv_h for p in plus)
+    scale = -0.5j / h     # 1/(2ih), on the xi shape only
+    if reflection is None:
+        minus = ((xi_t - ih, xi_z), (xi_t, xi_z - ih))
+        return tuple((fn(*p) - fn(*m)) * scale for p, m in zip(plus, minus))
 
-    def difference(plus, minus):
-        if reflection is None:
-            return (fn(*plus) - fn(*minus)) * scale
-        if reflection is fn:
-            up = down = fn(*plus)
-        else:
-            # a pair such as a1 and A1 shares its work at this one point;
-            # the inner scope drops it here rather than with the chunk
-            with _sharing():
-                up, down = fn(*plus), reflection(*plus)
+    def difference(p):
+        # a pair such as a1 and A1 shares its work at this one point; the
+        # inner scope drops it here rather than with the chunk
+        with _sharing():
+            up, down = fn(*p), reflection(*p)
         return (up - np.conj(down)) * scale
 
-    ih = 1j * h
-    return (difference((xi_t + ih, xi_z), (xi_t - ih, xi_z)),
-            difference((xi_t, xi_z + ih), (xi_t, xi_z - ih)))
+    return tuple(difference(p) for p in plus)
 
 
 def _as_xi(x):
@@ -304,7 +332,7 @@ def _surface_data(eta: TorusField) -> _Surface:
     eta = eta.drop_nyquist()
     _require_positive(eta)
     e = eta.values
-    et, ez = (np.real(d) for d in w_derivatives(e, eta.grid))
+    et, ez = w_derivatives(e, eta.grid)
     return _Surface(eta.grid, e, et, ez, 1.0 + (et / e) ** 2 + ez ** 2)
 
 
@@ -399,8 +427,8 @@ def _factorization(s: _Surface, rho):
     A1, a1 = _shared(A1), _shared(a1)
     A1.reflection, a1.reflection = a1, A1
 
-    q_t = np.real(w_derivatives(et / e ** 2, grid)[0])
-    q_z = np.real(w_derivatives(ez / e ** 2, grid)[1])
+    q_t = _w_derivative(et / e ** 2, grid, -2)
+    q_z = _w_derivative(ez / e ** 2, grid, -1)
     gamma = -q_t / (r * e) - r * e * q_z + 1.0 / (r * e ** 2)
     gamma_alpha = gamma / alpha
 
@@ -451,8 +479,8 @@ def _mu_from(s: _Surface):
 
     fu, fv = curvature_F_uv(e, et, ez)
     (gu_tt, gu_tz, gu_zz), (gv_tt, gv_tz, gv_zz) = curvature_G_uv(e, et, ez)
-    e_tt, e_tz = (np.real(d) for d in w_derivatives(et, grid))
-    e_zz = np.real(w_derivatives(ez, grid)[1])
+    e_tt, e_tz = w_derivatives(et, grid)
+    e_zz = _w_derivative(ez, grid, -1)
     cu = fu + e_tt * gu_tt + 2.0 * e_tz * gu_tz + e_zz * gu_zz
     cv = fv + e_tt * gv_tt + 2.0 * e_tz * gv_tz + e_zz * gv_zz
 
@@ -519,7 +547,7 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
 
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
-        dth, dz = w_derivatives(b.principal(xt, xz), grid)
+        dth, dz = _w_derivatives_of(b.principal, xt, xz, grid)
         out = -1j * (ga * dth + gb * dz)
         if b.subprincipal is not None:
             out = out + a.principal(xt, xz) * b.subprincipal(xt, xz)
@@ -540,8 +568,8 @@ def poisson_bracket(a: HomogeneousSymbol, b: HomogeneousSymbol):
     def bracket(xt, xz):
         gat, gaz = xi_gradient(a.principal, xt, xz)
         gbt, gbz = xi_gradient(b.principal, xt, xz)
-        awt, awz = w_derivatives(a.principal(xt, xz), grid)
-        bwt, bwz = w_derivatives(b.principal(xt, xz), grid)
+        awt, awz = _w_derivatives_of(a.principal, xt, xz, grid)
+        bwt, bwz = _w_derivatives_of(b.principal, xt, xz, grid)
         return gat * bwt + gaz * bwz - awt * gbt - awz * gbz
 
     return HomogeneousSymbol(grid, a.degree + b.degree - 1.0, bracket, None,
@@ -555,7 +583,7 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
         ~a^(-m-1) = -( d_xi a^(m) . D_w (1/a^(m)) + a^(m-1)/a^(m) ) / a^(m).
     """
     margin = a.ellipticity_margin()
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise EllipticityError(
             f"symbol {a.name or '<anonymous>'} is not elliptic "
             f"(min Re principal on |xi|=1 is {margin:.3e})"
@@ -569,7 +597,7 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
 
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
-        dth, dz = w_derivatives(inv_principal(xt, xz), grid)
+        dth, dz = _w_derivatives_of(inv_principal, xt, xz, grid)
         out = -1j * (ga * dth + gb * dz)
         if a.subprincipal is not None:
             out = out + a.subprincipal(xt, xz) * inv_principal(xt, xz)
@@ -600,7 +628,8 @@ class IdentityCheck:
 
 def _lattice_checks(identities, grid, xt, xz):
     """IdentityChecks from name -> (threshold, residual closures); each
-    residual is the max of |fn| over the lattice and over that name's fns.
+    residual is the max of |fn| over the lattice and over that name's fns,
+    NaN if any value is NaN.
 
     The lattice is taken one xi chunk at a time and every closure is
     evaluated on it in one sharing scope, so evaluations common to several
@@ -615,7 +644,7 @@ def _lattice_checks(identities, grid, xt, xz):
         with _sharing():
             for name, (_, fns) in identities.items():
                 for fn in fns:
-                    res[name] = max(res[name], float(np.abs(fn(a, b)).max()))
+                    res[name] = np.maximum(res[name], np.abs(fn(a, b)).max())
     return [IdentityCheck(name, res[name], threshold)
             for name, (threshold, _) in identities.items()]
 
@@ -665,8 +694,7 @@ def symbol_identity_report(eta: TorusField, sigma, R):
         def residual(a, b):
             gt, gz = xi_gradient(sym.principal, a, b)
             div = w_divergence(gt, gz, grid)
-            rhs = -0.5 * np.real(div) - 0.5 * (dlog_t * np.real(gt)
-                                               + dlog_z * np.real(gz))
+            rhs = -0.5 * div - 0.5 * (dlog_t * gt + dlog_z * gz)
             return np.imag(sym.subprincipal(a, b)) - rhs
 
         return residual
@@ -677,7 +705,7 @@ def symbol_identity_report(eta: TorusField, sigma, R):
 
     # the q^(0) transport equation
     q0 = np.real(q_sym.principal(0.0, 1.0))
-    q0_t, q0_z = (np.real(d) for d in w_derivatives(q0, grid))
+    q0_t, q0_z = w_derivatives(q0, grid)
     bracket_lm = poisson_bracket(lam, mu).principal
 
     def prod_ml(a, b):
@@ -711,9 +739,10 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     with _sharing():
         checks += [
             IdentityCheck("homogeneity",
-                          max(s.homogeneity_residual() for s in syms), 1e-12),
+                          np.max([s.homogeneity_residual() for s in syms]),
+                          1e-12),
             IdentityCheck("ellipticity_margin",
-                          -min(s.ellipticity_margin() for s in syms), 0.0),
+                          -np.min([s.ellipticity_margin() for s in syms]), 0.0),
         ]
     checks.append(IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10))
 
@@ -753,10 +782,9 @@ def _symmetrizer_from(s: _Surface, sigma, lam, mu, lam_inv):
     gamma32 = _derived(gamma32, mu.principal, lam.principal)
 
     def gamma12(xt, xz):
-        im = -0.5 * np.real(w_divergence(*xi_gradient(gamma32, xt, xz), grid))
-        re = sigma * np.real(mu.principal(xt, xz)) * np.real(
-            lam.subprincipal(xt, xz)
-        ) / (2.0 * np.real(gamma32(xt, xz)))
+        im = -0.5 * w_divergence(*xi_gradient(gamma32, xt, xz), grid)
+        re = sigma * mu.principal(xt, xz) * np.real(
+            lam.subprincipal(xt, xz)) / (2.0 * gamma32(xt, xz))
         return re + 1j * im
 
     gamma_sym = HomogeneousSymbol(grid, 1.5, gamma32, gamma12, name="gamma")

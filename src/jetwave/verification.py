@@ -7,7 +7,9 @@ the acceptance test suite asserts the same checks one by one, so the two
 surfaces cannot drift apart.
 
 Checks are deterministic: random fields come from a seeded generator and all
-reductions have fixed order.
+reductions have fixed order.  Running worsts are np.maximum/np.minimum, not
+max/min, which drop a NaN that comes second: a NaN anywhere makes the value
+NaN, which fails its check.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def check_dyadic(grid, seed):
     for j in range(1, dec.jmax + 2):
         lhs = chi_profile(radii) + sum(
             annulus_profile(radii / 2.0 ** k) for k in range(j))
-        tele = max(tele, float(np.abs(lhs - chi_profile(radii / 2.0 ** j)).max()))
+        tele = np.maximum(tele, np.abs(lhs - chi_profile(radii / 2.0 ** j)).max())
     f = TorusField(grid, rng.standard_normal((grid.n_theta, grid.n_z)))
     recon = low_pass(f, 0)
     for j in range(0, dec.jmax + 1):
@@ -171,9 +173,9 @@ def _bessel_worst(grid, n_rho, R, modes, tol):
         psi = TorusField(grid, np.cos(m * th + k * zz))
         bundle = solver.trace_bundle(eta, psi, tol)
         lam = bessel_dtn_eigenvalue(m, k, R)
-        worst = max(worst, float(np.abs(bundle.G.values - lam * psi.values).max()
-                                 / abs(lam)))
-    return worst
+        worst = np.maximum(worst, np.abs(bundle.G.values - lam * psi.values).max()
+                           / abs(lam))
+    return float(worst)
 
 
 def check_dtn_bessel(grid, n_rho, R=1.0):
@@ -254,10 +256,10 @@ def check_dtn_structure(grid, n_rho, seed, R=1.0, n_states=100):
         s21 = integrate_product(b2.flux, psi1)
         scale = 0.5 * (b1.flux.l2_norm() * psi2.l2_norm()
                        + b2.flux.l2_norm() * psi1.l2_norm())
-        asym_worst = max(asym_worst, abs(s12 - s21) / scale)
-        ek_min = min(ek_min, b1.kinetic_energy, b2.kinetic_energy)
+        asym_worst = np.maximum(asym_worst, abs(s12 - s21) / scale)
+        ek_min = np.min([ek_min, b1.kinetic_energy, b2.kinetic_energy])
         bc = solver.trace_bundle(eta, TorusField.constant(grid, 1.7), 1e-11)
-        gconst_worst = max(gconst_worst, bc.G.max_norm())
+        gconst_worst = np.maximum(gconst_worst, bc.G.max_norm())
     return [
         _below("dtn.symmetry", asym_worst, 1e-8,
                note=f"{n_states} seeded states"),
@@ -355,8 +357,9 @@ def check_hamiltonian_variations(grid, n_rho, seed, R=1.0, sigma=1.0,
         de = band_limited_random(grid, rng, kmax=3, max_norm=1.0)
         fd_p, an_p, fd_e, an_e = hamiltonian_variations(
             eta, psi, dp, de, R, sigma, solver, 1e-12)
-        worst_p = max(worst_p, abs(fd_p - an_p) / max(abs(an_p), 1e-12))
-        worst_eta = max(worst_eta, abs(fd_e - an_e) / max(abs(an_e), 1e-12))
+        worst_p = np.maximum(worst_p, abs(fd_p - an_p) / max(abs(an_p), 1e-12))
+        worst_eta = np.maximum(worst_eta,
+                               abs(fd_e - an_e) / max(abs(an_e), 1e-12))
     return [
         _below("hamiltonian.variation_p", worst_p, 1e-5,
                note=f"{n_states} seeded states"),
@@ -375,7 +378,7 @@ def check_curvature(grid, seed, R=1.0):
             grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
         h1 = mean_curvature(eta, "direct")
         h2 = mean_curvature(eta, "decomposed")
-        worst = max(worst, (h1 - h2).max_norm() / h1.max_norm())
+        worst = np.maximum(worst, (h1 - h2).max_norm() / h1.max_norm())
     return [_below("curvature.two_paths", worst, 1e-9,
                    note=f"random smooth eta, kmax {kmax}, decay {decay}, "
                         f"amplitude {amp}R")]
@@ -412,7 +415,7 @@ def check_symbol_vs_bessel(grid, R=1.0):
                 + lam.subprincipal(float(m), float(k))).ravel()[0])
             err = abs(bessel_dtn_eigenvalue(m, k, R) - sym.real)
             key = round(r, 9)
-            shells[key] = max(shells.get(key, 0.0), err)
+            shells[key] = np.maximum(shells.get(key, 0.0), err)
     rr = np.array(sorted(shells))
     ee = np.array([shells[k] for k in sorted(shells)])
     slope = float(np.polyfit(np.log(rr), np.log(ee), 1)[0])
@@ -481,17 +484,17 @@ def check_rk4(R=1.0, sigma=1.0):
         for _ in range(nsteps):
             s = step_rk4(s, T / nsteps, solver, 1e-12).state
         finals.append(s)
-    d1 = max((finals[0].eta - finals[1].eta).max_norm(),
-             (finals[0].psi - finals[1].psi).max_norm())
-    d2 = max((finals[1].eta - finals[2].eta).max_norm(),
-             (finals[1].psi - finals[2].psi).max_norm())
+    d1 = np.maximum((finals[0].eta - finals[1].eta).max_norm(),
+                    (finals[0].psi - finals[1].psi).max_norm())
+    d2 = np.maximum((finals[1].eta - finals[2].eta).max_norm(),
+                    (finals[1].psi - finals[2].psi).max_norm())
     order = float(np.log2(d1 / d2))
     shifted = state.with_fields(eta=state.eta.shift(0, grid.n_z // 2),
                                 psi=state.psi.shift(0, grid.n_z // 2))
     a = step_rk4(shifted, 0.02, solver, 1e-12).state
     b = step_rk4(state, 0.02, solver, 1e-12).state
-    equi = max((a.eta - b.eta.shift(0, grid.n_z // 2)).max_norm(),
-               (a.psi - b.psi.shift(0, grid.n_z // 2)).max_norm())
+    equi = np.maximum((a.eta - b.eta.shift(0, grid.n_z // 2)).max_norm(),
+                      (a.psi - b.psi.shift(0, grid.n_z // 2)).max_norm())
     return [
         _above("rk4.self_convergence_order", order, 3.9),
         _below("rk4.translation_equivariance", equi, 1e-11),

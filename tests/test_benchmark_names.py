@@ -56,6 +56,31 @@ def test_dtn_cold_units_start_from_the_half_grid():
     assert np.mean([b.iterations for b in bundles]) <= 6
 
 
+def test_calculus_units_sample_half_the_lattice():
+    """calculus-32's apply_paradiff samples lambda on half the active
+    frequencies: the mirror half is the conjugate, which the symbol's
+    reality condition gives.  A count fails here if the half-lattice rule
+    stops firing, where wall time would only drift."""
+    spans = _load_spans()
+    wl = _load("workloads").WORKLOADS["calculus-32"]()
+    wl.setup(np.random.default_rng(0))
+    eta, psi = wl.make(np.random.default_rng(1), 0)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        out = wl.run((eta, psi))
+    assert wl.check((eta, psi), out) is None
+    U = paradiff.good_unknown(eta, psi,
+                              wl.solver.trace_bundle(eta, psi, wl.tol).B)
+    dec = spectral.decomposition(U.grid)
+    c = U.coefficients
+    mirror = (-np.arange(32)) % 32
+    active = ((dec.blocks[2:].sum(axis=0) != 0.0)
+              & (c + np.conj(c[np.ix_(mirror, mirror)]) != 0.0)
+              & ~U.grid.nyquist_mask())
+    assert tracer.paradiff_samples > 0
+    assert 2 * tracer.paradiff_samples == active.sum()
+
+
 def test_evolve_units_carry_their_stage_guesses():
     """evolve-32's stage solves start from earlier potentials carried to
     the new trace through the cylinder's harmonic extension, so each of

@@ -382,6 +382,20 @@ t_final = 0.5
             assert "n_rho" in capsys.readouterr().err, command
             assert not out.exists(), command
 
+    def test_scalar_checks_before_the_radial_grid(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A bad sigma at n_rho = 512 exits 2 naming sigma without building
+        the radial grid, which uncached takes about a second at that size."""
+        built = []
+        monkeypatch.setattr(elliptic, "radial_grid", built.append)
+        path = write(tmp_path, BASE.replace("n_rho = 24", "n_rho = 512")
+                     .replace("sigma = 1.0", "sigma = -1"))
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "sigma" in capsys.readouterr().err
+        assert built == []
+
     def test_verify_fault_exit_3(self, tmp_path, capsys, lambda0_sign_fault):
         path = write(tmp_path, BASE + "\n[verify]\nheavy = false\n"
                                       "structure_states = 2\n")

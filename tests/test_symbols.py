@@ -12,7 +12,12 @@ import pytest
 from jetwave import symbols
 from jetwave.errors import EllipticityError
 from jetwave.geometry import curvature_F_uv
-from jetwave.spectral import TorusField, TorusGrid, band_limited_random
+from jetwave.spectral import (
+    TorusField,
+    TorusGrid,
+    band_limited_random,
+    derivative_multipliers,
+)
 from jetwave.symbols import (
     HomogeneousSymbol,
     lambda_symbol,
@@ -180,6 +185,163 @@ class TestWDivergence:
         want = w_derivatives(f, grid)[0] + w_derivatives(g, grid)[1]
         assert _rel(w_divergence(f, g, grid), want) <= 1e-13
 
+
+
+def _w_derivatives_2d(arr, grid):
+    """The two-dimensional complex route: one fft2 of the input expanded to
+    the grid, times each derivative multiplier, and an ifft2 each."""
+    arr = np.broadcast_to(arr, np.shape(arr)[:-2] + (grid.n_theta, grid.n_z))
+    c = np.fft.fft2(arr)
+    return tuple(np.fft.ifft2(c * m) for m in derivative_multipliers(grid))
+
+
+def _w_input(kind, grid):
+    """A stack of five grid arrays of the named kind."""
+    rng = np.random.default_rng(3)
+    shape = (5, grid.n_theta, grid.n_z)
+    if kind.startswith("constant"):
+        shape = (5, 1, 1)
+    out = rng.standard_normal(shape)
+    if kind.endswith("complex"):
+        out = out + 1j * rng.standard_normal(shape)
+    if kind == "nyquist":
+        i, j = np.indices(shape[1:])
+        out = out + 3.0 * (-1.0) ** i + 2.0 * (-1.0) ** j * np.cos(i)
+    if kind == "nyquist_only":
+        i, j = np.indices(shape[1:])
+        out = out[:, :1, :1] * ((-1.0) ** i + (-1.0) ** j)
+    return out
+
+
+class TestWDerivatives:
+    """Each derivative transformed along its own axis, with real transforms
+    for real input, against the two-dimensional complex route."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 8)])
+    @pytest.mark.parametrize("kind", ["real", "complex", "constant",
+                                      "constant_complex", "nyquist",
+                                      "nyquist_only"])
+    def test_matches_complex_route(self, shape, kind):
+        grid = TorusGrid(*shape)
+        arr = _w_input(kind, grid)
+        want = _w_derivatives_2d(arr, grid)
+        got = w_derivatives(arr, grid)
+        scale = np.abs(arr).max()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.iscomplexobj(g) == np.iscomplexobj(arr)
+            assert (np.abs(g - w).max()
+                    <= 1e-13 * max(np.abs(w).max(), scale))
+
+
+class TestRealGradient:
+    @pytest.mark.parametrize("surface", ["deformed", "random"])
+    def test_self_reflecting_gradient_is_real(self, grid16, surface):
+        """The xi-gradient of a self-reflecting closure is the real array
+        Im f(xi + ih)/h, bitwise the real part of the two-point formula
+        (f(xi + ih) - conj f(xi + ih))/(2ih)."""
+        eta = _deformed(grid16) if surface == "deformed" else _random(grid16)
+        lam = lambda_symbol(eta)
+        gamma_sym = _symmetrizer(eta)[1]
+        xts, xzs = lattice_points(grid16)
+        xt, xz = _as_xi(xts[:40]), _as_xi(xzs[:40])
+        h = 1e-5 * np.sqrt(xt ** 2 + xz ** 2)
+        for f in (lam.principal, _mu(eta).principal, gamma_sym.principal,
+                  parametrix(lam).principal):
+            assert f.reflection is f
+            for g, plus in zip(xi_gradient(f, xt, xz),
+                               ((xt + 1j * h, xz), (xt, xz + 1j * h))):
+                up = f(*plus)
+                assert not np.iscomplexobj(g)
+                assert np.array_equal(g, ((up - np.conj(up)) * (-0.5j / h)).real)
+
+
+class TestSharedWDerivatives:
+    def test_once_per_scope_and_bitwise(self, monkeypatch, grid16):
+        """Inside a sharing scope the w-derivatives of a closure at a chunk
+        are computed once, bitwise the direct ones."""
+        lam = lambda_symbol(_deformed(grid16))
+        xt, xz = (_as_xi(x[:8]) for x in lattice_points(grid16))
+        want = w_derivatives(lam.principal(xt, xz), grid16)
+        calls = []
+        direct = symbols.w_derivatives
+
+        def counted(arr, grid):
+            calls.append(1)
+            return direct(arr, grid)
+
+        monkeypatch.setattr(symbols, "w_derivatives", counted)
+        with symbols._sharing():
+            got = [symbols._w_derivatives_of(lam.principal, xt, xz, grid16)
+                   for _ in range(3)]
+        assert len(calls) == 1
+        for pair in got:
+            assert all(np.array_equal(g, w) for g, w in zip(pair, want))
+
+    def test_report_forms_each_once_per_chunk(self, monkeypatch, grid16):
+        """A 16^2 report forms the w-derivatives of each closure once per xi
+        chunk: of lambda1, 1/lambda1, mu2, gamma^(3/2) and the mollifier,
+        though compositions, the parametrix and brackets share them."""
+        seen = []
+        at = symbols._w_derivatives_at
+
+        def spy(fn, xt, xz, grid):
+            seen.append((_name(fn), xt.tobytes(), xz.tobytes()))
+            return at(fn, xt, xz, grid)
+
+        monkeypatch.setattr(symbols, "_w_derivatives_at", spy)
+        symbol_identity_report(_deformed(grid16), SIGMA, R)
+        chunks = -(-len(lattice_points(grid16)[0]) // grid16.xi_chunk())
+        assert len(set(seen)) == len(seen) == 5 * chunks
+        assert {n for n, _, _ in seen} == {"lam1", "inv_principal", "mu2",
+                                           "gamma32", "j0"}
+
+
+class TestNanResiduals:
+    """A NaN anywhere makes a residual NaN, which fails its check."""
+
+    def test_lattice_checks(self, grid16):
+        xt, xz = lattice_points(grid16)
+
+        def nan(a, b):
+            return np.full(np.shape(a)[:1] + (16, 16), np.nan)
+
+        def nan_last(a, b):
+            out = np.ones(np.shape(a)[:1] + (16, 16))
+            out[-1, 3, 4] = np.nan
+            return out
+
+        checks = symbols._lattice_checks(
+            {"everywhere": (1.0, [nan]),
+             "second_closure": (1.0, [lambda a, b: np.ones((1, 16, 16)), nan]),
+             "one_point": (10.0, [nan_last])}, grid16, xt, xz)
+        assert [c.name for c in checks] == ["everywhere", "second_closure",
+                                            "one_point"]
+        for c in checks:
+            assert np.isnan(c.residual) and not c.passed, c
+
+    def test_report_invariants(self, monkeypatch, grid16):
+        """A NaN homogeneity residual or ellipticity margin of mu, the
+        second of the report's symbols, fails its check."""
+        homogeneity = HomogeneousSymbol.homogeneity_residual
+        margin = HomogeneousSymbol.ellipticity_margin
+        monkeypatch.setattr(
+            HomogeneousSymbol, "homogeneity_residual",
+            lambda s: np.nan if s.name == "mu" else homogeneity(s))
+        monkeypatch.setattr(
+            HomogeneousSymbol, "ellipticity_margin",
+            lambda s: np.nan if s.name == "mu" else margin(s))
+        checks = {c.name: c for c in symbol_identity_report(
+            _deformed(grid16), SIGMA, R)}
+        for name in ("homogeneity", "ellipticity_margin"):
+            assert np.isnan(checks[name].residual), name
+            assert not checks[name].passed, name
+
+    def test_parametrix_rejects_nan_margin(self, grid16):
+        sym = HomogeneousSymbol(
+            grid16, 1.0, lambda xt, xz: np.full(np.shape(xt) + (16, 16), np.nan))
+        with pytest.raises(EllipticityError):
+            parametrix(sym)
 
 class TestMuSymbol:
     def test_cylinder(self, grid32):
@@ -359,28 +521,29 @@ def test_second_report_reuses_the_heap():
 
 # Residuals of the report on _deformed(grid32), as float.hex, recorded with
 # the symbol closures' xi-independent profiles computed once per factory and
-# the symbol transforms on scipy.fft (x86-64, numpy 2.x, scipy 1.17).
+# each w-derivative transformed along its own axis on scipy.fft, real
+# transforms for real input (x86-64, numpy 2.x, scipy 1.17).
 _PINNED = {
     "analytic": {
         "mu2_eq_a2_lambda1_sq": "0x1.8000000000000p-43",
         "mu2_two_paths": "0x1.8000000000000p-43",
         "p_times_lambda_eq_gamma_q": "0x1.0000000000000p-46",
         "q_sigma_mu2_eq_gamma_p": "0x1.0000000000000p-43",
-        "im_lambda0": "0x1.a20ec00000000p-39",
-        "im_mu1": "0x1.7480000000000p-44",
+        "im_lambda0": "0x1.a223000000000p-39",
+        "im_mu1": "0x1.51c0000000000p-44",
         "re_mu1": "0x0.0p+0",
-        "q0_equation": "0x1.74b1000009be2p-32",
-        "lambda_parametrix": "0x1.5ffd000000d17p-37",
-        "poisson_gamma_mollifier": "0x1.a72728000006ap-37",
+        "q0_equation": "0x1.7545000000000p-32",
+        "lambda_parametrix": "0x1.5ffbc00000000p-37",
+        "poisson_gamma_mollifier": "0x1.a725480000000p-37",
         "homogeneity": "0x1.0000000000000p-51",
         "ellipticity_margin": "-0x1.a8a23f757b69ep-2",
-        "lambda_reality": "0x1.0001fffe00040p-49",
-        "factorization_rho_1": "0x1.40029dc346274p-42",
-        "factorization_rho_0_7": "0x1.0005e5d0d1f7fp-41",
+        "lambda_reality": "0x1.00047ff5e02d9p-49",
+        "factorization_rho_1": "0x1.4008acea630f1p-42",
+        "factorization_rho_0_7": "0x1.0000e3167f4acp-41",
     },
 }
 # the lambda0_sign_fault fixture moves only the Im-lambda0 identity
-_PINNED["fault"] = dict(_PINNED["analytic"], im_lambda0="0x1.bde9ff8803fc6p-4")
+_PINNED["fault"] = dict(_PINNED["analytic"], im_lambda0="0x1.bde9ff8803fc2p-4")
 
 
 def _hex_report(*args):

@@ -2,6 +2,8 @@
 
 import warnings
 
+import numpy as np
+
 from jetwave import verification as V
 from jetwave.spectral import TAU, TorusGrid
 
@@ -55,3 +57,29 @@ def test_hamiltonian_variations_beyond_central_difference_accuracy():
     checks = V.check_hamiltonian_variations(TorusGrid(32, 32), 48, 291,
                                             n_states=1)
     assert [c.name for c in checks if not c.passed] == []
+
+
+def test_nan_in_a_later_state_fails(monkeypatch):
+    """A NaN that reaches a running worst after a finite value makes the
+    value NaN and fails the check, for the curvature and Hamiltonian
+    ensembles alike."""
+    grid = TorusGrid(32, 32)
+    curvature = V.mean_curvature
+    calls = []
+
+    def nan_on_third_state(eta, method):
+        calls.append(method)
+        h = curvature(eta, method)
+        return h * np.nan if len(calls) == 6 else h
+
+    monkeypatch.setattr(V, "mean_curvature", nan_on_third_state)
+    states = iter([(1.0, 1.0, 1.0, 1.0), (np.nan, 1.0, np.nan, 1.0)])
+    monkeypatch.setattr(V, "hamiltonian_variations",
+                        lambda *args: next(states))
+    checks = (V.check_curvature(grid, 3)
+              + V.check_hamiltonian_variations(grid, 8, 8, n_states=2))
+    assert [c.name for c in checks] == ["curvature.two_paths",
+                                        "hamiltonian.variation_p",
+                                        "hamiltonian.variation_eta"]
+    for c in checks:
+        assert np.isnan(c.value) and not c.passed, c
