@@ -438,6 +438,7 @@ def cmd_dtn(cfg, out_dir, seed, quiet):
     _write_manifest(manifest, [
         ("command", "dtn"),
         ("iterations", bundle.iterations),
+        ("coarse_iterations", bundle.coarse_iterations),
         ("solver_residual", bundle.residual),
         ("kinetic_energy", bundle.kinetic_energy),
         *((name + "_residual", value) for name, value in

@@ -84,17 +84,28 @@ iteration counts and residual, and the projected eta with eta_grad; its
 coefficient stacks are freed with it.
 
 A cold solve on a grid of at least 64 x 64 points, both counts divisible by
-4, starts from a nested iteration (the first leg of full multigrid): the
-solver holds a read-only coarse solver on the half grid with 16 radial
-nodes, solves there to COARSE_TOL on eta and psi truncated spectrally, and
-prolongs that potential -- barycentric interpolation in rho, zero padding
-in (theta, z) -- into the fine CG's starting guess.  The stopping test stays
-relative to the cold right-hand side, so the accuracy target is unchanged.
-``iterations`` counts the fine CG iterations and ``coarse_iterations`` the
-coarse ones (0 when no coarse start ran).  Smaller grids solve cold as
-before; so does a truncated radius that is not positive.  The prolonged
-guess is not carried: its trace row is the truncated psi, and carrying it
-saved no fine iteration.
+4, starts from a nested iteration (the first leg of full multigrid, here
+with a radial level above the usual one).  With more than COARSE_N_RHO = 16
+radial nodes the solver holds a read-only chain of two coarse solvers: the
+same grid with 16 radial nodes (the radial level), whose own coarse solver
+is the half grid with 16 nodes; with 16 nodes or fewer it holds the half
+grid alone.  A cold solve hands eta and psi to its coarse solver -- as they
+are on the same grid, truncated spectrally on the half grid -- which solves
+cold or nested in turn, and prolongs that potential into its CG's starting
+guess: barycentric interpolation in rho where the node counts differ, zero
+padding in (theta, z) where the grids do.  The radial level solves to
+10 tol, tol the caller's; the half grid to COARSE_TOL = 1e-8.  The stopping
+test stays relative to the cold right-hand side, so the accuracy target is
+unchanged.  On the 64 x 64 x 48 dtn-cold-64 requests the fine solve takes
+about 1 CG iteration (10-13 cold, about 4 from the half grid alone) after
+about 3.5 at the radial level and 7.5 on the half grid.  ``iterations`` counts
+the fine CG iterations and ``coarse_iterations`` the sum over every coarse
+level the start ran (0 when none ran).  Smaller grids solve cold as
+before.  A level whose coarse radius is not positive starts cold: on a neck
+whose half-grid truncation dips below zero the radial level starts cold
+and the half grid does not run.
+The prolonged guess is not carried: its trace row is the (truncated) psi,
+and carrying it saved no fine iteration.
 
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
@@ -127,6 +138,7 @@ TOL_DEFAULT = 1e-11
 TOL_RANGE = (1e-13, 1e-6)
 MAX_ITER = 200      # CG iteration cap of every solve, read at call time
 COARSE_TOL = 1e-8   # tolerance of the half-grid solve of a nested cold start
+COARSE_N_RHO = 16   # radial nodes of every coarse level of a nested cold start
 N_RHO_MAX = 512     # from 518 radial nodes a barycentric weight overflows
 
 
@@ -153,21 +165,21 @@ def _gauss_radau_left(n):
     return x, w
 
 
+def _node_differences(x):
+    """x[i] - x[j], with 1 on the diagonal."""
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    return d
+
+
 def _barycentric_weights(x):
-    n = len(x)
-    w = np.ones(n)
-    for j in range(n):
-        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+    w = 1.0 / np.prod(_node_differences(x), axis=1)
     return w / np.abs(w).max()
 
 
 def _differentiation_matrix(x, w):
-    n = len(x)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+    D = (w[None, :] / w[:, None]) / _node_differences(x)
+    np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return D
 
@@ -230,7 +242,10 @@ def _resample(spec, n_theta, n_z):
 # ---------------------------------------------------------------------------
 
 class _Solve(NamedTuple):
-    """What one solve gives, under the names TraceBundle gives it."""
+    """What one solve gives, under the names TraceBundle gives it.
+    iterations counts the CG iterations on the solver's own grid and
+    coarse_iterations the sum over every coarse level a nested cold start
+    ran (0 if none ran)."""
 
     potential: np.ndarray
     flux: TorusField
@@ -255,9 +270,10 @@ class TraceBundle:
     CG holds when it stops.  potential is the read-only nodal potential
     stack of the solve, a starting guess for the next solve at a nearby
     state, eta the Nyquist-projected radius it was solved on and eta_grad
-    its (eta_theta, eta_z).  iterations and coarse_iterations are the
-    solve's CG iterations on its own grid and on the half grid of a nested
-    cold start (0 if none ran).
+    its (eta_theta, eta_z).  iterations counts the solve's CG iterations on
+    its own grid and coarse_iterations the sum of the CG iterations of
+    every coarse level its nested cold start ran, the radial level and the
+    half grid (0 if none ran).
     """
 
     B: TorusField
@@ -328,7 +344,11 @@ class DtnSolver:
 
     Holds the radial discretization, the preconditioner's per-angular-mode
     eigenbasis and, on grids of at least 64 x 64 with both counts divisible
-    by 4, the half-grid solver of nested cold starts, all read-only after
+    by 4, the coarse solver of nested cold starts: the same grid with 16
+    radial nodes when n_rho exceeds 16 (its own coarse solver the half grid
+    with 16 nodes), else the half grid with 16 nodes.  A cold 64 x 64 x 48
+    request then takes about 1 fine CG iteration after about 11 coarse
+    ones; grids below 64^2 solve cold.  All of it is read-only after
     construction.  A solve depends only on its inputs, so instances give
     bitwise the same results whatever was solved before and are safe for
     concurrent use.
@@ -339,9 +359,11 @@ class DtnSolver:
         self.radial = radial_grid(n_rho)
         self.n_rho = n_rho
         nt, nz = grid.n_theta, grid.n_z
-        self._coarse = (
-            DtnSolver(TorusGrid(nt // 2, nz // 2, grid.z_period), 16)
-            if min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0 else None)
+        self._coarse = None
+        if min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0:
+            self._coarse = DtnSolver(
+                grid if n_rho > COARSE_N_RHO
+                else TorusGrid(nt // 2, nz // 2, grid.z_period), COARSE_N_RHO)
         mt, mz = derivative_multipliers(grid)
         nzr = grid.n_z // 2 + 1
         self._rmt = mt[:, :nzr].copy()
@@ -553,15 +575,16 @@ class DtnSolver:
         eta and psi are Nyquist-projected first, and the projected eta must
         be strictly positive (DomainViolationError).  Returns a record of the
         read-only (n_rho, n_theta, n_z) potential, the flux eta G(eta) psi,
-        the kinetic energy E_k, the CG iterations on this grid and on the
-        half grid of a nested cold start (0 if none ran), the final relative
+        the kinetic energy E_k, the CG iterations on this grid and, summed,
+        on the coarse levels of a nested cold start (0 if none ran), the
+        final relative
         residual, and the projected eta with eta_grad = (eta_theta, eta_z).
         guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
         stack that CG starts from.  Its rho = 1 row is the trace it was
         solved for: if that differs from the projected psi, the guess is
         carried to psi by the harmonic extension of the difference on the
         cylinder of eta's mean radius.  Without a guess, a solver with a
-        half-grid solver starts from its prolonged solution, uncarried.
+        coarse solver starts from its prolonged solution, uncarried.
         The stopping test is relative to the cold right-hand side either
         way.  A non-finite residual (from NaN or inf in eta, psi or the
         guess, its trace row included) raises ConvergenceError at once.
@@ -588,13 +611,13 @@ class DtnSolver:
 
     def _solve(self, eta, psi, tol, guess=None):
         """CG on Nyquist-projected eta and psi, from guess (carried to psi)
-        or else from the nested cold start if the solver has a half-grid
+        or else from the nested cold start if the solver has a coarse
         solver, stopped at tol, after MAX_ITER iterations or at a
         non-finite residual; the caller checks the residual."""
         coarse_its = 0
         from_caller = guess is not None
         if not from_caller and self._coarse is not None:
-            guess, coarse_its = self._coarse_start(eta, psi)
+            guess, coarse_its = self._coarse_start(eta, psi, tol)
         shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
         eta_grad = (spectral_derivative(eta, "theta"),
                     spectral_derivative(eta, "z"))
@@ -663,28 +686,39 @@ class DtnSolver:
         return _Solve(phi, TorusField(self.grid, flux / self.grid.cell_area),
                       ek, its, coarse_its, res, eta, eta_grad)
 
-    def _coarse_start(self, eta, psi):
-        """(guess, coarse CG iterations) of a nested cold start: eta and psi
-        truncated to the half grid, solved there to COARSE_TOL, and the
-        potential interpolated to this solver's radial nodes and zero-padded
-        in (theta, z).  (None, 0) when the truncated radius is not positive
-        or not finite."""
+    def _coarse_start(self, eta, psi, tol):
+        """(guess, coarse CG iterations) of a nested cold start from the
+        coarse solver: a solve there, cold or nested in turn, and its
+        potential interpolated to this solver's radial nodes.  On the same
+        grid (the radial level) the solve takes eta and psi as they are, to
+        10 tol; on the half grid it takes them truncated, to COARSE_TOL, and
+        the potential is zero-padded back in (theta, z).  The count sums
+        every coarse level's iterations.  (None, 0) when the coarse radius
+        is not positive or not finite."""
         coarse = self._coarse
-        half = (coarse.grid.n_theta, coarse.grid.n_z)
-        spec = _resample(_sfft.rfft2(np.stack([eta.values, psi.values]),
-                                     norm="forward"), *half)
-        eta_c, psi_c = _sfft.irfft2(spec, s=half, norm="forward")
+        full = (self.grid.n_theta, self.grid.n_z)
+        shape = (coarse.grid.n_theta, coarse.grid.n_z)
+        if shape == full:
+            eta_c, psi_c = eta.values, psi.values
+            ctol = 10.0 * tol
+        else:
+            spec = _resample(_sfft.rfft2(np.stack([eta.values, psi.values]),
+                                         norm="forward"), *shape)
+            eta_c, psi_c = _sfft.irfft2(spec, s=shape, norm="forward")
+            ctol = COARSE_TOL
         if not eta_c.min() > 0.0:   # NaN fails too
             return None, 0
         pot = coarse._solve(TorusField(coarse.grid, eta_c),
-                            TorusField(coarse.grid, psi_c), COARSE_TOL)
-        stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),
-                           pot.potential)
-        full = (self.grid.n_theta, self.grid.n_z)
-        spec = _resample(_sfft.rfft2(stack, axes=(1, 2), norm="forward"),
-                         *full)
-        return (_sfft.irfft2(spec, axes=(1, 2), s=full, norm="forward"),
-                pot.iterations)
+                            TorusField(coarse.grid, psi_c), ctol)
+        stack = pot.potential
+        if coarse.n_rho != self.n_rho:
+            stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),
+                               stack)
+        if shape != full:
+            spec = _resample(_sfft.rfft2(stack, axes=(1, 2), norm="forward"),
+                             *full)
+            stack = _sfft.irfft2(spec, axes=(1, 2), s=full, norm="forward")
+        return stack, pot.iterations + pot.coarse_iterations
 
     # -- trace bundle --------------------------------------------------------
     def trace_bundle(self, eta: TorusField, psi: TorusField, tol=TOL_DEFAULT,

@@ -70,6 +70,28 @@ def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
 
 
+def barycentric_weights_loop(x):
+    """Barycentric weights node by node, 1 / prod_{k != j} (x_j - x_k),
+    scaled to max 1: the oracle of the vectorized build in elliptic."""
+    w = np.ones(len(x))
+    for j in range(len(x)):
+        w[j] = 1.0 / np.prod(x[j] - np.delete(x, j))
+    return w / np.abs(w).max()
+
+
+def differentiation_matrix_loop(x, w):
+    """The barycentric differentiation matrix entry by entry, the diagonal
+    the negated row sum: the oracle of the vectorized build in elliptic."""
+    n = len(x)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
+
+
 def pad_coefficients(grid, coefficients, fine):
     """Embed coefficients into the lattice of a finer grid (zero padding;
     the Nyquist row and column land at -n/2): the complex embedding the

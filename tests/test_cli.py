@@ -599,6 +599,10 @@ class TestDtnCommand:
         assert worst < 1e-8
         manifest = (tmp_path / "run_dtn_manifest.txt").read_text()
         assert "gradient_identity_residual=" in manifest
+        # the coarse count follows the fine one; a 16^2 grid starts cold
+        keys = [line.split("=")[0] for line in manifest.splitlines()]
+        assert keys[keys.index("iterations") + 1] == "coarse_iterations"
+        assert "\ncoarse_iterations=0\n" in manifest
 
     def test_constant_trace_all_zero(self, tmp_path):
         path = write(tmp_path, BASE + "[ic]\nmode.1 = 2.0 0 0 psi 0.0\n")
