@@ -5,7 +5,7 @@ Subcommands
 simulate    advance a configured initial state, writing a run manifest (with
             the worst relative CG residual of its solves) and a
             time-series table (t, E_k, E_p, H_total, volume, min_eta,
-            max_eta, mean_psi, elliptic_iters)
+            max_eta, mean_psi, elliptic_iters, elliptic_coarse_iters)
 dispersion  tabulate analytic vs measured linearized frequencies about the
             reference cylinder
 verify      run the full verification battery with machine-readable output
@@ -337,13 +337,15 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     traj = simulate(state, econf, solver)
     rows = [
         (r.t, r.kinetic, r.potential, r.total, r.volume, r.min_eta,
-         r.max_eta, r.mean_psi, r.elliptic_iterations)
+         r.max_eta, r.mean_psi, r.elliptic_iterations,
+         r.elliptic_coarse_iterations)
         for r in traj.reports
     ]
     series = os.path.join(out_dir, cfg["prefix"] + "_series.csv")
     _write_csv(series,
                ["t", "E_k", "E_p", "H_total", "volume", "min_eta",
-                "max_eta", "mean_psi", "elliptic_iters"],
+                "max_eta", "mean_psi", "elliptic_iters",
+                "elliptic_coarse_iters"],
                rows)
     manifest = os.path.join(out_dir, cfg["prefix"] + "_manifest.txt")
     t_last = traj.times[-1] if traj.times else state.t

@@ -44,12 +44,14 @@ side, so G(eta) 1 = 0 exactly.
 
 A guess's rho = 1 row is read as the trace it was solved for.  When it
 differs from the projected psi (an RK4 stage guess is the potential of an
-earlier stage, whose trace has turned since), CG starts from the guess
-carried to psi, guess + Ext(psi - guess[-1]).  Ext is the discrete harmonic
-extension on the cylinder of the solve's mean radius: per Fourier mode, the
-interior profile 1 - y, where y = M^-1 p is the eigenbasis solve that
-``cylinder_modes`` makes too.  It is formed per solve from two one-layer
-transforms and one inverse stack transform, so the solver keeps no state.
+earlier stage, whose trace has turned since), the CG the guess starts (the
+radial level's, see below, on a solver with more than 16 radial nodes)
+starts from it carried to psi, guess + Ext(psi - guess[-1]).  Ext is the
+discrete harmonic extension on the cylinder of the solve's mean radius: per
+Fourier mode, the interior profile 1 - y, where y = M^-1 p is the
+eigenbasis solve that ``cylinder_modes`` makes too.  It is formed per solve
+from two one-layer transforms and one inverse stack transform, so the
+solver keeps no state.
 A guess whose trace row is psi starts as before, and NaN in that row fails
 the solve like NaN anywhere in a guess.
 
@@ -83,29 +85,27 @@ products.  A solve returns the read-only potential, the flux, E_k, its
 iteration counts and residual, and the projected eta with eta_grad; its
 coefficient stacks are freed with it.
 
-A cold solve on a grid of at least 64 x 64 points, both counts divisible by
-4, starts from a nested iteration (the first leg of full multigrid, here
-with a radial level above the usual one).  With more than COARSE_N_RHO = 16
-radial nodes the solver holds a read-only chain of two coarse solvers: the
-same grid with 16 radial nodes (the radial level), whose own coarse solver
-is the half grid with 16 nodes; with 16 nodes or fewer it holds the half
-grid alone.  A cold solve hands eta and psi to its coarse solver -- as they
-are on the same grid, truncated spectrally on the half grid -- which solves
-cold or nested in turn, and prolongs that potential into its CG's starting
-guess: barycentric interpolation in rho where the node counts differ, zero
-padding in (theta, z) where the grids do.  The radial level solves to
-10 tol, tol the caller's; the half grid to COARSE_TOL = 1e-8.  The stopping
-test stays relative to the cold right-hand side, so the accuracy target is
-unchanged.  On the 64 x 64 x 48 dtn-cold-64 requests the fine solve takes
-about 1 CG iteration (10-13 cold, about 4 from the half grid alone) after
-about 3.5 at the radial level and 7.5 on the half grid.  ``iterations`` counts
-the fine CG iterations and ``coarse_iterations`` the sum over every coarse
-level the start ran (0 when none ran).  Smaller grids solve cold as
-before.  A level whose coarse radius is not positive starts cold: on a neck
-whose half-grid truncation dips below zero the radial level starts cold
-and the half grid does not run.
-The prolonged guess is not carried: its trace row is the (truncated) psi,
-and carrying it saved no fine iteration.
+Solves start from a nested iteration.  Above COARSE_N_RHO = 16 radial nodes
+every solve first solves on the radial level, the same grid with 16 nodes
+(p-multigrid's coarse level, Ronquist & Patera 1987, as a nested start), to
+10 tol (tol the caller's), from a caller's guess interpolated to its nodes;
+the fine CG starts from that potential interpolated back, in rho.  On grids
+of at least 64 x 64, both counts divisible by 4, a solver of 16 nodes or
+fewer, the radial level among them, starts its cold solves from the half
+grid with 16 nodes (the first leg of full multigrid): eta and psi truncated
+spectrally, solved to COARSE_TOL = 1e-8, zero-padded back in (theta, z).
+A caller's guess never reaches the half grid.  The stopping test stays
+relative to the cold right-hand side, so the accuracy target is unchanged.
+Fine CG iterations per solve, after those on coarse levels (without them):
+evolve-32's warm 32 x 32 x 48 stage solves 0.3 after 2.9 (3.2); a cold
+32 x 32 x 48 request 1.3 after 10.4 (11.4); a 64 x 64 x 48 dtn-cold-64
+request about 1 after 3.5 on the radial level and 7.5 on the half grid
+(10-13).  ``iterations`` counts the fine CG iterations, ``coarse_iterations``
+the sum over every coarse level (0 if none ran).  A level whose coarse
+radius is not positive starts cold, as the radial level does on a neck
+whose half-grid truncation dips below zero.  The prolonged potential is
+not carried: its trace row is the (truncated) psi, and carrying it saved
+no fine iteration.
 
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
@@ -244,8 +244,8 @@ def _resample(spec, n_theta, n_z):
 class _Solve(NamedTuple):
     """What one solve gives, under the names TraceBundle gives it.
     iterations counts the CG iterations on the solver's own grid and
-    coarse_iterations the sum over every coarse level a nested cold start
-    ran (0 if none ran)."""
+    coarse_iterations the sum over every coarse level its nested start ran
+    (0 if none ran)."""
 
     potential: np.ndarray
     flux: TorusField
@@ -272,8 +272,8 @@ class TraceBundle:
     state, eta the Nyquist-projected radius it was solved on and eta_grad
     its (eta_theta, eta_z).  iterations counts the solve's CG iterations on
     its own grid and coarse_iterations the sum of the CG iterations of
-    every coarse level its nested cold start ran, the radial level and the
-    half grid (0 if none ran).
+    every coarse level its nested start ran, the radial level and the half
+    grid (0 if none ran).
     """
 
     B: TorusField
@@ -343,15 +343,14 @@ class DtnSolver:
     """Dirichlet-to-Neumann solver on a fixed torus grid.
 
     Holds the radial discretization, the preconditioner's per-angular-mode
-    eigenbasis and, on grids of at least 64 x 64 with both counts divisible
-    by 4, the coarse solver of nested cold starts: the same grid with 16
-    radial nodes when n_rho exceeds 16 (its own coarse solver the half grid
-    with 16 nodes), else the half grid with 16 nodes.  A cold 64 x 64 x 48
-    request then takes about 1 fine CG iteration after about 11 coarse
-    ones; grids below 64^2 solve cold.  All of it is read-only after
-    construction.  A solve depends only on its inputs, so instances give
-    bitwise the same results whatever was solved before and are safe for
-    concurrent use.
+    eigenbasis and the coarse solver of nested starts: the radial level,
+    the same grid with 16 radial nodes, when n_rho exceeds 16; else, on
+    grids of at least 64 x 64 with both counts divisible by 4, the half grid
+    with 16 nodes (which the radial level holds in turn); else none.  An
+    evolve-32 stage solve then takes about 0.3 fine CG iterations after 2.9
+    on the radial level.  All of it is read-only after construction.  A
+    solve depends only on its inputs, so instances give bitwise the same
+    results whatever was solved before and are safe for concurrent use.
     """
 
     def __init__(self, grid: TorusGrid, n_rho=48):
@@ -360,10 +359,11 @@ class DtnSolver:
         self.n_rho = n_rho
         nt, nz = grid.n_theta, grid.n_z
         self._coarse = None
-        if min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0:
-            self._coarse = DtnSolver(
-                grid if n_rho > COARSE_N_RHO
-                else TorusGrid(nt // 2, nz // 2, grid.z_period), COARSE_N_RHO)
+        if n_rho > COARSE_N_RHO:
+            self._coarse = DtnSolver(grid, COARSE_N_RHO)
+        elif min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0:
+            self._coarse = DtnSolver(TorusGrid(nt // 2, nz // 2, grid.z_period),
+                                     COARSE_N_RHO)
         mt, mz = derivative_multipliers(grid)
         nzr = grid.n_z // 2 + 1
         self._rmt = mt[:, :nzr].copy()
@@ -576,18 +576,20 @@ class DtnSolver:
         be strictly positive (DomainViolationError).  Returns a record of the
         read-only (n_rho, n_theta, n_z) potential, the flux eta G(eta) psi,
         the kinetic energy E_k, the CG iterations on this grid and, summed,
-        on the coarse levels of a nested cold start (0 if none ran), the
-        final relative
-        residual, and the projected eta with eta_grad = (eta_theta, eta_z).
-        guess, if given, is a full (n_rho, n_theta, n_z) nodal potential
-        stack that CG starts from.  Its rho = 1 row is the trace it was
-        solved for: if that differs from the projected psi, the guess is
-        carried to psi by the harmonic extension of the difference on the
-        cylinder of eta's mean radius.  Without a guess, a solver with a
-        coarse solver starts from its prolonged solution, uncarried.
-        The stopping test is relative to the cold right-hand side either
-        way.  A non-finite residual (from NaN or inf in eta, psi or the
-        guess, its trace row included) raises ConvergenceError at once.
+        on the coarse levels of its nested start (0 if none ran), the final
+        relative residual, and the projected eta with eta_grad = (eta_theta,
+        eta_z).  guess, if given, is a full (n_rho, n_theta, n_z) nodal
+        potential stack that CG starts from: the radial level's CG,
+        restricted to its 16 nodes, when n_rho exceeds 16, else this
+        solver's.  Its rho = 1 row is the trace it was solved for: if that
+        differs from the projected psi, the guess is carried to psi by the
+        harmonic extension of the difference on the cylinder of eta's mean
+        radius.  A solver with a coarse solver starts its own CG from the
+        coarse solution, prolonged and uncarried, except from a caller's
+        guess at 16 nodes or fewer.  The stopping test is relative to the
+        cold right-hand side either way.  A non-finite residual (from NaN or
+        inf in eta, psi or the guess, its trace row included) raises
+        ConvergenceError at once.
         """
         if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
             raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -610,14 +612,16 @@ class DtnSolver:
         return pot
 
     def _solve(self, eta, psi, tol, guess=None):
-        """CG on Nyquist-projected eta and psi, from guess (carried to psi)
-        or else from the nested cold start if the solver has a coarse
-        solver, stopped at tol, after MAX_ITER iterations or at a
+        """CG on Nyquist-projected eta and psi from the coarse solver's
+        nested start, which takes guess along above 16 radial nodes; else,
+        at 16 nodes or fewer, from guess carried to psi, or from the half
+        grid without one.  Stopped at tol, after MAX_ITER iterations or at a
         non-finite residual; the caller checks the residual."""
-        coarse_its = 0
-        from_caller = guess is not None
-        if not from_caller and self._coarse is not None:
-            guess, coarse_its = self._coarse_start(eta, psi, tol)
+        carry, coarse_its = guess is not None, 0
+        if self._coarse is not None and (self.n_rho > COARSE_N_RHO
+                                         or not carry):
+            guess, coarse_its = self._coarse_start(eta, psi, tol, guess)
+            carry = False
         shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
         eta_grad = (spectral_derivative(eta, "theta"),
                     spectral_derivative(eta, "z"))
@@ -631,7 +635,7 @@ class DtnSolver:
         # with the coefficients of x.  Both stay in the stack k0.  x is the
         # interior of phi, which takes psi once CG stops.  K of a stack with
         # zero trace takes the half-spectrum of its interior alone.  A
-        # caller's guess starts CG from guess + Ext(psi - guess[-1]).
+        # carried guess starts CG from guess + Ext(psi - guess[-1]).
         k0 = self._apply_K_lift(psi.values, co)
         r, flux = k0[:-1], k0[-1]
         r *= -1.0
@@ -643,7 +647,7 @@ class DtnSolver:
             x[...] = 0.0
         else:
             np.subtract(guess[:-1], psi.values, out=x)
-            if from_caller:
+            if carry:
                 d = psi.values - guess[-1]
                 if d.any():     # NaN counts as a change
                     x += self._extension(d, eta_bar)
@@ -686,15 +690,16 @@ class DtnSolver:
         return _Solve(phi, TorusField(self.grid, flux / self.grid.cell_area),
                       ek, its, coarse_its, res, eta, eta_grad)
 
-    def _coarse_start(self, eta, psi, tol):
-        """(guess, coarse CG iterations) of a nested cold start from the
-        coarse solver: a solve there, cold or nested in turn, and its
-        potential interpolated to this solver's radial nodes.  On the same
-        grid (the radial level) the solve takes eta and psi as they are, to
-        10 tol; on the half grid it takes them truncated, to COARSE_TOL, and
-        the potential is zero-padded back in (theta, z).  The count sums
-        every coarse level's iterations.  (None, 0) when the coarse radius
-        is not positive or not finite."""
+    def _coarse_start(self, eta, psi, tol, guess=None):
+        """(start, coarse CG iterations) of a nested start from the coarse
+        solver: a solve there and its potential interpolated to this
+        solver's radial nodes.  On the same grid (the radial level) the
+        solve takes eta and psi as they are, to 10 tol, from guess
+        interpolated to its nodes if given (carried there), else cold or
+        nested in turn; on the half grid it takes them truncated, to
+        COARSE_TOL, and the potential is zero-padded back in (theta, z).
+        The count sums every coarse level's iterations.  (None, 0) when the
+        coarse radius is not positive or not finite."""
         coarse = self._coarse
         full = (self.grid.n_theta, self.grid.n_z)
         shape = (coarse.grid.n_theta, coarse.grid.n_z)
@@ -708,8 +713,11 @@ class DtnSolver:
             ctol = COARSE_TOL
         if not eta_c.min() > 0.0:   # NaN fails too
             return None, 0
+        if guess is not None:
+            guess = _along_rho(_radial_prolongation(self.n_rho, coarse.n_rho),
+                               guess)
         pot = coarse._solve(TorusField(coarse.grid, eta_c),
-                            TorusField(coarse.grid, psi_c), ctol)
+                            TorusField(coarse.grid, psi_c), ctol, guess)
         stack = pot.potential
         if coarse.n_rho != self.n_rho:
             stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),

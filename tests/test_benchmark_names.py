@@ -149,10 +149,11 @@ def test_traced_dtn_repeat_counts(grid16):
 
 def test_traced_warm_bundle_counts(grid16):
     """The transforms of one warm trace_bundle on 16 x 16 x 32 are those of
-    its CG iterations plus a fixed warm-start cost (one K of the guess's
-    zero-trace interior and the one-layer transforms of the closed-form
-    K(1 (x) psi)), with no strain pass after the solve; the trace algebra
-    pads each distinct input field once."""
+    the CG iterations on the grid and on the 16-node radial level, plus a
+    fixed start cost on each (one K of the start's zero-trace interior and
+    the one-layer transforms of the closed-form K(1 (x) psi)), with no
+    strain pass after either solve; the trace algebra pads each distinct
+    input field once."""
     spans = _load_spans()
     n_rho, n = 32, 16
     solver = elliptic.DtnSolver(grid16, n_rho)
@@ -168,19 +169,26 @@ def test_traced_warm_bundle_counts(grid16):
     eta, psi = fields()
     tracer = spans.Tracer()
     with tracer.installed():
-        solver.trace_bundle(eta, psi, guess=guess)
+        bundle = solver.trace_bundle(eta, psi, guess=guess)
     counts = tracer.counts()
     (its,) = counts["cg_iters_per_solve"]
-    assert its > 0
+    assert its == bundle.iterations
+    coarse_its = bundle.coarse_iterations
+    assert coarse_its > 0
 
     layer, half = n * n, n * (n // 2 + 1)          # points of one (theta, z) layer
-    ni = n_rho - 1
-    # _apply_K given the half-spectrum: gradients, flux spectra, divergence
-    k_known = 2 * n_rho * half + 2 * n_rho * layer + n_rho * half
-    per_iteration = ni * layer + ni * half + k_known   # preconditioner + K
-    warm_start = ni * layer + k_known                  # K of the guess's interior
-    lift = layer + 2 * half + 2 * layer + 2 * half     # closed-form K(lift)
-    assert counts["fft_points"]["elliptic"] == its * per_iteration + warm_start + lift
+
+    def level(n_rho, its):
+        """Transform points of a warm solve with n_rho radial nodes."""
+        ni = n_rho - 1
+        # _apply_K given the half-spectrum: gradients, flux spectra, divergence
+        k_known = 2 * n_rho * half + 2 * n_rho * layer + n_rho * half
+        per_iteration = ni * layer + ni * half + k_known   # preconditioner + K
+        warm_start = ni * layer + k_known                  # K of the start's interior
+        lift = layer + 2 * half + 2 * layer + 2 * half     # closed-form K(lift)
+        return its * per_iteration + warm_start + lift
+
+    assert counts["fft_points"]["elliptic"] == level(n_rho, its) + level(16, coarse_its)
 
     # spectral layer: every dealiased evaluation is one real transform pair
     # at each end, plus one per padded input; the rest are complex

@@ -184,25 +184,42 @@ class TestExitCodes:
         assert code == EXIT_OK
         series = (tmp_path / "run_series.csv").read_text().splitlines()
         assert series[0] == ("t,E_k,E_p,H_total,volume,min_eta,max_eta,"
-                             "mean_psi,elliptic_iters")
+                             "mean_psi,elliptic_iters,elliptic_coarse_iters")
         # equilibrium: all-zero-drift time series, and no CG iteration
         for line in series[1:]:
             cells = line.split(",")
             assert float(cells[1]) == 0.0 and float(cells[3]) == 0.0
-            assert int(cells[8]) == 0
+            assert int(cells[8]) == int(cells[9]) == 0
 
     def test_elliptic_iters_counted(self, tmp_path):
         """Each row after the first sums the CG iterations of the stage
-        solves since the row before."""
+        solves since the row before, on the grid and, in the next column,
+        on the radial level every solve at 24 nodes starts from."""
         path = write(tmp_path, BASE + PERTURBED + "record_every = 2\n" + CFL_DT)
         code = main(["simulate", "--config", path, "--out", str(tmp_path),
                      "--quiet"])
         assert code == EXIT_OK
         rows = (tmp_path / "run_series.csv").read_text().splitlines()[1:]
-        iters = [int(line.split(",")[8]) for line in rows]
-        assert len(iters) > 2 and iters[0] == 0
-        # at least one iteration per stage solve, four stages per step
-        assert all(n >= 8 for n in iters[1:])
+        iters = [[int(c) for c in line.split(",")[8:]] for line in rows]
+        assert len(iters) > 2 and iters[0] == [0, 0]
+        # at least one radial-level iteration per stage solve, four stages
+        # per step, and the fine CG's few on top
+        assert all(c >= 8 and n < c for n, c in iters[1:])
+
+    @pytest.mark.parametrize("n, n_rho", [(32, 48), (16, 16)])
+    def test_elliptic_coarse_iters_counted(self, tmp_path, n, n_rho):
+        """The coarse column counts the radial level of a 32 x 32 x 48 run,
+        and reads 0 at 16 radial nodes, where no coarse level runs."""
+        base = BASE.replace("n_theta = 16\nn_z = 16\nn_rho = 24",
+                            f"n_theta = {n}\nn_z = {n}\nn_rho = {n_rho}")
+        path = write(tmp_path, base + PERTURBED + "record_every = 1\n" + CFL_DT)
+        code = main(["simulate", "--config", path, "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == EXIT_OK
+        rows = (tmp_path / "run_series.csv").read_text().splitlines()[1:]
+        coarse = [int(line.split(",")[9]) for line in rows]
+        assert len(coarse) > 2 and coarse[0] == 0
+        assert all((c > 0) == (n_rho > 16) for c in coarse[1:])
 
     def test_elliptic_residual_in_manifest(self, tmp_path):
         """The manifest records the worst relative CG residual of the run's
@@ -253,11 +270,12 @@ t_final = 0.5
         monkeypatch.setattr(DtnSolver, "solve", limited)
 
     @staticmethod
-    def _one_iteration(monkeypatch):
-        """A fail for _fail_solves_after: the solve, with CG capped at one
-        iteration from then on."""
+    def _no_iteration(monkeypatch):
+        """A fail for _fail_solves_after: the solve, with CG capped at zero
+        iterations on every level from then on, so it ends at its start's
+        residual."""
         def fail(solve, *args, **kwargs):
-            monkeypatch.setattr(elliptic, "MAX_ITER", 1)
+            monkeypatch.setattr(elliptic, "MAX_ITER", 0)
             return solve(*args, **kwargs)
 
         return fail
@@ -279,7 +297,7 @@ t_final = 0.5
         assert float(rows[-1].split(",")[0]) == float(manifest["dt"])
 
     def test_convergence_failure_exit_5(self, tmp_path, capsys, monkeypatch):
-        self._fail_solves_after(monkeypatch, 5, self._one_iteration(monkeypatch))
+        self._fail_solves_after(monkeypatch, 5, self._no_iteration(monkeypatch))
         self._check_failure(tmp_path, capsys, "ConvergenceError")
 
     def test_ellipticity_failure_exit_5(self, tmp_path, capsys, monkeypatch):
@@ -310,7 +328,7 @@ t_final = 0.5
     def test_check_simulate_failure_raises_its_error(self, monkeypatch):
         """A solver failure inside a battery simulation surfaces as the
         error itself, which verify turns into exit 5."""
-        self._fail_solves_after(monkeypatch, 0, self._one_iteration(monkeypatch))
+        self._fail_solves_after(monkeypatch, 0, self._no_iteration(monkeypatch))
         with pytest.raises(ConvergenceError):
             check_plateau_oscillation()
 
@@ -599,10 +617,11 @@ class TestDtnCommand:
         assert worst < 1e-8
         manifest = (tmp_path / "run_dtn_manifest.txt").read_text()
         assert "gradient_identity_residual=" in manifest
-        # the coarse count follows the fine one; a 16^2 grid starts cold
+        # the coarse count follows the fine one: at 24 radial nodes the
+        # radial level solves first, and leaves the fine CG nothing to do
         keys = [line.split("=")[0] for line in manifest.splitlines()]
         assert keys[keys.index("iterations") + 1] == "coarse_iterations"
-        assert "\ncoarse_iterations=0\n" in manifest
+        assert "\niterations=0\ncoarse_iterations=1\n" in manifest
 
     def test_constant_trace_all_zero(self, tmp_path):
         path = write(tmp_path, BASE + "[ic]\nmode.1 = 2.0 0 0 psi 0.0\n")

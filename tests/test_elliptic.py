@@ -14,9 +14,11 @@ from conftest import (barycentric_weights_loop, differentiation_matrix_loop,
                       smooth_surface, truncate_coefficients)
 from jetwave import elliptic
 from jetwave.elliptic import (
+    COARSE_N_RHO,
     N_RHO_MAX,
     DtnSolver,
     _along_rho,
+    _radial_prolongation,
     RadialGrid,
     fd_shape_derivative,
     hamiltonian_variations,
@@ -39,6 +41,27 @@ from jetwave.symbols import lambda_symbol, symbol_identity_report
 from jetwave.verification import TRACE_THRESHOLDS
 
 R = 1.0
+
+
+def cold_solver(solver):
+    """A solver on the grid and radial nodes of solver without coarse
+    levels: every solve runs all its CG iterations there.  The reference
+    of the tests that compare a start against the cold one."""
+    cold = DtnSolver(solver.grid, solver.n_rho)
+    cold._coarse = None
+    return cold
+
+
+def total_iterations(pot):
+    """CG iterations of a solve on every level, fine and coarse."""
+    return pot.iterations + pot.coarse_iterations
+
+
+@pytest.fixture(scope="module")
+def solver32_16(grid32):
+    """32 x 32 x 16: no coarse level, so a guess starts the fine CG
+    itself, carried where its trace differs from psi."""
+    return DtnSolver(grid32, COARSE_N_RHO)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +354,10 @@ class TestSolve:
 
 class TestWarmStart:
     """An explicit starting guess moves only where CG starts: the stopping
-    test stays relative to the cold right-hand side."""
+    test stays relative to the cold right-hand side.  Above 16 radial nodes
+    the guess starts the radial level's CG, restricted to its 16 nodes, and
+    the fine CG starts from that level's prolonged potential; at 16 nodes
+    or fewer it starts the fine CG itself."""
 
     @staticmethod
     def _inputs(grid, rng):
@@ -339,24 +365,33 @@ class TestWarmStart:
         psi = band_limited_random(grid, rng, kmax=4, max_norm=0.3)
         return eta, psi
 
-    def test_exact_guess_converges_at_once(self, grid32, solver32, rng):
+    def test_exact_guess_converges_at_once(self, grid32, solver32, solver32_16,
+                                           rng):
+        """At 16 nodes the fine CG stops within one iteration of an exact
+        guess; at 48 neither level iterates."""
         eta, psi = self._inputs(grid32, rng)
-        cold = solver32.solve(eta, psi, 1e-11)
-        warm = solver32.solve(eta, psi, 1e-11, guess=cold.potential)
-        assert cold.iterations > 1
-        assert warm.iterations <= 1
-        assert warm.residual < 1e-11
+        for solver, most in ((solver32_16, 1), (solver32, 0)):
+            cold = solver.solve(eta, psi, 1e-11)
+            warm = solver.solve(eta, psi, 1e-11, guess=cold.potential)
+            assert cold.iterations > 1 or cold.coarse_iterations > 1
+            assert total_iterations(warm) <= most
+            assert warm.residual < 1e-11
 
-    def test_warm_matches_cold(self, grid32, solver32, rng):
+    def test_warm_matches_cold(self, grid32, solver32, solver32_16, rng):
+        """A nearby guess saves CG iterations on the solver's own grid at 16
+        nodes, and summed over both levels at 48 (where the fine CG runs
+        about one iteration either way), and matches the cold solve."""
         eta, psi = self._inputs(grid32, rng)
-        near = solver32.solve(1.01 * eta, psi, 1e-11).potential
-        cold = solver32.trace_bundle(eta, psi, 1e-13)
-        warm = solver32.trace_bundle(eta, psi, 1e-13, guess=near)
-        assert warm.iterations < cold.iterations
-        rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
-        assert rel <= 1e-12
-        assert abs(warm.kinetic_energy - cold.kinetic_energy) \
-            <= 1e-12 * cold.kinetic_energy
+        for solver in (solver32_16, solver32):
+            near = solver.solve(1.01 * eta, psi, 1e-11).potential
+            cold = solver.trace_bundle(eta, psi, 1e-13)
+            warm = solver.trace_bundle(eta, psi, 1e-13, guess=near)
+            assert warm.iterations <= cold.iterations
+            assert total_iterations(warm) < total_iterations(cold)
+            rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
+            assert rel <= 1e-12
+            assert abs(warm.kinetic_energy - cold.kinetic_energy) \
+                <= 1e-12 * cold.kinetic_energy
 
     def test_guess_for_psi_is_not_carried(self, grid32, solver32, rng,
                                           monkeypatch):
@@ -377,24 +412,63 @@ class TestWarmStart:
         assert np.array_equal(got.potential, want.potential)
         assert got.iterations == want.iterations
 
-    def test_guess_for_another_trace_is_carried(self, grid32, solver32, rng):
+    def test_guess_for_another_trace_is_carried(self, grid32, solver32,
+                                                solver32_16, rng):
         """A guess solved for a turned trace is carried to psi by the
         harmonic extension of the change.  It matches the cold solve, in
         fewer CG iterations than the same guess with psi written over its
-        rho = 1 row, the start before the carry."""
+        rho = 1 row, the start before the carry: on the solver's own grid
+        at 16 nodes, on the radial level at 48."""
+        eta, psi = self._inputs(grid32, rng)
+        turned = TorusField(grid32, np.roll(psi.values, 1, axis=0))
+        for solver in (solver32_16, solver32):
+            guess = solver.solve(1.01 * eta, turned, 1e-11).potential
+            overwritten = guess.copy()
+            overwritten[-1] = psi.drop_nyquist().values
+            cold = solver.trace_bundle(eta, psi, 1e-13)
+            warm = solver.trace_bundle(eta, psi, 1e-13, guess=guess)
+            flat = solver.trace_bundle(eta, psi, 1e-13, guess=overwritten)
+            level = (warm.iterations, flat.iterations) if solver is solver32_16 \
+                else (warm.coarse_iterations, flat.coarse_iterations)
+            assert level[0] < level[1]
+            rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
+            assert rel <= 1e-12
+            assert abs(warm.kinetic_energy - cold.kinetic_energy) \
+                <= 1e-12 * cold.kinetic_energy
+
+    def test_guess_starts_the_radial_level(self, grid32, solver32, rng,
+                                           monkeypatch):
+        """A warm 32^2 x 48 solve hands the guess, restricted to 16 nodes,
+        to the radial level, which carries it to psi and solves to 10 tol;
+        the fine CG starts from the prolonged result uncarried, and ends
+        within tol of the cold solve."""
         eta, psi = self._inputs(grid32, rng)
         turned = TorusField(grid32, np.roll(psi.values, 1, axis=0))
         guess = solver32.solve(1.01 * eta, turned, 1e-11).potential
-        overwritten = guess.copy()
-        overwritten[-1] = psi.drop_nyquist().values
-        cold = solver32.trace_bundle(eta, psi, 1e-13)
-        warm = solver32.trace_bundle(eta, psi, 1e-13, guess=guess)
-        flat = solver32.trace_bundle(eta, psi, 1e-13, guess=overwritten)
-        assert warm.iterations < flat.iterations
-        rel = (warm.G - cold.G).max_norm() / cold.G.max_norm()
-        assert rel <= 1e-12
-        assert abs(warm.kinetic_energy - cold.kinetic_energy) \
-            <= 1e-12 * cold.kinetic_energy
+        radial = solver32._coarse
+        seen, carried = [], []
+        solve, extension = radial._solve, DtnSolver._extension
+
+        def spy(eta_c, psi_c, tol, start=None):
+            seen.append((tol, start))
+            return solve(eta_c, psi_c, tol, start)
+
+        def spy_extension(self, *args):
+            carried.append(self)
+            return extension(self, *args)
+
+        monkeypatch.setattr(radial, "_solve", spy)
+        monkeypatch.setattr(DtnSolver, "_extension", spy_extension)
+        got = solver32.solve(eta, psi, 1e-11, guess=guess)
+        ((tol, start),) = seen
+        assert tol == 10.0 * 1e-11
+        assert np.array_equal(start, _along_rho(
+            _radial_prolongation(48, COARSE_N_RHO), guess))
+        assert carried == [radial]
+        assert got.coarse_iterations > 0 and got.residual < 1e-11
+        cold = cold_solver(solver32).solve(eta, psi, 1e-11)
+        assert got.iterations < cold.iterations
+        assert (got.flux - cold.flux).max_norm() <= 1e-9 * cold.flux.max_norm()
 
     def test_wrong_shape_named(self, grid16, solver16, solver32, rng):
         eta, psi = self._inputs(grid16, rng)
@@ -456,18 +530,21 @@ class TestLeanSolve:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("n", [32, 64])
     def test_accumulated_flux(self, n, warm, rng):
-        """The flux CG accumulates is the trace row of K(phi).  A nested
-        cold start at 64^2 leaves the fine CG one iteration after its
-        start, so there the radial level's own solve, nested from the half
-        grid, is checked too: its flux sums several iterations."""
+        """The flux CG accumulates is the trace row of K(phi).  At 48 radial
+        nodes every solve starts from the radial level, which leaves the
+        fine CG at most one iteration, so the radial level's own solve from
+        the same start (cold, nested from the half grid at 64^2, or the
+        guess restricted to its nodes) is checked too: its flux sums
+        several iterations."""
         solver, eta, psi = self._case(n, rng)
         guess = solver.solve(1.01 * eta, psi, 1e-12).potential if warm else None
         pot = solver.solve(eta, psi, 1e-12, guess=guess)
-        solves = [(solver, pot)]
-        if n == 64 and not warm:
-            assert pot.iterations >= 1 and pot.coarse_iterations > 1
-            radial = solver._coarse
-            solves.append((radial, radial.solve(eta, psi, 1e-12)))
+        assert pot.iterations <= 1 and pot.coarse_iterations > 1
+        radial = solver._coarse
+        if warm:
+            guess = _along_rho(_radial_prolongation(solver.n_rho, radial.n_rho),
+                               guess)
+        solves = [(solver, pot), (radial, radial.solve(eta, psi, 1e-12, guess))]
         assert solves[-1][1].iterations > 1
         for s, pot in solves:
             co = s._coefficients(pot.eta, pot.eta_grad)
@@ -478,17 +555,23 @@ class TestLeanSolve:
     @pytest.mark.parametrize("case", ["cold-32", "carried-32", "nested-64"])
     def test_energy_from_operator_rows(self, case, rng):
         """E_k read off K(phi)'s rows matches the squared-strain sum on cold,
-        carried-warm and nested-start solves."""
+        carried-warm and nested-start solves, each started from the radial
+        level at 48 nodes; the carried guess on a 16-node solver starts the
+        fine CG itself."""
         solver, eta, psi = self._case(64 if case == "nested-64" else 32, rng)
+        solvers = [solver]
         guess = None
         if case == "carried-32":
+            solvers.append(DtnSolver(solver.grid, COARSE_N_RHO))
             turned = TorusField(solver.grid, np.roll(psi.values, 1, axis=0))
-            guess = solver.solve(1.01 * eta, turned, 1e-12).potential
-        pot = solver.solve(eta, psi, 1e-12, guess=guess)
-        assert (pot.coarse_iterations > 0) == (case == "nested-64")
-        want = strain_energy(solver, pot)
-        assert want > 0.0
-        assert abs(pot.kinetic_energy - want) <= 1e-14 * want
+        for s in solvers:
+            if case == "carried-32":
+                guess = s.solve(1.01 * eta, turned, 1e-12).potential
+            pot = s.solve(eta, psi, 1e-12, guess=guess)
+            assert (pot.coarse_iterations > 0) == (s.n_rho > COARSE_N_RHO)
+            want = strain_energy(s, pot)
+            assert want > 0.0
+            assert abs(pot.kinetic_energy - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("trace", [0.0, 4.2])
     def test_energy_of_constant_trace_is_zero(self, grid32, solver32, rng,
@@ -725,11 +808,12 @@ class TestSolverIsPure:
 
 
 class TestNestedStart:
-    """A cold solve on a grid of at least 64^2 starts CG from the prolonged
-    potential of a coarse solve: above 16 radial nodes a same-grid solve
-    with 16 nodes, itself started from a half-grid solve.  The lift
-    1 (x) psi passed as the guess takes the cold path bit for bit: it is
-    the reference."""
+    """Above 16 radial nodes every solve starts CG from the prolonged
+    potential of the radial level, the same grid with 16 nodes, whose cold
+    solve on a grid of at least 64^2 starts in turn from a half-grid solve.
+    At 16 nodes or fewer a cold solve on such a grid starts from the half
+    grid, and a caller's guess never reaches it.  A solver without coarse
+    levels (``cold_solver``) is the reference."""
 
     @staticmethod
     def _draw(grid, rng):
@@ -749,14 +833,15 @@ class TestNestedStart:
         ((64, 64), True), ((64, 128), True), ((32, 32), False),
         ((64, 32), False), ((66, 64), False)])
     def test_rule(self, shape, nested):
-        """A nesting grid with more than 16 radial nodes holds the chain
-        fine -> same grid, 16 nodes -> half grid, 16 nodes."""
+        """With more than 16 radial nodes every solver holds the radial
+        level, the same grid with 16 nodes; a nesting grid's radial level
+        holds the half grid with 16 nodes."""
         solver = DtnSolver(TorusGrid(*shape, 3.0), 24)
-        assert (solver._coarse is not None) == nested
+        radial = solver._coarse
+        assert (radial.grid, radial.n_rho) == (solver.grid, 16)
+        half = radial._coarse
+        assert (half is not None) == nested
         if nested:
-            radial = solver._coarse
-            assert (radial.grid, radial.n_rho) == (solver.grid, 16)
-            half = radial._coarse
             assert (half.grid, half.n_rho) == (
                 TorusGrid(shape[0] // 2, shape[1] // 2, 3.0), 16)
             assert half._coarse is None
@@ -768,25 +853,58 @@ class TestNestedStart:
         assert (half.grid, half.n_rho) == (TorusGrid(32, 32, 3.0), 16)
         assert half._coarse is None
 
-    def test_lift_guess_is_the_cold_path(self, grid64, solver64, rng):
+    def test_lift_guess_is_the_cold_path(self, grid64, rng):
+        """At 16 nodes the lift 1 (x) psi passed as the guess skips the half
+        grid and takes the cold path bit for bit."""
         eta, psi = self._draw(grid64, rng)
-        cold = DtnSolver(grid64, 48)
-        cold._coarse = None
-        want = cold.trace_bundle(eta, psi)
-        got = solver64.trace_bundle(eta, psi, guess=self._lift(solver64, psi))
+        solver = DtnSolver(grid64, COARSE_N_RHO)
+        assert solver._coarse is not None
+        want = cold_solver(solver).trace_bundle(eta, psi)
+        got = solver.trace_bundle(eta, psi, guess=self._lift(solver, psi))
         assert TestSolverIsPure._same(got, want)
         assert (got.iterations, got.coarse_iterations) \
             == (want.iterations, 0)
+
+    def test_guess_at_16_nodes_pinned(self, grid64):
+        """A guess for a turned trace on 64^2 x 16, carried on the solver's
+        own grid as before the radial level existed: the sums of G and of
+        the flux, E_k and both counts."""
+        eta, psi = self._draw(grid64, np.random.default_rng(31))
+        turned = TorusField(grid64, np.roll(psi.values, 1, axis=0))
+        solver = DtnSolver(grid64, COARSE_N_RHO)
+        guess = solver.solve(1.01 * eta, turned).potential
+        b = solver.trace_bundle(eta, psi, guess=guess)
+        got = (float(np.sum(b.G.values)).hex(),
+               float(np.sum(b.flux.values)).hex(), b.kinetic_energy.hex(),
+               b.iterations, b.coarse_iterations)
+        assert got == ("-0x1.04e7a90766830p+1", "-0x1.9c10000000000p-34",
+                       "0x1.912caf3caaf5cp-2", 6, 0)
+
+    def test_guess_never_reaches_the_half_grid(self, grid64, solver64, rng,
+                                               monkeypatch):
+        """At 48 nodes a caller's guess starts the radial level, whose own
+        coarse solver, the half grid, never solves."""
+        eta, psi = self._draw(grid64, rng)
+        guess = solver64.solve(1.01 * eta, psi).potential
+        half = solver64._coarse._coarse
+        assert half.grid == TorusGrid(32, 32)
+
+        def no_half_grid(*args):
+            raise AssertionError("a caller's guess reached the half grid")
+
+        monkeypatch.setattr(half, "_solve", no_half_grid)
+        got = solver64.solve(eta, psi, guess=guess)
+        assert got.coarse_iterations > 0 and got.residual < 1e-11
 
     def test_matches_cold_in_fewer_iterations(self, grid64, solver64, rng):
         """On dtn-cold-64 draws the nested bundle passes the workload's gate
         and keeps G, flux and E_k within 1e-9 of the cold reference, in at
         most 2 fine CG iterations on average (10-13 cold)."""
+        cold64 = cold_solver(solver64)
         fine = []
         for _ in range(4):
             eta, psi = self._draw(grid64, rng)
-            ref = solver64.trace_bundle(eta, psi,
-                                        guess=self._lift(solver64, psi))
+            ref = cold64.trace_bundle(eta, psi)
             got = solver64.trace_bundle(eta, psi)
             assert got.residual < 1e-11
             assert got.kinetic_energy >= -1e-12
@@ -821,13 +939,22 @@ class TestNestedStart:
         eta, psi = self._draw(grid64, rng)
         assert solver64.trace_bundle(eta, psi).coarse_iterations > 0
 
-    def test_no_coarse_start_at_32(self, grid32, solver32, rng):
+    def test_radial_level_at_32(self, grid32, solver32, rng):
+        """32^2 does not nest: a cold 32^2 x 48 solve starts from the radial
+        level's cold solve, and passes the gate against the cold reference
+        in fewer fine CG iterations."""
+        assert solver32._coarse._coarse is None
         eta, psi = self._draw(grid32, rng)
-        bundle = solver32.trace_bundle(eta, psi)
-        assert bundle.coarse_iterations == 0
-        ref = solver32.trace_bundle(eta, psi, guess=self._lift(solver32, psi))
-        assert TestSolverIsPure._same(bundle, ref)
-        assert bundle.iterations == ref.iterations
+        got = solver32.trace_bundle(eta, psi)
+        ref = cold_solver(solver32).trace_bundle(eta, psi)
+        radial = solver32._coarse.solve(eta, psi, 10.0 * 1e-11)
+        assert got.coarse_iterations == radial.iterations > 0
+        assert got.iterations < ref.iterations
+        assert got.residual < 1e-11
+        for a, b in ((got.G, ref.G), (got.flux, ref.flux)):
+            assert (a - b).max_norm() <= 1e-9 * b.max_norm()
+        assert abs(got.kinetic_energy - ref.kinetic_energy) \
+            <= 1e-9 * ref.kinetic_energy
 
     def test_truncation_not_positive_solves_cold(self, grid64, rng,
                                                   monkeypatch):
@@ -856,7 +983,7 @@ class TestNestedStart:
         monkeypatch.setattr(radial._coarse, "_solve", no_half_grid)
         got = solver.solve(eta, psi, 1e-6)
         again = solver.solve(eta, psi, 1e-6)
-        want = solver.solve(eta, psi, 1e-6, guess=self._lift(solver, psi))
+        want = cold_solver(solver).solve(eta, psi, 1e-6)
         assert got.coarse_iterations == radial_cold.iterations > 0
         assert got.iterations < want.iterations
         assert (again.iterations, again.coarse_iterations) \
@@ -904,13 +1031,14 @@ class TestWorkingSet:
 
     def test_cold_bundle_pinned(self, grid32, solver32):
         """A cold 32^2 x 48 bundle: the sums of G and of the flux, E_k and
-        the CG iterations."""
+        the CG iterations on the grid and on the radial level."""
         bundle = solver32.trace_bundle(*self._inputs(grid32, 20))
         got = (float(np.sum(bundle.G.values)).hex(),
                float(np.sum(bundle.flux.values)).hex(),
-               bundle.kinetic_energy.hex(), bundle.iterations)
-        assert got == ("0x1.a799626c14590p+1", "-0x1.b668000000000p-34",
-                       "0x1.b5cf12bc0c881p-2", 9)
+               bundle.kinetic_energy.hex(), bundle.iterations,
+               bundle.coarse_iterations)
+        assert got == ("0x1.a799626c39840p+1", "-0x1.c800000000000p-37",
+                       "0x1.b5cf12bc0c880p-2", 1, 8)
 
     def test_peak_working_set(self, grid32, solver32):
         """tracemalloc's peak over a cold bundle and its E_k, in n_rho-layer
