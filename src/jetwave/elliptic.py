@@ -45,7 +45,7 @@ side, so G(eta) 1 = 0 exactly.
 A guess's rho = 1 row is read as the trace it was solved for.  When it
 differs from the projected psi (an RK4 stage guess is the potential of an
 earlier stage, whose trace has turned since), the CG the guess starts (the
-radial level's, see below, on a solver with more than 16 radial nodes)
+radial level's, see below, on a solver with 32 radial nodes or more)
 starts from it carried to psi, guess + Ext(psi - guess[-1]).  Ext is the
 discrete harmonic extension on the cylinder of the solve's mean radius: per
 Fourier mode, the interior profile 1 - y, where y = M^-1 p is the
@@ -85,27 +85,28 @@ products.  A solve returns the read-only potential, the flux, E_k, its
 iteration counts and residual, and the projected eta with eta_grad; its
 coefficient stacks are freed with it.
 
-Solves start from a nested iteration.  Above COARSE_N_RHO = 16 radial nodes
-every solve first solves on the radial level, the same grid with 16 nodes
-(p-multigrid's coarse level, Ronquist & Patera 1987, as a nested start), to
-10 tol (tol the caller's), from a caller's guess interpolated to its nodes;
-the fine CG starts from that potential interpolated back, in rho.  On grids
-of at least 64 x 64, both counts divisible by 4, a solver of 16 nodes or
-fewer, the radial level among them, starts its cold solves from the half
-grid with 16 nodes (the first leg of full multigrid): eta and psi truncated
-spectrally, solved to COARSE_TOL = 1e-8, zero-padded back in (theta, z).
-A caller's guess never reaches the half grid.  The stopping test stays
-relative to the cold right-hand side, so the accuracy target is unchanged.
-Fine CG iterations per solve, after those on coarse levels (without them):
-evolve-32's warm 32 x 32 x 48 stage solves 0.3 after 2.9 (3.2); a cold
-32 x 32 x 48 request 1.3 after 10.4 (11.4); a 64 x 64 x 48 dtn-cold-64
-request about 1 after 3.5 on the radial level and 7.5 on the half grid
-(10-13).  ``iterations`` counts the fine CG iterations, ``coarse_iterations``
-the sum over every coarse level (0 if none ran).  A level whose coarse
-radius is not positive starts cold, as the radial level does on a neck
-whose half-grid truncation dips below zero.  The prolonged potential is
-not carried: its trace row is the (truncated) psi, and carrying it saved
-no fine iteration.
+Solves start from a nested iteration.  From RADIAL_N_RHO = 32 radial
+nodes, where a CG iteration on the radial level (the same grid with
+COARSE_N_RHO = 16 nodes: p-multigrid's coarse level, Ronquist & Patera
+1987) costs at most half a fine one, every solve first solves there, to
+10 tol (tol the caller's), from a caller's guess restricted to its nodes;
+the fine CG starts from that potential interpolated back in rho.  Below,
+a caller's guess starts the fine CG (at 24 nodes the radial level cost
+warm solves more than it saved), and on grids of at least 64 x 64, both
+counts divisible by 4, cold solves nest: through the radial level above
+16 nodes, at 16 or fewer from the half grid with 16 nodes (full
+multigrid's first leg) on eta and psi truncated spectrally, solved to
+COARSE_TOL = 1e-8 and zero-padded in (theta, z).  A caller's guess never
+reaches the half grid.  The stopping test stays relative to the cold
+right-hand side, so the accuracy target is unchanged.  Fine CG iterations
+per solve after the coarse levels' (without them): 0.3 after 2.9 (3.2) on
+evolve-32's warm stage solves, about 1 after 3.5 on the radial level and
+7.5 on the half grid (10-13) on dtn-cold-64's requests.
+``iterations`` counts the fine CG iterations, ``coarse_iterations`` the
+sum over every coarse level (0 if none ran).  A level whose coarse radius
+is not positive starts cold, as the radial level does on a neck whose
+half-grid truncation dips below zero.  The prolonged potential, whose
+trace row is the (truncated) psi, is not carried: that saved no iteration.
 
 Every function that solves takes the caller's DtnSolver and elliptic
 tolerance; the module keeps no solver of its own.
@@ -138,7 +139,8 @@ TOL_DEFAULT = 1e-11
 TOL_RANGE = (1e-13, 1e-6)
 MAX_ITER = 200      # CG iteration cap of every solve, read at call time
 COARSE_TOL = 1e-8   # tolerance of the half-grid solve of a nested cold start
-COARSE_N_RHO = 16   # radial nodes of every coarse level of a nested cold start
+COARSE_N_RHO = 16   # radial nodes of every coarse level of a nested start
+RADIAL_N_RHO = 2 * COARSE_N_RHO   # from here every solve uses the radial level
 N_RHO_MAX = 512     # from 518 radial nodes a barycentric weight overflows
 
 
@@ -344,13 +346,12 @@ class DtnSolver:
 
     Holds the radial discretization, the preconditioner's per-angular-mode
     eigenbasis and the coarse solver of nested starts: the radial level,
-    the same grid with 16 radial nodes, when n_rho exceeds 16; else, on
-    grids of at least 64 x 64 with both counts divisible by 4, the half grid
-    with 16 nodes (which the radial level holds in turn); else none.  An
-    evolve-32 stage solve then takes about 0.3 fine CG iterations after 2.9
-    on the radial level.  All of it is read-only after construction.  A
-    solve depends only on its inputs, so instances give bitwise the same
-    results whatever was solved before and are safe for concurrent use.
+    the same grid with 16 radial nodes, from 32 nodes, or above 16 on grids
+    of at least 64 x 64 with both counts divisible by 4; else, on such
+    grids, the half grid with 16 nodes (which the radial level holds in
+    turn); else none.  All of it is read-only after construction.  A solve
+    depends only on its inputs, so instances give bitwise the same results
+    whatever was solved before and are safe for concurrent use.
     """
 
     def __init__(self, grid: TorusGrid, n_rho=48):
@@ -359,11 +360,11 @@ class DtnSolver:
         self.n_rho = n_rho
         nt, nz = grid.n_theta, grid.n_z
         self._coarse = None
-        if n_rho > COARSE_N_RHO:
-            self._coarse = DtnSolver(grid, COARSE_N_RHO)
-        elif min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0:
-            self._coarse = DtnSolver(TorusGrid(nt // 2, nz // 2, grid.z_period),
-                                     COARSE_N_RHO)
+        nests = min(nt, nz) >= 64 and nt % 4 == nz % 4 == 0
+        if n_rho >= RADIAL_N_RHO or nests:
+            self._coarse = DtnSolver(
+                grid if n_rho > COARSE_N_RHO
+                else TorusGrid(nt // 2, nz // 2, grid.z_period), COARSE_N_RHO)
         mt, mz = derivative_multipliers(grid)
         nzr = grid.n_z // 2 + 1
         self._rmt = mt[:, :nzr].copy()
@@ -580,13 +581,13 @@ class DtnSolver:
         relative residual, and the projected eta with eta_grad = (eta_theta,
         eta_z).  guess, if given, is a full (n_rho, n_theta, n_z) nodal
         potential stack that CG starts from: the radial level's CG,
-        restricted to its 16 nodes, when n_rho exceeds 16, else this
+        restricted to its 16 nodes, when n_rho is at least 32, else this
         solver's.  Its rho = 1 row is the trace it was solved for: if that
         differs from the projected psi, the guess is carried to psi by the
         harmonic extension of the difference on the cylinder of eta's mean
         radius.  A solver with a coarse solver starts its own CG from the
         coarse solution, prolonged and uncarried, except from a caller's
-        guess at 16 nodes or fewer.  The stopping test is relative to the
+        guess below 32 nodes.  The stopping test is relative to the
         cold right-hand side either way.  A non-finite residual (from NaN or
         inf in eta, psi or the guess, its trace row included) raises
         ConvergenceError at once.
@@ -613,12 +614,12 @@ class DtnSolver:
 
     def _solve(self, eta, psi, tol, guess=None):
         """CG on Nyquist-projected eta and psi from the coarse solver's
-        nested start, which takes guess along above 16 radial nodes; else,
-        at 16 nodes or fewer, from guess carried to psi, or from the half
-        grid without one.  Stopped at tol, after MAX_ITER iterations or at a
-        non-finite residual; the caller checks the residual."""
+        nested start, which takes guess along from RADIAL_N_RHO radial
+        nodes; else, below, from guess carried to psi, or from the coarse
+        solver without one.  Stopped at tol, after MAX_ITER iterations or at
+        a non-finite residual; the caller checks the residual."""
         carry, coarse_its = guess is not None, 0
-        if self._coarse is not None and (self.n_rho > COARSE_N_RHO
+        if self._coarse is not None and (self.n_rho >= RADIAL_N_RHO
                                          or not carry):
             guess, coarse_its = self._coarse_start(eta, psi, tol, guess)
             carry = False

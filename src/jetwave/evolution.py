@@ -172,12 +172,11 @@ def step_rk4(state: SurfaceState, dt, solver: DtnSolver, tol, *,
     starts from earlier potentials: k2 from phi1, k3 from phi2 and k4 from
     2 phi3 - phi1.  Given the step before, k1 starts from its phi4 and k2
     from phi1 + (phi4 - phi1)/2 of that step.  Each guess's trace row is
-    the stage trace it was solved (or extrapolated) for; above 16 radial
-    nodes the solve hands it to its 16-node radial level, which carries it
-    to the new stage's psi through the cylinder's harmonic extension (see
-    ``DtnSolver.solve``).  A 32 x 32 x 48 stage solve then takes about 0.3
-    fine CG iterations after 2.9 at 16 nodes.  The guesses change only where
-    CG starts, not its stopping test.
+    the stage trace it was solved (or extrapolated) for; the solve carries
+    it to the new stage's psi by the cylinder's harmonic extension, from
+    32 radial nodes on its 16-node radial level (``DtnSolver.solve``): a
+    32 x 32 x 48 stage solve takes 0.3 fine CG iterations after 2.9 there.
+    The guesses change only where CG starts, not its stopping test.
     """
     grid = state.grid
     eta_bar = state.eta.mean()

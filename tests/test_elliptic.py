@@ -808,12 +808,13 @@ class TestSolverIsPure:
 
 
 class TestNestedStart:
-    """Above 16 radial nodes every solve starts CG from the prolonged
+    """From 32 radial nodes every solve starts CG from the prolonged
     potential of the radial level, the same grid with 16 nodes, whose cold
     solve on a grid of at least 64^2 starts in turn from a half-grid solve.
-    At 16 nodes or fewer a cold solve on such a grid starts from the half
-    grid, and a caller's guess never reaches it.  A solver without coarse
-    levels (``cold_solver``) is the reference."""
+    Between 17 and 31 nodes only cold solves on such a grid take the radial
+    level; at 16 nodes or fewer they start from the half grid, and a
+    caller's guess never reaches it.  A solver without coarse levels
+    (``cold_solver``) is the reference."""
 
     @staticmethod
     def _draw(grid, rng):
@@ -833,10 +834,10 @@ class TestNestedStart:
         ((64, 64), True), ((64, 128), True), ((32, 32), False),
         ((64, 32), False), ((66, 64), False)])
     def test_rule(self, shape, nested):
-        """With more than 16 radial nodes every solver holds the radial
-        level, the same grid with 16 nodes; a nesting grid's radial level
-        holds the half grid with 16 nodes."""
-        solver = DtnSolver(TorusGrid(*shape, 3.0), 24)
+        """From 32 radial nodes every solver holds the radial level, the
+        same grid with 16 nodes; a nesting grid's radial level holds the
+        half grid with 16 nodes."""
+        solver = DtnSolver(TorusGrid(*shape, 3.0), 32)
         radial = solver._coarse
         assert (radial.grid, radial.n_rho) == (solver.grid, 16)
         half = radial._coarse
@@ -845,6 +846,32 @@ class TestNestedStart:
             assert (half.grid, half.n_rho) == (
                 TorusGrid(shape[0] // 2, shape[1] // 2, 3.0), 16)
             assert half._coarse is None
+
+    @pytest.mark.parametrize("shape, nested", [
+        ((64, 64), True), ((32, 32), False), ((66, 64), False)])
+    def test_rule_below_32_nodes(self, shape, nested):
+        """Between 17 and 31 radial nodes only a nesting grid holds the
+        radial level."""
+        grid = TorusGrid(*shape, 3.0)
+        radial = DtnSolver(grid, 31)._coarse
+        assert (radial is not None) == nested
+        if nested:
+            assert (radial.grid, radial.n_rho) == (grid, 16)
+
+    def test_guess_below_32_nodes_is_carried_on_the_grid(self, grid64):
+        """At 24 nodes a caller's guess for a turned trace starts the fine
+        CG, carried, bit for bit as on a solver without coarse levels: there
+        the radial level cost warm solves more than it saved."""
+        eta, psi = self._draw(grid64, np.random.default_rng(31))
+        turned = TorusField(grid64, np.roll(psi.values, 1, axis=0))
+        solver = DtnSolver(grid64, 24)
+        assert solver._coarse.grid == grid64
+        guess = solver.solve(1.01 * eta, turned).potential
+        got = solver.trace_bundle(eta, psi, guess=guess)
+        want = cold_solver(solver).trace_bundle(eta, psi, guess=guess)
+        assert TestSolverIsPure._same(got, want)
+        assert (got.iterations, got.coarse_iterations) \
+            == (want.iterations, 0)
 
     @pytest.mark.parametrize("n_rho", [8, 16])
     def test_rule_at_16_nodes_or_fewer(self, n_rho):
