@@ -19,10 +19,10 @@ from jetwave.spectral import annulus_profile, chi_profile, decomposition
 grid = TorusGrid(32, 32)
 th, zz = grid.mesh()
 
-print("== exact transform pair ==")
+print("== half-spectrum coefficients ==")
 f = TorusField(grid, np.cos(3 * th + 2 * zz))
 print(f"cos(3 theta + 2 z): coefficient at (3,2) = {f.coefficients[3, 2]:.3f}"
-      f" (expect 0.5)")
+      f" (expect 0.5); its mirror (-3,-2) = {f.coefficient(-3, -2):.3f}")
 
 print("\n== spectral derivatives ==")
 d = spectral_derivative(f, "theta")

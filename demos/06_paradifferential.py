@@ -49,8 +49,6 @@ rad = np.sqrt(xt ** 2 + xz ** 2)
 c = rng.standard_normal(rad.shape) + 1j * rng.standard_normal(rad.shape)
 c[(rad < 8.0) | (rad > 11.0)] = 0.0
 c[grid.nyquist_mask()] = 0.0
-flip = (-np.fft.fftfreq(32, 1 / 32).astype(int)) % 32
-c = 0.5 * (c + np.conj(c[np.ix_(flip, flip)]))
 psi = TorusField.from_coefficients(grid, c)
 psi = psi * (0.3 / psi.max_norm())
 

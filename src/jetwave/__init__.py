@@ -25,8 +25,8 @@ _EXPORTS = {
                "EllipticityError", "JetwaveError"),
     "spectral": ("TAU", "DyadicDecomposition", "TorusField", "TorusGrid",
                  "band_limited_random", "dealiased_product", "dyadic_block",
-                 "forward_transform", "integrate_product", "inverse_transform",
-                 "low_pass", "nonlinear_eval", "spectral_derivative"),
+                 "integrate_product", "low_pass", "nonlinear_eval",
+                 "spectral_derivative"),
     "geometry": ("SurfaceState", "enclosed_volume", "mean_curvature",
                  "modified_gradient", "potential_energy"),
     "elliptic": ("DtnSolver", "TraceBundle", "hamiltonian_variations",

@@ -365,10 +365,7 @@ class DtnSolver:
             self._coarse = DtnSolver(
                 grid if n_rho > COARSE_N_RHO
                 else TorusGrid(nt // 2, nz // 2, grid.z_period), COARSE_N_RHO)
-        mt, mz = derivative_multipliers(grid)
-        nzr = grid.n_z // 2 + 1
-        self._rmt = mt[:, :nzr].copy()
-        self._rmz = mz[:, :nzr].copy()
+        self._rmt, self._rmz = derivative_multipliers(grid)
         # The energy form frozen at eta = eta_bar restricted to the interior
         # nodes, cw (D^T W rho D + m^2 W / rho + eta_bar^2 k^2 W rho), equals
         # cw h^-1 (C_m + eta_bar^2 k^2) h^-1 with h = (w rho)^(-1/2) and
@@ -386,8 +383,7 @@ class DtnSolver:
         self._h = h[:, None, None]
         self._lam = lam[:, :, None]          # (n_theta, ni, 1)
         self._Q = q
-        for a in (self._rmt, self._rmz, self._a0, self._m2, self._h, self._lam,
-                  self._k2, self._Q):
+        for a in (self._a0, self._m2, self._h, self._lam, self._k2, self._Q):
             a.setflags(write=False)
 
     # -- preconditioner ----------------------------------------------------
@@ -602,7 +598,9 @@ class DtnSolver:
             if guess.shape != shape:
                 raise ValueError(f"guess must be a potential stack of shape "
                                  f"{shape}, got {guess.shape}")
-        pot = self._solve(eta, psi.drop_nyquist(), tol, guess)
+        eta_grad = (spectral_derivative(eta, "theta"),
+                    spectral_derivative(eta, "z"))
+        pot = self._solve(eta, eta_grad, psi.drop_nyquist(), tol, guess)
         if not pot.residual < tol:   # a NaN residual never passes
             raise ConvergenceError(
                 f"elliptic solve failed to reach tol {tol:g} in "
@@ -612,20 +610,20 @@ class DtnSolver:
             )
         return pot
 
-    def _solve(self, eta, psi, tol, guess=None):
-        """CG on Nyquist-projected eta and psi from the coarse solver's
-        nested start, which takes guess along from RADIAL_N_RHO radial
-        nodes; else, below, from guess carried to psi, or from the coarse
-        solver without one.  Stopped at tol, after MAX_ITER iterations or at
-        a non-finite residual; the caller checks the residual."""
+    def _solve(self, eta, eta_grad, psi, tol, guess=None):
+        """CG on Nyquist-projected eta and psi, given eta_grad = (eta_theta,
+        eta_z), from the coarse solver's nested start, which takes guess
+        along from RADIAL_N_RHO radial nodes; else, below, from guess carried
+        to psi, or from the coarse solver without one.  Stopped at tol, after
+        MAX_ITER iterations or at a non-finite residual; the caller checks
+        the residual."""
         carry, coarse_its = guess is not None, 0
         if self._coarse is not None and (self.n_rho >= RADIAL_N_RHO
                                          or not carry):
-            guess, coarse_its = self._coarse_start(eta, psi, tol, guess)
+            guess, coarse_its = self._coarse_start(eta, eta_grad, psi, tol,
+                                                   guess)
             carry = False
         shape = (self.n_rho, self.grid.n_theta, self.grid.n_z)
-        eta_grad = (spectral_derivative(eta, "theta"),
-                    spectral_derivative(eta, "z"))
         co = self._coefficients(eta, eta_grad)
         eta_bar = eta.mean()
         weights = self._precond_weights(eta_bar)
@@ -691,13 +689,13 @@ class DtnSolver:
         return _Solve(phi, TorusField(self.grid, flux / self.grid.cell_area),
                       ek, its, coarse_its, res, eta, eta_grad)
 
-    def _coarse_start(self, eta, psi, tol, guess=None):
+    def _coarse_start(self, eta, eta_grad, psi, tol, guess=None):
         """(start, coarse CG iterations) of a nested start from the coarse
         solver: a solve there and its potential interpolated to this
         solver's radial nodes.  On the same grid (the radial level) the
-        solve takes eta and psi as they are, to 10 tol, from guess
+        solve takes eta, eta_grad and psi as they are, to 10 tol, from guess
         interpolated to its nodes if given (carried there), else cold or
-        nested in turn; on the half grid it takes them truncated, to
+        nested in turn; on the half grid it takes eta and psi truncated, to
         COARSE_TOL, and the potential is zero-padded back in (theta, z).
         The count sums every coarse level's iterations.  (None, 0) when the
         coarse radius is not positive or not finite."""
@@ -705,20 +703,21 @@ class DtnSolver:
         full = (self.grid.n_theta, self.grid.n_z)
         shape = (coarse.grid.n_theta, coarse.grid.n_z)
         if shape == full:
-            eta_c, psi_c = eta.values, psi.values
             ctol = 10.0 * tol
         else:
             spec = _resample(_sfft.rfft2(np.stack([eta.values, psi.values]),
                                          norm="forward"), *shape)
-            eta_c, psi_c = _sfft.irfft2(spec, s=shape, norm="forward")
+            eta, psi = (TorusField(coarse.grid, v) for v in
+                        _sfft.irfft2(spec, s=shape, norm="forward"))
+            eta_grad = (spectral_derivative(eta, "theta"),
+                        spectral_derivative(eta, "z"))
             ctol = COARSE_TOL
-        if not eta_c.min() > 0.0:   # NaN fails too
+        if not eta.min() > 0.0:   # NaN fails too
             return None, 0
         if guess is not None:
             guess = _along_rho(_radial_prolongation(self.n_rho, coarse.n_rho),
                                guess)
-        pot = coarse._solve(TorusField(coarse.grid, eta_c),
-                            TorusField(coarse.grid, psi_c), ctol, guess)
+        pot = coarse._solve(eta, eta_grad, psi, ctol, guess)
         stack = pot.potential
         if coarse.n_rho != self.n_rho:
             stack = _along_rho(_radial_prolongation(coarse.n_rho, self.n_rho),

@@ -29,15 +29,16 @@ grid of width M = 3N/2 the sums |zeta + xi| <= N - 1 would alias only by
 multiples of M, and every alias of a kept frequency k in [-N/2, N/2] lies
 outside (-N, N).
 
-Only half the active frequencies are sampled: those with k_theta > 0, or
-k_theta = 0 and k_z > 0.  For a real operator, a(w, -xi) = conj a(w, xi),
-and u real, u_hat(-xi) = conj u_hat(xi), the contribution of -xi to c(k)
-is the conjugate of the contribution of xi to c(-k).  No active frequency
-is its own mirror: xi = 0 has weight 0 and the Nyquist modes are dropped.
-So the half sums acc give the real part of the full sum as
-c(k) = acc(k) + conj acc(-k), which for the coarse Nyquist row reads its
-+N/2 partner from the box.  This halves the symbol samples, the stacked
-transforms and the scatter-adds.
+Only half the active frequencies are sampled: those of u's half-spectrum
+with k_z > 0, or k_z = 0 and k_theta > 0.  For a real operator,
+a(w, -xi) = conj a(w, xi), and u real, u_hat(-xi) = conj u_hat(xi), the
+contribution of -xi to c(k) is the conjugate of the contribution of xi to
+c(-k).  No active frequency is its own mirror: xi = 0 has weight 0 and the
+Nyquist modes are dropped.  So the half sums acc give the real part of the
+full sum as c(k) = acc(k) + conj acc(-k), on the full lattice: for the
+coarse Nyquist row, its own mirror, it reads the +N/2 partner from the box,
+and TorusField.from_coefficients keeps the real part.  This halves the
+symbol samples, the stacked transforms and the scatter-adds.
 
 Blocks beyond the dealiased band are dropped, the discrete analogue of
 working with band-limited fields.  The j-sum starts at j = 2, so low
@@ -95,32 +96,35 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     on the grid, shaped (n, n_theta, n_z) or broadcasting to it (see
     symbols.HomogeneousSymbol).  The samples must satisfy
     a(w, -xi) = conj(a(w, xi)), the condition for a real operator: only the
-    half lattice k_theta > 0, or k_theta = 0 and k_z > 0, is sampled, and
-    the mirror half is its conjugate.  The real result is returned.
+    half lattice k_z > 0, or k_z = 0 and k_theta > 0, is sampled, and the
+    mirror half is its conjugate.  The real result is returned.
     """
     grid = u.grid
     dec = decomposition(grid)
     nt, nz = grid.n_theta, grid.n_z
-    xt, xz = grid.xi_mesh()
-    nyq = grid.nyquist_mask()
 
     if dec.jmax < 2:
         return TorusField.zeros(grid)
-    block_w = dec.blocks[2:]                # (J, Nt, Nz): phi(xi/2^j), j >= 2
-    low_w = dec.lowpass[:dec.jmax - 1]      # (J, Nt, Nz): chi(xi/2^(j-2))
+    block_w = dec.blocks[2:]        # (J, Nt, Nz/2+1): phi(xi/2^j), j >= 2
+    # chi(zeta/2^(j-2)) on the full lattice of the symbol's spectrum: chi
+    # depends on |zeta| alone, so column -k repeats column k
+    low_w = dec.lowpass[:dec.jmax - 1]
+    low_w = np.concatenate([low_w, low_w[..., -2:0:-1]], axis=-1)
     weight = block_w.sum(axis=0)
 
+    xt, xz = grid.xi_theta, grid.xi_z
     # signed lattice indices, and the box holding every sum zeta + xi
     kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)
     kz = np.fft.fftfreq(nz, 1.0 / nz).astype(int)
-    half = (kt[:, None] > 0) | ((kt[:, None] == 0) & (kz[None, :] > 0))
-    # u's coefficients, conjugate-symmetric exactly (a transform of real
-    # samples is so only to roundoff), so the active set is its own mirror
+    # the half-spectrum's own half, k_z > 0 or k_z = 0 < k_theta, Nyquist
+    # modes dropped: the k_z = 0 column's stored mirror, conjugate to its own
+    # half only to roundoff, is never read
+    nzr = nz // 2 + 1
+    own = ((kz[:nzr] > 0) | (kt[:, None] > 0)) & ~grid.nyquist_mask()[:, :nzr]
     uhat = u.coefficients
-    uhat = 0.5 * (uhat + np.conj(uhat[np.ix_(-kt % nt, -kz % nz)]))
 
     # row-major, so the lattice iteration order is fixed
-    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & ~nyq & half)
+    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & own)
     n_active = idx_t.size
     if n_active == 0:
         return TorusField.zeros(grid)
@@ -133,14 +137,13 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
         sl = slice(start, min(start + chunk, n_active))
         its, izs = idx_t[sl], idx_z[sl]
         n = its.size
-        samples = np.broadcast_to(symbol.total(xt[its, izs], xz[its, izs]),
-                                  (n, nt, nz))
+        samples = np.broadcast_to(symbol.total(xt[its], xz[izs]), (n, nt, nz))
         shat = _sfft.fft2(samples, axes=(1, 2), norm="forward")
         # per-frequency smoothing multiplier: sum_j phi(xi/2^j) chi(zeta/2^(j-2))
         shat *= np.einsum("jn,jtz->ntz", block_w[:, its, izs], low_w, optimize=True)
         shat *= uhat[its, izs][:, None, None]
         row = (kt[its][:, None, None] + kt[None, :, None]) % bt
-        col = (kz[izs][:, None, None] + kz[None, None, :]) % bz
+        col = (izs[:, None, None] + kz[None, None, :]) % bz
         at = (row * bz + col).ravel()
         acc += np.bincount(at, shat.real.ravel(), bt * bz)
         acc += 1j * np.bincount(at, shat.imag.ravel(), bt * bz)
@@ -149,4 +152,3 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     c = (acc[np.ix_(kt % bt, kz % bz)]
          + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
     return TorusField.from_coefficients(grid, c)
-

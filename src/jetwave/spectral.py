@@ -3,15 +3,17 @@
 Fields live on a uniform (theta, z) grid with theta-period 2*pi and a
 configurable z-period (default 2*pi).  Frequencies are carried explicitly:
 xi_theta is an integer lattice, xi_z a multiple of 2*pi/z_period.  The module
-provides the exact discrete transform pair, spectral derivatives, dealiased
-(zero-padded) products, and a smooth dyadic (Littlewood-Paley) decomposition
-with exact telescoping on the lattice, whose multipliers `decomposition`
-stacks once per grid, read-only, for `dyadic_block` and `low_pass`.
+provides each field's half-spectrum (``scipy.fft.rfft2``), spectral
+derivatives, dealiased (zero-padded) products, and a smooth dyadic
+(Littlewood-Paley) decomposition with exact telescoping on the lattice, whose
+multipliers `decomposition` stacks once per grid, read-only, for
+`dyadic_block` and `low_pass`.
 
 Conventions
 -----------
 * Coefficients are normalized so that f(w) = sum_xi c(xi) exp(i w.xi); a
-  constant field has c(0) equal to the constant.
+  constant field has c(0) equal to the constant.  A real field has
+  c(-xi) = conj c(xi), so only the half-spectrum k_z >= 0 is stored.
 * Nyquist columns/rows are zeroed in every derivative and every symbol
   application so real fields stay real; a second derivative is two first
   derivatives, so it drops the Nyquist mode too.
@@ -31,8 +33,7 @@ keeps the real part:
 * truncation averages each fine +-n/2 pair of the Nyquist row and column
   and takes the corner from the (+n/2, +n/2) entry.
 
-Integrals of products multiply the same cached padded samples.  The
-transform pair and derivatives stay on complex transforms.
+Integrals of products multiply the same cached padded samples.
 """
 
 from __future__ import annotations
@@ -157,34 +158,18 @@ class TorusGrid:
         return TorusGrid(mt + mt % 2, mz + mz % 2, self.z_period)
 
 
-def forward_transform(grid: TorusGrid, values):
-    """Grid samples -> Fourier coefficients (normalized; c0 = mean)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_theta, grid.n_z):
-        raise ValueError(
-            f"field shape {values.shape} does not match grid "
-            f"({grid.n_theta}, {grid.n_z})"
-        )
-    return np.fft.fft2(values) / (grid.n_theta * grid.n_z)
-
-
-def inverse_transform(grid: TorusGrid, coefficients):
-    """Fourier coefficients -> real grid samples."""
-    coefficients = np.asarray(coefficients, dtype=complex)
-    if coefficients.shape != (grid.n_theta, grid.n_z):
-        raise ValueError(
-            f"coefficient shape {coefficients.shape} does not match grid "
-            f"({grid.n_theta}, {grid.n_z})"
-        )
-    return np.fft.ifft2(coefficients).real * (grid.n_theta * grid.n_z)
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
 class TorusField:
     """Real scalar field carried as grid samples plus Fourier coefficients.
+
+    ``coefficients`` is the ``scipy.fft.rfft2`` half-spectrum, shape
+    (n_theta, n_z//2 + 1): row i holds k_theta = xi_theta[i] (FFT order),
+    column j the axial index j = 0..n_z/2, the last column the Nyquist one.
+    The modes k_z < 0 are not stored: c(-xi) = conj c(xi), which
+    ``coefficient`` reads.
 
     Instances are immutable; all operations return new fields.  The
     coefficients and the 3/2-padded samples are computed on first use and
@@ -210,8 +195,19 @@ class TorusField:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_coefficients(cls, grid, coefficients):
-        values = inverse_transform(grid, coefficients)
-        return cls(grid, values)
+        """The real field of a half-spectrum, shape (n_theta, n_z//2 + 1),
+        or of a full lattice, shape (n_theta, n_z), which is reduced to the
+        half-spectrum of its Hermitian part (c(xi) + conj c(-xi))/2: the
+        coefficients of the real part of its field."""
+        nt, nz = grid.n_theta, grid.n_z
+        c = np.asarray(coefficients, dtype=complex)
+        if c.shape == (nt, nz):
+            mirror = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+            c = 0.5 * (c[:, :nz // 2 + 1] + np.conj(mirror[:, :nz // 2 + 1]))
+        elif c.shape != (nt, nz // 2 + 1):
+            raise ValueError(f"coefficient shape {c.shape} is neither "
+                             f"({nt}, {nz // 2 + 1}) nor ({nt}, {nz})")
+        return cls(grid, _sfft.irfft2(c, s=(nt, nz), norm="forward"))
 
     @classmethod
     def zeros(cls, grid):
@@ -238,7 +234,7 @@ class TorusField:
     @property
     def coefficients(self):
         if self._coefficients is None:
-            c = forward_transform(self.grid, self.values)
+            c = _sfft.rfft2(self.values, norm="forward")
             c.setflags(write=False)
             object.__setattr__(self, "_coefficients", c)
         return self._coefficients
@@ -254,7 +250,10 @@ class TorusField:
         return self._padded
 
     def coefficient(self, m, k_index):
-        """Single coefficient addressed by integer lattice indices."""
+        """Single coefficient addressed by integer lattice indices; a mode
+        k_z < 0 reads the conjugate of its mirror."""
+        if k_index % self.grid.n_z > self.grid.n_z // 2:
+            return np.conj(self.coefficient(-m, -k_index))
         return self.coefficients[m % self.grid.n_theta, k_index % self.grid.n_z]
 
     # -- algebra (pointwise, no dealiasing; use dealiased_product for that) -
@@ -313,7 +312,8 @@ class TorusField:
     def drop_nyquist(self):
         """Project out the Nyquist rows/columns."""
         c = self.coefficients.copy()
-        c[self.grid.nyquist_mask()] = 0.0
+        c[self.grid.n_theta // 2] = 0.0
+        c[:, -1] = 0.0
         return TorusField.from_coefficients(self.grid, c)
 
 
@@ -332,12 +332,13 @@ def spectral_derivative(f: TorusField, direction):
 
 @lru_cache(maxsize=16)
 def derivative_multipliers(grid: TorusGrid):
-    """Full-grid first-derivative multipliers (i xi_theta, i xi_z), Nyquist
-    zeroed; cached per grid and read-only."""
-    mt = 1j * grid.xi_theta[:, None] * np.ones((1, grid.n_z))
-    mz = 1j * np.ones((grid.n_theta, 1)) * grid.xi_z[None, :]
+    """Half-spectrum first-derivative multipliers (i xi_theta, i xi_z),
+    Nyquist zeroed; cached per grid and read-only."""
+    nzr = grid.n_z // 2 + 1
+    mt = 1j * grid.xi_theta[:, None] * np.ones((1, nzr))
+    mz = 1j * np.ones((grid.n_theta, 1)) * grid.xi_z[None, :nzr]
     mt[grid.n_theta // 2, :] = 0.0
-    mz[:, grid.n_z // 2] = 0.0
+    mz[:, -1] = 0.0
     mt.setflags(write=False)
     mz.setflags(write=False)
     return mt, mz
@@ -448,9 +449,9 @@ def annulus_profile(r):
 class DyadicDecomposition(NamedTuple):
     """Dyadic frequency multipliers of one grid, stacked and read-only.
 
-    ``blocks[j]`` = phi(|xi|/2^j) for j = 0..jmax multiplies the
-    coefficients of Delta_j, and ``lowpass[j]`` = chi(|xi|/2^j) for
-    j = 0..jmax+1 those of S_j, where phi(r) = chi(r/2) - chi(r).  Because
+    On the half-spectrum, ``blocks[j]`` = phi(|xi|/2^j) for j = 0..jmax
+    multiplies the coefficients of Delta_j, and ``lowpass[j]`` =
+    chi(|xi|/2^j) for j = 0..jmax+1 those of S_j, where phi(r) = chi(r/2) - chi(r).  Because
     phi is defined by differencing chi, the partition telescopes exactly on
     the lattice:
 
@@ -461,15 +462,15 @@ class DyadicDecomposition(NamedTuple):
     """
 
     jmax: int
-    blocks: np.ndarray      # (jmax + 1, n_theta, n_z)
-    lowpass: np.ndarray     # (jmax + 2, n_theta, n_z)
+    blocks: np.ndarray      # (jmax + 1, n_theta, n_z // 2 + 1)
+    lowpass: np.ndarray     # (jmax + 2, n_theta, n_z // 2 + 1)
 
 
 @lru_cache(maxsize=16)
 def decomposition(grid: TorusGrid) -> DyadicDecomposition:
     """The dyadic multipliers of grid; cached per grid."""
-    xt, xz = grid.xi_mesh()
-    radii = np.sqrt(xt ** 2 + xz ** 2)
+    radii = np.sqrt(grid.xi_theta[:, None] ** 2
+                    + grid.xi_z[:grid.n_z // 2 + 1] ** 2)
     blocks = [annulus_profile(radii)]
     while blocks[-1].any():
         blocks.append(annulus_profile(radii / 2.0 ** len(blocks)))
@@ -501,11 +502,6 @@ def low_pass(f: TorusField, j):
 # seeded random fields (shared by property tests and the verification CLI)
 # ---------------------------------------------------------------------------
 
-def _conjugate_symmetric(c):
-    """(c(xi) + conj c(-xi))/2, the coefficients of a real field."""
-    return 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
-
-
 def band_limited_random(grid: TorusGrid, rng, kmax=4, decay=2.0, max_norm=1.0,
                         zero_mean=True):
     """Random smooth real field with |xi| <= kmax and geometric mode decay.
@@ -521,9 +517,7 @@ def band_limited_random(grid: TorusGrid, rng, kmax=4, decay=2.0, max_norm=1.0,
     c[grid.nyquist_mask()] = 0.0
     if zero_mean:
         c[0, 0] = 0.0
-    else:
-        c[0, 0] = c[0, 0].real
-    f = TorusField.from_coefficients(grid, _conjugate_symmetric(c))
+    f = TorusField.from_coefficients(grid, c)
     m = f.max_norm()
     if m == 0.0:
         return f

@@ -53,8 +53,8 @@ w_derivatives and w_divergence transform each derivative along its own
 axis only, d_theta along theta and d_z along z, with real transforms for
 real input: the principal parts, their xi-gradients and the surface
 profiles are real, so most inputs are.  The transforms run on scipy.fft,
-and the 1-d multipliers are slices of spectral.derivative_multipliers,
-Nyquist zeroed by the same rule.
+and the 1-d multipliers are i xi_theta and i xi_z, Nyquist zeroed by the
+rule of spectral.derivative_multipliers.
 
 Within one symbol_identity_report, every closure evaluation, xi-gradient
 and w-derivative pair of a closure is computed once per xi chunk and shared
@@ -91,7 +91,7 @@ from .geometry import (
     curvature_G,
     curvature_G_uv,
 )
-from .spectral import TorusField, TorusGrid, derivative_multipliers
+from .spectral import TorusField, TorusGrid
 
 # Evaluations shared within the current xi chunk of an identity report; None
 # (nothing shared) outside one.  A context variable, so concurrent reports
@@ -181,8 +181,8 @@ def _w_derivative(arr, grid: TorusGrid, axis):
     """d_theta (axis -2) or d_z (axis -1) of a grid array, spectral along
     that axis only, Nyquist-zeroed; real transforms for real input."""
     arr = _on_grid(arr, grid)
-    mt, mz = derivative_multipliers(grid)
-    mult = mt[:, :1] if axis == -2 else mz[0]
+    mult = 1j * (grid.xi_theta[:, None] if axis == -2 else grid.xi_z)
+    mult[len(mult) // 2] = 0.0
     if np.iscomplexobj(arr):
         return _sfft.ifft(_sfft.fft(arr, axis=axis) * mult, axis=axis)
     n = arr.shape[axis]

@@ -92,6 +92,13 @@ def differentiation_matrix_loop(x, w):
     return D
 
 
+def full_coefficients(f):
+    """The full-lattice spectrum of a field's samples by numpy.fft.fft2,
+    normalized as TorusField.coefficients (c(0) = mean): the complex
+    transform the half-spectrum is checked against."""
+    return np.fft.fft2(f.values) / f.values.size
+
+
 def pad_coefficients(grid, coefficients, fine):
     """Embed coefficients into the lattice of a finer grid (zero padding;
     the Nyquist row and column land at -n/2): the complex embedding the

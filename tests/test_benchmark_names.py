@@ -74,13 +74,12 @@ def test_calculus_units_sample_half_the_lattice():
     U = paradiff.good_unknown(eta, psi,
                               wl.solver.trace_bundle(eta, psi, wl.tol).B)
     dec = spectral.decomposition(U.grid)
-    c = U.coefficients
-    mirror = (-np.arange(32)) % 32
-    active = ((dec.blocks[2:].sum(axis=0) != 0.0)
-              & (c + np.conj(c[np.ix_(mirror, mirror)]) != 0.0)
-              & ~U.grid.nyquist_mask())
+    # the active frequencies of U's half-spectrum: each k_z > 0 column
+    # stands for its k_z < 0 mirror too, the k_z = 0 column holds both
+    active = ((dec.blocks[2:].sum(axis=0) != 0.0) & (U.coefficients != 0.0)
+              & ~U.grid.nyquist_mask()[:, :dec.blocks.shape[2]])
     assert tracer.paradiff_samples > 0
-    assert 2 * tracer.paradiff_samples == active.sum()
+    assert 2 * tracer.paradiff_samples == 2 * active[:, 1:].sum() + active[:, 0].sum()
 
 
 def test_evolve_units_carry_their_stage_guesses():
@@ -154,8 +153,9 @@ def test_traced_warm_bundle_counts(grid16):
     the CG iterations on the grid and on the 16-node radial level, plus a
     fixed start cost on each (one K of the start's zero-trace interior and
     the one-layer transforms of the closed-form K(1 (x) psi)), with no
-    strain pass after either solve; the trace algebra pads each distinct
-    input field once."""
+    strain pass after either solve, and the Nyquist projections of eta and
+    psi; the radial level takes eta's derivatives from the fine solve; the
+    trace algebra pads each distinct input field once."""
     spans = _load_spans()
     n_rho, n = 32, 16
     solver = elliptic.DtnSolver(grid16, n_rho)
@@ -190,21 +190,27 @@ def test_traced_warm_bundle_counts(grid16):
         lift = layer + 2 * half + 2 * layer + 2 * half     # closed-form K(lift)
         return its * per_iteration + warm_start + lift
 
-    assert counts["fft_points"]["elliptic"] == level(n_rho, its) + level(16, coarse_its)
+    # the solve's Nyquist projections of eta and psi: a real transform pair
+    # of one layer each
+    projections = 2 * (layer + half)
+    assert counts["fft_points"]["elliptic"] == (
+        level(n_rho, its) + level(16, coarse_its) + projections)
 
     # spectral layer: every dealiased evaluation is one real transform pair
-    # at each end, plus one per padded input; the rest are complex
-    # transforms of one coarse layer (derivatives, Nyquist projections)
+    # at each end, plus one per padded input; each derivative is one inverse
+    # transform of a coarse half-spectrum, and each of the two fields
+    # differentiated (the projected eta and the potential's trace) one
+    # forward transform
+    derivatives = counts["calls"]["spectral.spectral_derivative"]
+    assert derivatives == 4
     fine = grid16.padded()
     fine_layer, fine_half = fine.n_theta * fine.n_z, fine.n_theta * (fine.n_z // 2 + 1)
     evals = counts["calls"]["spectral.nonlinear_eval"]
-    complex_ffts = (counts["calls"]["spectral.forward_transform"]
-                    + counts["calls"]["spectral.inverse_transform"])
-    pads, odd = divmod(counts["fft_calls"]["spectral"] - 2 * evals - complex_ffts, 2)
+    pads, odd = divmod(counts["fft_calls"]["spectral"] - 2 * evals - derivatives - 2, 2)
     assert odd == 0
     assert counts["fft_points"]["spectral"] == (
         pads * (layer + fine_half) + evals * (fine_layer + half)
-        + complex_ffts * layer)
+        + derivatives * half + 2 * layer)
     # the inputs: d_rho phi, eta, eta_theta, psi_theta, B, grad_bar eta
     # (two), flux, V_theta, V_z, V . grad_bar eta
     assert evals == 12 and pads == 11

@@ -350,16 +350,16 @@ class TestFlowPinned:
     change to the flow, its solves or its energies shows here."""
 
     PINNED = [
-        ("0x1.ce1760228871ep-12", "0x1.c4aaa9b6218bep-8",
+        ("0x1.ce1760228871cp-12", "0x1.c4aaa9b6218dcp-8",
          "0x1.3be8031fc5624p+4", 0, 0),
-        ("0x1.de87573d869c8p-12", "0x1.c3a3aa4471da3p-8",
+        ("0x1.de87573d869c8p-12", "0x1.c3a3aa4471de1p-8",
          "0x1.3be8031fc562bp+4", 30, 0),
-        ("0x1.07ce0758f9163p-11", "0x1.c0925ecd2b650p-8",
+        ("0x1.07ce0758f9166p-11", "0x1.c0925ecd2b56fp-8",
          "0x1.3be8031fc563dp+4", 24, 0),
-        ("0x1.30528a8dc4229p-11", "0x1.bb81ce6692017p-8",
+        ("0x1.30528a8dc4224p-11", "0x1.bb81ce6692062p-8",
          "0x1.3be8031fc5660p+4", 24, 0),
-        ("0x1.5c324de0c266bp-11", "0x1.b605d5fc31bacp-8",
-         "0x1.3be8031fc5675p+4", 23, 0),
+        ("0x1.5c324de0c266ap-11", "0x1.b605d5fc31b53p-8",
+         "0x1.3be8031fc5673p+4", 23, 0),
     ]
 
     def test_reports(self, grid):

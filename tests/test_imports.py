@@ -1,6 +1,7 @@
 """Every name a package module or demo imports is used there, every name a
-demo imports from jetwave exists, every export has a caller, and every
-parameter of a package function is read."""
+demo imports from jetwave exists, every export has a caller, every
+parameter of a package function is read, and no package module uses a
+numpy.fft transform."""
 
 import ast
 import importlib
@@ -87,6 +88,61 @@ def test_no_unread_parameters():
              for func, name in unread_parameters(
                  path.read_text(encoding="utf-8"))}
     assert found == UNREAD_ON_PURPOSE
+
+
+#: the one numpy.fft name the package may use: the lattice frequencies
+NUMPY_FFT_ALLOWED = {"fftfreq"}
+
+
+def numpy_fft_uses(source):
+    """(line, name) of every numpy.fft name but those allowed that the
+    source imports or reads: as ``np.fft.name`` (numpy under any alias), as
+    an attribute of an alias of numpy.fft, or from ``from numpy.fft
+    import``.  The package's transforms run on scipy.fft."""
+    tree = ast.parse(source)
+    numpy_aliases, fft_aliases, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_aliases.add(alias.asname or "numpy")
+                elif alias.name == "numpy.fft":
+                    if alias.asname:
+                        fft_aliases.add(alias.asname)
+                    else:
+                        numpy_aliases.add("numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "numpy":
+                fft_aliases.update(alias.asname or alias.name
+                                   for alias in node.names
+                                   if alias.name == "fft")
+            elif node.module == "numpy.fft":
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name not in NUMPY_FFT_ALLOWED]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or node.attr in NUMPY_FFT_ALLOWED:
+            continue
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id in fft_aliases) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "fft"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in numpy_aliases):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_detects_numpy_fft():
+    source = ("import numpy as np\nimport numpy.fft as nf\n"
+              "from numpy.fft import rfft, fftfreq\nimport scipy.fft as sf\n"
+              "k = np.fft.fftfreq(8)\nc = np.fft.fft2(k)\nd = nf.ifft(c)\n"
+              "e = sf.fft2(c)\n")
+    assert numpy_fft_uses(source) == [(3, "rfft"), (6, "fft2"), (7, "ifft")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_numpy_fft_transforms(path):
+    assert numpy_fft_uses(path.read_text(encoding="utf-8")) == []
 
 
 def jetwave_imports(source):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import pad_coefficients, truncate_coefficients
+from conftest import full_coefficients, pad_coefficients, truncate_coefficients
 
 from jetwave.spectral import (
     TAU,
@@ -16,50 +16,102 @@ from jetwave.spectral import (
     dealiased_product,
     decomposition,
     dyadic_block,
-    forward_transform,
     integrate_product,
-    inverse_transform,
     low_pass,
     nonlinear_eval,
     spectral_derivative,
 )
+from jetwave.verification import check_transforms
 
 
 class TestTransforms:
     def test_constant_field(self, grid32):
-        c = forward_transform(grid32, np.full((32, 32), 2.5))
+        c = TorusField.constant(grid32, 2.5).coefficients.copy()
         assert abs(c[0, 0] - 2.5) < 1e-14
         c[0, 0] = 0.0
         assert np.abs(c).max() < 1e-14
 
     def test_pure_mode(self, grid32):
         th, zz = grid32.mesh()
-        c = forward_transform(grid32, np.cos(3 * th + 2 * zz))
+        f = TorusField(grid32, np.cos(3 * th + 2 * zz))
+        c = f.coefficients.copy()
         assert abs(c[3, 2] - 0.5) < 1e-13
-        assert abs(c[-3, -2] - 0.5) < 1e-13
-        c[3, 2] = c[-3, -2] = 0.0
+        assert abs(f.coefficient(-3, -2) - 0.5) < 1e-13
+        c[3, 2] = 0.0       # (-3, -2) is its mirror, not stored
         assert np.abs(c).max() < 1e-13
 
     @given(seed=st.integers(0, 2 ** 31))
     def test_roundtrip_random(self, seed):
         grid = TorusGrid(16, 16)
         vals = np.random.default_rng(seed).standard_normal((16, 16))
-        back = inverse_transform(grid, forward_transform(grid, vals))
-        assert np.abs(back - vals).max() < 1e-12
+        back = TorusField.from_coefficients(grid, TorusField(grid, vals).coefficients)
+        assert np.abs(back.values - vals).max() < 1e-12
 
     @given(seed=st.integers(0, 2 ** 31))
     def test_parseval(self, seed):
+        """The interior half-spectrum columns stand for their k_z < 0
+        mirrors too, so they weigh twice."""
         grid = TorusGrid(16, 16)
         f = TorusField(grid, np.random.default_rng(seed).standard_normal((16, 16)))
         grid_norm = f.l2_norm() ** 2
-        coef_norm = float(np.sum(np.abs(f.coefficients) ** 2) * grid.area)
+        power = np.abs(f.coefficients) ** 2
+        power[:, 1:-1] *= 2.0
+        coef_norm = float(np.sum(power) * grid.area)
         assert abs(grid_norm - coef_norm) < 1e-12 * grid_norm
 
     def test_shape_mismatch_rejected(self, grid32):
         with pytest.raises(ValueError):
-            forward_transform(grid32, np.zeros((16, 16)))
+            TorusField(grid32, np.zeros((16, 16)))
         with pytest.raises(ValueError):
-            inverse_transform(grid32, np.zeros((16, 16), dtype=complex))
+            TorusField.from_coefficients(grid32, np.zeros((16, 16), dtype=complex))
+        with pytest.raises(ValueError):     # the half-spectrum of the wrong axis
+            TorusField.from_coefficients(grid32, np.zeros((17, 32), dtype=complex))
+
+    @pytest.mark.parametrize("grid", [TorusGrid(8, 8), TorusGrid(16, 24, 2 * TAU),
+                                      TorusGrid(24, 16)],
+                             ids=lambda g: f"{g.n_theta}x{g.n_z}")
+    def test_half_spectrum_layout(self, grid):
+        """coefficients is the rfft2 half-spectrum, read-only; a mode
+        k_z < 0 reads the conjugate of its mirror, bit for bit."""
+        f = band_limited_random(grid, np.random.default_rng(5),
+                                kmax=grid.n_z, decay=1.2, zero_mean=False)
+        c = f.coefficients
+        assert c.shape == (grid.n_theta, grid.n_z // 2 + 1)
+        assert not c.flags.writeable
+        for m in range(-grid.n_theta // 2, grid.n_theta // 2):
+            assert f.coefficient(m, 0) == c[m % grid.n_theta, 0]
+            for k in range(1, grid.n_z // 2):
+                assert f.coefficient(m, k) == c[m % grid.n_theta, k]
+                assert f.coefficient(m, -k) == np.conj(f.coefficient(-m, k))
+
+    @pytest.mark.parametrize("hermitian", [True, False],
+                             ids=["hermitian", "non_hermitian"])
+    def test_full_lattice_is_its_real_part(self, grid32, hermitian):
+        """A full-lattice array is the field of its real part: the
+        ifft2(c).real oracle, for the Hermitian array the calculus
+        workload passes (an annulus, Nyquist dropped, symmetrized by hand)
+        and for a raw complex draw."""
+        r = np.random.default_rng(17)
+        c = r.standard_normal((32, 32)) + 1j * r.standard_normal((32, 32))
+        if hermitian:
+            xt, xz = grid32.xi_mesh()
+            rad = np.sqrt(xt ** 2 + xz ** 2)
+            c[(rad < 8.0) | (rad > 11.0)] = 0.0
+            c[grid32.nyquist_mask()] = 0.0
+            flip = (-np.arange(32)) % 32
+            c = 0.5 * (c + np.conj(c[np.ix_(flip, flip)]))
+        want = np.fft.ifft2(c).real * c.size
+        got = TorusField.from_coefficients(grid32, c).values
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_check_transforms_counts_the_mirrors(self):
+        """check_transforms' Parseval sum weighs the interior half-spectrum
+        columns twice and passes at its 1e-12 bounds."""
+        results = check_transforms(TorusGrid(16, 24), 3)
+        assert [r.name for r in results] == ["transform.roundtrip",
+                                             "transform.parseval"]
+        for r in results:
+            assert r.threshold == 1e-12 and r.passed
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -117,7 +169,7 @@ class TestDealiasedProduct:
     def _convolution_oracle(self, a, b):
         """Brute-force lattice convolution truncated to the grid."""
         grid = a.grid
-        ca, cb = a.coefficients, b.coefficients
+        ca, cb = full_coefficients(a), full_coefficients(b)
         nt, nz = grid.n_theta, grid.n_z
         out = np.zeros_like(ca)
         xt = np.fft.fftfreq(nt, 1 / nt).astype(int)
@@ -145,7 +197,7 @@ class TestDealiasedProduct:
         p = dealiased_product(a, b)
         oracle = self._convolution_oracle(a, b)
         # combined bandwidth 6 <= 7 = N/2 - 1: product fully resolved, exact
-        assert np.abs(p.coefficients - oracle).max() < 1e-12
+        assert np.abs(full_coefficients(p) - oracle).max() < 1e-12
 
 
 class TestIntegrateProduct:
@@ -157,7 +209,7 @@ class TestIntegrateProduct:
         of the real interpolant: each Nyquist row or column coefficient is
         split evenly between +-n/2, the corner between (-n/2, -n/2) and
         (+n/2, +n/2)."""
-        c = np.fft.fftshift(f.coefficients)
+        c = np.fft.fftshift(full_coefficients(f))
         e = np.zeros((c.shape[0] + 1, c.shape[1] + 1), dtype=complex)
         e[:-1, :-1] = c
         e[-1, 1:-1] = e[0, 1:-1]
@@ -208,9 +260,10 @@ def _complex_nonlinear_eval(fn, *fields):
     inverse is taken, and the product's spectrum is restricted back."""
     grid = fields[0].grid
     fine = grid.padded()
-    vals = [inverse_transform(fine, pad_coefficients(grid, f.coefficients, fine))
-            for f in fields]
-    c = forward_transform(fine, fn(*vals))
+    size = fine.n_theta * fine.n_z
+    vals = [np.fft.ifft2(pad_coefficients(grid, full_coefficients(f), fine)).real
+            * size for f in fields]
+    c = np.fft.fft2(fn(*vals)) / size
     return TorusField.from_coefficients(grid, truncate_coefficients(fine, c, grid))
 
 
@@ -253,7 +306,8 @@ class TestRealDealiasing:
         assert p is f.padded_samples and not p.flags.writeable
         fine = grid16.padded()
         assert p.shape == (fine.n_theta, fine.n_z)
-        want = inverse_transform(fine, pad_coefficients(grid16, f.coefficients, fine))
+        want = np.fft.ifft2(pad_coefficients(grid16, full_coefficients(f), fine)
+                           ).real * p.size
         assert np.abs(p - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -269,7 +323,7 @@ class TestDyadic:
         s0 = low_pass(f, 0)
         xt, xz = grid32.xi_mesh()
         radii = np.sqrt(xt ** 2 + xz ** 2)
-        outside = np.abs(s0.coefficients)[radii > 2.0]
+        outside = np.abs(full_coefficients(s0))[radii > 2.0]
         assert outside.max() < 1e-15
 
     def test_telescoping_exact(self, grid32):
@@ -318,7 +372,7 @@ class TestDyadic:
     def test_decomposition_read_only_stacks(self, grid32):
         dec = decomposition(grid32)
         assert decomposition(grid32) is dec
-        shape = (grid32.n_theta, grid32.n_z)
+        shape = (grid32.n_theta, grid32.n_z // 2 + 1)
         assert dec.blocks.shape == (dec.jmax + 1,) + shape
         assert dec.lowpass.shape == (dec.jmax + 2,) + shape
         for stack in (dec.blocks, dec.lowpass):
