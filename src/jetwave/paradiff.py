@@ -30,7 +30,8 @@ multiples of M, and every alias of a kept frequency k in [-N/2, N/2] lies
 outside (-N, N).
 
 Only half the active frequencies are sampled: those of u's half-spectrum
-with k_z > 0, or k_z = 0 and k_theta > 0.  For a real operator,
+in TorusGrid.half_lattice, k_z > 0, or k_z = 0 and k_theta > 0 (the half
+the symbol identity report samples too).  For a real operator,
 a(w, -xi) = conj a(w, xi), and u real, u_hat(-xi) = conj u_hat(xi), the
 contribution of -xi to c(k) is the conjugate of the contribution of xi to
 c(-k).  No active frequency is its own mirror: xi = 0 has weight 0 and the
@@ -96,8 +97,9 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     on the grid, shaped (n, n_theta, n_z) or broadcasting to it (see
     symbols.HomogeneousSymbol).  The samples must satisfy
     a(w, -xi) = conj(a(w, xi)), the condition for a real operator: only the
-    half lattice k_z > 0, or k_z = 0 and k_theta > 0, is sampled, and the
-    mirror half is its conjugate.  The real result is returned.
+    half lattice TorusGrid.half_lattice, k_z > 0 or k_z = 0 < k_theta, is
+    sampled, and the mirror half is its conjugate.  The real result is
+    returned.
     """
     grid = u.grid
     dec = decomposition(grid)
@@ -116,15 +118,13 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     # signed lattice indices, and the box holding every sum zeta + xi
     kt = np.fft.fftfreq(nt, 1.0 / nt).astype(int)
     kz = np.fft.fftfreq(nz, 1.0 / nz).astype(int)
-    # the half-spectrum's own half, k_z > 0 or k_z = 0 < k_theta, Nyquist
-    # modes dropped: the k_z = 0 column's stored mirror, conjugate to its own
-    # half only to roundoff, is never read
-    nzr = nz // 2 + 1
-    own = ((kz[:nzr] > 0) | (kt[:, None] > 0)) & ~grid.nyquist_mask()[:, :nzr]
     uhat = u.coefficients
 
-    # row-major, so the lattice iteration order is fixed
-    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0) & own)
+    # row-major, so the lattice iteration order is fixed; on the half
+    # lattice, the k_z = 0 column's stored mirror, conjugate to its own half
+    # only to roundoff, is never read
+    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0)
+                              & grid.half_lattice())
     n_active = idx_t.size
     if n_active == 0:
         return TorusField.zeros(grid)

@@ -142,6 +142,15 @@ class TorusGrid:
         mask[:, self.n_z // 2] = True
         return mask
 
+    def half_lattice(self):
+        """True on the half-spectrum's own half, k_z > 0 or k_z = 0 <
+        k_theta, Nyquist modes dropped; shape (n_theta, n_z // 2 + 1).  With
+        its mirror -xi it covers every Nyquist-free xi != 0 once, and a real
+        operator's symbol, a(w, -xi) = conj a(w, xi), is known from it."""
+        nzr = self.n_z // 2 + 1
+        return (((self.xi_z[:nzr] > 0) | (self.xi_theta[:, None] > 0))
+                & ~self.nyquist_mask()[:, :nzr])
+
     # -- measures ----------------------------------------------------------
     @property
     def area(self):

@@ -54,7 +54,15 @@ axis only, d_theta along theta and d_z along z, with real transforms for
 real input: the principal parts, their xi-gradients and the surface
 profiles are real, so most inputs are.  The transforms run on scipy.fft,
 and the 1-d multipliers are i xi_theta and i xi_z, Nyquist zeroed by the
-rule of spectral.derivative_multipliers.
+rule of spectral.derivative_multipliers and cached per grid.
+
+The identity report samples half of the Nyquist-free lattice
+(lattice_points: k_z > 0, or k_z = 0 < k_theta, the half apply_paradiff
+samples).  The operators are real, so every symbol has
+a(w, -xi) = conj a(w, xi); each report line is a max or min over the lattice
+of a quantity whose modulus is the same at xi and -xi, so the other half
+adds nothing.  The lambda_reality line certifies the property by pairing
+each sampled xi with -xi.
 
 Within one symbol_identity_report, every closure evaluation, xi-gradient
 and w-derivative pair of a closure is computed once per xi chunk and shared
@@ -177,12 +185,23 @@ def _on_grid(arr, grid: TorusGrid):
     return arr
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_multipliers(grid: TorusGrid):
+    """(i xi_theta as a column, i xi_z), Nyquist zeroed: the 1-d
+    multipliers of _w_derivative, indexed by its axis; cached per grid and
+    read-only."""
+    out = (1j * grid.xi_theta[:, None], 1j * grid.xi_z)
+    for mult in out:
+        mult[len(mult) // 2] = 0.0
+        mult.setflags(write=False)
+    return out
+
+
 def _w_derivative(arr, grid: TorusGrid, axis):
     """d_theta (axis -2) or d_z (axis -1) of a grid array, spectral along
     that axis only, Nyquist-zeroed; real transforms for real input."""
     arr = _on_grid(arr, grid)
-    mult = 1j * (grid.xi_theta[:, None] if axis == -2 else grid.xi_z)
-    mult[len(mult) // 2] = 0.0
+    mult = _axis_multipliers(grid)[axis]
     if np.iscomplexobj(arr):
         return _sfft.ifft(_sfft.fft(arr, axis=axis) * mult, axis=axis)
     n = arr.shape[axis]
@@ -261,11 +280,13 @@ def _as_xi(x):
 
 
 def lattice_points(grid: TorusGrid):
-    """Flat arrays (xi_t, xi_z) of the Nyquist-free frequency lattice
-    without xi = 0."""
-    xt, xz = grid.xi_mesh()
-    keep = ~grid.nyquist_mask() & ((xt != 0) | (xz != 0))
-    return xt[keep], xz[keep]
+    """Flat arrays (xi_t, xi_z), row-major, of half of the Nyquist-free
+    lattice without xi = 0 (TorusGrid.half_lattice, as apply_paradiff): a
+    real operator's symbol has a(w, -xi) = conj a(w, xi), so the mirror half
+    -xi repeats every modulus the identity report takes."""
+    own = grid.half_lattice()
+    xt, xz = (x[:, :own.shape[1]] for x in grid.xi_mesh())
+    return xt[own], xz[own]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +405,8 @@ def _factorization(s: _Surface, rho):
     and its profile alpha.
 
     The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
-    verified positive on a lattice sample before the root is taken.
+    verified positive on a lattice sample before the root is taken; it is
+    even in xi, so the half lattice of lattice_points serves.
     """
     grid, e, et, ez, _ = s
     r = float(rho)
@@ -653,8 +675,10 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     """Numerically certify every symbol-level identity.
 
     Returns a list of IdentityCheck records (one per identity) with max
-    pointwise residuals over the resolved Nyquist-free lattice.  The
-    thresholds of the subprincipal identities rest on the complex-step
+    pointwise residuals over half of the resolved Nyquist-free lattice
+    (lattice_points): each residual's modulus is the same at -xi as at xi,
+    since real operators have a(w, -xi) = conj a(w, xi), which the
+    lambda_reality line checks.  The thresholds of the subprincipal identities rest on the complex-step
     xi-derivative being exact to ~1e-11.  No symbol depends on the
     reference radius R; it is accepted and not read.
     """

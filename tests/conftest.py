@@ -49,20 +49,35 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-@pytest.fixture()
-def lambda0_sign_fault(monkeypatch):
-    """Flip the sign of lambda's subprincipal part wherever the identity
-    report builds lambda: a fault its Im-lambda0 identity must trip on."""
+def _fault_lambda0(monkeypatch, fault):
+    """Replace lambda's subprincipal part sub by fault(sub, xt, xz) wherever
+    the identity report builds lambda."""
     lambda_from = symbols._lambda_from
 
     def faulted(surface):
         lam = lambda_from(surface)
         sub = lam.subprincipal
         return symbols.HomogeneousSymbol(lam.grid, 1.0, lam.principal,
-                                         lambda xt, xz: -sub(xt, xz),
+                                         lambda xt, xz: fault(sub, xt, xz),
                                          name="lambda(faulted)")
 
     monkeypatch.setattr(symbols, "_lambda_from", faulted)
+
+
+@pytest.fixture()
+def lambda0_sign_fault(monkeypatch):
+    """Flip the sign of lambda's subprincipal part: a fault its Im-lambda0
+    identity must trip on."""
+    _fault_lambda0(monkeypatch, lambda sub, xt, xz: -sub(xt, xz))
+
+
+@pytest.fixture()
+def lambda0_odd_fault(monkeypatch):
+    """Add the real term 1e-6 xi_t/|xi|, odd in xi, to lambda's subprincipal
+    part: it breaks a(w, -xi) = conj a(w, xi), on which the report's half
+    lattice rests, and its lambda_reality check must trip on it."""
+    _fault_lambda0(monkeypatch, lambda sub, xt, xz: sub(xt, xz)
+                   + 1e-6 * xt / np.sqrt(xt ** 2 + xz ** 2))
 
 
 def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
@@ -97,6 +112,15 @@ def full_coefficients(f):
     normalized as TorusField.coefficients (c(0) = mean): the complex
     transform the half-spectrum is checked against."""
     return np.fft.fft2(f.values) / f.values.size
+
+
+def full_lattice_points(grid):
+    """Flat arrays (xi_t, xi_z) of the whole Nyquist-free lattice without
+    xi = 0, row-major: the lattice the identity report's half
+    (symbols.lattice_points) is checked against."""
+    xt, xz = grid.xi_mesh()
+    keep = ~grid.nyquist_mask() & ((xt != 0) | (xz != 0))
+    return xt[keep], xz[keep]
 
 
 def pad_coefficients(grid, coefficients, fine):

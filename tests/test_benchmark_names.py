@@ -58,19 +58,32 @@ def test_dtn_cold_units_start_from_the_half_grid():
     assert np.mean([b.iterations for b in bundles]) <= 2
 
 
-def test_calculus_units_sample_half_the_lattice():
-    """calculus-32's apply_paradiff samples lambda on half the active
-    frequencies: the mirror half is the conjugate, which the symbol's
-    reality condition gives.  A count fails here if the half-lattice rule
-    stops firing, where wall time would only drift."""
+def test_calculus_units_sample_half_the_lattice(monkeypatch):
+    """calculus-32's identity report and apply_paradiff sample lambda on half
+    the lattice: the mirror half is the conjugate, which the symbol's
+    reality condition gives.  The report takes 480 of the 960 Nyquist-free
+    frequencies xi != 0 of 32^2.  A count fails here if the half-lattice
+    rule stops firing, where wall time would only drift."""
     spans = _load_spans()
     wl = _load("workloads").WORKLOADS["calculus-32"]()
     wl.setup(np.random.default_rng(0))
     eta, psi = wl.make(np.random.default_rng(1), 0)
+    report_samples = []
+    lattice_checks = symbols._lattice_checks
+
+    def counted(identities, grid, xt, xz):
+        report_samples.append(len(xt))
+        return lattice_checks(identities, grid, xt, xz)
+
+    monkeypatch.setattr(symbols, "_lattice_checks", counted)
     tracer = spans.Tracer()
     with tracer.installed():
         out = wl.run((eta, psi))
     assert wl.check((eta, psi), out) is None
+    # the principal identities, then the two radial factorizations
+    assert report_samples == [480, 480]
+    full = (~eta.grid.nyquist_mask()).sum() - 1
+    assert full == 960 == 2 * len(symbols.lattice_points(eta.grid)[0])
     U = paradiff.good_unknown(eta, psi,
                               wl.solver.trace_bundle(eta, psi, wl.tol).B)
     dec = spectral.decomposition(U.grid)

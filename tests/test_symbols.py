@@ -8,14 +8,17 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import full_lattice_points, smooth_surface
 
 from jetwave import symbols
 from jetwave.errors import EllipticityError
 from jetwave.geometry import curvature_F_uv
+from jetwave.paradiff import apply_paradiff
 from jetwave.spectral import (
     TorusField,
     TorusGrid,
     band_limited_random,
+    decomposition,
 )
 from jetwave.symbols import (
     HomogeneousSymbol,
@@ -235,6 +238,19 @@ class TestWDerivatives:
             assert np.iscomplexobj(g) == np.iscomplexobj(arr)
             assert (np.abs(g - w).max()
                     <= 1e-13 * max(np.abs(w).max(), scale))
+
+    def test_axis_multipliers_cached_read_only(self):
+        """The 1-d multipliers i xi_theta (a column) and i xi_z, Nyquist
+        zeroed, are built once per grid, read-only, and leave the grid's
+        own frequency arrays as they were."""
+        grid = TorusGrid(16, 8)
+        mt, mz = symbols._axis_multipliers(grid)
+        assert symbols._axis_multipliers(TorusGrid(16, 8))[0] is mt
+        assert not mt.flags.writeable and not mz.flags.writeable
+        want_t, want_z = 1j * grid.xi_theta[:, None], 1j * grid.xi_z
+        want_t[8], want_z[4] = 0.0, 0.0
+        assert np.array_equal(mt, want_t) and np.array_equal(mz, want_z)
+        assert grid.xi_theta[8] == -8.0 and grid.xi_z[4] == -4.0
 
 
 class TestRealGradient:
@@ -725,3 +741,99 @@ class TestChunkInvariance:
     def test_chunk_rule(self):
         assert [TorusGrid(n, n).xi_chunk() for n in (16, 32, 64, 256)] == \
             [64, 16, 4, 1]
+
+
+# ---------------------------------------------------------------------------
+# the half lattice
+# ---------------------------------------------------------------------------
+
+_HALF_GRIDS = {"16x16": TorusGrid(16, 16), "32x32": TorusGrid(32, 32),
+               "16x32_4pi": TorusGrid(16, 32, z_period=4.0 * np.pi)}
+
+
+class TestHalfLattice:
+    """The report samples lattice_points, half of the Nyquist-free lattice
+    without xi = 0, whose other half is its mirror -xi."""
+
+    @pytest.mark.parametrize("name", _HALF_GRIDS)
+    def test_half_and_mirror_cover_the_lattice(self, name):
+        grid = _HALF_GRIDS[name]
+        half = list(zip(*lattice_points(grid)))
+        mirror = {(-a, -b) for a, b in half}
+        assert len(set(half)) == len(half)
+        assert not set(half) & mirror
+        assert set(half) | mirror == set(zip(*full_lattice_points(grid)))
+
+    @pytest.mark.parametrize("name", _HALF_GRIDS)
+    def test_apply_paradiff_samples_the_same_half(self, name):
+        """On a field with no zero coefficient, apply_paradiff samples, in
+        order, the points of lattice_points that its dyadic weight keeps:
+        both read TorusGrid.half_lattice."""
+        grid = _HALF_GRIDS[name]
+        u = TorusField(grid, np.random.default_rng(3).standard_normal(
+            (grid.n_theta, grid.n_z)))
+        seen = []
+
+        class Counted:
+            def total(self, xt, xz):
+                seen.extend(zip(xt, xz))
+                return np.ones((len(xt), 1, 1))
+
+        apply_paradiff(Counted(), u)
+        nzr = grid.n_z // 2 + 1
+        weight = decomposition(grid).blocks[2:].sum(axis=0)
+        xt, xz = (x[:, :nzr] for x in grid.xi_mesh())
+        weighted = set(zip(xt[weight != 0.0], xz[weight != 0.0]))
+        want = [p for p in zip(*lattice_points(grid)) if p in weighted]
+        assert len(want) > len(lattice_points(grid)[0]) // 2
+        assert seen == want
+
+
+class TestFullLatticeOracle:
+    """The report on the half lattice against the report on the whole
+    lattice, full_lattice_points patched in for lattice_points (which the
+    reality and discriminant samples read too)."""
+
+    @staticmethod
+    def _both(monkeypatch, eta):
+        half = symbol_identity_report(eta, SIGMA, R)
+        with monkeypatch.context() as m:
+            m.setattr(symbols, "lattice_points", full_lattice_points)
+            full = symbol_identity_report(eta, SIGMA, R)
+        assert [c.name for c in half] == [c.name for c in full]
+        assert len(half) == 15
+        return zip(half, full)
+
+    def test_reference_surface_bitwise(self, monkeypatch, grid32):
+        for h, f in self._both(monkeypatch, _deformed(grid32)):
+            assert np.array_equal(h.residual, f.residual), h.name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_family(self, monkeypatch, grid32, seed):
+        """Every check keeps its pass or fail, and every residual moves by at
+        most 1e-5 relative: measured, lambda_reality 3.7e-6 on seeds 0 and 1
+        (its 64-point sample is another) and im_lambda0 1.5e-7 on seed 2
+        (conjugate values agree only to roundoff)."""
+        eta = smooth_surface(grid32, np.random.default_rng(seed))
+        for h, f in self._both(monkeypatch, eta):
+            assert h.passed == f.passed, h.name
+            assert abs(h.residual - f.residual) <= 1e-5 * abs(f.residual), \
+                h.name
+
+    def test_odd_fault_trips_lambda_reality(self, grid32, lambda0_odd_fault):
+        """A real subprincipal term odd in xi breaks a(w, -xi) =
+        conj a(w, xi), the property the half lattice rests on.  The
+        lambda_reality check, which pairs xi with -xi, fails on it, and
+        only that check does."""
+        checks = symbol_identity_report(_deformed(grid32), SIGMA, R)
+        assert [c.name for c in checks if not c.passed] == ["lambda_reality"]
+
+
+def test_random_family_certified_at_64(grid64):
+    """Seed 0 of the random family passes all 15 checks at 64^2 at their
+    unchanged thresholds: q0_equation, which misses 1e-8 at 32^2 on seeds 0
+    and 2, reads about 1.6e-9 here."""
+    eta = smooth_surface(grid64, np.random.default_rng(0))
+    checks = symbol_identity_report(eta, SIGMA, R)
+    assert len(checks) == 15
+    assert [c.name for c in checks if not c.passed] == []
