@@ -32,20 +32,23 @@ Available constructions:
 
 xi-derivatives
 --------------
-Every xi-derivative differentiates the closures by a small complex step,
-(f(xi + ih) - f(xi - ih))/(2ih), which is exact to ~1e-11 for these
-holomorphic closed forms and is what the identity report needs to resolve
-its thresholds.  A closure may declare its Schwarz reflection
-f*(xi) = conj f(conj xi), so that f(xi - ih) = conj f*(xi + ih): a closure
-with real coefficients (lambda1, mu2) is its own reflection, a1 and A1 are
-each other's and come from one root, and a product, quotient, root or
-exponential of self-reflecting closures (gamma^(3/2), the parametrix and
-composition principals, the mollifier) is self-reflecting again.  A declared
-closure is evaluated at xi + ih only; conjugation is exact, so the gradient
-takes the same values as from both points.  A self-reflecting closure is
-real at real xi, and its gradient is the real array Im f(xi + ih)/h.  A
-closure that declares nothing (a user's lambda, or one built on a1) is
-evaluated at both points.
+Each built-in principal closure declares its xi-gradient in closed form
+where it is built (_declare): lambda1 = sqrt(Q) has grad Q / (2 lambda1),
+mu2 = Q/(2 l^3) has grad Q/(2 l^3), and a1 = (S + i beta.xi)/(2 alpha) has
+(grad S + i beta)/(2 alpha) with grad S = grad(S^2)/(2 S).  gamma^(3/2), the
+mollifier exp(-eps gamma^(3/2)), the parametrix principal 1/a^(m) and the
+report's mu2 lambda1 take theirs by the chain rule from their factors'
+declared gradients (forward mode; Griewank & Walther, Evaluating
+Derivatives, SIAM 2008), a few real array operations on the chunk.
+xi_gradient returns the declared gradient at real xi != 0, which is every
+xi the identity report and apply_paradiff sample.  A closure that declares
+nothing (a user's lambda, a sharp_compose principal, a closure built on an
+undeclared one), and any closure at
+xi = 0 or at complex xi, is differentiated by the central complex step
+(f(xi + ih) - f(xi - ih))/(2ih), h = 1e-5 |xi| (Squire & Trapp, SIAM Rev.
+40, 1998), exact to ~1e-11 for these holomorphic closed forms.  At xi = 0,
+where the square-root closures have no gradient, the step gives the
+symmetric difference.
 
 w-derivatives
 -------------
@@ -62,7 +65,7 @@ samples).  The operators are real, so every symbol has
 a(w, -xi) = conj a(w, xi); each report line is a max or min over the lattice
 of a quantity whose modulus is the same at xi and -xi, so the other half
 adds nothing.  The lambda_reality line certifies the property by pairing
-each sampled xi with -xi.
+each xi of a 64-point sample, spread over the half lattice, with -xi.
 
 Within one symbol_identity_report, every closure evaluation, xi-gradient
 and w-derivative pair of a closure is computed once per xi chunk and shared
@@ -70,9 +73,8 @@ by all identities on that chunk.  The report and paradiff.apply_paradiff
 size their chunks by one rule, TorusGrid.xi_chunk.  The evaluations one
 chunk shares take about 10 MB on 32^2, under the heap thresholds that
 spectral raises as it loads, so the next chunk reuses that memory instead
-of faulting it in again.  The values of an a1/A1 pair at xi + ih are shared
-only between the two and dropped after their gradient, which keeps the
-peak lower.
+of faulting it in again.  A declared gradient reads its factors' values,
+gradients and the root S of the factorization from the same chunk.
 
 Each symbol has one constructor, which takes the surface record of
 _surface_data (eta projected once, its first derivatives and l^2) and
@@ -132,8 +134,9 @@ def _evaluate(fn, *args):
     """fn(*args), computed once per sharing scope.
 
     Arguments are keyed by value (functions by identity, grids as
-    themselves), so the same xi reached by different routes -- e.g. the
-    complex-step points of several xi-gradients -- hits one entry.  Shared
+    themselves), so the same xi reached by different routes -- e.g. a
+    factor's gradient, read by an identity and by the chain rule of a
+    declared gradient -- hits one entry.  Shared
     results are made read-only.
     """
     memo = _SHARED.get()
@@ -155,24 +158,26 @@ def _shared(fn):
     return functools.partial(_evaluate, fn)
 
 
-def _reflecting(fn):
-    """fn, shared, declared its own Schwarz reflection: a closure with real
-    coefficients has fn(conj xi) = conj fn(xi).
+def _declare(fn, gradient, *factors):
+    """fn, shared, declaring its closed-form xi-gradient when every factor it
+    is built from declares one: gradient(xt, xz) -> (d_t fn, d_z fn) at real
+    xi != 0, which xi_gradient returns in place of the complex step.
 
-    A shared closure's ``reflection`` attribute names its reflection f*, and
-    promises f(xi - ih) == conj f*(xi + ih) exactly: xi_gradient reads the
-    one for the other."""
+    A closure of other declared closures writes its gradient by the chain
+    rule from theirs (read through _gradient); with an undeclared factor (a
+    user's symbol, say) it is left undeclared, and xi_gradient steps it."""
     fn = _shared(fn)
-    fn.reflection = fn
+    if all(getattr(f, "gradient", None) is not None for f in factors):
+        fn.gradient = gradient
     return fn
 
 
-def _derived(fn, *factors):
-    """fn, declared its own reflection when every factor it combines (with
-    real coefficients) is; otherwise undeclared."""
-    if all(getattr(f, "reflection", None) is f for f in factors):
-        return _reflecting(fn)
-    return fn
+def _product_gradient(f, g, xt, xz):
+    """The xi-gradient g grad f + f grad g of the product of two declared
+    closures."""
+    fv, gv = f(xt, xz), g(xt, xz)
+    return tuple(gv * df + fv * dg for df, dg in
+                 zip(_gradient(f, xt, xz), _gradient(g, xt, xz)))
 
 
 def _on_grid(arr, grid: TorusGrid):
@@ -235,42 +240,43 @@ def _w_derivatives_at(fn, xt, xz, grid):
 
 
 def xi_gradient(fn, xi_t, xi_z):
-    """Gradient in xi of a symbol closure, by central complex step
-    h = 1e-5 |xi| (1e-5 at xi = 0): (f(xi + ih) - f(xi - ih))/(2ih) per
-    direction, exact to ~1e-11 for holomorphic closures, at small |xi| too.
+    """Gradient (d_t fn, d_z fn) in xi of a symbol closure.
 
-    A closure that declares its Schwarz reflection f* (see _reflecting) is
-    evaluated at xi + ih only, with f(xi - ih) read as conj f*(xi + ih): the
-    same values from half the evaluations; a self-reflecting closure's
-    gradient is real.  Any other closure is evaluated at both points."""
+    At real xi with no xi = 0 a closure that declares its closed-form
+    gradient (see _declare) returns it: lambda1, mu2, a1 and the chain-rule
+    closures built from them.  Any other closure, and every closure at
+    xi = 0 or at complex xi, is differentiated by the central complex step
+    of _complex_step."""
+    return _gradient(fn, xi_t, xi_z)
+
+
+def _gradient(fn, xi_t, xi_z):
+    """xi_gradient, computed once per sharing scope; the chain rules of
+    declared gradients read their factors' gradients here."""
     return _evaluate(_xi_gradient, fn, xi_t, xi_z)
 
 
 def _xi_gradient(fn, xi_t, xi_z):
+    gradient = getattr(fn, "gradient", None)
+    if (gradient is not None and np.isrealobj(xi_t) and np.isrealobj(xi_z)
+            and np.all((np.asarray(xi_t) != 0.0) | (np.asarray(xi_z) != 0.0))):
+        return gradient(xi_t, xi_z)
+    return _complex_step(fn, xi_t, xi_z)
+
+
+def _complex_step(fn, xi_t, xi_z):
+    """(f(xi + ih) - f(xi - ih))/(2ih) per direction, h = 1e-5 |xi| (1e-5 at
+    xi = 0): exact to ~1e-11 for holomorphic closures, at small |xi| too.
+    xi is cast to real (a complex xi loses its imaginary part)."""
     xi_t = np.asarray(xi_t, dtype=float)
     xi_z = np.asarray(xi_z, dtype=float)
     r = np.sqrt(xi_t ** 2 + xi_z ** 2)
     h = 1e-5 * np.where(r == 0.0, 1.0, r)
-    reflection = getattr(fn, "reflection", None)
     ih = 1j * h
-    plus = ((xi_t + ih, xi_z), (xi_t, xi_z + ih))
-    if reflection is fn:
-        # f(xi - ih) = conj f(xi + ih): the difference is 2i Im f(xi + ih)
-        inv_h = 1.0 / h
-        return tuple(np.imag(fn(*p)) * inv_h for p in plus)
     scale = -0.5j / h     # 1/(2ih), on the xi shape only
-    if reflection is None:
-        minus = ((xi_t - ih, xi_z), (xi_t, xi_z - ih))
-        return tuple((fn(*p) - fn(*m)) * scale for p, m in zip(plus, minus))
-
-    def difference(p):
-        # a pair such as a1 and A1 shares its work at this one point; the
-        # inner scope drops it here rather than with the chunk
-        with _sharing():
-            up, down = fn(*p), reflection(*p)
-        return (up - np.conj(down)) * scale
-
-    return tuple(difference(p) for p in plus)
+    plus = ((xi_t + ih, xi_z), (xi_t, xi_z + ih))
+    minus = ((xi_t - ih, xi_z), (xi_t, xi_z - ih))
+    return tuple((fn(*p) - fn(*m)) * scale for p, m in zip(plus, minus))
 
 
 def _as_xi(x):
@@ -327,9 +333,10 @@ class HomogeneousSymbol:
         return float(np.abs(p2 - 2.0 ** self.degree * p1).max())
 
     def reality_residual(self):
-        """max |a(w, -xi) - conj a(w, xi)| over a lattice sample."""
+        """max |a(w, -xi) - conj a(w, xi)| over 64 points of lattice_points,
+        evenly strided over all of it (every k_theta row on 32^2)."""
         xt, xz = lattice_points(self.grid)
-        take = slice(0, min(len(xt), 64))
+        take = np.arange(min(len(xt), 64)) * len(xt) // min(len(xt), 64)
         plus = self.total(xt[take], xz[take])
         minus = self.total(-xt[take], -xz[take])
         return float(np.abs(minus - np.conj(plus)).max())
@@ -358,14 +365,19 @@ def _surface_data(eta: TorusField) -> _Surface:
 
 
 def _lambda1_squared(s: _Surface):
-    """The closure xi -> xi_t^2/eta^2 + xi_z^2 + (xi_t eta_z/eta
-    - xi_z eta_theta/eta)^2 = lambda^(1)^2, its profiles computed once."""
+    """The closure Q: xi -> xi_t^2/eta^2 + xi_z^2 + (xi_t eta_z/eta
+    - xi_z eta_theta/eta)^2 = lambda^(1)^2 and the closure of its half
+    xi-gradient grad Q / 2, their profiles computed once."""
     inv_e2, ez_e, et_e = 1.0 / s.e ** 2, s.ez / s.e, s.et / s.e
 
     def lam1_sq(xt, xz):
         return xt ** 2 * inv_e2 + xz ** 2 + (xt * ez_e - xz * et_e) ** 2
 
-    return lam1_sq
+    def half_gradient(xt, xz):
+        c = xt * ez_e - xz * et_e
+        return xt * inv_e2 + c * ez_e, xz - c * et_e
+
+    return lam1_sq, half_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +398,18 @@ def lambda_symbol(eta: TorusField) -> HomogeneousSymbol:
 def _lambda_from(s: _Surface):
     """lambda_symbol of the surface record s."""
     A0 = _factorization(s, 1.0)[0].subprincipal
-    lam1_sq = _lambda1_squared(s)
+    lam1_sq, half_gradient = _lambda1_squared(s)
     l2_e = s.l2 / s.e
 
-    @_reflecting
     def lam1(xt, xz):
         return np.sqrt(lam1_sq(xt, xz))
+
+    def lam1_gradient(xt, xz):
+        # grad sqrt(Q) = (grad Q / 2) / lambda1
+        inv = 1.0 / lam1(xt, xz)
+        return tuple(g * inv for g in half_gradient(xt, xz))
+
+    lam1 = _declare(lam1, lam1_gradient)
 
     def lam0(xt, xz):
         return l2_e * A0(xt, xz)
@@ -417,6 +435,7 @@ def _factorization(s: _Surface, rho):
     # beta.xi = b_t xi_t + b_z xi_z and T = t_t xi_t^2 + xi_z^2
     b_t, b_z = -2.0 * et / (r * e ** 3), -2.0 * r * ez / e
     t_t = 1.0 / (r ** 2 * e ** 2)
+    four_alpha_t = four_alpha * t_t
 
     def disc(xt, xz):
         """T, beta.xi and the discriminant 4 alpha T - (beta.xi)^2."""
@@ -433,11 +452,17 @@ def _factorization(s: _Surface, rho):
         )
 
     @_shared
+    def root(xt, xz):
+        """T, beta.xi and the root S of the discriminant."""
+        t, b, d = disc(xt, xz)
+        return t, b, np.sqrt(d)
+
+    @_shared
     def branches(xt, xz):
         """a1 = (S + i beta.xi)/(2 alpha) and A1 = (S - i beta.xi)/(2 alpha)
-        from one root S; each is the other's Schwarz reflection."""
-        _, b, d = disc(xt, xz)
-        s, ib = np.sqrt(d), 1j * b
+        from one root S."""
+        _, b, s = root(xt, xz)
+        ib = 1j * b
         return (s + ib) * half_inv_alpha, (s - ib) * half_inv_alpha
 
     def A1(xt, xz):
@@ -446,8 +471,17 @@ def _factorization(s: _Surface, rho):
     def a1(xt, xz):
         return branches(xt, xz)[0]
 
-    A1, a1 = _shared(A1), _shared(a1)
-    A1.reflection, a1.reflection = a1, A1
+    def a1_gradient(xt, xz):
+        # grad S = grad(4 alpha T - (beta.xi)^2) / (2 S), grad T = (2 t_t xi_t,
+        # 2 xi_z), grad beta.xi = (b_t, b_z)
+        _, b, s = root(xt, xz)
+        inv_s = 1.0 / s
+        return (((four_alpha_t * xt - b * b_t) * inv_s + 1j * b_t)
+                * half_inv_alpha,
+                ((four_alpha * xz - b * b_z) * inv_s + 1j * b_z)
+                * half_inv_alpha)
+
+    A1, a1 = _shared(A1), _declare(a1, a1_gradient)
 
     q_t = _w_derivative(et / e ** 2, grid, -2)
     q_z = _w_derivative(ez / e ** 2, grid, -1)
@@ -470,13 +504,12 @@ def _factorization(s: _Surface, rho):
         return (ds - 1j * db) * half_inv_alpha - A * dalpha_alpha
 
     def A0(xt, xz):
-        t, b, d = disc(xt, xz)
-        root = np.sqrt(d)
-        A = (root - 1j * b) * half_inv_alpha
-        a = (root + 1j * b) * half_inv_alpha
+        t, b, s = root(xt, xz)
+        A = (s - 1j * b) * half_inv_alpha
+        a = (s + 1j * b) * half_inv_alpha
         ga, gb = xi_gradient(a1, xt, xz)
         dth, dz = w_derivatives(A, grid)
-        return -(A * gamma_alpha + dA1(xt, xz, t, b, root, A)
+        return -(A * gamma_alpha + dA1(xt, xz, t, b, s, A)
                  - 1j * (ga * dth + gb * dz)) / (A + a)
 
     big_A = HomogeneousSymbol(grid, 1.0, A1, A0, name="A")
@@ -492,12 +525,17 @@ def _mu_from(s: _Surface):
     """mu = mu^(2) + mu^(1), symbol of the linearized mean curvature of the
     surface record s."""
     grid, e, et, ez, _ = s
-    lam1_sq = _lambda1_squared(s)
+    lam1_sq, half_gradient = _lambda1_squared(s)
     half_inv_l3 = 0.5 / s.l2 ** 1.5
+    inv_l3 = 2.0 * half_inv_l3
 
-    @_reflecting
     def mu2(xt, xz):
         return lam1_sq(xt, xz) * half_inv_l3
+
+    def mu2_gradient(xt, xz):
+        return tuple(g * inv_l3 for g in half_gradient(xt, xz))
+
+    mu2 = _declare(mu2, mu2_gradient)
 
     fu, fv = curvature_F_uv(e, et, ez)
     (gu_tt, gu_tz, gu_zz), (gv_tt, gv_tz, gv_zz) = curvature_G_uv(e, et, ez)
@@ -518,7 +556,6 @@ def _mu2_gjk_from(s: _Surface):
     g_tt, g_tz, g_zz = curvature_G(s.e, s.et, s.ez)
     m_tt, m_tz, m_zz = -g_tt, -2.0 * g_tz, -g_zz
 
-    @_reflecting
     def mu2(xt, xz):
         return m_tt * xt ** 2 + m_tz * (xt * xz) + m_zz * xz ** 2
 
@@ -543,7 +580,11 @@ def mollifier_symbol(gamma_sym: HomogeneousSymbol, eps) -> HomogeneousSymbol:
     def j0(xt, xz):
         return np.exp(-eps * gamma_sym.principal(xt, xz))
 
-    j0 = _derived(j0, gamma_sym.principal)
+    def j0_gradient(xt, xz):
+        g = -eps * j0(xt, xz)
+        return tuple(g * d for d in _gradient(gamma_sym.principal, xt, xz))
+
+    j0 = _declare(j0, j0_gradient, gamma_sym.principal)
 
     def jm1(xt, xz):
         return -0.5j * w_divergence(*xi_gradient(j0, xt, xz), grid)
@@ -564,8 +605,6 @@ def sharp_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymb
 
     def principal(xt, xz):
         return a.principal(xt, xz) * b.principal(xt, xz)
-
-    principal = _derived(principal, a.principal, b.principal)
 
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
@@ -615,7 +654,12 @@ def parametrix(a: HomogeneousSymbol) -> HomogeneousSymbol:
     def inv_principal(xt, xz):
         return 1.0 / a.principal(xt, xz)
 
-    inv_principal = _derived(inv_principal, a.principal)
+    def inv_gradient(xt, xz):
+        # grad (1/a) = -grad a / a^2
+        g = -inv_principal(xt, xz) ** 2
+        return tuple(g * d for d in _gradient(a.principal, xt, xz))
+
+    inv_principal = _declare(inv_principal, inv_gradient, a.principal)
 
     def sub(xt, xz):
         ga, gb = xi_gradient(a.principal, xt, xz)
@@ -678,8 +722,10 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     pointwise residuals over half of the resolved Nyquist-free lattice
     (lattice_points): each residual's modulus is the same at -xi as at xi,
     since real operators have a(w, -xi) = conj a(w, xi), which the
-    lambda_reality line checks.  The thresholds of the subprincipal identities rest on the complex-step
-    xi-derivative being exact to ~1e-11.  No symbol depends on the
+    lambda_reality line checks.  The subprincipal identities read the
+    closed-form xi-gradients the closures declare (see xi_gradient), so on
+    the 32^2 reference surface they sit at roundoff, 1e-15 to 1e-12,
+    against thresholds of 1e-9 and 1e-8.  No symbol depends on the
     reference radius R; it is accepted and not read.
     """
     surface = _surface_data(eta)
@@ -735,7 +781,10 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     def prod_ml(a, b):
         return mu.principal(a, b) * lam.principal(a, b)
 
-    prod_ml = _derived(prod_ml, mu.principal, lam.principal)
+    def prod_ml_gradient(a, b):
+        return _product_gradient(mu.principal, lam.principal, a, b)
+
+    prod_ml = _declare(prod_ml, prod_ml_gradient, mu.principal, lam.principal)
 
     def q0_equation_residual(a, b):
         gpt, gpz = xi_gradient(prod_ml, a, b)
@@ -803,7 +852,13 @@ def _symmetrizer_from(s: _Surface, sigma, lam, mu, lam_inv):
     def gamma32(xt, xz):
         return np.sqrt(sigma * mu.principal(xt, xz) * lam.principal(xt, xz))
 
-    gamma32 = _derived(gamma32, mu.principal, lam.principal)
+    def gamma32_gradient(xt, xz):
+        # grad sqrt(sigma mu2 lambda1) = sigma grad(mu2 lambda1) / (2 gamma32)
+        g = (0.5 * sigma) / gamma32(xt, xz)
+        return tuple(g * d for d in _product_gradient(mu.principal,
+                                                      lam.principal, xt, xz))
+
+    gamma32 = _declare(gamma32, gamma32_gradient, mu.principal, lam.principal)
 
     def gamma12(xt, xz):
         im = -0.5 * w_divergence(*xi_gradient(gamma32, xt, xz), grid)

@@ -80,6 +80,36 @@ def lambda0_odd_fault(monkeypatch):
                    + 1e-6 * xt / np.sqrt(xt ** 2 + xz ** 2))
 
 
+@pytest.fixture()
+def gradient_fault(monkeypatch):
+    """fault(name) scales the declared xi-gradient of every closure named
+    name by 1 + 1e-6, wherever symbols declares one: a fault the gradient
+    oracle must catch."""
+    def fault(name):
+        declare = symbols._declare
+
+        def faulted(fn, gradient, *factors):
+            if fn.__name__ == name:
+                exact = gradient
+
+                def gradient(xt, xz):
+                    return tuple(g * (1.0 + 1e-6) for g in exact(xt, xz))
+            return declare(fn, gradient, *factors)
+
+        monkeypatch.setattr(symbols, "_declare", faulted)
+
+    return fault
+
+
+@pytest.fixture()
+def lambda0_high_odd_fault(monkeypatch):
+    """Add the real term 1e-6 sign(xi_t), odd in xi, to lambda's
+    subprincipal part where |xi_t| >= 5 only: a reality fault that a sample
+    of the low k_theta rows alone does not see."""
+    _fault_lambda0(monkeypatch, lambda sub, xt, xz: sub(xt, xz)
+                   + 1e-6 * np.sign(xt) * (np.abs(xt) >= 5.0))
+
+
 def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
     return TorusField.constant(grid, R) + band_limited_random(
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)

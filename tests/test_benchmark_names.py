@@ -95,6 +95,38 @@ def test_calculus_units_sample_half_the_lattice(monkeypatch):
     assert 2 * tracer.paradiff_samples == 2 * active[:, 1:].sum() + active[:, 0].sum()
 
 
+def test_calculus_units_take_no_complex_step(monkeypatch):
+    """A calculus-32 unit reads every xi-gradient from the closed form its
+    closure declares: the report and apply_paradiff take no complex step
+    and evaluate no closure at a complex xi.  xi_gradient is called 361
+    times on unit 0, once per closure, chunk and call site; the chain rules
+    read their factors' gradients without calling it.  A count fails here
+    if a declaration stops firing, where wall time would only drift."""
+    wl = _load("workloads").WORKLOADS["calculus-32"]()
+    wl.setup(np.random.default_rng(0))
+    surface = wl.make(np.random.default_rng(1), 0)
+    complex_args, stepped, gradients = [], [], []
+    evaluate, xi_gradient = symbols._evaluate, symbols.xi_gradient
+
+    def spy(fn, *args):
+        if any(not callable(a) and np.iscomplexobj(a) for a in args):
+            complex_args.append(fn)
+        return evaluate(fn, *args)
+
+    def counted(*args):
+        gradients.append(1)
+        return xi_gradient(*args)
+
+    monkeypatch.setattr(symbols, "_evaluate", spy)
+    monkeypatch.setattr(symbols, "xi_gradient", counted)
+    monkeypatch.setattr(symbols, "_complex_step",
+                        lambda *args: stepped.append(args))
+    out = wl.run(surface)
+    assert wl.check(surface, out) is None
+    assert complex_args == [] and stepped == []
+    assert len(gradients) == 361
+
+
 def test_evolve_units_carry_their_stage_guesses():
     """evolve-32's stage solves start the radial level's CG from earlier
     potentials carried to the new trace through the cylinder's harmonic

@@ -224,7 +224,7 @@ class TestApplyParadiff:
 
     @pytest.mark.parametrize("name, digest", [
         ("lambda",
-         "bdc5e4985a67655e602a9ab2fdd1547591a61ecb395021dc8d7ced7e5bc9b052"),
+         "62a776602cf620eecf674c51e04252b1dd013e9cc7d0f5efb73c2b9d85a83b29"),
         ("mu",
          "1993f5aa60592feee852a88e67797a61528f9e72328993afc4edcd7555ff3481"),
     ], ids=["lambda", "mu"])
