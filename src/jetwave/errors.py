@@ -19,8 +19,7 @@ class ConvergenceError(JetwaveError):
 
 
 class EllipticityError(JetwaveError):
-    """A symbol required to be elliptic (or a discriminant required to be
-    positive) failed the check."""
+    """A symbol required to be elliptic failed the check."""
 
 
 class ConfigError(JetwaveError):

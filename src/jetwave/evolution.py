@@ -116,7 +116,7 @@ def measure_dispersion(solver: DtnSolver, R, sigma, modes, tol):
         omega2_a = _omega_squared(R, sigma, m, k)
         # marginal modes have omega2 = 0 exactly; report their error on the
         # natural capillary scale sigma/R^3 instead of dividing by zero
-        scale = max(abs(omega2_a), sigma / R ** 3)
+        scale = abs(omega2_a) if omega2_a != 0.0 else sigma / R ** 3
         rows.append((m, k, omega2_a, omega2_meas,
                      abs(omega2_meas - omega2_a) / scale))
     return rows

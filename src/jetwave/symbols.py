@@ -43,12 +43,12 @@ Derivatives, SIAM 2008), a few real array operations on the chunk.
 xi_gradient returns the declared gradient at real xi != 0, which is every
 xi the identity report and apply_paradiff sample.  A closure that declares
 nothing (a user's lambda, a sharp_compose principal, a closure built on an
-undeclared one), and any closure at
-xi = 0 or at complex xi, is differentiated by the central complex step
-(f(xi + ih) - f(xi - ih))/(2ih), h = 1e-5 |xi| (Squire & Trapp, SIAM Rev.
-40, 1998), exact to ~1e-11 for these holomorphic closed forms.  At xi = 0,
-where the square-root closures have no gradient, the step gives the
-symmetric difference.
+undeclared one), and any closure at xi = 0, is differentiated by the
+central complex step (f(xi + ih) - f(xi - ih))/(2ih), h = 1e-5 |xi|
+(Squire & Trapp, SIAM Rev. 40, 1998), exact to ~1e-11 for these
+holomorphic closed forms.  At xi = 0, where the square-root closures have
+no gradient, the step gives the symmetric difference.  A complex xi is
+rejected (ValueError).
 
 w-derivatives
 -------------
@@ -69,12 +69,16 @@ each xi of a 64-point sample, spread over the half lattice, with -xi.
 
 Within one symbol_identity_report, every closure evaluation, xi-gradient
 and w-derivative pair of a closure is computed once per xi chunk and shared
-by all identities on that chunk.  The report and paradiff.apply_paradiff
-size their chunks by one rule, TorusGrid.xi_chunk.  The evaluations one
-chunk shares take about 10 MB on 32^2, under the heap thresholds that
-spectral raises as it loads, so the next chunk reuses that memory instead
-of faulting it in again.  A declared gradient reads its factors' values,
-gradients and the root S of the factorization from the same chunk.
+by all identities on that chunk.  The report builds the rho = 1
+factorization once, and lambda^(0) and the factorization_rho_1 line read
+its root and branches; all twelve lattice lines, the two factorization
+lines among them, walk the lattice in one pass.  The report and
+paradiff.apply_paradiff size their chunks by one rule, TorusGrid.xi_chunk.
+The evaluations one chunk shares take about 10 MB on 32^2, under the heap
+thresholds that spectral raises as it loads, so the next chunk reuses that
+memory instead of faulting it in again.  A declared gradient reads its
+factors' values, gradients and the root S of the factorization from the
+same chunk.
 
 Each symbol has one constructor, which takes the surface record of
 _surface_data (eta projected once, its first derivatives and l^2) and
@@ -240,13 +244,15 @@ def _w_derivatives_at(fn, xt, xz, grid):
 
 
 def xi_gradient(fn, xi_t, xi_z):
-    """Gradient (d_t fn, d_z fn) in xi of a symbol closure.
+    """Gradient (d_t fn, d_z fn) in xi of a symbol closure at real xi; a
+    complex xi raises ValueError.
 
-    At real xi with no xi = 0 a closure that declares its closed-form
-    gradient (see _declare) returns it: lambda1, mu2, a1 and the chain-rule
-    closures built from them.  Any other closure, and every closure at
-    xi = 0 or at complex xi, is differentiated by the central complex step
-    of _complex_step."""
+    With no xi = 0 a closure that declares its closed-form gradient (see
+    _declare) returns it: lambda1, mu2, a1 and the chain-rule closures built
+    from them.  Any other closure, and every closure at xi = 0, is
+    differentiated by the central complex step of _complex_step."""
+    if np.iscomplexobj(xi_t) or np.iscomplexobj(xi_z):
+        raise ValueError("xi_gradient takes real xi")
     return _gradient(fn, xi_t, xi_z)
 
 
@@ -258,16 +264,15 @@ def _gradient(fn, xi_t, xi_z):
 
 def _xi_gradient(fn, xi_t, xi_z):
     gradient = getattr(fn, "gradient", None)
-    if (gradient is not None and np.isrealobj(xi_t) and np.isrealobj(xi_z)
-            and np.all((np.asarray(xi_t) != 0.0) | (np.asarray(xi_z) != 0.0))):
+    if gradient is not None and np.all((np.asarray(xi_t) != 0.0)
+                                       | (np.asarray(xi_z) != 0.0)):
         return gradient(xi_t, xi_z)
     return _complex_step(fn, xi_t, xi_z)
 
 
 def _complex_step(fn, xi_t, xi_z):
     """(f(xi + ih) - f(xi - ih))/(2ih) per direction, h = 1e-5 |xi| (1e-5 at
-    xi = 0): exact to ~1e-11 for holomorphic closures, at small |xi| too.
-    xi is cast to real (a complex xi loses its imaginary part)."""
+    xi = 0): exact to ~1e-11 for holomorphic closures, at small |xi| too."""
     xi_t = np.asarray(xi_t, dtype=float)
     xi_z = np.asarray(xi_z, dtype=float)
     r = np.sqrt(xi_t ** 2 + xi_z ** 2)
@@ -392,12 +397,14 @@ def lambda_symbol(eta: TorusField) -> HomogeneousSymbol:
     ellipticity of the closed form (sqrt(0) is harmless but the
     subprincipal part divides by S).
     """
-    return _lambda_from(_surface_data(eta))
+    s = _surface_data(eta)
+    return _lambda_from(s, _factorization(s, 1.0))
 
 
-def _lambda_from(s: _Surface):
-    """lambda_symbol of the surface record s."""
-    A0 = _factorization(s, 1.0)[0].subprincipal
+def _lambda_from(s: _Surface, factorization):
+    """lambda_symbol of the surface record s, its lambda^(0) read from
+    factorization = _factorization(s, 1.0)."""
+    A0 = factorization[0].subprincipal
     lam1_sq, half_gradient = _lambda1_squared(s)
     l2_e = s.l2 / s.e
 
@@ -422,9 +429,11 @@ def _factorization(s: _Surface, rho):
     a = a^(1) of the radial factorization of the surface record s at rho,
     and its profile alpha.
 
-    The discriminant 4 alpha (xi_t^2/(rho^2 eta^2) + xi_z^2) - (beta.xi)^2 is
-    verified positive on a lattice sample before the root is taken; it is
-    even in xi, so the half lattice of lattice_points serves.
+    The discriminant 4 alpha T - (beta.xi)^2, T = xi_t^2/(rho^2 eta^2)
+    + xi_z^2, is positive at every real xi != 0, rho in (0, 1] and eta > 0:
+    with X = xi_t/(rho eta), Y = xi_z, A = eta_theta/eta and B = rho eta_z it
+    is (4/eta^2) [(1 + A^2 + B^2)(X^2 + Y^2) - (A X + B Y)^2] >= 4 T/eta^2
+    by Cauchy-Schwarz, so the root is taken unchecked.
     """
     grid, e, et, ez, _ = s
     r = float(rho)
@@ -437,25 +446,12 @@ def _factorization(s: _Surface, rho):
     t_t = 1.0 / (r ** 2 * e ** 2)
     four_alpha_t = four_alpha * t_t
 
-    def disc(xt, xz):
-        """T, beta.xi and the discriminant 4 alpha T - (beta.xi)^2."""
-        t = t_t * xt ** 2 + xz ** 2
-        b = b_t * xt + b_z * xz
-        return t, b, four_alpha * t - b ** 2
-
-    xt_s, xz_s = lattice_points(grid)
-    dmin = float(np.real(disc(_as_xi(xt_s[:64]), _as_xi(xz_s[:64]))[2]).min())
-    if dmin <= 0.0:
-        raise EllipticityError(
-            f"factorization discriminant nonpositive (min {dmin:.3e}); "
-            "the surface leaves the elliptic regime"
-        )
-
     @_shared
     def root(xt, xz):
         """T, beta.xi and the root S of the discriminant."""
-        t, b, d = disc(xt, xz)
-        return t, b, np.sqrt(d)
+        t = t_t * xt ** 2 + xz ** 2
+        b = b_t * xt + b_z * xz
+        return t, b, np.sqrt(four_alpha * t - b ** 2)
 
     @_shared
     def branches(xt, xz):
@@ -505,8 +501,7 @@ def _factorization(s: _Surface, rho):
 
     def A0(xt, xz):
         t, b, s = root(xt, xz)
-        A = (s - 1j * b) * half_inv_alpha
-        a = (s + 1j * b) * half_inv_alpha
+        a, A = branches(xt, xz)
         ga, gb = xi_gradient(a1, xt, xz)
         dth, dz = w_derivatives(A, grid)
         return -(A * gamma_alpha + dA1(xt, xz, t, b, s, A)
@@ -725,13 +720,16 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     lambda_reality line checks.  The subprincipal identities read the
     closed-form xi-gradients the closures declare (see xi_gradient), so on
     the 32^2 reference surface they sit at roundoff, 1e-15 to 1e-12,
-    against thresholds of 1e-9 and 1e-8.  No symbol depends on the
-    reference radius R; it is accepted and not read.
+    against thresholds of 1e-9 and 1e-8.  The twelve lattice lines run in
+    one _lattice_checks pass; lambda and the factorization_rho_1 line share
+    one factorization at rho = 1.  No symbol depends on the reference
+    radius R; it is accepted and not read.
     """
     surface = _surface_data(eta)
     grid, e, et, ez, _ = surface
 
-    lam = _lambda_from(surface)
+    factorizations = {rho: _factorization(surface, rho) for rho in (1.0, 0.7)}
+    lam = _lambda_from(surface, factorizations[1.0])
     mu = _mu_from(surface)
     mu2_alt = _mu2_gjk_from(surface)
     lam_inv = parametrix(lam)
@@ -804,33 +802,33 @@ def symbol_identity_report(eta: TorusField, sigma, R):
     # mollifier commutes with gamma at principal level
     lattice["poisson_gamma_mollifier"] = (
         1e-9, [poisson_bracket(gamma_sym, j_eps).principal])
+
+    # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2; at
+    # rho = 1 on the branches lambda^(0) reads
+    for rho, (big_A, small_a, alpha) in factorizations.items():
+        def fact_residual(a, b, rho=rho, A=big_A, s=small_a, al=alpha):
+            target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
+            return al * s.principal(a, b) * A.principal(a, b) - target
+
+        lattice[f"factorization_rho_{rho:g}".replace(".", "_")] = (
+            1e-10, [fact_residual])
     checks = _lattice_checks(lattice, grid, xt, xz)
 
     # structural invariants; the reality sample shares nothing with the rays
     # of the other two, so its evaluations are not kept past their use
     syms = (lam, mu, gamma_sym, q_sym, p_sym)
     with _sharing():
-        checks += [
+        structural = [
             IdentityCheck("homogeneity",
                           np.max([s.homogeneity_residual() for s in syms]),
                           1e-12),
             IdentityCheck("ellipticity_margin",
                           -np.min([s.ellipticity_margin() for s in syms]), 0.0),
         ]
-    checks.append(IdentityCheck("lambda_reality", lam.reality_residual(), 1e-10))
-
-    # radial factorization: alpha a1 A1 = xi_t^2/(rho^2 eta^2) + xi_z^2
-    factorization = {}
-    for rho in (1.0, 0.7):
-        big_A, small_a, alpha = _factorization(surface, rho)
-
-        def fact_residual(a, b, rho=rho, A=big_A, s=small_a, al=alpha):
-            target = a ** 2 / (rho ** 2 * e ** 2) + b ** 2
-            return al * s.principal(a, b) * A.principal(a, b) - target
-
-        factorization[f"factorization_rho_{rho:g}".replace(".", "_")] = (
-            1e-10, [fact_residual])
-    return checks + _lattice_checks(factorization, grid, xt, xz)
+    structural.append(IdentityCheck("lambda_reality", lam.reality_residual(),
+                                    1e-10))
+    # the two factorization lines close the report
+    return checks[:-2] + structural + checks[-2:]
 
 
 def _symmetrizer_from(s: _Surface, sigma, lam, mu, lam_inv):

@@ -54,8 +54,8 @@ def _fault_lambda0(monkeypatch, fault):
     the identity report builds lambda."""
     lambda_from = symbols._lambda_from
 
-    def faulted(surface):
-        lam = lambda_from(surface)
+    def faulted(surface, factorization):
+        lam = lambda_from(surface, factorization)
         sub = lam.subprincipal
         return symbols.HomogeneousSymbol(lam.grid, 1.0, lam.principal,
                                          lambda xt, xz: fault(sub, xt, xz),

@@ -400,6 +400,19 @@ class TestDispersion:
         assert analytic == 0.0
         assert abs(measured) < 1e-8 * SIGMA / R ** 3
 
+    def test_miss_at_tiny_radius_is_reported(self):
+        """rel_error divides by |omega^2_analytic| whenever it is nonzero:
+        at R = 1.5e-102 the (0, 1) row misses omega^2 by a factor of about
+        290, and the capillary scale sigma/R^3, larger than |omega^2| there,
+        must not hide that."""
+        Rt = 1.5e-102
+        rows = measure_dispersion(DtnSolver(TorusGrid(16, 16), 24), Rt, SIGMA,
+                                  [(0, 1.0)], 1e-11)
+        _, _, analytic, measured, rel = rows[0]
+        assert analytic != 0.0
+        assert rel == abs(measured - analytic) / abs(analytic)
+        assert rel > 0.5
+
 
 class TestGrowthMeasurement:
     def test_growth_rate_fit(self):

@@ -59,7 +59,7 @@ def _mu(eta):
 def _symmetrizer(eta):
     """(a, gamma, q, p) of eta, built as the identity report builds them."""
     surface = _surface_data(eta)
-    lam = _lambda_from(surface)
+    lam = _lambda_from(surface, _factorization(surface, 1.0))
     return _symmetrizer_from(surface, SIGMA, lam, _mu_from(surface),
                              parametrix(lam))
 
@@ -176,6 +176,32 @@ class TestHoistedClosures:
         l3 = (1.0 + (et / e) ** 2 + ez ** 2) ** 1.5
         assert _rel(lambda_symbol(eta).principal(xt, xz), np.sqrt(quad)) <= 1e-14
         assert _rel(_mu(eta).principal(xt, xz), quad / (2.0 * l3)) <= 1e-14
+
+
+class TestFactorizationDiscriminant:
+    """The discriminant 4 alpha T - (beta.xi)^2 whose root _factorization
+    takes unchecked is at least 4 T/eta^2 (Cauchy-Schwarz), so it is
+    positive at every real xi != 0.  Read from the code as S^2, with
+    S = 2 alpha Re a^(1), over the whole Nyquist-free lattice and off it."""
+
+    @pytest.mark.parametrize("rho", [1.0, 0.7])
+    @pytest.mark.parametrize("surface", [
+        "reference", "seed0", "seed1", "seed2", "strong"])
+    def test_bound(self, grid32, rho, surface):
+        if surface == "reference":
+            eta = _deformed(grid32)
+        else:
+            seed = 0 if surface == "strong" else int(surface[-1])
+            eta = smooth_surface(grid32, np.random.default_rng(seed),
+                                 amp=0.3 if surface == "strong" else 0.05)
+        record = _surface_data(eta)
+        _, small_a, alpha = _factorization(record, rho)
+        for xt, xz in ((_as_xi(x) for x in full_lattice_points(grid32)),
+                       _off_lattice()):
+            s = 2.0 * alpha * np.real(small_a.principal(xt, xz))
+            t = xt ** 2 / (rho ** 2 * record.e ** 2) + xz ** 2
+            ratio = (s ** 2 / (4.0 * t / record.e ** 2)).min()
+            assert ratio >= 1.0 - 1e-12, ratio
 
 
 class TestWDivergence:
@@ -502,6 +528,40 @@ class TestReport:
         for c in checks:
             assert c.passed, c
 
+    def test_one_factorization_per_rho_and_one_pass(self, monkeypatch,
+                                                    grid16):
+        """A report builds the factorization at rho = 1 and 0.7 once each,
+        lambda reads the rho = 1 one, and one _lattice_checks pass makes
+        the twelve lattice lines, in the report's order."""
+        built, read, passes = [], [], []
+        factorization = symbols._factorization
+        lambda_from = symbols._lambda_from
+        lattice_checks = symbols._lattice_checks
+
+        def built_spy(surface, rho):
+            built.append((rho, factorization(surface, rho)))
+            return built[-1][1]
+
+        def read_spy(surface, fact):
+            read.append(fact)
+            return lambda_from(surface, fact)
+
+        def pass_spy(identities, *args):
+            passes.append(list(identities))
+            return lattice_checks(identities, *args)
+
+        monkeypatch.setattr(symbols, "_factorization", built_spy)
+        monkeypatch.setattr(symbols, "_lambda_from", read_spy)
+        monkeypatch.setattr(symbols, "_lattice_checks", pass_spy)
+        checks = symbol_identity_report(_deformed(grid16), SIGMA, R)
+        assert [rho for rho, _ in built] == [1.0, 0.7]
+        assert len(read) == 1 and read[0] is built[0][1]
+        names = [c.name for c in checks]
+        assert passes == [names[:10] + names[-2:]]
+        assert names[10:13] == ["homogeneity", "ellipticity_margin",
+                                "lambda_reality"]
+        assert names[-2:] == ["factorization_rho_1", "factorization_rho_0_7"]
+
     def test_fault_hook_trips_im_lambda0(self, grid32, lambda0_sign_fault):
         checks = {c.name: c for c in symbol_identity_report(
             _deformed(grid32), SIGMA, R)}
@@ -677,10 +737,10 @@ class TestReflection:
         grid = TorusGrid(n, n)
         eta = surface(grid)
         declared = _declared(monkeypatch, eta)
-        # a1 of lambda's factorization at rho = 1 and of the report's at
-        # rho = 1 and 0.7, each closure of the symmetrizer once
+        # a1 of the report's factorizations at rho = 1 (which lambda reads)
+        # and 0.7, each closure of the symmetrizer once
         assert sorted(_name(f) for f in declared) == sorted(
-            _DECLARED + ["a1"] * 2)
+            _DECLARED + ["a1"])
         surface_data = _surface_data(eta)
         pairs = [(f, f) for f in declared if _name(f) != "a1"]
         for rho in (1.0, 0.7):
@@ -821,7 +881,7 @@ class TestDeclaredGradients:
         gradient exists there, is 0."""
         eta = _deformed(grid16)
         surface = _surface_data(eta)
-        lam = _lambda_from(surface)
+        lam = _lambda_from(surface, _factorization(surface, 1.0))
         mu = _mu_from(surface)
         gamma_sym = _symmetrizer(eta)[1]
         closures = [lam.principal, mu.principal, gamma_sym.principal,
@@ -841,6 +901,14 @@ class TestDeclaredGradients:
                 gz, (f(zero, zero + 1j * h) - f(zero, zero - 1j * h)) * (-0.5j / h))
             assert np.isfinite(gt).all() and np.isfinite(gz).all()
         assert not np.any(xi_gradient(mu.principal, zero, zero))
+
+    def test_complex_xi_raises(self, grid16):
+        """A complex xi is rejected, not read at its real part."""
+        lam1 = lambda_symbol(_deformed(grid16)).principal
+        with pytest.raises(ValueError):
+            xi_gradient(lam1, 3 + 0.5j, 1)
+        with pytest.raises(ValueError):
+            xi_gradient(lam1, 3.0, np.array([1.0 + 0j]))
 
 
 class TestChunkInvariance:
@@ -908,7 +976,7 @@ class TestHalfLattice:
 class TestFullLatticeOracle:
     """The report on the half lattice against the report on the whole
     lattice, full_lattice_points patched in for lattice_points (which the
-    reality and discriminant samples read too)."""
+    reality sample reads too)."""
 
     @staticmethod
     def _both(monkeypatch, eta):
