@@ -29,6 +29,18 @@ grid of width M = 3N/2 the sums |zeta + xi| <= N - 1 would alias only by
 multiples of M, and every alias of a kept frequency k in [-N/2, N/2] lies
 outside (-N, N).
 
+A frequency is active when some block j >= 2 weighs it and its coefficient
+stands above a floor relative to u itself, |u_hat(xi)| > COEFFICIENT_FLOOR *
+max |u_hat|, 1e-14 of the largest coefficient the blocks weigh.  A skipped
+frequency would move the result by at most its coefficient times the size of
+the smoothed symbol, so the floor moves T_a u only at roundoff while it spares
+the symbol samples, transforms and scatter-adds of coefficients that are
+themselves roundoff: the good unknown of the paralinearization check, whose
+high blocks are roundoff on a smooth surface, keeps about a fifth of its
+frequencies.  Being relative, the floor scales with u: a power of two times u
+gives exactly that power times the result, and a zero u gives zero.  A
+constant or low modes of u, which no block j >= 2 weighs, do not raise it.
+
 Only half the active frequencies are sampled: those of u's half-spectrum
 in TorusGrid.half_lattice, k_z > 0, or k_z = 0 and k_theta > 0 (the half
 the symbol identity report samples too).  For a real operator,
@@ -62,6 +74,11 @@ from .spectral import (
     decomposition,
     low_pass,
 )
+
+
+# apply_paradiff skips a frequency whose |u_hat| is at most this times the
+# largest coefficient it reads (see "active" above)
+COEFFICIENT_FLOOR = 1e-14
 
 
 def paraproduct(a: TorusField, b: TorusField) -> TorusField:
@@ -98,8 +115,11 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
     symbols.HomogeneousSymbol).  The samples must satisfy
     a(w, -xi) = conj(a(w, xi)), the condition for a real operator: only the
     half lattice TorusGrid.half_lattice, k_z > 0 or k_z = 0 < k_theta, is
-    sampled, and the mirror half is its conjugate.  The real result is
-    returned.
+    sampled, and the mirror half is its conjugate.  A frequency is active
+    when some block j >= 2 weighs it and |u_hat(xi)| exceeds
+    COEFFICIENT_FLOOR (1e-14) times the largest such coefficient: relative,
+    so the floor scales with u and a zero u returns zero.  The real result
+    is returned.
     """
     grid = u.grid
     dec = decomposition(grid)
@@ -122,8 +142,10 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
 
     # row-major, so the lattice iteration order is fixed; on the half
     # lattice, the k_z = 0 column's stored mirror, conjugate to its own half
-    # only to roundoff, is never read
-    idx_t, idx_z = np.nonzero((weight != 0.0) & (uhat != 0.0)
+    # only to roundoff, is never read.  "Not at most the floor", so that a
+    # NaN coefficient stays active and reaches the result
+    mag = np.where(weight != 0.0, np.abs(uhat), 0.0)
+    idx_t, idx_z = np.nonzero(~(mag <= COEFFICIENT_FLOOR * mag.max())
                               & grid.half_lattice())
     n_active = idx_t.size
     if n_active == 0:
@@ -148,7 +170,12 @@ def apply_paradiff(symbol, u: TorusField) -> TorusField:
         acc += np.bincount(at, shat.real.ravel(), bt * bz)
         acc += 1j * np.bincount(at, shat.imag.ravel(), bt * bz)
 
-    acc = acc.reshape(bt, bz)
-    c = (acc[np.ix_(kt % bt, kz % bz)]
-         + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))
-    return TorusField.from_coefficients(grid, c)
+    return TorusField.from_coefficients(grid, _unfold(acc.reshape(bt, bz), kt, kz))
+
+
+def _unfold(acc, kt, kz):
+    """The full-lattice sum c(k) = acc(k) + conj acc(-k) of the half sums
+    acc, read from the box at the signed lattice indices kt, kz."""
+    bt, bz = acc.shape
+    return (acc[np.ix_(kt % bt, kz % bz)]
+            + np.conj(acc[np.ix_(-kt % bt, -kz % bz)]))

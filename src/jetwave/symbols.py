@@ -347,9 +347,14 @@ class HomogeneousSymbol:
         return float(np.abs(minus - np.conj(plus)).max())
 
     def ellipticity_margin(self):
-        """min Re a^(m) at 16 points of |xi| = 1; positive if elliptic."""
-        ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False) + 0.13
-        return float(np.real(self.principal_at(np.cos(ang), np.sin(ang))).min())
+        """min Re a^(m) at the 16 directions (2k+1) pi/16 of |xi| = 1;
+        positive if elliptic.  Built by sign flips from the first quadrant,
+        the set maps onto itself bit for bit under xi_theta -> -xi_theta
+        and xi_z -> -xi_z, so a reflected surface has the same margin."""
+        ang = np.arange(1, 8, 2) * np.pi / 16
+        c, s = np.cos(ang), np.sin(ang)
+        return float(np.real(self.principal_at(np.concatenate([c, -c, -c, c]),
+                                               np.concatenate([s, s, -s, -s]))).min())
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,26 @@ def smooth_surface(grid, rng, R=1.0, amp=0.05, kmax=3, decay=3.0):
         grid, rng, kmax=kmax, decay=decay, max_norm=amp * R)
 
 
+def skewed_surface(grid):
+    """A surface that is not axisymmetric and is not mapped to itself by
+    theta -> -theta or z -> -z: 1 + 0.1 cos theta cos z
+    + 0.05 sin(2 theta + z) + 0.03 cos(theta - 2 z)."""
+    th, zz = grid.mesh()
+    return TorusField(grid, 1.0 + 0.1 * np.cos(th) * np.cos(zz)
+                      + 0.05 * np.sin(2 * th + zz) + 0.03 * np.cos(th - 2 * zz))
+
+
+# the symmetries of the jet equations as exact maps of grid samples: shifts by
+# whole grid steps (5 in theta, 3 in z) and the reflections w -> -w of one
+# coordinate, which keep the grid point 0
+SYMMETRIES = {
+    "theta_shift": lambda v: np.roll(v, 5, axis=0),
+    "z_shift": lambda v: np.roll(v, 3, axis=1),
+    "theta_reflection": lambda v: np.roll(v[::-1, :], 1, axis=0),
+    "z_reflection": lambda v: np.roll(v[:, ::-1], 1, axis=1),
+}
+
+
 def barycentric_weights_loop(x):
     """Barycentric weights node by node, 1 / prod_{k != j} (x_j - x_k),
     scaled to max 1: the oracle of the vectorized build in elliptic."""

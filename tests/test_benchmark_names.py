@@ -62,8 +62,10 @@ def test_calculus_units_sample_half_the_lattice(monkeypatch):
     """calculus-32's identity report and apply_paradiff sample lambda on half
     the lattice: the mirror half is the conjugate, which the symbol's
     reality condition gives.  The report takes 480 of the 960 Nyquist-free
-    frequencies xi != 0 of 32^2.  A count fails here if the half-lattice
-    rule stops firing, where wall time would only drift."""
+    frequencies xi != 0 of 32^2.  apply_paradiff takes 92 on unit 0, the
+    half of the good unknown's frequencies above its coefficient floor (451
+    without the floor).  A count fails here if the half-lattice rule or the
+    floor stops firing, where wall time would only drift."""
     spans = _load_spans()
     wl = _load("workloads").WORKLOADS["calculus-32"]()
     wl.setup(np.random.default_rng(0))
@@ -87,18 +89,20 @@ def test_calculus_units_sample_half_the_lattice(monkeypatch):
     U = paradiff.good_unknown(eta, psi,
                               wl.solver.trace_bundle(eta, psi, wl.tol).B)
     dec = spectral.decomposition(U.grid)
-    # the active frequencies of U's half-spectrum: each k_z > 0 column
-    # stands for its k_z < 0 mirror too, the k_z = 0 column holds both
-    active = ((dec.blocks[2:].sum(axis=0) != 0.0) & (U.coefficients != 0.0)
+    # the active frequencies of U's half-spectrum, those above the floor:
+    # each k_z > 0 column stands for its k_z < 0 mirror too, the k_z = 0
+    # column holds both
+    mag = np.where(dec.blocks[2:].sum(axis=0) != 0.0, np.abs(U.coefficients), 0.0)
+    active = ((mag > paradiff.COEFFICIENT_FLOOR * mag.max())
               & ~U.grid.nyquist_mask()[:, :dec.blocks.shape[2]])
-    assert tracer.paradiff_samples > 0
+    assert tracer.paradiff_samples == 92
     assert 2 * tracer.paradiff_samples == 2 * active[:, 1:].sum() + active[:, 0].sum()
 
 
 def test_calculus_units_take_no_complex_step(monkeypatch):
     """A calculus-32 unit reads every xi-gradient from the closed form its
     closure declares: the report and apply_paradiff take no complex step
-    and evaluate no closure at a complex xi.  xi_gradient is called 361
+    and evaluate no closure at a complex xi.  xi_gradient is called 338
     times on unit 0, once per closure, chunk and call site; the chain rules
     read their factors' gradients without calling it.  A count fails here
     if a declaration stops firing, where wall time would only drift."""
@@ -124,7 +128,7 @@ def test_calculus_units_take_no_complex_step(monkeypatch):
     out = wl.run(surface)
     assert wl.check(surface, out) is None
     assert complex_args == [] and stepped == []
-    assert len(gradients) == 361
+    assert len(gradients) == 338
 
 
 def test_evolve_units_carry_their_stage_guesses():

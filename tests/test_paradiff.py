@@ -1,14 +1,24 @@
 """Paraproducts, the Bony remainder, quantization, good unknown."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import full_coefficients, pad_coefficients, truncate_coefficients
+from conftest import (
+    SYMMETRIES,
+    full_coefficients,
+    pad_coefficients,
+    skewed_surface,
+    truncate_coefficients,
+)
 
+from jetwave import paradiff
 from jetwave.paradiff import (
+    COEFFICIENT_FLOOR,
     apply_paradiff,
     bony_remainder,
     good_unknown,
@@ -224,9 +234,9 @@ class TestApplyParadiff:
 
     @pytest.mark.parametrize("name, digest", [
         ("lambda",
-         "62a776602cf620eecf674c51e04252b1dd013e9cc7d0f5efb73c2b9d85a83b29"),
+         "8266125058f1a36c764c7257cca9f72c89f11b475c3c602f3caabe759c53b39e"),
         ("mu",
-         "1993f5aa60592feee852a88e67797a61528f9e72328993afc4edcd7555ff3481"),
+         "96a0bcf0c32297122b17da2e3ec0d303c14f622cb7650a5414246c23ee9cfd9c"),
     ], ids=["lambda", "mu"])
     def test_pinned(self, grid32, name, digest):
         """lambda and mu of the reference surface 1 + 0.1 cos theta cos z
@@ -301,6 +311,143 @@ class TestCoefficientSpaceSum:
         sym = HomogeneousSymbol(grid32, 1.0, sample)
         ref = _dense_paradiff(sym, u)
         assert (apply_paradiff(sym, u) - ref).max_norm() <= 1e-13 * ref.max_norm()
+
+
+class _Counted:
+    """A symbol that records every frequency it is sampled at and acts as
+    the identity there."""
+
+    def __init__(self, grid):
+        self.grid, self.seen = grid, []
+
+    def total(self, xt, xz):
+        self.seen.extend(zip(xt, xz))
+        return np.ones((self.grid.n_theta, self.grid.n_z), dtype=complex)
+
+
+def _calculus_unit0_U(solver):
+    """The good unknown U of the benchmark's calculus-32 unit 0: the reference
+    surface, psi in the annulus 8 <= |xi| <= 11, U = psi - T_B eta."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS["calculus-32"]()
+    eta, psi = wl.make(np.random.default_rng(1), 0)
+    assert solver.grid == wl.grid and solver.n_rho == workloads.N_RHO
+    return eta, good_unknown(eta, psi, solver.trace_bundle(eta, psi, wl.tol).B)
+
+
+class TestCoefficientFloor:
+    """apply_paradiff skips a frequency whose |u_hat| is at most
+    COEFFICIENT_FLOOR times the largest coefficient the blocks j >= 2 weigh."""
+
+    def test_just_above_is_applied_just_below_is_not(self, grid32):
+        c = np.zeros((32, 17), dtype=complex)
+        big, above, below = (9, 5), (10, 3), (7, 8)     # all in blocks j >= 2
+        c[big] = 1.0
+        c[above] = 1.01 * COEFFICIENT_FLOOR
+        c[below] = 0.99 * COEFFICIENT_FLOOR
+        u = TorusField.from_coefficients(grid32, c)
+        mag = np.abs(u.coefficients)
+        # the round trip through the samples left both on their side
+        assert mag[above] > COEFFICIENT_FLOOR * mag.max() > mag[below]
+        sym = _Counted(grid32)
+        apply_paradiff(sym, u)
+        xt, xz = grid32.xi_theta, grid32.xi_z
+        assert sorted(sym.seen) == sorted([(xt[9], xz[5]), (xt[10], xz[3])])
+
+    @pytest.mark.parametrize("k", [-60, -1, 1, 60])
+    def test_relative(self, grid32, k):
+        """The floor scales with u: 2^k u gives 2^k times the result, bit
+        for bit, for a u with a coefficient 3x the floor and roundoff ones
+        far below it."""
+        lam = lambda_symbol(skewed_surface(grid32))
+        u = _mode(grid32, 9, 5) + _mode(grid32, 12, 3, 1e-3) \
+            + _mode(grid32, 6, 10, 3e-14)
+        want = apply_paradiff(lam, u)
+        got = apply_paradiff(lam, 2.0 ** k * u)
+        assert want.max_norm() > 1.0
+        assert np.array_equal(got.values, 2.0 ** k * want.values)
+
+    def test_zero(self, grid32):
+        sym = _Counted(grid32)
+        out = apply_paradiff(sym, TorusField.zeros(grid32))
+        assert sym.seen == [] and not out.values.any()
+
+    def test_low_modes_do_not_raise_the_floor(self, grid32):
+        """The floor reads only the coefficients the blocks weigh: a high
+        mode 1e-15 times a low one, which T_a never reads, is applied."""
+        assert decomposition(grid32).blocks[2:, 1, 0].sum() == 0.0
+        u = _mode(grid32, 1, 0) + _mode(grid32, 9, 5, 1e-15)
+        sym = _Counted(grid32)
+        apply_paradiff(sym, u)
+        assert (grid32.xi_theta[9], grid32.xi_z[5]) in sym.seen
+
+    def test_calculus_unit0_against_floor_free(self, solver32):
+        """On the good unknown of calculus-32's unit 0, whose high blocks
+        are roundoff, the floor skips most frequencies.  Each skipped one
+        moved T_lambda U by at most sup |lambda(., xi)| < 32 on 32^2 times
+        COEFFICIENT_FLOOR max |U_hat|: the result stays within that bound,
+        summed over the skipped frequencies of the full lattice, of the
+        floor-free dense sum (which also carries its own roundoff)."""
+        eta, U = _calculus_unit0_U(solver32)
+        lam = lambda_symbol(eta)
+        dec = decomposition(U.grid)
+        mag = np.where(dec.blocks[2:].sum(axis=0) != 0.0,
+                       np.abs(U.coefficients), 0.0)
+        floor = COEFFICIENT_FLOOR * mag.max()
+        half = U.grid.half_lattice()
+        assert ((mag > floor) & half).sum() == 92
+        skipped = 2 * ((mag != 0.0) & (mag <= floor) & half).sum()
+        assert skipped == 2 * 359
+        ref = _dense_paradiff(lam, U)
+        err = (apply_paradiff(lam, U) - ref).max_norm()
+        assert err <= 32.0 * floor * skipped
+
+
+def _symmetry_gap(eta, u, name):
+    """Relative max-norm gap between T_lambda u transformed by a symmetry
+    and T_lambda' u' of the transformed surface and field."""
+    op = SYMMETRIES[name]
+    out = apply_paradiff(lambda_symbol(eta), u)
+    moved = apply_paradiff(lambda_symbol(TorusField(eta.grid, op(eta.values))),
+                           TorusField(u.grid, op(u.values)))
+    return np.abs(moved.values - op(out.values)).max() / out.max_norm()
+
+
+class TestSymmetry:
+    """T_lambda commutes with the jet's symmetries.  A reflection maps
+    k_theta -> -k_theta or k_z -> -k_z, so it reads the half-spectrum's
+    mirrors; the floor commutes with all four, as it reads only |u_hat|,
+    which they permute.  u stops at |xi| = 12, so T_lambda u keeps off the
+    Nyquist lines: there the box's two partners +-N/2 are one grid mode and
+    only one is read.  Readings on 32^2: 2.1e-15, 4.2e-15, 2.1e-15 and
+    3.4e-15; the bound 1e-14 stands above each."""
+
+    BOUND = 1e-14
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    def test_commutes(self, grid32, rng, name):
+        u = band_limited_random(grid32, rng, kmax=12)
+        assert _symmetry_gap(skewed_surface(grid32), u, name) <= self.BOUND
+
+    def test_unconjugated_kz0_mirror_fails(self, monkeypatch, grid32, rng):
+        """A fault: the k_z = 0 column's mirror term acc(-k) added without
+        its conjugate.  The theta shift reads it; a z shift or a reflection
+        maps that column's wrong term onto itself."""
+        unfold = paradiff._unfold
+
+        def faulted(acc, kt, kz):
+            c = unfold(acc, kt, kz)
+            bt = acc.shape[0]
+            c[:, 0] = acc[kt % bt, 0] + acc[-kt % bt, 0]
+            return c
+
+        monkeypatch.setattr(paradiff, "_unfold", faulted)
+        u = band_limited_random(grid32, rng, kmax=12)
+        assert _symmetry_gap(skewed_surface(grid32), u, "theta_shift") > 1e3 * self.BOUND
 
 
 class TestGoodUnknown:
